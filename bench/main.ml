@@ -475,37 +475,6 @@ let run_ablations scale =
           ]
       end)
     (Datagen.Random_inst.log_fractions 4);
-  header "Ablation B: primal vs dual simplex on the covering LP (2-chain, set)"
-    [ "rows"; "dual_t"; "primal_t"; "agree" ];
-  let q2 = Queries.q2_chain () in
-  let specs2 = Datagen.Random_inst.specs_of_query q2 ~count:(2 * base) in
-  let pool2 = Datagen.Random_inst.pool rng ~domain:(max 4 (base / 2)) specs2 in
-  List.iter
-    (fun frac ->
-      let db = Datagen.Random_inst.prefix_db pool2 ~frac in
-      match Encode.res Encode.Lp set q2 db with
-      | Encode.Encoded enc ->
-        let solve m meth =
-          match Lp.Solvers.Float_simplex.solve ~method_:meth m with
-          | Lp.Solvers.Float_simplex.Optimal { objective; _ } -> Some objective
-          | _ -> None
-        in
-        let d, t_d = time (fun () -> solve enc.Encode.model `Dual) in
-        let p, t_p = time (fun () -> solve enc.Encode.model `Primal) in
-        let agree =
-          match (d, p) with
-          | Some a, Some b -> string_of_bool (Float.abs (a -. b) < 1e-5)
-          | _ -> "-"
-        in
-        row
-          [
-            string_of_int (Lp.Model.num_constrs enc.Encode.model);
-            fmt_time t_d;
-            fmt_time t_p;
-            agree;
-          ]
-      | _ -> ())
-    (Datagen.Random_inst.log_fractions 4);
   header "Ablation C: float vs exact-rational pipeline (small triangle instances)"
     [ "witnesses"; "float_t"; "exact_t"; "same_value" ];
   let pool3 =
@@ -561,7 +530,10 @@ let run_micro () =
           (* the production path: the dual simplex sees the presolved model *)
           (Staged.stage (fun () -> ignore (Lp.Solvers.Float_simplex.solve_frozen presolved)));
         Test.make ~name:"lp-dual-raw"
-          (Staged.stage (fun () -> ignore (Lp.Solvers.Float_simplex.solve enc.Encode.model)));
+          (* freeze + solve of the unpresolved encoding *)
+          (Staged.stage (fun () ->
+               ignore
+                 (Lp.Solvers.Float_simplex.solve_frozen (Lp.Frozen.of_model enc.Encode.model))));
         Test.make ~name:"flow-baseline"
           (Staged.stage (fun () -> ignore (Solve.resilience_flow set q db)));
       ]

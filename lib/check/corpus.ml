@@ -112,7 +112,9 @@ let parse_var spec =
   | integ :: upper :: obj :: name ->
     let integer = match integ with "int" -> true | "cont" -> false | s -> invalid_arg ("corpus: bad var kind " ^ s) in
     let upper = match upper with "-" -> None | s -> Some (int_of_string s) in
-    (String.concat " " name, integer, upper, int_of_string obj)
+    let obj = int_of_string obj in
+    if obj < 0 then invalid_arg ("corpus: negative objective in var line " ^ spec);
+    (String.concat " " name, integer, upper, obj)
   | _ -> invalid_arg ("corpus: bad var line " ^ spec)
 
 let parse_row spec =

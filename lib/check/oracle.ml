@@ -227,26 +227,23 @@ module EB = Lp.Solvers.Exact_bb
    a cold session (fresh all-slack basis) on the same delta.  This is the
    sharpest detector for basis/inverse drift across warm solves. *)
 let lp_warm_vs_cold ({ frozen; deltas } : Gen.lp_case) =
-  if not (FS.frozen_dual_applicable frozen) then Pass
-  else begin
-    let warm = FS.create_session frozen in
-    let rec go i = function
-      | [] -> Pass
-      | delta :: rest -> (
-        let w = FS.session_solve warm delta in
-        let c = FS.session_solve (FS.create_session frozen) delta in
-        match (w, c) with
-        | FS.Optimal { objective = wo; solution = ws }, FS.Optimal { objective = co; _ } ->
-          if Float.abs (wo -. co) > 1e-7 then
-            failf "step %d: warm objective %.9g <> cold %.9g" i wo co
-          else if not (Lp.Frozen.check_feasible ~delta frozen ws) then
-            failf "step %d: warm solution violates the program" i
-          else go (i + 1) rest
-        | FS.Infeasible, FS.Infeasible | FS.Unbounded, FS.Unbounded -> go (i + 1) rest
-        | _ -> failf "step %d: warm and cold outcome kinds differ" i)
-    in
-    go 0 deltas
-  end
+  let warm = FS.create_session frozen in
+  let rec go i = function
+    | [] -> Pass
+    | delta :: rest -> (
+      let w = FS.session_solve warm delta in
+      let c = FS.session_solve (FS.create_session frozen) delta in
+      match (w, c) with
+      | FS.Optimal { objective = wo; solution = ws }, FS.Optimal { objective = co; _ } ->
+        if Float.abs (wo -. co) > 1e-7 then
+          failf "step %d: warm objective %.9g <> cold %.9g" i wo co
+        else if not (Lp.Frozen.check_feasible ~delta frozen ws) then
+          failf "step %d: warm solution violates the program" i
+        else go (i + 1) rest
+      | FS.Infeasible, FS.Infeasible -> go (i + 1) rest
+      | _ -> failf "step %d: warm and cold outcome kinds differ" i)
+  in
+  go 0 deltas
 
 (* Float branch-and-bound (and root LP) vs the exact rational instantiation
    on the base program and a few deltas.  Small programs only: the exact
@@ -291,25 +288,22 @@ let lp_float_vs_exact ({ frozen; deltas } : Gen.lp_case) =
    differ (pricing order is kernel-dependent), so only basis-independent
    quantities are compared. *)
 let basis_lp ({ frozen; deltas } : Gen.lp_case) =
-  if not (FS.frozen_dual_applicable frozen) then Pass
-  else begin
-    let dense = FS.create_session ~kernel:`Dense frozen in
-    let sparse = FS.create_session ~kernel:`Sparse frozen in
-    let rec go i = function
-      | [] -> Pass
-      | delta :: rest -> (
-        match (FS.session_solve sparse delta, FS.session_solve dense delta) with
-        | FS.Optimal { objective = so; solution = ss }, FS.Optimal { objective = dobj; _ } ->
-          if Float.abs (so -. dobj) > 1e-7 then
-            failf "step %d: sparse objective %.9g <> dense %.9g" i so dobj
-          else if not (Lp.Frozen.check_feasible ~delta frozen ss) then
-            failf "step %d: sparse-kernel solution violates the program" i
-          else go (i + 1) rest
-        | FS.Infeasible, FS.Infeasible | FS.Unbounded, FS.Unbounded -> go (i + 1) rest
-        | _ -> failf "step %d: sparse and dense kernel outcome kinds differ" i)
-    in
-    go 0 deltas
-  end
+  let dense = FS.create_session ~kernel:`Dense frozen in
+  let sparse = FS.create_session ~kernel:`Sparse frozen in
+  let rec go i = function
+    | [] -> Pass
+    | delta :: rest -> (
+      match (FS.session_solve sparse delta, FS.session_solve dense delta) with
+      | FS.Optimal { objective = so; solution = ss }, FS.Optimal { objective = dobj; _ } ->
+        if Float.abs (so -. dobj) > 1e-7 then
+          failf "step %d: sparse objective %.9g <> dense %.9g" i so dobj
+        else if not (Lp.Frozen.check_feasible ~delta frozen ss) then
+          failf "step %d: sparse-kernel solution violates the program" i
+        else go (i + 1) rest
+      | FS.Infeasible, FS.Infeasible -> go (i + 1) rest
+      | _ -> failf "step %d: sparse and dense kernel outcome kinds differ" i)
+  in
+  go 0 deltas
 
 (* End to end on a database: rankings through a sparse-kernel session at
    jobs 1/2/4 must be bit-identical to the dense-kernel reference ranking

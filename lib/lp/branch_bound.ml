@@ -9,8 +9,59 @@ let c_incumbents = Obs.Counter.create "bb.incumbents"
 let c_budget_hits = Obs.Counter.create "bb.budget_hits"
 let c_max_depth = Obs.Counter.create "bb.max_depth"
 
+module type S = sig
+  type elt
+
+  val of_int : int -> elt
+  val to_float : elt -> float
+  val to_floats : elt array -> float array
+  val integral_on : elt array -> Model.var list -> bool
+
+  type status = Optimal | Feasible | Infeasible | Unbounded | Limit_no_solution
+
+  type result = {
+    status : status;
+    objective : elt option;
+    solution : elt array option;
+    nodes : int;
+    root_objective : elt option;
+    root_integral : bool;
+    pivots : int;
+    refactors : int;
+  }
+
+  type session
+
+  val create_session : ?kernel:Basis.choice -> Frozen.t -> session
+
+  val solve_session :
+    ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> session -> result
+
+  val solve_session_par :
+    ?node_limit:int ->
+    ?time_limit:float ->
+    ?delta:Frozen.Delta.t ->
+    ?par_depth:int ->
+    pool:Pool.t ->
+    session ->
+    result
+
+  val relax :
+    ?delta:Frozen.Delta.t -> session -> [ `Optimal of elt * elt array | `Infeasible | `Unbounded ]
+
+  val solve_frozen :
+    ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> Frozen.t -> result
+end
+
 module Make (F : Numeric.Field.S) = struct
   module Lp = Simplex.Make (F)
+
+  type elt = F.t
+
+  let of_int = F.of_int
+  let to_float = F.to_float
+  let to_floats = F.to_floats
+  let integral_on = Lp.integral_on
 
   type status = Optimal | Feasible | Infeasible | Unbounded | Limit_no_solution
 
@@ -50,137 +101,9 @@ module Make (F : Numeric.Field.S) = struct
       int_vars;
     !best
 
-  let solve ?node_limit ?time_limit ?(fixed = []) m =
-    let int_vars = Model.integer_vars m in
-    (* Branching fixes integer variables to 0/1, so they must be binary.  A
-       missing upper bound is accepted for covering-style models whose
-       optima are componentwise <= 1 anyway (declaring the bound would only
-       add a redundant LP row); an explicit bound other than 1 is refused. *)
-    List.iter
-      (fun v ->
-        match Model.upper m v with
-        | Some 1 | None -> ()
-        | Some _ -> invalid_arg "Branch_bound.solve: integer variables must be binary")
-      int_vars;
-    let pure_int_obj =
-      let ok = ref true in
-      for v = 0 to Model.num_vars m - 1 do
-        if Model.objective m v <> 0 && not (Model.is_integer m v) then ok := false
-      done;
-      (* A model with no integer variable at all is just an LP; treat its
-         objective as exact. *)
-      !ok && int_vars <> []
-    in
-    let span0 = Obs.Trace.begin_ () in
-    let t0 = Clock.now () in
-    let out_of_time () =
-      match time_limit with Some limit -> Clock.elapsed t0 > limit | None -> false
-    in
-    let nodes = ref 0 in
-    let incumbent_obj = ref None in
-    let incumbent_sol = ref None in
-    let objective_at x =
-      let acc = ref F.zero in
-      for v = 0 to Model.num_vars m - 1 do
-        let c = Model.objective m v in
-        if c <> 0 then acc := F.add !acc (F.mul (F.of_int c) x.(v))
-      done;
-      !acc
-    in
-    let offer_incumbent obj sol =
-      match !incumbent_obj with
-      | Some inc when F.compare obj inc >= 0 -> ()
-      | _ ->
-        Obs.Counter.incr c_incumbents;
-        incumbent_obj := Some obj;
-        incumbent_sol := Some sol
-    in
-    (* Primal heuristic: ceil every positive integer variable; in covering
-       programs this is always feasible, elsewhere the check filters. *)
-    let try_rounding solution =
-      let x = Array.copy solution in
-      List.iter
-        (fun v -> x.(v) <- (if F.to_float solution.(v) > 1e-6 then F.one else F.zero))
-        int_vars;
-      if Model.check_feasible m (Array.map F.to_float x) then offer_incumbent (objective_at x) x
-    in
-    let root_objective = ref None in
-    let root_integral = ref false in
-    let hit_limit = ref false in
-    let unbounded = ref false in
-    (* DFS over fixings; the x=1 child is pushed last so it is explored
-       first (covering problems find incumbents fast that way). *)
-    let stack = ref [ fixed ] in
-    let continue = ref true in
-    while !continue do
-      match !stack with
-      | [] -> continue := false
-      | node_fixed :: rest ->
-        stack := rest;
-        if (match node_limit with Some l -> !nodes >= l | None -> false) || out_of_time () then begin
-          hit_limit := true;
-          Obs.Counter.incr c_budget_hits;
-          continue := false
-        end
-        else begin
-          incr nodes;
-          Obs.Counter.incr c_nodes;
-          match Lp.solve ~fixed:node_fixed m with
-          | Infeasible -> Obs.Counter.incr c_infeasible_nodes
-          | Unbounded ->
-            (* An unbounded relaxation at the root means the MILP is
-               unbounded or infeasible; we report unbounded. *)
-            unbounded := true;
-            continue := false
-          | Optimal { objective; solution } ->
-            if !nodes = 1 then begin
-              root_objective := Some objective;
-              root_integral := Lp.integral_on solution int_vars
-            end;
-            let bound = strengthen pure_int_obj objective in
-            let pruned =
-              match !incumbent_obj with Some inc -> F.compare bound inc >= 0 | None -> false
-            in
-            if pruned then Obs.Counter.incr c_pruned
-            else begin
-              match most_fractional solution int_vars with
-              | None ->
-                (* Integral on all integer variables: new incumbent. *)
-                Obs.Counter.incr c_integral_leaves;
-                offer_incumbent objective solution
-              | Some v ->
-                try_rounding solution;
-                stack := ((v, 0) :: node_fixed) :: ((v, 1) :: node_fixed) :: !stack
-            end
-        end
-    done;
-    let status =
-      if !unbounded then Unbounded
-      else
-        match (!incumbent_obj, !hit_limit) with
-        | Some _, false -> Optimal
-        | Some _, true -> Feasible
-        | None, true -> Limit_no_solution
-        | None, false -> Infeasible
-    in
-    Obs.Trace.end_ span0 "bb.solve";
-    {
-      status;
-      objective = !incumbent_obj;
-      solution = !incumbent_sol;
-      nodes = !nodes;
-      root_objective = !root_objective;
-      root_integral = !root_integral;
-      (* The model path has no warm session to meter; per-solve simplex
-         work is only attributed on the frozen-session paths. *)
-      pivots = 0;
-      refactors = 0;
-    }
-
   (* ----- Frozen sessions -------------------------------------------------
      A branch-and-bound session owns one warm-startable dual-simplex
-     session over a frozen program (or a thawed fallback model when the
-     dual is inapplicable) and keeps it across calls.  Branching is
+     session over a frozen program and keeps it across calls.  Branching is
      expressed as delta extension, so within one tree every node after the
      root re-solves from the parent's basis — and across calls each solve's
      root starts from the previous call's final basis, which is what makes
@@ -190,8 +113,7 @@ module Make (F : Numeric.Field.S) = struct
   type session = {
     sfz : Frozen.t;
     skernel : Basis.choice;  (* inherited by per-domain sessions in _par *)
-    slp : Lp.session option;  (* None: dual path inapplicable *)
-    sfallback : Model.t Lazy.t;
+    slp : Lp.session;
     mutable sext : (Frozen.Delta.t * Frozen.t) option;
         (* Cache of the last append extension: the delta whose appends were
            materialised and the resulting frozen program.  A serve-style
@@ -203,9 +125,7 @@ module Make (F : Numeric.Field.S) = struct
     {
       sfz = fz;
       skernel = kernel;
-      slp =
-        (if Lp.frozen_dual_applicable fz then Some (Lp.create_session ~kernel fz) else None);
-      sfallback = lazy (Frozen.to_model fz);
+      slp = Lp.create_session ~kernel fz;
       sext = None;
     }
 
@@ -222,22 +142,9 @@ module Make (F : Numeric.Field.S) = struct
         fz
 
   let relax ?(delta = Frozen.Delta.empty) sess =
-    let outcome =
-      match sess.slp with
-      | Some s -> Lp.session_solve s delta
-      | None ->
-        (* The thawed fallback must carry the appends too; the cached
-           extension keeps repeat solves cheap. *)
-        let m =
-          if Frozen.Delta.has_appends delta then Frozen.to_model (extended sess delta)
-          else Lazy.force sess.sfallback
-        in
-        Lp.solve ~fixed:(Frozen.Delta.bindings delta) m
-    in
-    match outcome with
+    match Lp.session_solve sess.slp delta with
     | Lp.Optimal { objective; solution } -> `Optimal (objective, solution)
     | Lp.Infeasible -> `Infeasible
-    | Lp.Unbounded -> `Unbounded
 
   (* Per-frozen-program metadata shared by every session solve: binary
      check, integer variables, objective purity. *)
@@ -267,7 +174,7 @@ module Make (F : Numeric.Field.S) = struct
     done;
     !acc
 
-  (* One depth-first search over deltas against a relaxation oracle.  The
+  (* One depth-first search over deltas against a warm LP session.  The
      incumbent store and budgets are abstracted so the sequential solver
      backs them with plain refs while the parallel solver shares atomics
      across domains, and both run the {e same} traversal (children pushed in
@@ -278,11 +185,12 @@ module Make (F : Numeric.Field.S) = struct
      fires per optimal relaxation (the callers use the first to record the
      root).  With [frontier_depth], nodes reaching that depth are handed to
      [defer] {e unsolved} instead of being explored — the parallel frontier.
-     Returns [(hit_limit, unbounded)]. *)
-  let dfs ~relax ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
+     Returns whether a budget stopped the search. *)
+  let dfs ~lp ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
       ~on_solved ?frontier_depth ?(defer = fun _ -> ()) stack0 =
     let objective_at = frozen_objective_at fz nvars in
-    (* Primal heuristic as in [solve], validated against the base delta —
+    (* Primal heuristic: ceil every positive integer variable (in covering
+       programs this is always feasible), validated against the base delta —
        branching fixes are search artifacts a root-feasible point need not
        respect, and rounding preserves 0/1 fixes anyway. *)
     let try_rounding solution =
@@ -294,7 +202,6 @@ module Make (F : Numeric.Field.S) = struct
         offer (objective_at x) x
     in
     let hit_limit = ref false in
-    let unbounded = ref false in
     let stack = ref stack0 in
     let continue = ref true in
     while !continue do
@@ -313,12 +220,9 @@ module Make (F : Numeric.Field.S) = struct
           else begin
             Obs.Counter.incr c_nodes;
             Obs.Counter.record_max c_max_depth depth;
-            match relax node_delta with
-            | `Infeasible -> Obs.Counter.incr c_infeasible_nodes
-            | `Unbounded ->
-              unbounded := true;
-              continue := false
-            | `Optimal (objective, solution) ->
+            match Lp.session_solve lp node_delta with
+            | Lp.Infeasible -> Obs.Counter.incr c_infeasible_nodes
+            | Lp.Optimal { objective; solution } ->
               on_solved objective solution;
               let bound = strengthen pure_int_obj objective in
               let pruned =
@@ -339,16 +243,14 @@ module Make (F : Numeric.Field.S) = struct
               end
           end)
     done;
-    (!hit_limit, !unbounded)
+    !hit_limit
 
-  let status_of ~unbounded ~incumbent ~hit_limit =
-    if unbounded then Unbounded
-    else
-      match (incumbent, hit_limit) with
-      | Some _, false -> Optimal
-      | Some _, true -> Feasible
-      | None, true -> Limit_no_solution
-      | None, false -> Infeasible
+  let status_of ~incumbent ~hit_limit =
+    match (incumbent, hit_limit) with
+    | Some _, false -> Optimal
+    | Some _, true -> Feasible
+    | None, true -> Limit_no_solution
+    | None, false -> Infeasible
 
   (* A "first optimal relaxation" recorder; the first solved node of a tree
      is always its root. *)
@@ -363,10 +265,8 @@ module Make (F : Numeric.Field.S) = struct
     in
     (root_objective, root_integral, on_solved)
 
-  (* Lifetime simplex work of a session's warm LP engine (zero on the
-     thawed-fallback path, which has no session to meter). *)
-  let session_work sess =
-    match sess.slp with Some s -> (Lp.session_pivots s, Lp.session_refactors s) | None -> (0, 0)
+  (* Lifetime simplex work of a session's warm LP engine. *)
+  let session_work sess = (Lp.session_pivots sess.slp, Lp.session_refactors sess.slp)
 
   let solve_session ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) sess =
     let fz = extended sess delta in
@@ -399,10 +299,8 @@ module Make (F : Numeric.Field.S) = struct
     (* [fz] is already the extended program, so the rounding check gets the
        delta with its appends stripped — passing them again would apply
        them twice. *)
-    let hit_limit, unbounded =
-      dfs
-        ~relax:(fun d -> relax ~delta:d sess)
-        ~fz
+    let hit_limit =
+      dfs ~lp:sess.slp ~fz
         ~base_delta:(Frozen.Delta.clear_appends delta)
         ~nvars ~int_vars ~pure_int_obj
         ~best:(fun () -> !incumbent_obj)
@@ -412,7 +310,7 @@ module Make (F : Numeric.Field.S) = struct
     let piv1, ref1 = session_work sess in
     Obs.Trace.end_ span0 "bb.solve";
     {
-      status = status_of ~unbounded ~incumbent:!incumbent_obj ~hit_limit;
+      status = status_of ~incumbent:!incumbent_obj ~hit_limit;
       objective = !incumbent_obj;
       solution = !incumbent_sol;
       nodes = !nodes;
@@ -478,23 +376,19 @@ module Make (F : Numeric.Field.S) = struct
       (* Phase 1: expand the top [par_depth] levels on the session's own
          engine; nodes reaching the cutoff become the frontier. *)
       let frontier = ref [] in
-      let hit1, unb1 =
-        dfs
-          ~relax:(fun d -> relax ~delta:d sess)
-          ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
+      let hit1 =
+        dfs ~lp:sess.slp ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
           ~on_solved ~frontier_depth:par_depth
           ~defer:(fun d -> frontier := d :: !frontier)
           [ (delta, 0) ]
       in
       let frontier = Array.of_list (List.rev !frontier) in
       let hit_limit = Atomic.make hit1 in
-      let unbounded = Atomic.make unb1 in
-      if (not hit1) && (not unb1) && Array.length frontier > 0 then begin
+      if (not hit1) && Array.length frontier > 0 then begin
         (* Phase 2: one subtree per frontier delta.  A domain joining the
            batch opens its own session against the shared frozen program;
-           a task observing an exhausted budget (or an unbounded verdict
-           elsewhere) returns without exploring. *)
-        let subtree_tick () = if Atomic.get unbounded then false else tick () in
+           a task observing an exhausted budget returns without
+           exploring. *)
         ignore
           (Pool.run_init pool
              (* Domains open their session on the BASE program: frontier
@@ -504,21 +398,18 @@ module Make (F : Numeric.Field.S) = struct
              ~init:(fun () -> create_session ~kernel:sess.skernel sess.sfz)
              ~tasks:(Array.length frontier)
              (fun dom_sess i ->
-               if not (Atomic.get hit_limit || Atomic.get unbounded) then begin
+               if not (Atomic.get hit_limit) then begin
                  let dp0, dr0 = session_work dom_sess in
-                 let hit, unb =
-                   dfs
-                     ~relax:(fun d -> relax ~delta:d dom_sess)
-                     ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer
-                     ~tick:subtree_tick ~timed_out
+                 let hit =
+                   dfs ~lp:dom_sess.slp ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best
+                     ~offer ~tick ~timed_out
                      ~on_solved:(fun _ _ -> ())
                      [ (frontier.(i), par_depth) ]
                  in
                  let dp1, dr1 = session_work dom_sess in
                  ignore (Atomic.fetch_and_add par_pivots (dp1 - dp0));
                  ignore (Atomic.fetch_and_add par_refactors (dr1 - dr0));
-                 if hit then Atomic.set hit_limit true;
-                 if unb then Atomic.set unbounded true
+                 if hit then Atomic.set hit_limit true
                end))
       end;
       let incumbent_obj, incumbent_sol =
@@ -529,9 +420,7 @@ module Make (F : Numeric.Field.S) = struct
       let piv1, ref1 = session_work sess in
       Obs.Trace.end_ span0 "bb.solve";
       {
-        status =
-          status_of ~unbounded:(Atomic.get unbounded) ~incumbent:incumbent_obj
-            ~hit_limit:(Atomic.get hit_limit);
+        status = status_of ~incumbent:incumbent_obj ~hit_limit:(Atomic.get hit_limit);
         objective = incumbent_obj;
         solution = incumbent_sol;
         nodes = Atomic.get nodes;

@@ -8,39 +8,58 @@
     count is the observable "exponential blow-up" of the experiments.
 
     Only binary integer variables are supported (all programs in this code
-    base are of that shape): branching fixes a variable to 0 or to 1 and the
-    child LP shrinks accordingly. *)
+    base are of that shape): branching fixes a variable to 0 or to 1 as a
+    {!Frozen.Delta} bound overlay, re-solved warm from the parent's basis.
 
-module Make (F : Numeric.Field.S) : sig
+    Every solve runs on a frozen program through a warm {!Simplex} session;
+    {!S} is the field-generic surface, and {!Solvers.engine} packs an
+    instantiation with a session so callers write one code path for the
+    float and exact fields. *)
+
+module type S = sig
+  (** {1 The field} *)
+
+  type elt
+  (** Field element: [float], or an exact rational. *)
+
+  val of_int : int -> elt
+  val to_float : elt -> float
+
+  val to_floats : elt array -> float array
+  (** The point as floats — the array itself on the float field, so a
+      float answer is never copied (see {!Numeric.Field.S.to_floats}). *)
+
+  val integral_on : elt array -> Model.var list -> bool
+  (** {!Simplex.Make.integral_on} at this field. *)
+
+  (** {1 Results} *)
+
   type status =
     | Optimal  (** Proved optimal. *)
     | Feasible  (** A limit was hit; [objective] is the incumbent's value. *)
     | Infeasible
     | Unbounded
+        (** Never produced: every frozen program has a non-negative
+            objective over variables bounded below, so it cannot be
+            unbounded.  Kept so exhaustive matches written against earlier
+            versions still compile. *)
     | Limit_no_solution  (** A limit was hit before any incumbent was found. *)
 
   type result = {
     status : status;
-    objective : F.t option;
-    solution : F.t array option;
+    objective : elt option;
+    solution : elt array option;
     nodes : int;  (** LP relaxations solved. *)
-    root_objective : F.t option;  (** Root LP relaxation value. *)
+    root_objective : elt option;  (** Root LP relaxation value. *)
     root_integral : bool;
         (** Whether the root LP optimum was already integral on the integer
             variables — the paper's LP=ILP condition observed in practice. *)
     pivots : int;
         (** Simplex pivots spent on this solve, attributed through the warm
             session's lifetime totals (parallel solves include the
-            per-domain engines).  0 on the model path of {!solve}, which has
-            no warm session to meter. *)
+            per-domain engines). *)
     refactors : int;  (** Basis refactorisations, attributed like [pivots]. *)
   }
-
-  val solve :
-    ?node_limit:int -> ?time_limit:float -> ?fixed:(Model.var * int) list -> Model.t -> result
-  (** [time_limit] is wall-clock seconds (emulates the paper's ILP(10)
-      cutoff). @raise Invalid_argument if an integer variable lacks an
-      upper bound of 1. *)
 
   (** {1 Frozen sessions}
 
@@ -61,7 +80,9 @@ module Make (F : Numeric.Field.S) : sig
   val solve_session :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> session -> result
   (** Branch-and-bound under the delta (the "base" fixes every node of this
-      tree respects).  Same contract as {!solve}.  A delta carrying
+      tree respects).  [time_limit] is wall-clock seconds (emulates the
+      paper's ILP(10) cutoff).  @raise Invalid_argument if an integer
+      variable has an upper bound other than 1.  A delta carrying
       row/column appends solves the extended program — the warm LP session
       absorbs the appends (see {!Simplex.session_solve}) and [solution] is
       indexed by extended variable; appended integer columns must be
@@ -90,13 +111,14 @@ module Make (F : Numeric.Field.S) : sig
       [par_depth = 0] this {e is} [solve_session], bit for bit. *)
 
   val relax :
-    ?delta:Frozen.Delta.t ->
-    session ->
-    [ `Optimal of F.t * F.t array | `Infeasible | `Unbounded ]
+    ?delta:Frozen.Delta.t -> session -> [ `Optimal of elt * elt array | `Infeasible | `Unbounded ]
   (** Just the LP relaxation under the delta (one warm-started simplex
-      solve; integrality flags ignored). *)
+      solve; integrality flags ignored).  Never [`Unbounded], for the
+      reason given at {!Unbounded}. *)
 
   val solve_frozen :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> Frozen.t -> result
   (** One-shot convenience: [solve_session] on a fresh session. *)
 end
+
+module Make (F : Numeric.Field.S) : S with type elt = F.t

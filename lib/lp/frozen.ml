@@ -38,6 +38,7 @@ module Delta = struct
     (match upper with
     | Some u when u < 0 -> invalid_arg "Frozen.Delta.append_col: negative upper bound"
     | _ -> ());
+    if obj < 0 then invalid_arg "Frozen.Delta.append_col: negative objective";
     { d with rcols = (name, integer, upper, obj) :: d.rcols; ncols = d.ncols + 1 }
 
   let append_row sense rhs expr d =
@@ -154,6 +155,7 @@ let make ~names ~integer ~upper ~obj ~rows =
   let nvars = Array.length names in
   if Array.length integer <> nvars || Array.length upper <> nvars || Array.length obj <> nvars
   then invalid_arg "Frozen.make: per-variable array length mismatch";
+  if Array.exists (fun c -> c < 0) obj then invalid_arg "Frozen.make: negative objective";
   let nrows = Array.length rows in
   let nnz = Array.fold_left (fun acc (_, _, expr) -> acc + List.length expr) 0 rows in
   let t =
@@ -214,32 +216,6 @@ let of_model m =
       (Array.map
          (fun (c : Model.constr) -> (c.Model.sense, c.Model.rhs, c.Model.expr))
          (Model.constraints m))
-
-let to_model t =
-  let m = Model.create () in
-  for v = 0 to t.nvars - 1 do
-    let integer = t.integer.(v) in
-    let vu = if t.upper.(v) < 0 then None else Some t.upper.(v) in
-    let v' =
-      match vu with
-      | Some u -> Model.add_var ~name:t.names.(v) ~integer ~upper:u ~obj:t.obj.(v) m
-      | None ->
-        if integer then begin
-          (* An integer variable whose (provably redundant) bound was
-             stripped by presolve: re-enter through the checked constructor,
-             then relax — the hand-off Model.relax_upper documents. *)
-          let v' = Model.add_var ~name:t.names.(v) ~integer ~upper:1 ~obj:t.obj.(v) m in
-          Model.relax_upper m v';
-          v'
-        end
-        else Model.add_var ~name:t.names.(v) ~obj:t.obj.(v) m
-    in
-    assert (v' = v)
-  done;
-  for i = 0 to t.nrows - 1 do
-    Model.add_constr m (row_expr t i) t.sense.(i) t.rhs.(i)
-  done;
-  m
 
 let extend t (d : Delta.t) =
   if not (Delta.has_appends d) then t

@@ -59,8 +59,8 @@ module Delta : sig
   val append_col : ?integer:bool -> ?upper:int -> name:string -> obj:int -> t -> t
   (** Appends one variable after all existing ones (base and previously
       appended).  [integer] defaults to [false]; omitting [upper] leaves
-      the variable unbounded above.  @raise Invalid_argument if [upper] is
-      negative. *)
+      the variable unbounded above.  @raise Invalid_argument if [upper] or
+      [obj] is negative. *)
 
   val append_row : Model.sense -> int -> (Model.var * int) list -> t -> t
   (** Appends one row.  The expression must be in normal form (ascending
@@ -99,10 +99,6 @@ val of_model : Model.t -> t
 (** Compiles the builder's current contents; later mutation of the builder
     does not affect the frozen copy. *)
 
-val to_model : t -> Model.t
-(** Thaws back into a fresh builder (used by fallback solver paths that
-    still want the mutable interface).  Round-trips exactly. *)
-
 val make :
   names:string array ->
   integer:bool array ->
@@ -114,8 +110,9 @@ val make :
     normalised rows [(sense, rhs, expr)] — {!Presolve} uses this to emit
     reduced programs without round-tripping through the mutable builder.
     Every row's [expr] must be sorted by variable with non-zero
-    coefficients and no duplicates. @raise Invalid_argument otherwise, or
-    if the per-variable arrays disagree in length. *)
+    coefficients and no duplicates. @raise Invalid_argument otherwise, if
+    the per-variable arrays disagree in length, or if an upper bound or an
+    objective coefficient is negative (the {!Model.add_var} invariants). *)
 
 val extend : t -> Delta.t -> t
 (** The base program with the delta's appended columns and rows

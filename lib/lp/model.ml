@@ -34,6 +34,7 @@ let add_var ?name ?(integer = false) ?upper ?(obj = 0) t =
   (match upper with
   | Some u when u < 0 -> invalid_arg "Model.add_var: negative upper bound"
   | _ -> ());
+  if obj < 0 then invalid_arg "Model.add_var: negative objective";
   if integer && upper = None then
     invalid_arg "Model.add_var: integer variable requires an upper bound";
   grow_vars t;

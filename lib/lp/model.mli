@@ -33,7 +33,9 @@ val add_var : ?name:string -> ?integer:bool -> ?upper:int -> ?obj:int -> t -> va
     [obj] (objective weight) to [0], [upper] to unbounded.
 
     @raise Invalid_argument if [upper] is negative (the implicit lower bound
-    is 0, so the variable would have an empty domain), or if [integer] is set
+    is 0, so the variable would have an empty domain), if [obj] is negative
+    (every program minimises a non-negative cost, which is what lets the
+    dual simplex start from the all-slack basis), or if [integer] is set
     without an [upper] bound — {!Branch_bound} branches integer variables
     between bounds, so an unbounded integer variable would only fail later
     and deeper; the error is raised at model-build time instead. *)

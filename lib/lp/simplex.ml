@@ -1,37 +1,31 @@
-(* Revised simplex over a pluggable basis-factorisation kernel ({!Basis}),
-   parametric in the number field.  The basis lives behind the kernel
-   signature — sparse LU with product-form eta updates by default, the
-   explicit dense inverse kept as a reference implementation — and two
-   algorithm paths share the state and helpers:
+(* Bounded-variable dual simplex over a pluggable basis-factorisation
+   kernel ({!Basis}), parametric in the number field.  The basis lives
+   behind the kernel signature — sparse LU with product-form eta updates by
+   default, the explicit dense inverse kept as a reference implementation.
 
-   - a *dual* simplex (the default whenever the model has no equality rows
-     and a non-negative objective — true of every program this code base
-     generates): all rows become <=, finite variable bounds become rows,
-     and the all-slack basis is dual feasible with no phase 1.  Covering
-     LPs are far less degenerate on the dual side, and branch-and-bound
-     re-solves stay dual feasible because fixing variables only moves the
-     right-hand side;
-   - a two-phase *primal* simplex for general models: slack/surplus per
-     inequality plus phase-1 artificials, variable bounds handled natively
-     by the ratio test (bound flips never touch the basis), Harris-lite
-     leaving-variable selection (widened tie window, largest pivot), and
-     partial pricing (round-robin column blocks) so an iteration prices a
-     slice of the columns rather than all of them.
-
-   Both paths update the kernel each pivot (an eta), refactorise on the
-   kernel's own cadence and before pivoting on noise-level elements;
-   pricing is Dantzig with a permanent switch to Bland's rule after a
-   degenerate streak (primal) or late in the iteration budget (dual). *)
+   There is one algorithm path: a frozen program is compiled once into a
+   session (sparse columns, native per-column bounds, one slack per row)
+   and every solve is a dual simplex from the session's current basis.
+   Every program this code base builds minimises a non-negative cost — a
+   construction-time invariant of {!Model} and {!Frozen} — so the all-slack
+   basis is dual feasible and no phase 1 is ever needed.  Each pivot
+   updates the kernel (an eta), the kernel refactorises on its own cadence
+   and before pivoting on noise-level elements, and pricing falls back to
+   Bland's rule late in the iteration budget. *)
 
 (* Cross-field instrumentation: the float and exact instantiations of the
    functor share one set of counters ({!Obs.Counter.create} is idempotent by
    name), and every bump is dropped unless a trace sink is installed, so the
    per-pivot cost with telemetry off is a single atomic load. *)
 let c_pivots = Obs.Counter.create "simplex.pivots"
-let c_bound_flips = Obs.Counter.create "simplex.bound_flips"
 let c_bland_falls = Obs.Counter.create "simplex.bland_falls"
 let c_refactors = Obs.Counter.create "simplex.refactors"
 let c_eta_peak = Obs.Counter.create "simplex.eta_peak"
+
+(* The dual session never flips a nonbasic bound inside a pivot, so this
+   counter always reads 0; it stays registered because the telemetry key
+   set is a published schema (the --stats goldens lock it). *)
+let () = ignore (Obs.Counter.create "simplex.bound_flips")
 
 (* Basis-kernel telemetry: high-water factor size and fill ratio (percent of
    the basis nonzero count), and the running FTRAN result sparsity
@@ -42,17 +36,14 @@ let c_ftran_nnz = Obs.Counter.create "simplex.ftran_nnz"
 let c_ftran_len = Obs.Counter.create "simplex.ftran_len"
 
 module Make (F : Numeric.Field.S) = struct
-  type outcome =
-    | Optimal of { objective : F.t; solution : F.t array }
-    | Infeasible
-    | Unbounded
+  type outcome = Optimal of { objective : F.t; solution : F.t array } | Infeasible
 
   let integral_on x vars = List.for_all (fun v -> F.is_integral x.(v)) vars
 
   (* ----- Basis kernels -------------------------------------------------
      Both kernel implementations are instantiated at this field; the choice
-     is per solve/session, packed existentially so every simplex path is
-     written once against the {!Basis.S} signature. *)
+     is per session, packed existentially so the engine is written once
+     against the {!Basis.S} signature. *)
 
   module Dense_kernel = Basis.Dense (F)
   module Sparse_kernel = Basis.Sparse_lu (F)
@@ -95,552 +86,6 @@ module Make (F : Numeric.Field.S) = struct
       Obs.Counter.add c_ftran_len (Array.length w)
     end
 
-  type srow = { coeffs : (int * int) list; sense : Model.sense; rhs : int }
-
-  exception Infeasible_fix
-
-  (* Substitute fixed variables, renumber the free ones, and normalise every
-     row to a non-negative right-hand side.  Upper bounds stay on the
-     columns. *)
-  let standardize m fixed =
-    let n = Model.num_vars m in
-    let fixed_val = Array.make n None in
-    List.iter
-      (fun (v, value) ->
-        if value < 0 then raise Infeasible_fix;
-        (match Model.upper m v with Some u when value > u -> raise Infeasible_fix | _ -> ());
-        fixed_val.(v) <- Some value)
-      fixed;
-    let col_of_var = Array.make n (-1) in
-    let var_of_col = ref [] in
-    let nfree = ref 0 in
-    for v = 0 to n - 1 do
-      if fixed_val.(v) = None then begin
-        col_of_var.(v) <- !nfree;
-        var_of_col := v :: !var_of_col;
-        incr nfree
-      end
-    done;
-    let var_of_col = Array.of_list (List.rev !var_of_col) in
-    let rows = ref [] in
-    let push_row coeffs sense rhs =
-      let coeffs = List.filter (fun (_, c) -> c <> 0) coeffs in
-      if rhs >= 0 then rows := { coeffs; sense; rhs } :: !rows
-      else
-        let coeffs = List.map (fun (j, c) -> (j, -c)) coeffs in
-        let sense =
-          match sense with Model.Geq -> Model.Leq | Model.Leq -> Model.Geq | Model.Eq -> Model.Eq
-        in
-        rows := { coeffs; sense; rhs = -rhs } :: !rows
-    in
-    Array.iter
-      (fun { Model.expr; sense; rhs } ->
-        let rhs = ref rhs in
-        let coeffs =
-          List.filter_map
-            (fun (v, c) ->
-              match fixed_val.(v) with
-              | Some value ->
-                rhs := !rhs - (c * value);
-                None
-              | None -> Some (col_of_var.(v), c))
-            expr
-        in
-        match coeffs with
-        | [] ->
-          let ok =
-            match sense with Model.Geq -> 0 >= !rhs | Model.Leq -> 0 <= !rhs | Model.Eq -> 0 = !rhs
-          in
-          if not ok then raise Infeasible_fix
-        | _ -> push_row coeffs sense !rhs)
-      (Model.constraints m);
-    (var_of_col, fixed_val, Array.of_list (List.rev !rows))
-
-  (* The working problem: columns 0..nfree-1 structural, then one
-     slack/surplus per inequality row, then one artificial per row. *)
-  type work = {
-    nrows : int;
-    ncols : int;  (* structural + slack, artificials excluded *)
-    nstruct : int;
-    cols : (int * F.t) list array;  (* sparse column entries (row, coeff) *)
-    upper : F.t option array;  (* per column; None = +inf *)
-    cost : F.t array;  (* phase-2 objective *)
-    b : F.t array;
-  }
-
-  let build_work m var_of_col srows =
-    let nstruct = Array.length var_of_col in
-    let nrows = Array.length srows in
-    let nslack =
-      Array.fold_left
-        (fun acc r -> match r.sense with Model.Leq | Model.Geq -> acc + 1 | Model.Eq -> acc)
-        0 srows
-    in
-    let ncols = nstruct + nslack in
-    let cols = Array.make ncols [] in
-    let upper = Array.make ncols None in
-    let cost = Array.make ncols F.zero in
-    let b = Array.make nrows F.zero in
-    for j = 0 to nstruct - 1 do
-      let v = var_of_col.(j) in
-      cost.(j) <- F.of_int (Model.objective m v);
-      upper.(j) <- Option.map F.of_int (Model.upper m v)
-    done;
-    let next_slack = ref nstruct in
-    Array.iteri
-      (fun i r ->
-        b.(i) <- F.of_int r.rhs;
-        List.iter (fun (j, c) -> cols.(j) <- (i, F.of_int c) :: cols.(j)) r.coeffs;
-        match r.sense with
-        | Model.Leq ->
-          cols.(!next_slack) <- [ (i, F.one) ];
-          incr next_slack
-        | Model.Geq ->
-          cols.(!next_slack) <- [ (i, F.neg F.one) ];
-          incr next_slack
-        | Model.Eq -> ())
-      srows;
-    { nrows; ncols; nstruct; cols; upper; cost; b }
-
-  (* Solver state.  Column indices >= w.ncols denote artificials: artificial
-     k (for row k) is column w.ncols + k with unit coefficient in row k. *)
-  type state = {
-    w : work;
-    kern : basis_kernel;
-    basis : int array;  (* row -> basic column *)
-    xb : F.t array;  (* basic values *)
-    at_upper : bool array;  (* nonbasic position per column (false=lower) *)
-    in_basis : bool array;  (* per column, artificials included *)
-  }
-
-  let col_entries st j =
-    if j < st.w.ncols then st.w.cols.(j) else [ (j - st.w.ncols, F.one) ]
-
-  let col_upper st j ~phase2 =
-    if j < st.w.ncols then st.w.upper.(j)
-    else if phase2 then Some F.zero (* artificials are pinned in phase 2 *)
-    else None
-
-  let col_cost st j ~phase1 =
-    if phase1 then if j < st.w.ncols then F.zero else F.one
-    else if j < st.w.ncols then st.w.cost.(j)
-    else F.zero
-
-  (* Value of a nonbasic column. *)
-  let nonbasic_value st j ~phase2 =
-    if st.at_upper.(j) then
-      match col_upper st j ~phase2 with Some u -> u | None -> F.zero
-    else F.zero
-
-  (* Refactorise the kernel on the current basis and recompute the basic
-     values xb = Binv (b - N x_N).  Raises {!Basis.Singular} on a singular
-     basis (one-shot paths only reach this with floats; sessions recover
-     via the all-slack reset). *)
-  let refactorize st ~phase2 =
-    k_refactor st.kern st.basis;
-    let rhs = Array.copy st.w.b in
-    for j = 0 to st.w.ncols - 1 do
-      if not st.in_basis.(j) then begin
-        let v = nonbasic_value st j ~phase2 in
-        if F.sign v <> 0 then
-          List.iter (fun (i, c) -> rhs.(i) <- F.sub rhs.(i) (F.mul c v)) (col_entries st j)
-      end
-    done;
-    let w = k_ftran_dense st.kern rhs in
-    Array.blit w 0 st.xb 0 st.w.nrows;
-    observe_factor st.kern
-
-  (* One simplex phase.  Returns `Optimal or `Unbounded. *)
-  let run_phase st ~phase1 =
-    let phase2 = not phase1 in
-    let n = st.w.nrows in
-    let total_cols = st.w.ncols + n in
-    let bland = ref false in
-    let degen = ref 0 in
-    let iters = ref 0 in
-    let max_iters = 20_000 + (60 * (st.w.ncols + n)) in
-    let price_from = ref 0 in
-    let result = ref `Optimal in
-    let continue = ref true in
-    while !continue do
-      incr iters;
-      if !iters > max_iters then failwith "Simplex.solve: iteration limit";
-      if k_should_refactor st.kern then begin
-        refactorize st ~phase2;
-        Obs.Counter.incr c_refactors
-      end;
-      (* Pricing: y = c_B Binv (one BTRAN), then reduced costs of nonbasic
-         columns against y — each column costs its nonzero count. *)
-      let cb = Array.make n F.zero in
-      for r = 0 to n - 1 do
-        cb.(r) <- col_cost st st.basis.(r) ~phase1
-      done;
-      let y = k_btran st.kern cb in
-      let reduced j =
-        let acc = ref (col_cost st j ~phase1) in
-        List.iter (fun (i, c) -> acc := F.sub !acc (F.mul y.(i) c)) (col_entries st j);
-        !acc
-      in
-      (* In phase 2 artificials are pinned to zero and never re-enter. *)
-      let scan_limit = if phase1 then total_cols else st.w.ncols in
-      let enter = ref (-1) in
-      let enter_d = ref F.zero in
-      if !bland then begin
-        (* Bland's rule: the smallest improving index, full scan — the
-           anti-cycling guarantee needs the total order, so no partial
-           pricing here. *)
-        let j = ref 0 in
-        while !j < scan_limit && !enter < 0 do
-          let jj = !j in
-          if not st.in_basis.(jj) then begin
-            let d = reduced jj in
-            let improving = if st.at_upper.(jj) then F.sign d > 0 else F.sign d < 0 in
-            if improving then begin
-              enter := jj;
-              enter_d := d
-            end
-          end;
-          incr j
-        done
-      end
-      else begin
-        (* Partial pricing: scan round-robin blocks from a roving cursor
-           and settle for the Dantzig-best candidate of the first block
-           that has one.  Optimality is still certified by a full clean
-           sweep (the loop only stops early when a candidate exists). *)
-        let block = max 64 (scan_limit / 8) in
-        let scanned = ref 0 in
-        let cursor = ref (if !price_from >= scan_limit then 0 else !price_from) in
-        (try
-           while !scanned < scan_limit do
-             let jj = !cursor in
-             if not st.in_basis.(jj) then begin
-               let d = reduced jj in
-               let improving = if st.at_upper.(jj) then F.sign d > 0 else F.sign d < 0 in
-               if improving && F.compare (F.abs d) (F.abs !enter_d) > 0 then begin
-                 enter := jj;
-                 enter_d := d
-               end
-             end;
-             incr scanned;
-             cursor := !cursor + 1;
-             if !cursor >= scan_limit then cursor := 0;
-             if !enter >= 0 && !scanned mod block = 0 then raise Exit
-           done
-         with Exit -> ());
-        price_from := !cursor
-      end;
-      if !enter < 0 then continue := false
-      else begin
-        let jj = !enter in
-        (* Movement direction: entering increases from lower (sigma=+1) or
-           decreases from upper (sigma=-1); basic values change by
-           -sigma * w * t. *)
-        let sigma = if st.at_upper.(jj) then F.neg F.one else F.one in
-        let wcol = k_ftran st.kern (col_entries st jj) in
-        observe_ftran wcol;
-        (* Ratio test, Harris-lite: first find the binding step length over
-           every row, then among (near-)minimal rows prefer the largest
-           pivot magnitude for stability — or the smallest basis index when
-           Bland's rule is active. *)
-        let row_ratio r =
-          (* x_B(r) moves by -delta * t. *)
-          let delta = F.mul sigma wcol.(r) in
-          if F.sign delta > 0 then begin
-            (* decreasing towards lower bound 0 *)
-            let t = F.div st.xb.(r) delta in
-            Some (if F.sign t < 0 then F.zero else t)
-          end
-          else if F.sign delta < 0 then begin
-            match col_upper st st.basis.(r) ~phase2 with
-            | None -> None
-            | Some u ->
-              let t = F.div (F.sub u st.xb.(r)) (F.neg delta) in
-              Some (if F.sign t < 0 then F.zero else t)
-          end
-          else None
-        in
-        let tmin = ref (col_upper st jj ~phase2) in
-        for r = 0 to n - 1 do
-          match row_ratio r with
-          | Some t -> (
-            match !tmin with
-            | Some cur when F.compare cur t <= 0 -> ()
-            | _ -> tmin := Some t)
-          | None -> ()
-        done;
-        let limit =
-          match !tmin with
-          | None -> None
-          | Some t ->
-            (* Bound flip when the entering variable's own range binds. *)
-            let flip =
-              match col_upper st jj ~phase2 with
-              | Some u -> F.compare u t <= 0
-              | None -> false
-            in
-            if flip then Some (t, -1)
-            else begin
-              (* Rows within the widened tie window are all acceptable
-                 leavers (we still step exactly t; the chosen leaver is
-                 snapped to its bound, an error within the window that the
-                 next refactorisation absorbs).  The window is zero for
-                 exact fields. *)
-              let t_wide =
-                F.add t (F.mul (F.add F.one (F.abs t)) (F.mul (F.of_int 5) F.pivot_tol))
-              in
-              let best = ref (-1) in
-              for r = 0 to n - 1 do
-                match row_ratio r with
-                | Some tr when F.compare tr (if !bland then t else t_wide) <= 0 ->
-                  if !best < 0 then best := r
-                  else if !bland then begin
-                    if st.basis.(r) < st.basis.(!best) then best := r
-                  end
-                  else if F.compare (F.abs wcol.(r)) (F.abs wcol.(!best)) > 0 then best := r
-                | Some _ | None -> ()
-              done;
-              if !best < 0 then None else Some (t, !best)
-            end
-        in
-        match limit with
-        | None ->
-          result := `Unbounded;
-          continue := false
-        | Some (_, r)
-          when r >= 0
-               && k_etas st.kern > 25
-               && F.compare (F.abs wcol.(r)) F.pivot_tol <= 0 ->
-          (* About to pivot on a noise-level element with a stale basis:
-             refactorise and re-price instead (if the tiny pivot is real, the
-             next pass accepts it on fresh numbers). *)
-          refactorize st ~phase2;
-          Obs.Counter.incr c_refactors
-        | Some (t, r) ->
-          if F.sign t = 0 then begin
-            incr degen;
-            if !degen > 30 && not !bland then begin
-              bland := true;
-              Obs.Counter.incr c_bland_falls
-            end
-          end
-          else degen := 0;
-          (* Apply the move to the basic values. *)
-          F.axpy (F.neg (F.mul sigma t)) wcol st.xb;
-          if r = -1 then begin
-            (* Bound flip: entering jumps to its other bound. *)
-            Obs.Counter.incr c_bound_flips;
-            st.at_upper.(jj) <- not st.at_upper.(jj)
-          end
-          else begin
-            (* Basis change: entering becomes basic in row r. *)
-            let leaving = st.basis.(r) in
-            let entering_value =
-              let from = nonbasic_value st jj ~phase2 in
-              F.add from (F.mul sigma t)
-            in
-            (* Leaving lands on the bound it hit. *)
-            let delta = F.mul sigma wcol.(r) in
-            let leaves_at_upper = F.sign delta < 0 in
-            st.in_basis.(leaving) <- false;
-            st.at_upper.(leaving) <- leaves_at_upper;
-            st.in_basis.(jj) <- true;
-            st.basis.(r) <- jj;
-            st.xb.(r) <- entering_value;
-            k_update st.kern ~r ~wcol;
-            Obs.Counter.incr c_pivots;
-            Obs.Counter.record_max c_eta_peak (k_etas st.kern)
-          end
-      end
-    done;
-    !result
-
-  (* ----- Dual simplex path -------------------------------------------
-     Applicable when the model has no equality rows and a non-negative
-     objective (true of every program this code base generates): after
-     turning all rows into <= (and materialising finite variable upper
-     bounds as extra rows), the all-slack basis is dual feasible and no
-     phase 1 is needed.  Branch-and-bound re-solves stay dual feasible
-     because fixing variables only changes the right-hand side.  Covering
-     LPs are far less degenerate on the dual side, which is why this path
-     exists (the primal stalls on them). *)
-
-  let dual_applicable m srows =
-    Array.for_all (fun r -> r.sense <> Model.Eq) srows
-    &&
-    let ok = ref true in
-    for v = 0 to Model.num_vars m - 1 do
-      if Model.objective m v < 0 then ok := false
-    done;
-    !ok
-
-  (* All rows as <=, plus upper-bound rows; rhs may be negative. *)
-  let dual_rows m var_of_col srows =
-    let rows =
-      Array.to_list srows
-      |> List.map (fun r ->
-             match r.sense with
-             | Model.Leq -> r
-             | Model.Geq ->
-               {
-                 coeffs = List.map (fun (j, c) -> (j, -c)) r.coeffs;
-                 sense = Model.Leq;
-                 rhs = -r.rhs;
-               }
-             | Model.Eq -> assert false)
-    in
-    let ub_rows =
-      Array.to_list var_of_col
-      |> List.mapi (fun col v ->
-             match Model.upper m v with
-             | Some u -> Some { coeffs = [ (col, 1) ]; sense = Model.Leq; rhs = u }
-             | None -> None)
-      |> List.filter_map Fun.id
-    in
-    Array.of_list (rows @ ub_rows)
-
-  let debug = match Sys.getenv_opt "SIMPLEX_DEBUG" with Some _ -> true | None -> false
-
-  let run_dual st =
-    let n = st.w.nrows in
-    let bland = ref false in
-    let iters = ref 0 in
-    let refactors = ref 0 in
-    let max_iters = 20_000 + (60 * (st.w.ncols + n)) in
-    (* Reduced costs of all columns, maintained incrementally across pivots
-       and refreshed from scratch at every refactorisation. *)
-    let darr = Array.make st.w.ncols F.zero in
-    let refresh_reduced () =
-      let cb = Array.make n F.zero in
-      for i = 0 to n - 1 do
-        cb.(i) <- col_cost st st.basis.(i) ~phase1:false
-      done;
-      let y = k_btran st.kern cb in
-      for j = 0 to st.w.ncols - 1 do
-        if st.in_basis.(j) then darr.(j) <- F.zero
-        else begin
-          let acc = ref (col_cost st j ~phase1:false) in
-          List.iter (fun (i, c) -> acc := F.sub !acc (F.mul y.(i) c)) (col_entries st j);
-          darr.(j) <- !acc
-        end
-      done
-    in
-    refresh_reduced ();
-    let result = ref `Optimal in
-    let continue = ref true in
-    while !continue do
-      incr iters;
-      if !iters > max_iters then failwith "Simplex.solve: dual iteration limit";
-      if !iters > max_iters / 2 && not !bland then begin
-        bland := true;
-        Obs.Counter.incr c_bland_falls
-      end;
-      if k_should_refactor st.kern then begin
-        refactorize st ~phase2:true;
-        refresh_reduced ();
-        incr refactors;
-        Obs.Counter.incr c_refactors
-      end;
-      (* Leaving row: a basic variable below its lower bound 0 (no basic has
-         a finite upper here — bounds were turned into rows). *)
-      let leave = ref (-1) in
-      for r = 0 to n - 1 do
-        if F.sign st.xb.(r) < 0 then
-          if !leave < 0 then leave := r
-          else if !bland then begin
-            if st.basis.(r) < st.basis.(!leave) then leave := r
-          end
-          else if F.compare st.xb.(r) st.xb.(!leave) < 0 then leave := r
-      done;
-      if !leave < 0 then continue := false
-      else begin
-        let r = !leave in
-        let brow = k_btran_unit st.kern r in
-        let alpha j =
-          let acc = ref F.zero in
-          List.iter (fun (i, c) -> acc := F.add !acc (F.mul brow.(i) c)) (col_entries st j);
-          !acc
-        in
-        (* Entering: nonbasic (all at lower bound) with alpha < 0, taking the
-           smallest |d/alpha| to preserve dual feasibility; prefer large
-           |alpha| among ties, smallest index under Bland.  Reduced costs
-           come from the incrementally-maintained [darr]. *)
-        let enter = ref (-1) in
-        let enter_alpha = ref F.zero in
-        let best_theta = ref F.zero in
-        let j = ref 0 in
-        while !j < st.w.ncols && not (!bland && !enter >= 0) do
-          let jj = !j in
-          if not st.in_basis.(jj) then begin
-            let a = alpha jj in
-            if F.sign a < 0 then begin
-              let d = darr.(jj) in
-              let d = if F.sign d < 0 then F.zero else d in
-              let theta = F.div d (F.neg a) in
-              (* minimise theta = |d/alpha| *)
-              let better =
-                !enter < 0
-                || F.compare theta !best_theta < 0
-                || (F.compare theta !best_theta = 0
-                   && F.compare (F.abs a) (F.abs !enter_alpha) > 0)
-              in
-              if better then begin
-                enter := jj;
-                enter_alpha := a;
-                best_theta := theta
-              end
-            end
-          end;
-          incr j
-        done;
-        if !enter < 0 then begin
-          result := `Infeasible;
-          continue := false
-        end
-        else begin
-          let jj = !enter in
-          let wcol = k_ftran st.kern (col_entries st jj) in
-          observe_ftran wcol;
-          if k_etas st.kern > 25 && F.compare (F.abs wcol.(r)) F.pivot_tol <= 0
-          then begin
-            refactorize st ~phase2:true;
-            refresh_reduced ();
-            incr refactors;
-            Obs.Counter.incr c_refactors
-          end
-          else begin
-            let delta = F.div st.xb.(r) wcol.(r) in
-            (* both negative: delta > 0 *)
-            F.axpy (F.neg delta) wcol st.xb;
-            let leaving = st.basis.(r) in
-            (* Dual pivot on (r, jj): every nonbasic reduced cost moves by
-               -theta * alpha_j with theta = d_q / alpha_q; the leaving
-               column (alpha = 1 as it is basic in row r) ends at -theta. *)
-            let theta = F.div darr.(jj) wcol.(r) in
-            if F.sign theta <> 0 then
-              for k = 0 to st.w.ncols - 1 do
-                if (not st.in_basis.(k)) && k <> jj then
-                  darr.(k) <- F.sub darr.(k) (F.mul theta (alpha k))
-              done;
-            darr.(leaving) <- F.neg theta;
-            darr.(jj) <- F.zero;
-            st.in_basis.(leaving) <- false;
-            st.at_upper.(leaving) <- false;
-            st.in_basis.(jj) <- true;
-            st.basis.(r) <- jj;
-            st.xb.(r) <- delta;
-            k_update st.kern ~r ~wcol;
-            Obs.Counter.incr c_pivots;
-            Obs.Counter.record_max c_eta_peak (k_etas st.kern)
-          end
-        end
-      end
-    done;
-    if debug then
-      Printf.eprintf "[dual] rows=%d cols=%d iters=%d refactors=%d kernel=%s\n%!" n st.w.ncols
-        !iters !refactors (kernel_name st.kern);
-    !result
-
   (* ----- Frozen sessions: bounded-variable dual simplex -----------------
      A [session] compiles a {!Frozen.t} once into sparse columns with
      native per-column bounds — finite upper bounds are NOT materialised as
@@ -654,9 +99,9 @@ module Make (F : Numeric.Field.S) = struct
      warm-start protocol; branch-and-bound fixes and responsibility-batch
      overlays both go through it.
 
-     Requirement: every objective coefficient must be non-negative (true of
-     all programs this code base generates), so that the all-slack basis is
-     a universally available dual-feasible reset point.
+     Every objective coefficient is non-negative ({!Frozen} enforces it at
+     construction), so the all-slack basis is a universally available
+     dual-feasible reset point.
 
      [sstate] is the compiled state for ONE matrix shape; the public
      [session] wraps it and swaps in a re-compiled state when a delta
@@ -709,13 +154,6 @@ module Make (F : Numeric.Field.S) = struct
     mutable srefactors : int;  (* lifetime refactorisation count *)
   }
 
-  let frozen_dual_applicable fz =
-    let ok = ref true in
-    for v = 0 to Frozen.num_vars fz - 1 do
-      if Frozen.objective fz v < 0 then ok := false
-    done;
-    !ok
-
   (* Slack of row i carries coefficient [slack_sign i]: +1 for <= and =,
      -1 for >= (so the slack itself lives in [0, +inf), or [0,0] for =). *)
   let slack_sign fz i =
@@ -739,8 +177,6 @@ module Make (F : Numeric.Field.S) = struct
     k_refactor s.skern s.sbasis
 
   let create_state ?(kernel = `Auto) fz =
-    if not (frozen_dual_applicable fz) then
-      invalid_arg "Simplex.create_session: negative objective coefficient";
     let nstruct = Frozen.num_vars fz in
     let nrows = Frozen.num_rows fz in
     let ncols = nstruct + nrows in
@@ -1302,11 +738,8 @@ module Make (F : Numeric.Field.S) = struct
   let session_kernel s = kernel_name s.ses_st.skern
 
   let session_absorb sess delta =
-    let fz' = Frozen.extend sess.ses_base delta in
-    if not (frozen_dual_applicable fz') then
-      invalid_arg "Simplex.session_solve: appended column with negative objective";
     let old = sess.ses_st in
-    let st = create_state ~kernel:sess.ses_choice fz' in
+    let st = create_state ~kernel:sess.ses_choice (Frozen.extend sess.ses_base delta) in
     st.stotal_pivots <- old.stotal_pivots;
     st.srefactors <- old.srefactors;
     if old.snrows > 0 && Frozen.Delta.extends ~prefix:sess.ses_abs delta then begin
@@ -1337,113 +770,6 @@ module Make (F : Numeric.Field.S) = struct
     if not (Frozen.Delta.same_appends delta sess.ses_abs) then session_absorb sess delta;
     state_solve sess.ses_st delta
 
-  let solve ?(fixed = []) ?(method_ = `Auto) ?(kernel = `Auto) m =
-    match standardize m fixed with
-    | exception Infeasible_fix -> Infeasible
-    | var_of_col, fixed_val, srows
-      when (match method_ with `Primal -> false | `Dual | `Auto -> dual_applicable m srows) -> (
-      let drows = dual_rows m var_of_col srows in
-      (* Strip the per-column upper bounds: they are rows now. *)
-      let w0 = build_work m var_of_col drows in
-      let w = { w0 with upper = Array.map (fun _ -> None) w0.upper } in
-      let n = w.nrows in
-      let total_cols = w.ncols + n in
-      let col j = if j < w.ncols then w.cols.(j) else [ (j - w.ncols, F.one) ] in
-      let st =
-        {
-          w;
-          kern = make_kernel kernel ~nrows:n ~col;
-          basis = Array.init n (fun i -> w.nstruct + i);
-          xb = Array.copy w.b;
-          at_upper = Array.make total_cols false;
-          in_basis = Array.init total_cols (fun j -> j >= w.nstruct && j < w.ncols);
-        }
-      in
-      refactorize st ~phase2:true;
-      match run_dual st with
-      | `Infeasible -> Infeasible
-      | `Optimal ->
-        let nvars = Model.num_vars m in
-        let x = Array.make nvars F.zero in
-        Array.iteri
-          (fun v value -> match value with Some k -> x.(v) <- F.of_int k | None -> ())
-          fixed_val;
-        for r = 0 to n - 1 do
-          if st.basis.(r) < w.nstruct then x.(var_of_col.(st.basis.(r))) <- st.xb.(r)
-        done;
-        let objective = ref F.zero in
-        for v = 0 to nvars - 1 do
-          let c = Model.objective m v in
-          if c <> 0 then objective := F.add !objective (F.mul (F.of_int c) x.(v))
-        done;
-        Optimal { objective = !objective; solution = x })
-    | var_of_col, fixed_val, srows ->
-      let w = build_work m var_of_col srows in
-      let n = w.nrows in
-      let total_cols = w.ncols + n in
-      let col j = if j < w.ncols then w.cols.(j) else [ (j - w.ncols, F.one) ] in
-      let st =
-        {
-          w;
-          kern = make_kernel kernel ~nrows:n ~col;
-          basis = Array.init n (fun i -> w.ncols + i);
-          xb = Array.copy w.b;
-          at_upper = Array.make total_cols false;
-          in_basis =
-            Array.init total_cols (fun j -> j >= w.ncols);
-        }
-      in
-      let needs_phase1 = n > 0 in
-      if needs_phase1 then refactorize st ~phase2:false;
-      let feasible =
-        if not needs_phase1 then true
-        else begin
-          match run_phase st ~phase1:true with
-          | `Unbounded -> failwith "Simplex.solve: phase 1 unbounded (impossible)"
-          | `Optimal ->
-            let obj = ref F.zero in
-            for r = 0 to n - 1 do
-              if st.basis.(r) >= w.ncols then obj := F.add !obj st.xb.(r)
-            done;
-            F.sign !obj <= 0
-        end
-      in
-      if not feasible then Infeasible
-      else begin
-        (* Refactorise once before phase 2 for a clean start (also recomputes
-           xb with artificials pinned at zero). *)
-        if n > 0 then begin
-          refactorize st ~phase2:true;
-          Obs.Counter.incr c_refactors
-        end;
-        match run_phase st ~phase1:false with
-        | `Unbounded -> Unbounded
-        | `Optimal ->
-          let nvars = Model.num_vars m in
-          let x = Array.make nvars F.zero in
-          Array.iteri
-            (fun v value -> match value with Some k -> x.(v) <- F.of_int k | None -> ())
-            fixed_val;
-          (* Nonbasic structurals sit at a bound; basics read from xb. *)
-          for j = 0 to w.nstruct - 1 do
-            if not st.in_basis.(j) then x.(var_of_col.(j)) <- nonbasic_value st j ~phase2:true
-          done;
-          for r = 0 to n - 1 do
-            if st.basis.(r) < w.nstruct then x.(var_of_col.(st.basis.(r))) <- st.xb.(r)
-          done;
-          let objective = ref F.zero in
-          for v = 0 to nvars - 1 do
-            let c = Model.objective m v in
-            if c <> 0 then objective := F.add !objective (F.mul (F.of_int c) x.(v))
-          done;
-          Optimal { objective = !objective; solution = x }
-      end
-
   let solve_frozen ?(delta = Frozen.Delta.empty) ?kernel fz =
-    let fz_full = Frozen.extend fz delta in
-    if frozen_dual_applicable fz_full then session_solve (create_session ?kernel fz) delta
-    else
-      (* Negative costs: thaw (appends included) and take the general
-         primal path with the delta's fixes as substitutions. *)
-      solve ~fixed:(Frozen.Delta.bindings delta) ?kernel (Frozen.to_model fz_full)
+    session_solve (create_session ?kernel fz) delta
 end

@@ -1,48 +1,33 @@
-(** Revised simplex over an arbitrary ordered field and a pluggable basis
-    kernel.
+(** Bounded-variable dual simplex over an arbitrary ordered field and a
+    pluggable basis kernel.
 
     The same algorithm instantiated at {!Numeric.Field.Float_field} gives the
     production solver, and at {!Numeric.Field.Rat_field} an exact-arithmetic
     oracle used in tests and to certify LP-relaxation integrality claims
     (Theorems 8.6–8.13 of the paper).
 
-    The basis representation lives behind {!Basis.S}: every entry point
-    takes [?kernel] selecting {!Basis.Sparse_lu} (the default — sparse LU
-    with product-form eta updates, iteration cost tracking nonzeros) or
+    The basis representation lives behind {!Basis.S}: sessions take
+    [?kernel] selecting {!Basis.Sparse_lu} (the default — sparse LU with
+    product-form eta updates, iteration cost tracking nonzeros) or
     {!Basis.Dense} (the reference explicit inverse, kept for differential
-    testing and as a fallback).  Both kernels instantiate at either field.
+    testing).  Both kernels instantiate at either field.
 
-    The solver works on a {!Model.t}: minimize [c'x] subject to the model's
-    constraints, [x >= 0] and the per-variable upper bounds (handled as
-    explicit rows).  Integrality flags are ignored here — this is the
-    relaxation; see {!Branch_bound} for ILP/MILP solving. *)
+    There is one solve path: compile a {!Frozen.t} into a session, then
+    solve {!Frozen.Delta} overlays against it.  Every frozen program has a
+    non-negative objective (enforced by {!Model.add_var} and {!Frozen}), so
+    the all-slack basis is dual feasible and the dual simplex needs no
+    phase 1.  Integrality flags are ignored here — this is the relaxation;
+    see {!Branch_bound} for ILP/MILP solving. *)
 
 module Make (F : Numeric.Field.S) : sig
   type outcome =
     | Optimal of { objective : F.t; solution : F.t array }
-        (** [solution] is indexed by model variable (fixed variables included
-            at their fixed value). *)
+        (** [solution] is indexed by frozen variable (extended variable
+            when the delta carries appends), fixed variables included at
+            their fixed value. *)
     | Infeasible
-    | Unbounded
-
-  val solve :
-    ?fixed:(Model.var * int) list ->
-    ?method_:[ `Auto | `Primal | `Dual ] ->
-    ?kernel:Basis.choice ->
-    Model.t ->
-    outcome
-  (** [solve ~fixed m] solves the LP relaxation of [m] with the variables in
-      [fixed] substituted by the given constant values (used by
-      branch-and-bound to branch binary variables without growing the LP).
-      Fixing a variable outside its bounds yields [Infeasible].
-
-      [method_] selects the algorithm: [`Auto] (default) runs the dual
-      simplex whenever the model qualifies (no equality rows, non-negative
-      objective — true of all of this paper's programs; covering LPs are
-      much less degenerate dually) and the two-phase primal otherwise;
-      [`Primal] forces the primal; [`Dual] forces the dual where
-      applicable.  [kernel] selects the basis representation
-      ({!Basis.choice}; [`Auto] = sparse LU). *)
+        (** Costs are non-negative and variables bounded below, so a
+            feasible program always has an optimum. *)
 
   val integral_on : F.t array -> Model.var list -> bool
   (** Are all listed coordinates integral (within the field tolerance)? *)
@@ -60,15 +45,10 @@ module Make (F : Numeric.Field.S) : sig
 
   type session
 
-  val frozen_dual_applicable : Frozen.t -> bool
-  (** Does the dual session apply — are all objective coefficients
-      non-negative?  (True of every program this code base generates.) *)
-
   val create_session : ?kernel:Basis.choice -> Frozen.t -> session
   (** The session's basis kernel is fixed at creation ([`Auto] = sparse
       LU; [`Dense] forces the reference inverse, used by the
-      [dense_vs_sparse_basis] differential oracle).
-      @raise Invalid_argument when {!frozen_dual_applicable} is false. *)
+      [dense_vs_sparse_basis] differential oracle). *)
 
   val session_pivots : session -> int
   (** Lifetime pivot count of the session (never reset).  Callers take
@@ -84,9 +64,8 @@ module Make (F : Numeric.Field.S) : sig
 
   val session_solve : session -> Frozen.Delta.t -> outcome
   (** Solve the frozen program under the delta, warm-starting from
-      whatever basis the previous call left behind.  [solution] is indexed
-      by frozen variable; never returns [Unbounded] (costs are
-      non-negative and variables are bounded below).
+      whatever basis the previous call left behind.  Fixing a variable
+      outside its base bounds yields [Infeasible].
 
       When the delta carries row/column appends ({!Frozen.Delta.append_row},
       {!Frozen.Delta.append_col}), the session absorbs them: the state is
@@ -94,14 +73,11 @@ module Make (F : Numeric.Field.S) : sig
       appends extend the previously absorbed ones the old optimal basis is
       re-seeded with the new rows slack-basic — a dual-feasible warm start,
       because base rows are immutable so appending never changes an
-      existing reduced cost.  [solution] is then indexed by extended
-      variable.  Deltas should grow appends monotonically (each derived
-      from the last via [append_*]); a delta whose appends are not an
-      extension of the absorbed ones triggers a cold re-compile.
-      @raise Invalid_argument if an appended column has a negative
-      objective coefficient. *)
+      existing reduced cost.  Deltas should grow appends monotonically
+      (each derived from the last via [append_*]); a delta whose appends
+      are not an extension of the absorbed ones triggers a cold
+      re-compile. *)
 
   val solve_frozen : ?delta:Frozen.Delta.t -> ?kernel:Basis.choice -> Frozen.t -> outcome
-  (** One-shot convenience: a fresh session when applicable, otherwise the
-      general primal path on the thawed model with the delta as fixes. *)
+  (** One-shot convenience: [session_solve (create_session fz) delta]. *)
 end

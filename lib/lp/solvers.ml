@@ -9,3 +9,14 @@ module Float_simplex = Simplex.Make (Numeric.Field.Float_field)
 module Exact_simplex = Simplex.Make (Numeric.Field.Rat_field)
 module Float_bb = Branch_bound.Make (Numeric.Field.Float_field)
 module Exact_bb = Branch_bound.Make (Numeric.Field.Rat_field)
+
+(** A branch-and-bound session over one frozen program, packed with its
+    field's instantiation.  Callers unpack it and write their solve once
+    against {!Branch_bound.S}; converting to float happens once per
+    answer. *)
+type engine = Engine : (module Branch_bound.S with type session = 's) * 's -> engine
+
+(** The one place that picks float or exact arithmetic. *)
+let engine ?kernel ~exact fz =
+  if exact then Engine ((module Exact_bb), Exact_bb.create_session ?kernel fz)
+  else Engine ((module Float_bb), Float_bb.create_session ?kernel fz)

@@ -53,6 +53,11 @@ module type S = sig
   (** Divide every element by a scalar. *)
 
   val dot : t array -> t array -> t
+
+  val to_floats : t array -> float array
+  (** Float view of a vector: the array itself on the float instance (no
+      copy — callers must not mutate one through the other), an
+      elementwise {!to_float} otherwise. *)
 end
 
 module Float_field : S with type t = float = struct
@@ -94,6 +99,8 @@ module Float_field : S with type t = float = struct
       acc := !acc +. (x.(i) *. y.(i))
     done;
     !acc
+
+  let to_floats x = x
 end
 
 module Rat_field : S with type t = Rat.t = struct
@@ -142,4 +149,6 @@ module Rat_field : S with type t = Rat.t = struct
       acc := Rat.add !acc (Rat.mul x.(i) y.(i))
     done;
     !acc
+
+  let to_floats x = Array.map Rat.to_float x
 end

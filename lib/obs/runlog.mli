@@ -3,8 +3,8 @@
 
     Schema: each [enable] appends one {e versioned header line}
     [{"runlog":"resil-solve","version":N}] marking a run boundary, then
-    the solve paths ([Resilience.Session.run_engine],
-    [Resilience.Solve.run_bb]) append one record per solve: the
+    the solve path ([Resilience.Session.run_engine], which every warm and
+    cold question goes through) appends one record per solve: the
     [Lp.Struct] feature vector of the solved program, the dispatch path
     taken (certified / branch-and-bound / relaxation), and the outcome
     (status, objective, nodes, pivots, refactors, wall seconds).

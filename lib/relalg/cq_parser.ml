@@ -1,9 +1,11 @@
 (* Recursive-descent parser for the tiny CQ syntax documented in the mli. *)
 
-type state = { input : string; mutable pos : int; syms : Symbol.t }
+type state = { input : string; mutable pos : int; syms : Symbol.t; arity : string -> int option }
 
-let error st msg =
-  invalid_arg (Printf.sprintf "Cq_parser: %s at position %d in %S" msg st.pos st.input)
+let error_at st pos msg =
+  invalid_arg (Printf.sprintf "Cq_parser: %s at position %d in %S" msg pos st.input)
+
+let error st msg = error_at st st.pos msg
 
 let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
 
@@ -61,6 +63,7 @@ let term st =
 
 let atom st =
   skip_ws st;
+  let start = st.pos in
   (match peek st with
   | Some ('A' .. 'Z') -> ()
   | _ -> error st "expected a relation name (uppercase initial)");
@@ -86,11 +89,18 @@ let atom st =
       List.rev (t :: acc)
     | _ -> error st "expected ',' or ')'"
   in
-  Cq.atom ~exo rel (terms [])
+  let args = terms [] in
+  (match st.arity rel with
+  | Some ar when ar <> List.length args ->
+    error_at st start
+      (Printf.sprintf "relation %s has arity %d but this atom has arity %d" rel ar
+         (List.length args))
+  | Some _ | None -> ());
+  Cq.atom ~exo rel args
 
-let parse ?symbols s =
+let parse ?symbols ?(arity = fun _ -> None) s =
   let syms = match symbols with Some t -> t | None -> Symbol.create () in
-  let st = { input = s; pos = 0; syms } in
+  let st = { input = s; pos = 0; syms; arity } in
   skip_ws st;
   (* Optional "Name :-" head. *)
   let name =
@@ -122,4 +132,4 @@ let parse ?symbols s =
   let atom_list = atoms [] in
   match name with Some n -> Cq.make ~name:n atom_list | None -> Cq.make atom_list
 
-let parse_with db s = parse ~symbols:(Database.symbols db) s
+let parse_with db s = parse ~symbols:(Database.symbols db) ~arity:(Database.arity db) s

@@ -23,6 +23,7 @@ let create ?symbols () =
   }
 
 let symbols t = t.syms
+let arity t rel = Hashtbl.find_opt t.arities rel
 
 let key rel args = (rel, Array.to_list args)
 

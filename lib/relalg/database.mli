@@ -25,6 +25,10 @@ val create : ?symbols:Symbol.t -> unit -> t
 
 val symbols : t -> Symbol.t
 
+val arity : t -> string -> int option
+(** The arity fixed by the relation's first inserted tuple; [None] for a
+    relation that never held one. *)
+
 val add : ?mult:int -> ?exo:bool -> t -> string -> int array -> tuple_id
 (** Inserts a tuple.  Re-inserting an existing tuple adds to its
     multiplicity and ORs the exogenous flag; the id is stable.

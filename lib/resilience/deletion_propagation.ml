@@ -149,36 +149,22 @@ let view_side_effects ?(exact = false) ?node_limit ?time_limit _semantics q ~hea
               Lp.Model.Geq
               (1 - k))
           rows;
-        let solve =
-          if exact then fun () ->
-            let open Lp.Solvers.Exact_bb in
-            match solve ?node_limit ?time_limit model with
-            | { status = Optimal; solution = Some sol; _ } ->
-              `Ok (Array.map Numeric.Rat.to_float sol)
-            | { status = Infeasible; _ } -> `Infeasible
-            | { objective = Some _; _ } -> `Budget
-            | _ -> `Budget
-          else fun () ->
-            let open Lp.Solvers.Float_bb in
-            match solve ?node_limit ?time_limit model with
-            | { status = Optimal; solution = Some sol; _ } -> `Ok sol
-            | { status = Infeasible; _ } -> `Infeasible
-            | { objective = Some _; _ } -> `Budget
-            | _ -> `Budget
-        in
-        match solve () with
-        | `Infeasible -> Solve.No_contingency
-        | `Budget -> Solve.Budget_exhausted None
-        | `Ok sol ->
-          let gamma =
-            Hashtbl.fold
-              (fun tid v acc -> if sol.(v) > 0.5 then tid :: acc else acc)
-              var_of_tuple []
-          in
-          let lost =
-            lost_rows q ~head db gamma |> List.filter (fun row -> row <> output)
-          in
-          Solve.Solved { deleted_inputs = List.sort compare gamma; lost_outputs = lost }
+        match Lp.Solvers.engine ~exact (Lp.Frozen.of_model model) with
+        | Lp.Solvers.Engine ((module B), s) -> (
+          match B.solve_session ?node_limit ?time_limit s with
+          | { B.status = B.Infeasible | B.Unbounded; _ } -> Solve.No_contingency
+          | { B.status = B.Feasible | B.Limit_no_solution; _ } -> Solve.Budget_exhausted None
+          | { B.status = B.Optimal; solution; _ } ->
+            let sol = B.to_floats (Option.get solution) in
+            let gamma =
+              Hashtbl.fold
+                (fun tid v acc -> if sol.(v) > 0.5 then tid :: acc else acc)
+                var_of_tuple []
+            in
+            let lost =
+              lost_rows q ~head db gamma |> List.filter (fun row -> row <> output)
+            in
+            Solve.Solved { deleted_inputs = List.sort compare gamma; lost_outputs = lost })
       end
     end
   end

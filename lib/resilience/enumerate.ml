@@ -235,41 +235,24 @@ let drive ?cap ?time_limit ~pin ~cut ~run base =
 
 (* The differential reference the warm session path is tested against: the
    per-question encoding is frozen {e without} presolve (so cut rows speak
-   raw variable indices), and every link of the chain is a fresh
-   [solve_frozen] — a brand-new session absorbing the whole delta cold.
+   raw variable indices), and every link of the chain runs on a fresh
+   engine — a brand-new session absorbing the whole delta cold.
    Identical family, none of the warm-basis machinery. *)
 
 let round_value x = int_of_float (Float.round x)
 
 let cold_run ~exact ?node_limit base read time_left delta =
-  let time_limit = time_left in
-  if exact then begin
-    let open Lp.Solvers.Exact_bb in
-    let r = solve_frozen ?node_limit ?time_limit ~delta base in
-    match r.status with
-    | Optimal ->
-      let sol =
-        Array.map Numeric.Rat.to_float (Option.get r.solution)
-      in
+  match Lp.Solvers.engine ~exact base with
+  | Lp.Solvers.Engine ((module B), s) -> (
+    let r = B.solve_session ?node_limit ?time_limit:time_left ~delta s in
+    match r.B.status with
+    | B.Optimal ->
       `Ok
-        ( round_value (Numeric.Rat.to_float (Option.get r.objective)),
-          read sol,
-          (r.nodes, r.pivots, r.refactors) )
-    | Infeasible | Unbounded -> `Infeasible
-    | Feasible | Limit_no_solution -> `Budget
-  end
-  else begin
-    let open Lp.Solvers.Float_bb in
-    let r = solve_frozen ?node_limit ?time_limit ~delta base in
-    match r.status with
-    | Optimal ->
-      `Ok
-        ( round_value (Option.get r.objective),
-          read (Option.get r.solution),
-          (r.nodes, r.pivots, r.refactors) )
-    | Infeasible | Unbounded -> `Infeasible
-    | Feasible | Limit_no_solution -> `Budget
-  end
+        ( round_value (B.to_float (Option.get r.B.objective)),
+          read (B.to_floats (Option.get r.B.solution)),
+          (r.B.nodes, r.B.pivots, r.B.refactors) )
+    | B.Infeasible | B.Unbounded -> `Infeasible
+    | B.Feasible | B.Limit_no_solution -> `Budget)
 
 let enumerate_encoding ~exact ?node_limit ?time_limit ?cap (enc : Encode.encoding) =
   let base = Lp.Frozen.of_model enc.Encode.model in

@@ -5,15 +5,13 @@ open Relalg
 let c_appends = Obs.Counter.create "incremental.appends"
 let c_rebuilds = Obs.Counter.create "incremental.rebuilds"
 
-type engine = Efloat of Lp.Solvers.Float_bb.session | Eexact of Lp.Solvers.Exact_bb.session
-
 (* The resilience fast path: the plain covering program ILP[RES*] frozen
    RAW — deliberately no presolve, so variable indices are stable and a
    tuple insert extends the program by appended columns/rows instead of
    invalidating a reduction.  The warm branch-and-bound session absorbs the
    appends without dropping its basis (see Lp.Frozen.Delta). *)
 type res_core = {
-  rengine : engine;
+  rengine : Lp.Solvers.engine;
   mutable rdelta : Lp.Frozen.Delta.t;  (* grows monotonically by appends *)
   rvar_of_tuple : (Database.tuple_id, int) Hashtbl.t;  (* extended numbering *)
   mutable rtuple_of_var : (int * Database.tuple_id) list;  (* reversed *)
@@ -66,10 +64,7 @@ let build_core t =
   | Encode.Impossible -> Rimpossible
   | Encode.Encoded enc ->
     let fz = Lp.Frozen.of_model enc.Encode.model in
-    let rengine =
-      if t.iexact then Eexact (Lp.Solvers.Exact_bb.create_session fz)
-      else Efloat (Lp.Solvers.Float_bb.create_session fz)
-    in
+    let rengine = Lp.Solvers.engine ~exact:t.iexact fz in
     let rsets = Hashtbl.create 64 in
     List.iter (fun set -> Hashtbl.replace rsets set ()) (Eval.unique_tuple_sets t.iwitnesses);
     let rvar_of_tuple = Hashtbl.copy enc.Encode.var_of_tuple in
@@ -206,33 +201,18 @@ let resilience ?node_limit ?time_limit t =
         }
     in
     match core.rengine with
-    | Efloat s -> (
-      let open Lp.Solvers.Float_bb in
-      let r = solve_session ?node_limit ?time_limit ~delta:core.rdelta s in
-      let root = match r.root_objective with Some o -> o | None -> nan in
-      match r.status with
-      | Optimal ->
-        finish r.nodes root r.root_integral r.pivots r.refactors (Option.get r.objective)
-          (Option.get r.solution)
-      | Infeasible | Unbounded -> Session.No_contingency
-      | Feasible -> Session.Budget_exhausted (Option.map round_value r.objective)
-      | Limit_no_solution -> Session.Budget_exhausted None)
-    | Eexact s -> (
-      let open Lp.Solvers.Exact_bb in
-      let r = solve_session ?node_limit ?time_limit ~delta:core.rdelta s in
-      let root =
-        match r.root_objective with Some o -> Numeric.Rat.to_float o | None -> nan
-      in
-      match r.status with
-      | Optimal ->
-        finish r.nodes root r.root_integral r.pivots r.refactors
-          (Numeric.Rat.to_float (Option.get r.objective))
-          (Array.map Numeric.Rat.to_float (Option.get r.solution))
-      | Infeasible | Unbounded -> Session.No_contingency
-      | Feasible ->
-        Session.Budget_exhausted
-          (Option.map (fun o -> round_value (Numeric.Rat.to_float o)) r.objective)
-      | Limit_no_solution -> Session.Budget_exhausted None))
+    | Lp.Solvers.Engine ((module B), s) -> (
+      let r = B.solve_session ?node_limit ?time_limit ~delta:core.rdelta s in
+      let root = match r.B.root_objective with Some o -> B.to_float o | None -> nan in
+      match r.B.status with
+      | B.Optimal ->
+        finish r.B.nodes root r.B.root_integral r.B.pivots r.B.refactors
+          (B.to_float (Option.get r.B.objective))
+          (B.to_floats (Option.get r.B.solution))
+      | B.Infeasible | B.Unbounded -> Session.No_contingency
+      | B.Feasible ->
+        Session.Budget_exhausted (Option.map (fun o -> round_value (B.to_float o)) r.B.objective)
+      | B.Limit_no_solution -> Session.Budget_exhausted None))
 
 let session t =
   match t.isession with

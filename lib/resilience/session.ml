@@ -78,8 +78,6 @@ type acc = {
 let fresh_acc () =
   { a_witnesses = 0.; a_encode = 0.; a_lint = 0.; a_prep = 0.; a_solve = 0.; a_questions = 0 }
 
-type engine = Efloat of Lp.Solvers.Float_bb.session | Eexact of Lp.Solvers.Exact_bb.session
-
 (* Solver state over one frozen program: the presolved form (what per-domain
    engines are created from), the presolve witness, the submitter's own
    warm engine, and the structural integrality certificate.  The certificate
@@ -90,38 +88,35 @@ type engine = Efloat of Lp.Solvers.Float_bb.session | Eexact of Lp.Solvers.Exact
 type prep = {
   pfz : Lp.Frozen.t;
   pvm : Lp.Presolve.vmap option;
-  pengine : engine;
+  pengine : Lp.Solvers.engine;
   pcert : Lp.Struct.t;
   pint : Lp.Model.var list;  (* integer variables of [pfz] *)
 }
 
-let engine_of ~exact ~kernel fz =
-  if exact then Eexact (Lp.Solvers.Exact_bb.create_session ~kernel fz)
-  else Efloat (Lp.Solvers.Float_bb.create_session ~kernel fz)
-
-(* Freeze + (optionally) presolve a model into a prep; [None] when presolve
-   decides the program outright (the shared program is always feasible —
-   delete everything, flag everything — and has non-negative costs, so a
-   verdict to the contrary is treated as "no contingency" defensively). *)
-let prep_of_model ~exact ~presolve ~kernel model =
+(* Freeze + (optionally) presolve a model; [None] when presolve decides the
+   program outright (every program here has non-negative costs and is
+   feasible unless exogenous tuples block it, so a verdict is treated as
+   "no contingency"). *)
+let presolved ~presolve model =
   let raw = Lp.Frozen.of_model model in
-  let prepared =
-    if presolve then
-      match Lp.Presolve.presolve raw with
-      | Lp.Presolve.Reduced (fz, vm) -> Some (fz, Some vm)
-      | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded -> None
-    else Some (raw, None)
-  in
+  if presolve then
+    match Lp.Presolve.presolve raw with
+    | Lp.Presolve.Reduced (fz, vm) -> Some (fz, Some vm)
+    | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded -> None
+  else Some (raw, None)
+
+(* [presolved], plus the warm engine and the structural certificate. *)
+let prep_of_model ~exact ~presolve ~kernel model =
   Option.map
     (fun (fz, vm) ->
       {
         pfz = fz;
         pvm = vm;
-        pengine = engine_of ~exact ~kernel fz;
+        pengine = Lp.Solvers.engine ~exact ~kernel fz;
         pcert = Obs.Trace.with_span "session.struct" (fun () -> Lp.Struct.analyze fz);
         pint = Lp.Frozen.integer_vars fz;
       })
-    prepared
+    (presolved ~presolve model)
 
 type core = {
   cshared : Encode.shared;
@@ -294,6 +289,16 @@ let offset_of vm = match vm with Some vm -> Lp.Presolve.obj_offset vm | None -> 
 let lift_sol vm ~of_int sol =
   match vm with Some vm -> Lp.Presolve.lift vm ~of_int sol | None -> sol
 
+(* The LP relaxation optimum under an already-translated delta, lifted to
+   the unreduced program's variables and converted to float. *)
+let relax_point vm (Lp.Solvers.Engine ((module B), s)) delta =
+  match B.relax ~delta s with
+  | `Optimal (obj, x) ->
+    Some
+      ( B.to_float obj +. float_of_int (offset_of vm),
+        B.to_floats (lift_sol vm ~of_int:B.of_int x) )
+  | `Infeasible | `Unbounded -> None
+
 (* Witness indicators fixed to 1, counterfactual slack released. *)
 let res_delta core =
   List.fold_left
@@ -321,8 +326,8 @@ let rsp_delta core t =
 
 (* Certificate-aware dispatch + branch-and-bound under the delta against
    [engine] — the submitter's warm engine on the sequential paths, a
-   per-domain engine over the same frozen arrays on the parallel ones;
-   mirrors Solve.run_bb but without re-freezing or re-presolving.
+   per-domain engine over the same frozen arrays on the parallel ones, a
+   fresh one on the cold per-question path ({!cold_solve}).
 
    Every solve is relax-first: one warm-started LP relaxation under the
    delta.  When its optimum is integral on the integer variables it {e is}
@@ -334,13 +339,16 @@ let rsp_delta core t =
    every question the session answers.  Otherwise branch-and-bound runs as
    before, warm-started from the relaxation's final basis (the root
    re-solve costs a handful of pivots), so hard instances pay essentially
-   nothing for the probe. *)
-let run_engine_raw ?node_limit ?time_limit prep engine delta =
+   nothing for the probe.  Values and points convert to float once, on the
+   way out. *)
+let run_engine_raw ?node_limit ?time_limit prep (Lp.Solvers.Engine ((module B), s)) delta =
   let t0 = Lp.Clock.now () in
   match translate_full prep.pvm delta with
   | None -> `Infeasible
-  | Some d ->
+  | Some d -> (
     let foffset = float_of_int (offset_of prep.pvm) in
+    let value o = B.to_float o +. foffset in
+    let point x = B.to_floats (lift_sol prep.pvm ~of_int:B.of_int x) in
     let finish ?(certified = false) nodes root_lp root_integral pivots refactors objective
         solution =
       let solve_time = Lp.Clock.elapsed t0 in
@@ -353,69 +361,25 @@ let run_engine_raw ?node_limit ?time_limit prep engine delta =
         { nodes; root_lp; root_integral; certified; solve_time; prep_time = 0.; pivots; refactors }
       )
     in
-    (match engine with
-    | Eexact s -> begin
-      let open Lp.Solvers.Exact_bb in
-      let certified =
-        match relax ~delta:d s with
-        | `Optimal (obj, x) when Lp.Solvers.Exact_simplex.integral_on x prep.pint ->
-          Some (obj, x)
-        | `Optimal _ | `Infeasible | `Unbounded -> None
-      in
-      match certified with
-      | Some (obj, x) ->
-        let obj = Numeric.Rat.to_float obj +. foffset in
-        let sol =
-          lift_sol prep.pvm ~of_int:Numeric.Rat.of_int x |> Array.map Numeric.Rat.to_float
-        in
-        `Ok (finish ~certified:true 0 obj true 0 0 obj sol)
-      | None -> (
-        let r = solve_session ?node_limit ?time_limit ~delta:d s in
-        let root =
-          match r.root_objective with Some o -> Numeric.Rat.to_float o +. foffset | None -> nan
-        in
-        match r.status with
-        | Optimal ->
-          let obj = Numeric.Rat.to_float (Option.get r.objective) +. foffset in
-          let sol =
-            lift_sol prep.pvm ~of_int:Numeric.Rat.of_int (Option.get r.solution)
-            |> Array.map Numeric.Rat.to_float
-          in
-          `Ok (finish r.nodes root r.root_integral r.pivots r.refactors obj sol)
-        | Infeasible | Unbounded -> `Infeasible
-        | Feasible -> `Budget (Option.map (fun o -> Numeric.Rat.to_float o +. foffset) r.objective)
-        | Limit_no_solution -> `Budget None)
-    end
-    | Efloat s -> begin
-      let open Lp.Solvers.Float_bb in
-      let certified =
-        match relax ~delta:d s with
-        | `Optimal (obj, x) when Lp.Solvers.Float_simplex.integral_on x prep.pint ->
-          Some (obj, x)
-        | `Optimal _ | `Infeasible | `Unbounded -> None
-      in
-      match certified with
-      | Some (obj, x) ->
-        let sol = lift_sol prep.pvm ~of_int:float_of_int x in
-        `Ok (finish ~certified:true 0 (obj +. foffset) true 0 0 (obj +. foffset) sol)
-      | None -> (
-        let r = solve_session ?node_limit ?time_limit ~delta:d s in
-        let root = match r.root_objective with Some o -> o +. foffset | None -> nan in
-        match r.status with
-        | Optimal ->
-          let sol = lift_sol prep.pvm ~of_int:float_of_int (Option.get r.solution) in
-          `Ok
-            (finish r.nodes root r.root_integral r.pivots r.refactors
-               (Option.get r.objective +. foffset)
-               sol)
-        | Infeasible | Unbounded -> `Infeasible
-        | Feasible -> `Budget (Option.map (fun o -> o +. foffset) r.objective)
-        | Limit_no_solution -> `Budget None)
-    end)
+    match B.relax ~delta:d s with
+    | `Optimal (obj, x) when B.integral_on x prep.pint ->
+      let obj = value obj in
+      `Ok (finish ~certified:true 0 obj true 0 0 obj (point x))
+    | `Optimal _ | `Infeasible | `Unbounded -> (
+      let r = B.solve_session ?node_limit ?time_limit ~delta:d s in
+      let root = match r.B.root_objective with Some o -> value o | None -> nan in
+      match r.B.status with
+      | B.Optimal ->
+        `Ok
+          (finish r.B.nodes root r.B.root_integral r.B.pivots r.B.refactors
+             (value (Option.get r.B.objective))
+             (point (Option.get r.B.solution)))
+      | B.Infeasible | B.Unbounded -> `Infeasible
+      | B.Feasible -> `Budget (Option.map value r.B.objective)
+      | B.Limit_no_solution -> `Budget None))
 
 (* One run-log line: the solved program's structural feature vector, the
-   dispatch path taken, and the outcome — the schema shared by every solve
-   site (here and Solve.run_bb), versioned by the run-log header. *)
+   dispatch path taken, and the outcome, versioned by the run-log header. *)
 let runlog_solve_fields ~op ~status ~path:dispatch ~cert ?stats:st ~wall () =
   let f = cert.Lp.Struct.features in
   let sti g = match st with Some s -> g s | None -> 0 in
@@ -531,33 +495,44 @@ let rsp_shared ?node_limit ?time_limit core prep engine tid =
           rsp_stats = st;
         })
 
-(* The cold per-tuple path the dense regime falls back to: a fresh
-   ILP[RSP*](t) encoding, freeze, presolve and branch-and-bound per tuple —
-   what Solve.responsibility runs, minus the witness re-enumeration (the
-   session already owns the witness list).  Reads only immutable session
-   state and the database, so parallel rankings run it from many domains. *)
-let cold_responsibility ?node_limit ?time_limit t tid =
+(* One cold question on a per-question encoding: freeze, presolve,
+   structural analysis and a fresh engine, then one certificate-aware solve
+   under the empty delta.  [prep_time] covers everything before the solve.
+   The per-question encoding is deliberately not the session's shared
+   program: one question never amortises the larger shared model. *)
+let cold_solve ?node_limit ?time_limit ?(kernel = `Auto) ~op ~exact ~presolve ~answer
+    (enc : Encode.encoding) =
   let tp0 = Lp.Clock.now () in
+  match prep_of_model ~exact ~presolve ~kernel enc.Encode.model with
+  | None -> No_contingency
+  | Some prep -> (
+    let prep_time = Lp.Clock.elapsed tp0 in
+    match run_engine ?node_limit ?time_limit ~op prep prep.pengine Lp.Frozen.Delta.empty with
+    | `Infeasible -> No_contingency
+    | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
+    | `Ok (obj, sol, st) ->
+      Solved (answer (round_value obj) (Encode.contingency enc sol) { st with prep_time }))
+
+(* The LP relaxation of a per-question encoding (integrality ignored):
+   freeze, presolve, one solve on a fresh engine. *)
+let cold_lp ~exact ~presolve (enc : Encode.encoding) =
+  match presolved ~presolve enc.Encode.model with
+  | None -> None
+  | Some (fz, vm) -> relax_point vm (Lp.Solvers.engine ~exact fz) Lp.Frozen.Delta.empty
+
+(* The cold per-tuple path the dense regime falls back to: what
+   Solve.responsibility runs, minus the witness re-enumeration (the session
+   already owns the witness list).  Reads only immutable session state and
+   the database, so parallel rankings run it from many domains. *)
+let cold_responsibility ?node_limit ?time_limit t tid =
   match Encode.rsp_of_witnesses t.srelax t.ssem t.squery t.sdb t.switnesses tid with
   | Encode.Trivial _ -> Query_false
   | Encode.Impossible -> No_contingency
-  | Encode.Encoded enc -> (
-    match prep_of_model ~exact:t.sexact ~presolve:t.spresolve ~kernel:t.sbasis enc.Encode.model with
-    | None -> No_contingency
-    | Some prep -> (
-      (* Everything up to here — encode, freeze, presolve, engine build — is
-         preparation, not solving; stats keep the two apart. *)
-      let prep_time = Lp.Clock.elapsed tp0 in
-      match run_engine ?node_limit ?time_limit ~op:"responsibility" prep prep.pengine Lp.Frozen.Delta.empty with
-      | `Infeasible -> No_contingency
-      | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
-      | `Ok (obj, sol, st) ->
-        Solved
-          {
-            rsp_value = round_value obj;
-            responsibility_set = Encode.contingency enc sol;
-            rsp_stats = { st with prep_time };
-          }))
+  | Encode.Encoded enc ->
+    cold_solve ?node_limit ?time_limit ~kernel:t.sbasis ~op:"responsibility" ~exact:t.sexact
+      ~presolve:t.spresolve enc
+      ~answer:(fun rsp_value responsibility_set rsp_stats ->
+        { rsp_value; responsibility_set; rsp_stats })
 
 let responsibility_body ?node_limit ?time_limit t tid =
   match t.state with
@@ -658,7 +633,7 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
                per-tuple delta-solves. *)
             Lp.Pool.with_pool ~jobs (fun pool ->
                 Lp.Pool.run_init pool
-                  ~init:(fun () -> engine_of ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
+                  ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
                   ~tasks
                   (fun engine i ->
                     rsp_shared ?node_limit ?time_limit core prep engine cands.(i))))
@@ -738,7 +713,7 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
       let results =
         Lp.Pool.with_pool ~jobs (fun pool ->
             Lp.Pool.run pool ~tasks:k (fun i ->
-                let engine = engine_of ~exact:t.sexact ~kernel:t.sbasis prep.pfz in
+                let engine = Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz in
                 let sub = ref base in
                 for j = 0 to i - 1 do
                   sub := fix seeds.(j) Lp.Frozen.Delta.force_one !sub
@@ -838,23 +813,9 @@ let relax_run core prep delta =
   match translate prep.pvm delta with
   | None -> None
   | Some d ->
-    let foffset = float_of_int (offset_of prep.pvm) in
-    let outcome =
-      match prep.pengine with
-      | Efloat s -> (
-        match Lp.Solvers.Float_bb.relax ~delta:d s with
-        | `Optimal (obj, sol) -> Some (obj +. foffset, lift_sol prep.pvm ~of_int:float_of_int sol)
-        | `Infeasible | `Unbounded -> None)
-      | Eexact s -> (
-        match Lp.Solvers.Exact_bb.relax ~delta:d s with
-        | `Optimal (obj, sol) ->
-          Some
-            ( Numeric.Rat.to_float obj +. foffset,
-              lift_sol prep.pvm ~of_int:Numeric.Rat.of_int sol |> Array.map Numeric.Rat.to_float
-            )
-        | `Infeasible | `Unbounded -> None)
-    in
-    Option.map (fun (obj, sol) -> (obj, read_values core sol)) outcome
+    Option.map
+      (fun (obj, sol) -> (obj, read_values core sol))
+      (relax_point prep.pvm prep.pengine d)
 
 let resilience_solution t =
   match t.state with

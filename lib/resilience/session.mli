@@ -223,17 +223,31 @@ val profile : t -> profile
     Accounting happens on the submitting domain only, so it is safe to call
     between (not during) {!ranking_par} batches. *)
 
-val runlog_solve_fields :
+(** {1 Cold one-shot solves}
+
+    What {!Solve} runs for one question: a per-question encoding (smaller
+    than the session's shared program) through the same engine dispatch
+    the session uses. *)
+
+val cold_solve :
+  ?node_limit:int ->
+  ?time_limit:float ->
+  ?kernel:Lp.Basis.choice ->
   op:string ->
-  status:string ->
-  path:string ->
-  cert:Lp.Struct.t ->
-  ?stats:stats ->
-  wall:float ->
-  unit ->
-  (string * Obs.Runlog.field) list
-(** One {!Obs.Runlog} record for a solve: the program's [Lp.Struct]
-    feature vector plus dispatch path ([certified]/[bb]/[relax]) and
-    outcome.  The schema every solve site (the session engine and
-    [Solve.run_bb]) appends under the run-log's versioned header; exposed
-    so they stay identical. *)
+  exact:bool ->
+  presolve:bool ->
+  answer:(int -> Database.tuple_id list -> stats -> 'a) ->
+  Encode.encoding ->
+  'a outcome
+(** Freeze, presolve ([presolve]), analyse and solve the encoding cold —
+    the root-vertex certificate first, branch-and-bound otherwise — and
+    build the answer from (optimum, tuple set read off the encoding,
+    stats).  [stats.prep_time] covers freeze + presolve + structural
+    analysis + engine build; [op] names the question in the run log.
+    [No_contingency] when presolve or the solve proves the program
+    infeasible. *)
+
+val cold_lp : exact:bool -> presolve:bool -> Encode.encoding -> (float * float array) option
+(** The LP relaxation optimum of the encoding with its primal point over
+    the encoding's variables (lifted through presolve); [None] when
+    infeasible. *)

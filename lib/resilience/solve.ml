@@ -11,22 +11,6 @@ type stats = Session.stats = {
   refactors : int;
 }
 
-let c_certified = Obs.Counter.create "solve.certified"
-let c_certified_structural = Obs.Counter.create "solve.certified_structural"
-
-(* Same metrics-plane distributions as Session: both paths are "one ILP
-   solve" to the registry, so the instruments are shared by name
-   (registration is idempotent). *)
-let h_solve_seconds =
-  Obs.Metrics.histogram ~help:"Wall seconds per ILP solve (certificate-aware dispatch)"
-    "session.solve.seconds"
-
-let h_solve_pivots =
-  Obs.Metrics.histogram ~help:"Simplex pivots per ILP solve" "session.solve.pivots"
-
-let h_solve_nodes =
-  Obs.Metrics.histogram ~help:"Branch-and-bound nodes per ILP solve" "session.solve.nodes"
-
 type 'a outcome = 'a Session.outcome =
   | Solved of 'a
   | Query_false
@@ -45,128 +29,6 @@ type rsp_answer = Session.rsp_answer = {
   rsp_stats : stats;
 }
 
-(* Presolve front-end shared by every solve: shrink the model (or decide it
-   outright), remembering how to lift reduced solutions and objectives back
-   to the original encoding's variables. *)
-let prepare ~presolve model =
-  let fz = Lp.Frozen.of_model model in
-  if presolve then
-    match Lp.Presolve.presolve fz with
-    | Lp.Presolve.Reduced (reduced, vm) -> `Frozen (reduced, Some vm)
-    | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded ->
-      (* The covering encodings are never unbounded (non-negative costs);
-         an unbounded verdict can only mean no contingency exists. *)
-      `Infeasible
-  else `Frozen (fz, None)
-
-let lift_sol vm ~of_int sol =
-  match vm with Some vm -> Lp.Presolve.lift vm ~of_int sol | None -> sol
-
-let offset_of vm = match vm with Some vm -> Lp.Presolve.obj_offset vm | None -> 0
-
-(* Certificate-aware dispatch + branch-and-bound over the chosen field,
-   normalising the result.  Mirrors Session.run_engine on a cold program:
-   the root LP relaxation is solved first (branch-and-bound would start
-   there anyway), and an optimum integral on the integer variables is
-   accepted as the ILP optimum — a root-vertex certificate, zero
-   branch-and-bound nodes, guaranteed whenever Lp.Struct certifies the
-   matrix structurally.  Otherwise branch-and-bound runs on the same warm
-   session, re-solving the root from its final basis. *)
-let run_bb ?(op = "solve") ~exact ~presolve ?node_limit ?time_limit (enc : Encode.encoding) =
-  let tp0 = Lp.Clock.now () in
-  match prepare ~presolve enc.Encode.model with
-  | `Infeasible -> `Infeasible
-  | `Frozen (fz, vm) ->
-    (* The structural analysis is preparation too: it reads only the frozen
-       arrays, before any solve. *)
-    let cert = Lp.Struct.analyze fz in
-    let ivars = Lp.Frozen.integer_vars fz in
-    let prep_time = Lp.Clock.elapsed tp0 in
-    let t0 = Lp.Clock.now () in
-    let offset = offset_of vm in
-    let foffset = float_of_int offset in
-    let finish ?(certified = false) nodes root_lp root_integral pivots refactors objective
-        solution =
-      let solve_time = Lp.Clock.elapsed t0 in
-      if certified then begin
-        Obs.Counter.incr c_certified;
-        if Lp.Struct.structural cert then Obs.Counter.incr c_certified_structural
-      end;
-      let st =
-        { nodes; root_lp; root_integral; certified; solve_time; prep_time; pivots; refactors }
-      in
-      Obs.Metrics.observe h_solve_seconds solve_time;
-      Obs.Metrics.observe h_solve_pivots (float_of_int pivots);
-      Obs.Metrics.observe h_solve_nodes (float_of_int nodes);
-      Obs.Runlog.record (fun () ->
-          Session.runlog_solve_fields ~op ~status:"optimal"
-            ~path:(if certified then "certified" else "bb")
-            ~cert ~stats:st ~wall:solve_time ());
-      (objective, solution, st)
-    in
-    if exact then begin
-      let open Lp.Solvers.Exact_bb in
-      let s = create_session fz in
-      let certified =
-        match relax s with
-        | `Optimal (obj, x) when Lp.Solvers.Exact_simplex.integral_on x ivars -> Some (obj, x)
-        | `Optimal _ | `Infeasible | `Unbounded -> None
-      in
-      match certified with
-      | Some (obj, x) ->
-        let obj = Numeric.Rat.to_float obj +. foffset in
-        let sol =
-          lift_sol vm ~of_int:Numeric.Rat.of_int x |> Array.map Numeric.Rat.to_float
-        in
-        `Ok (finish ~certified:true 0 obj true 0 0 obj sol)
-      | None -> (
-        let r = solve_session ?node_limit ?time_limit s in
-        let root =
-          match r.root_objective with Some o -> Numeric.Rat.to_float o +. foffset | None -> nan
-        in
-        match r.status with
-        | Optimal ->
-          let obj = Numeric.Rat.to_float (Option.get r.objective) +. foffset in
-          let sol =
-            lift_sol vm ~of_int:Numeric.Rat.of_int (Option.get r.solution)
-            |> Array.map Numeric.Rat.to_float
-          in
-          `Ok (finish r.nodes root r.root_integral r.pivots r.refactors obj sol)
-        | Infeasible -> `Infeasible
-        | Unbounded -> `Infeasible
-        | Feasible -> `Budget (Option.map (fun o -> Numeric.Rat.to_float o +. foffset) r.objective)
-        | Limit_no_solution -> `Budget None)
-    end
-    else begin
-      let open Lp.Solvers.Float_bb in
-      let s = create_session fz in
-      let certified =
-        match relax s with
-        | `Optimal (obj, x) when Lp.Solvers.Float_simplex.integral_on x ivars -> Some (obj, x)
-        | `Optimal _ | `Infeasible | `Unbounded -> None
-      in
-      match certified with
-      | Some (obj, x) ->
-        let sol = lift_sol vm ~of_int:float_of_int x in
-        `Ok (finish ~certified:true 0 (obj +. foffset) true 0 0 (obj +. foffset) sol)
-      | None -> (
-        let r = solve_session ?node_limit ?time_limit s in
-        let root = match r.root_objective with Some o -> o +. foffset | None -> nan in
-        match r.status with
-        | Optimal ->
-          let sol = lift_sol vm ~of_int:float_of_int (Option.get r.solution) in
-          `Ok
-            (finish r.nodes root r.root_integral r.pivots r.refactors
-               (Option.get r.objective +. foffset)
-               sol)
-        | Infeasible -> `Infeasible
-        | Unbounded -> `Infeasible
-        | Feasible -> `Budget (Option.map (fun o -> o +. foffset) r.objective)
-        | Limit_no_solution -> `Budget None)
-    end
-
-let round_value x = int_of_float (Float.round x)
-
 let resilience ?(exact = false) ?(presolve = true) ?node_limit ?time_limit semantics q db =
   let witnesses = Eval.witnesses q db in
   if witnesses = [] then Query_false
@@ -174,41 +36,16 @@ let resilience ?(exact = false) ?(presolve = true) ?node_limit ?time_limit seman
     match Encode.res_of_witnesses Encode.Ilp semantics q db witnesses with
     | Encode.Trivial _ -> Query_false
     | Encode.Impossible -> No_contingency
-    | Encode.Encoded enc -> (
-      match run_bb ~op:"resilience" ~exact ~presolve ?node_limit ?time_limit enc with
-      | `Infeasible -> No_contingency
-      | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
-      | `Ok (obj, sol, stats) ->
-        Solved
-          { res_value = round_value obj; contingency = Encode.contingency enc sol; res_stats = stats })
+    | Encode.Encoded enc ->
+      Session.cold_solve ?node_limit ?time_limit ~op:"resilience" ~exact ~presolve enc
+        ~answer:(fun res_value contingency res_stats -> { res_value; contingency; res_stats })
   end
-
-let lp_optimum ~exact ~presolve (enc : Encode.encoding) =
-  match prepare ~presolve enc.Encode.model with
-  | `Infeasible -> None
-  | `Frozen (fz, vm) ->
-    let foffset = float_of_int (offset_of vm) in
-    if exact then begin
-      match Lp.Solvers.Exact_simplex.solve_frozen fz with
-      | Optimal { objective; solution } ->
-        let sol =
-          lift_sol vm ~of_int:Numeric.Rat.of_int solution |> Array.map Numeric.Rat.to_float
-        in
-        Some (Numeric.Rat.to_float objective +. foffset, sol)
-      | Infeasible | Unbounded -> None
-    end
-    else begin
-      match Lp.Solvers.Float_simplex.solve_frozen fz with
-      | Optimal { objective; solution } ->
-        Some (objective +. foffset, lift_sol vm ~of_int:float_of_int solution)
-      | Infeasible | Unbounded -> None
-    end
 
 let resilience_lp_solution ?(exact = false) ?(presolve = true) semantics q db =
   match Encode.res Encode.Lp semantics q db with
   | Encode.Trivial _ | Encode.Impossible -> None
   | Encode.Encoded enc -> (
-    match lp_optimum ~exact ~presolve enc with
+    match Session.cold_lp ~exact ~presolve enc with
     | None -> None
     | Some (obj, sol) -> Some (obj, enc, sol))
 
@@ -223,23 +60,16 @@ let responsibility ?(exact = false) ?(presolve = true) ?node_limit ?time_limit
     match Encode.rsp_of_witnesses relaxation semantics q db witnesses t with
     | Encode.Trivial _ -> Query_false
     | Encode.Impossible -> No_contingency
-    | Encode.Encoded enc -> (
-      match run_bb ~op:"responsibility" ~exact ~presolve ?node_limit ?time_limit enc with
-      | `Infeasible -> No_contingency
-      | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
-      | `Ok (obj, sol, stats) ->
-        Solved
-          {
-            rsp_value = round_value obj;
-            responsibility_set = Encode.contingency enc sol;
-            rsp_stats = stats;
-          })
+    | Encode.Encoded enc ->
+      Session.cold_solve ?node_limit ?time_limit ~op:"responsibility" ~exact ~presolve enc
+        ~answer:(fun rsp_value responsibility_set rsp_stats ->
+          { rsp_value; responsibility_set; rsp_stats })
   end
 
 let responsibility_lp ?(exact = false) ?(presolve = true) semantics q db t =
   match Encode.rsp Encode.Lp semantics q db t with
   | Encode.Trivial _ | Encode.Impossible -> None
-  | Encode.Encoded enc -> Option.map fst (lp_optimum ~exact ~presolve enc)
+  | Encode.Encoded enc -> Option.map fst (Session.cold_lp ~exact ~presolve enc)
 
 let enumerate_resilience ?exact ?presolve ?node_limit ?time_limit ?jobs ?cap semantics q db =
   Session.enumerate_resilience ?node_limit ?time_limit ?jobs ?cap

@@ -53,6 +53,24 @@ let test_corpus_roundtrip () =
       Alcotest.(check string) "reprint is identical" s (Corpus.to_string e'))
     (Gen.stream ~seed:11 25)
 
+(* Non-negative costs are an invariant of every program: a case file that
+   declares a negative objective (on a base or an appended column) is
+   refused as malformed input. *)
+let test_corpus_negative_objective () =
+  let case extra =
+    String.concat "\n"
+      ([ "# kind: lp"; "# oracle: lp_warm_vs_cold"; "# seed: 1"; "# var: cont 1 1 x0" ] @ extra)
+  in
+  List.iter
+    (fun (name, extra, spec) ->
+      Alcotest.check_raises name
+        (Invalid_argument ("corpus: negative objective in var line " ^ spec))
+        (fun () -> ignore (Corpus.of_string (case extra))))
+    [
+      ("base column", [ "# var: cont 1 -2 x1" ], "cont 1 -2 x1");
+      ("appended column", [ "# delta: c cont 1 -1 y0" ], "cont 1 -1 y0");
+    ]
+
 (* --- Shrinker ----------------------------------------------------------------- *)
 
 (* A synthetic bug with a known minimal repro: "two or more R tuples is a
@@ -157,7 +175,11 @@ let () =
           Alcotest.test_case "of_seed reproduces cases" `Quick test_of_seed_reproducible;
           Alcotest.test_case "every profile is reachable" `Quick test_profiles_all_reachable;
         ] );
-      ("corpus", [ Alcotest.test_case "to_string/of_string round-trip" `Quick test_corpus_roundtrip ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "to_string/of_string round-trip" `Quick test_corpus_roundtrip;
+          Alcotest.test_case "negative objective rejected" `Quick test_corpus_negative_objective;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "minimizes to the known repro" `Quick test_shrinker_minimizes;

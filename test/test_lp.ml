@@ -1,6 +1,6 @@
-(* Tests for the LP/ILP solver stack: model building, primal and dual
-   simplex (differential against each other and against the exact rational
-   instantiation), and branch-and-bound. *)
+(* Tests for the LP/ILP solver stack: model building, the dual simplex
+   session (differential across the float field, the exact rational field
+   and the dense reference kernel), and branch-and-bound. *)
 
 module M = Lp.Model
 module FS = Lp.Solvers.Float_simplex
@@ -8,10 +8,13 @@ module ES = Lp.Solvers.Exact_simplex
 module FB = Lp.Solvers.Float_bb
 module EB = Lp.Solvers.Exact_bb
 
-let objective_of = function FS.Optimal { objective; _ } -> Some objective | _ -> None
+let freeze = Lp.Frozen.of_model
+let fix = Lp.Frozen.Delta.fix
+let no_fix = Lp.Frozen.Delta.empty
 
-let solution_of = function FS.Optimal { solution; _ } -> Some solution | _ -> None
+let objective_of = function FS.Optimal { objective; _ } -> Some objective | FS.Infeasible -> None
 
+let solution_of = function FS.Optimal { solution; _ } -> Some solution | FS.Infeasible -> None
 (* --- Model --------------------------------------------------------------- *)
 
 let test_model_building () =
@@ -54,68 +57,73 @@ let mk_lp () =
 let test_simplex_known () =
   let m, x, y = mk_lp () in
   List.iter
-    (fun meth ->
-      match FS.solve ~method_:meth m with
+    (fun kernel ->
+      match FS.solve_frozen ~kernel (freeze m) with
       | FS.Optimal { objective; solution } ->
         Alcotest.(check (float 1e-6)) "objective" 9.0 objective;
         Alcotest.(check (float 1e-6)) "x" 3.0 solution.(x);
         Alcotest.(check (float 1e-6)) "y" 1.0 solution.(y)
-      | FS.Infeasible | FS.Unbounded -> Alcotest.fail "expected optimal")
-    [ `Primal; `Dual; `Auto ]
+      | FS.Infeasible -> Alcotest.fail "expected optimal")
+    [ `Sparse; `Dense ]
 
 let test_simplex_exact_known () =
   let m, _, _ = mk_lp () in
-  match ES.solve m with
+  match ES.solve_frozen (freeze m) with
   | ES.Optimal { objective; _ } ->
     Alcotest.(check bool) "exact 9" true (Numeric.Rat.equal objective (Numeric.Rat.of_int 9))
-  | _ -> Alcotest.fail "expected optimal"
+  | ES.Infeasible -> Alcotest.fail "expected optimal"
 
 let test_simplex_infeasible () =
   let m = M.create () in
   let x = M.add_var ~upper:1 m in
   M.add_constr m [ (x, 1) ] M.Geq 2;
-  (match FS.solve ~method_:`Primal m with
+  match FS.solve_frozen (freeze m) with
   | FS.Infeasible -> ()
-  | _ -> Alcotest.fail "primal should be infeasible");
-  match FS.solve ~method_:`Auto m with
-  | FS.Infeasible -> ()
-  | _ -> Alcotest.fail "dual should be infeasible"
+  | FS.Optimal _ -> Alcotest.fail "should be infeasible"
 
-let test_simplex_unbounded () =
-  (* min -x (negative cost forces the primal path), x unconstrained above *)
-  let m = M.create () in
-  let x = M.add_var ~obj:(-1) m in
-  M.add_constr m [ (x, 1) ] M.Geq 0;
-  match FS.solve m with
-  | FS.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
+(* Non-negative costs are a construction-time invariant: every way a
+   variable enters a program refuses a negative objective coefficient. *)
+let test_negative_objective_rejected () =
+  Alcotest.check_raises "Model.add_var" (Invalid_argument "Model.add_var: negative objective")
+    (fun () -> ignore (M.add_var ~obj:(-1) (M.create ())));
+  Alcotest.check_raises "Frozen.make" (Invalid_argument "Frozen.make: negative objective")
+    (fun () ->
+      ignore
+        (Lp.Frozen.make ~names:[| "x" |] ~integer:[| false |] ~upper:[| None |] ~obj:[| -1 |]
+           ~rows:[||]));
+  Alcotest.check_raises "Frozen.Delta.append_col"
+    (Invalid_argument "Frozen.Delta.append_col: negative objective") (fun () ->
+      ignore (Lp.Frozen.Delta.append_col ~name:"x" ~obj:(-1) no_fix))
 
 let test_simplex_degenerate_equalities () =
-  (* equality rows force the primal path *)
+  (* equality rows: the session gives their slacks the range [0,0] *)
   let m = M.create () in
   let x = M.add_var ~obj:1 m in
   let y = M.add_var ~obj:1 m in
   M.add_constr m [ (x, 1); (y, 1) ] M.Eq 3;
   M.add_constr m [ (x, 1); (y, -1) ] M.Eq 1;
-  match FS.solve m with
+  match FS.solve_frozen (freeze m) with
   | FS.Optimal { objective; solution } ->
     Alcotest.(check (float 1e-6)) "objective" 3.0 objective;
     Alcotest.(check (float 1e-6)) "x" 2.0 solution.(x);
     Alcotest.(check (float 1e-6)) "y" 1.0 solution.(y)
-  | _ -> Alcotest.fail "expected optimal"
+  | FS.Infeasible -> Alcotest.fail "expected optimal"
 
 let test_simplex_fixed () =
   let m, x, y = mk_lp () in
-  (match FS.solve ~fixed:[ (x, 4) ] m with
+  (match FS.solve_frozen ~delta:(fix x 4 no_fix) (freeze m) with
   | FS.Optimal { objective; solution } ->
     Alcotest.(check (float 1e-6)) "x pinned" 4.0 solution.(x);
     (* with x=4: y >= 0, y >= 2 from x - y <= 2, obj = 8 + 3*2 = 14 *)
     Alcotest.(check (float 1e-6)) "y" 2.0 solution.(y);
     Alcotest.(check (float 1e-6)) "objective" 14.0 objective
-  | _ -> Alcotest.fail "expected optimal");
-  match FS.solve ~fixed:[ (x, -1) ] m with
+  | FS.Infeasible -> Alcotest.fail "expected optimal");
+  (* y = 0 leaves x >= 4 against x <= 2 *)
+  (match FS.solve_frozen ~delta:(fix y 0 no_fix) (freeze m) with
   | FS.Infeasible -> ()
-  | _ -> Alcotest.fail "negative fix must be infeasible"
+  | FS.Optimal _ -> Alcotest.fail "y = 0 must be infeasible");
+  Alcotest.check_raises "negative fix" (Invalid_argument "Frozen.Delta.fix: negative value")
+    (fun () -> ignore (fix x (-1) no_fix))
 
 let test_fractional_covering () =
   (* the triangle vertex-cover LP has optimum 1.5 *)
@@ -124,12 +132,15 @@ let test_fractional_covering () =
   M.add_constr m [ (v.(0), 1); (v.(1), 1) ] M.Geq 1;
   M.add_constr m [ (v.(1), 1); (v.(2), 1) ] M.Geq 1;
   M.add_constr m [ (v.(0), 1); (v.(2), 1) ] M.Geq 1;
-  match FS.solve m with
+  match FS.solve_frozen (freeze m) with
   | FS.Optimal { objective; _ } -> Alcotest.(check (float 1e-6)) "LP" 1.5 objective
-  | _ -> Alcotest.fail "expected optimal"
+  | FS.Infeasible -> Alcotest.fail "expected optimal"
 
-(* --- Differential property: primal = dual = exact ------------------------- *)
+(* --- Differential property: float = exact = dense kernel ------------------- *)
 
+(* Random models over all three row senses with mixed-sign coefficients and
+   right-hand sides: the equality slacks and the general (non-covering) row
+   shapes are reached only here. *)
 let arb_model =
   let gen =
     QCheck.Gen.(
@@ -139,10 +150,10 @@ let arb_model =
       let* uppers = list_repeat nv (opt (int_range 1 3)) in
       let* rows =
         list_repeat nc
-          (let* coeffs = list_repeat nv (int_range (-1) 3) in
-           let* geq = bool in
-           let* rhs = int_range 0 6 in
-           return (coeffs, geq, rhs))
+          (let* coeffs = list_repeat nv (int_range (-2) 3) in
+           let* sense = oneofl [ M.Geq; M.Leq; M.Eq ] in
+           let* rhs = int_range (-2) 6 in
+           return (coeffs, sense, rhs))
       in
       return (objs, uppers, rows))
   in
@@ -154,24 +165,22 @@ let build_model (objs, uppers, rows) =
     List.map2 (fun obj upper -> M.add_var ?upper ~obj m) objs uppers
   in
   List.iter
-    (fun (coeffs, geq, rhs) ->
-      let expr =
-        List.map2 (fun v c -> (v, max 0 c)) vars coeffs |> List.filter (fun (_, c) -> c <> 0)
-      in
-      if expr <> [] then M.add_constr m expr (if geq then M.Geq else M.Leq) rhs)
+    (fun (coeffs, sense, rhs) ->
+      let expr = List.combine vars coeffs |> List.filter (fun (_, c) -> c <> 0) in
+      if expr <> [] then M.add_constr m expr sense rhs)
     rows;
   m
 
-let prop_primal_dual_exact_agree =
-  QCheck.Test.make ~name:"primal = dual = exact on random nonneg models" ~count:400 arb_model
-    (fun spec ->
-      let m = build_model spec in
-      let a = objective_of (FS.solve ~method_:`Primal m) in
-      let b = objective_of (FS.solve ~method_:`Auto m) in
+let prop_float_exact_dense_agree =
+  QCheck.Test.make ~name:"float session = exact session = dense-kernel session" ~count:400
+    arb_model (fun spec ->
+      let fz = freeze (build_model spec) in
+      let a = objective_of (FS.solve_frozen fz) in
+      let b = objective_of (FS.solve_frozen ~kernel:`Dense fz) in
       let c =
-        match ES.solve m with
+        match ES.solve_frozen fz with
         | ES.Optimal { objective; _ } -> Some (Numeric.Rat.to_float objective)
-        | _ -> None
+        | ES.Infeasible -> None
       in
       let close x y =
         match (x, y) with
@@ -184,7 +193,7 @@ let prop_primal_dual_exact_agree =
 let prop_solution_feasible =
   QCheck.Test.make ~name:"returned solutions satisfy the model" ~count:400 arb_model (fun spec ->
       let m = build_model spec in
-      match solution_of (FS.solve m) with
+      match solution_of (FS.solve_frozen (freeze m)) with
       | Some x -> M.check_feasible m x
       | None -> true)
 
@@ -199,7 +208,7 @@ let triangle_vc () =
   m
 
 let test_bb_triangle () =
-  let r = FB.solve (triangle_vc ()) in
+  let r = FB.solve_frozen (freeze (triangle_vc ())) in
   Alcotest.(check bool) "optimal" true (r.FB.status = FB.Optimal);
   Alcotest.(check (float 1e-6)) "objective 2" 2.0 (Option.get r.FB.objective);
   Alcotest.(check (float 1e-6)) "fractional root" 1.5 (Option.get r.FB.root_objective);
@@ -212,7 +221,7 @@ let test_bb_integral_root () =
   let x = M.add_var ~integer:true ~upper:1 ~obj:1 m in
   let y = M.add_var ~integer:true ~upper:1 ~obj:2 m in
   M.add_constr m [ (x, 1); (y, 1) ] M.Geq 1;
-  let r = FB.solve m in
+  let r = FB.solve_frozen (freeze m) in
   Alcotest.(check (float 1e-6)) "objective 1" 1.0 (Option.get r.FB.objective);
   Alcotest.(check bool) "root integral" true r.FB.root_integral;
   Alcotest.(check int) "single node" 1 r.FB.nodes
@@ -221,11 +230,11 @@ let test_bb_infeasible () =
   let m = M.create () in
   let x = M.add_var ~integer:true ~upper:1 m in
   M.add_constr m [ (x, 1) ] M.Geq 2;
-  let r = FB.solve m in
+  let r = FB.solve_frozen (freeze m) in
   Alcotest.(check bool) "infeasible" true (r.FB.status = FB.Infeasible)
 
 let test_bb_node_limit () =
-  let r = FB.solve ~node_limit:1 (triangle_vc ()) in
+  let r = FB.solve_frozen ~node_limit:1 (freeze (triangle_vc ())) in
   Alcotest.(check bool) "limit status" true
     (match r.FB.status with FB.Feasible | FB.Limit_no_solution -> true | _ -> false)
 
@@ -233,13 +242,14 @@ let test_bb_rejects_general_integers () =
   let m = M.create () in
   let x = M.add_var ~integer:true ~upper:5 ~obj:1 m in
   M.add_constr m [ (x, 1) ] M.Geq 1;
-  Alcotest.check_raises "non-binary" (Invalid_argument "Branch_bound.solve: integer variables must be binary")
-    (fun () -> ignore (FB.solve m))
+  Alcotest.check_raises "non-binary"
+    (Invalid_argument "Branch_bound.solve_session: integer variables must be binary") (fun () ->
+      ignore (FB.solve_frozen (freeze m)))
 
 let test_bb_exact_matches_float () =
   let m = triangle_vc () in
-  let rf = FB.solve m in
-  let re = EB.solve m in
+  let rf = FB.solve_frozen (freeze m) in
+  let re = EB.solve_frozen (freeze m) in
   Alcotest.(check (float 1e-9)) "same optimum" (Option.get rf.FB.objective)
     (Numeric.Rat.to_float (Option.get re.EB.objective))
 
@@ -262,7 +272,7 @@ let prop_bb_matches_bruteforce =
           if w < !best then best := w
         end
       done;
-      let r = FB.solve m in
+      let r = FB.solve_frozen (freeze m) in
       match r.FB.objective with
       | Some obj -> int_of_float (Float.round obj) = !best
       | None -> false)
@@ -278,14 +288,14 @@ let () =
         ] );
       ( "simplex",
         [
-          Alcotest.test_case "known LP, all methods" `Quick test_simplex_known;
+          Alcotest.test_case "known LP, both kernels" `Quick test_simplex_known;
           Alcotest.test_case "exact instance" `Quick test_simplex_exact_known;
           Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
-          Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
-          Alcotest.test_case "equalities (primal path)" `Quick test_simplex_degenerate_equalities;
+          Alcotest.test_case "negative objectives rejected" `Quick test_negative_objective_rejected;
+          Alcotest.test_case "equality rows" `Quick test_simplex_degenerate_equalities;
           Alcotest.test_case "fixed variables" `Quick test_simplex_fixed;
           Alcotest.test_case "fractional covering" `Quick test_fractional_covering;
-          q prop_primal_dual_exact_agree;
+          q prop_float_exact_dense_agree;
           q prop_solution_feasible;
         ] );
       ( "branch_bound",

@@ -23,14 +23,15 @@ let float_roundtrip seed =
   | Encode.Trivial _ | Encode.Impossible -> true
   | Encode.Encoded enc -> (
     let m = enc.Encode.model in
-    match presolve m with
+    let fz = Lp.Frozen.of_model m in
+    match Lp.Presolve.presolve fz with
     | Lp.Presolve.Unbounded -> false (* covering programs are never unbounded *)
     | Lp.Presolve.Infeasible -> (
-      match (Lp.Solvers.Float_bb.solve m).Lp.Solvers.Float_bb.status with
+      match (Lp.Solvers.Float_bb.solve_frozen fz).Lp.Solvers.Float_bb.status with
       | Lp.Solvers.Float_bb.Infeasible -> true
       | _ -> false)
     | Lp.Presolve.Reduced (reduced, vm) -> (
-      let a = Lp.Solvers.Float_bb.solve m in
+      let a = Lp.Solvers.Float_bb.solve_frozen fz in
       let b = Lp.Solvers.Float_bb.solve_frozen reduced in
       match
         ( a.Lp.Solvers.Float_bb.status,
@@ -53,14 +54,15 @@ let exact_roundtrip seed =
   | Encode.Trivial _ | Encode.Impossible -> true
   | Encode.Encoded enc -> (
     let m = enc.Encode.model in
-    match presolve m with
+    let fz = Lp.Frozen.of_model m in
+    match Lp.Presolve.presolve fz with
     | Lp.Presolve.Unbounded -> false
     | Lp.Presolve.Infeasible -> (
-      match (Lp.Solvers.Exact_bb.solve m).Lp.Solvers.Exact_bb.status with
+      match (Lp.Solvers.Exact_bb.solve_frozen fz).Lp.Solvers.Exact_bb.status with
       | Lp.Solvers.Exact_bb.Infeasible -> true
       | _ -> false)
     | Lp.Presolve.Reduced (reduced, vm) -> (
-      let a = Lp.Solvers.Exact_bb.solve m in
+      let a = Lp.Solvers.Exact_bb.solve_frozen fz in
       let b = Lp.Solvers.Exact_bb.solve_frozen reduced in
       match
         ( a.Lp.Solvers.Exact_bb.status,

@@ -83,6 +83,24 @@ let test_parser_errors () =
   in
   List.iter bad [ ""; "R(x"; "r(x)"; "R()"; "R(x,)"; "R(x) S(y)"; "R(X)" ]
 
+(* Against a database, an atom whose arity differs from its stored
+   relation is a parse error pointing at the atom, not a crash later in
+   evaluation. *)
+let test_parser_arity () =
+  let db = Database.create () in
+  ignore (Database.add db "R" [| 1; 2 |]);
+  ignore (Database.add db "S" [| 2 |]);
+  Alcotest.check_raises "S used with two terms"
+    (Invalid_argument
+       "Cq_parser: relation S has arity 1 but this atom has arity 2 at position 14 in \"Q :- R(x, \
+        y), S(y, z)\"")
+    (fun () -> ignore (Cq_parser.parse_with db "Q :- R(x, y), S(y, z)"));
+  (* unknown relations stay legal (empty, so the query is simply false),
+     and parsing without a database checks nothing *)
+  Alcotest.(check int) "unknown relation" 2
+    (Array.length (Cq_parser.parse_with db "R(x, y), T(y, z, w)").Cq.atoms);
+  Alcotest.(check int) "no database" 2 (Array.length (Cq_parser.parse "R(x), S(y, z)").Cq.atoms)
+
 let test_parser_roundtrip () =
   let q = Cq_parser.parse "Q :- A!(x), R(x,y)" in
   let s = Cq.to_string q in
@@ -464,6 +482,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_parser_basics;
           Alcotest.test_case "constants and exogenous" `Quick test_parser_constants_exo;
           Alcotest.test_case "errors" `Quick test_parser_errors;
+          Alcotest.test_case "arity against the database" `Quick test_parser_arity;
           Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip;
         ] );
       ( "cq",

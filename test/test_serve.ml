@@ -289,6 +289,20 @@ let test_shutdown_drains_batch () =
   (* ...but shutdown itself stays answerable (idempotent stop) *)
   Alcotest.(check bool) "shutdown idempotent" true (ok_of (feed e {|{"op":"shutdown"}|}))
 
+(* A query atom whose arity differs from the stored relation is refused at
+   parse time with a position-annotated message. *)
+let test_query_arity_mismatch () =
+  let e = loaded () in
+  let r = feed e {|{"op":"resilience","query":"Q :- R(x, y), S(y)"}|} in
+  check_err "arity mismatch" "bad_query" r;
+  match Option.bind (Option.bind (J.member "error" r) (J.member "message")) J.to_string_opt with
+  | Some msg ->
+    Alcotest.(check string) "message"
+      "Cq_parser: relation S has arity 2 but this atom has arity 1 at position 14 in \"Q :- R(x, \
+       y), S(y)\""
+      msg
+  | None -> Alcotest.fail "error without message"
+
 let test_engine_never_raises () =
   let e = loaded () in
   (* wrong arity for an existing relation: Database.add raises inside the
@@ -306,6 +320,7 @@ let () =
           Alcotest.test_case "malformed lines" `Quick test_malformed;
           Alcotest.test_case "oversized payload" `Quick test_oversized;
           Alcotest.test_case "unknown and bad requests" `Quick test_unknown_and_bad;
+          Alcotest.test_case "query arity mismatch" `Quick test_query_arity_mismatch;
         ] );
       ( "cache",
         [

@@ -215,12 +215,11 @@ let check_outcome name cold warm =
     Array.iteri
       (fun i x -> Alcotest.(check (float 1e-9)) (Printf.sprintf "%s: x%d" name i) x b.solution.(i))
       a.solution
-  | Infeasible, Infeasible | Unbounded, Unbounded -> ()
+  | Infeasible, Infeasible -> ()
   | _ -> Alcotest.fail (name ^ ": cold and warm outcome kinds differ")
 
 let test_warm_vs_cold_deltas () =
   let fz, v = chain_frozen () in
-  Alcotest.(check bool) "dual applicable" true (Lp.Solvers.Float_simplex.frozen_dual_applicable fz);
   let warm = Lp.Solvers.Float_simplex.create_session fz in
   let open Lp.Frozen.Delta in
   (* One warm session solves the whole sequence; the cold side gets a fresh
@@ -271,7 +270,6 @@ let warm_equals_cold rng =
     (match (cold, session_solve warm delta) with
     | Optimal a, Optimal b -> if Float.abs (a.objective -. b.objective) > 1e-7 then ok := false
     | Infeasible, Infeasible -> ()
-    | Unbounded, Unbounded -> ()
     | _ -> ok := false)
   done;
   !ok
