@@ -587,8 +587,8 @@ let basis_json snap0 snap1 =
     (get snap1 "simplex.eta_peak")
     (delta "simplex.refactors") ftran_frac
 
-let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = false)
-    ?(metrics = false) ?trace scale json =
+let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = false) ?trace scale
+    json =
   if trace <> None then Obs.Sink.install ();
   (* [--metrics] arms the metrics plane for the whole run (no span
      buffering): the CI overhead gate diffs session_s with and without it. *)
@@ -596,17 +596,13 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
   let rng = Random.State.make [| 808 |] in
   let q = Queries.q2_chain () in
   let regime = if dense then "dense joins" else "sparse joins" in
-  let mk_session db =
-    if force_shared then Session.create ~basis ~dense_rows_threshold:max_int set q db
-    else Session.create ~basis set q db
-  in
   if not json then
     header
       (Printf.sprintf
          "Ranking batch: one warm session vs cold per-tuple solves (2-chain, set, %s, jobs=%d)"
          regime jobs)
-      [ "tuples"; "witnesses"; "rows"; "ranked"; "strategy"; "t_cold"; "t_session"; "t_par";
-        "speedup"; "par_speedup"; "identical" ];
+      [ "tuples"; "witnesses"; "rows"; "ranked"; "t_cold"; "t_session"; "t_par"; "speedup";
+        "par_speedup"; "identical" ];
   let entries = ref [] in
   List.iter
     (fun count ->
@@ -615,35 +611,29 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
          few witnesses, so the cold path's per-tuple witness enumeration,
          encoding and presolve dominate — exactly the cost the session
          amortises.  Dense instances (--dense: domain ~ count/8) instead
-         multiply the witness count, blowing up the shared super-model's
-         row count until each warm pivot costs more than a cold per-tuple
-         solve — the crossover behind Session's dense-regime fallback; see
-         DESIGN.md for the trade-off. *)
+         multiply the witness count and with it the shared super-model's
+         row count, the axis along which a warm pivot grows costlier; the
+         session still wins at every size measured (BENCH.md). *)
       let domain = if dense then max 2 (count / 8) else max 4 (2 * count) in
       let specs = Datagen.Random_inst.specs_of_query q ~count in
       let db = Datagen.Random_inst.db rng ~domain specs in
       let witnesses = Eval.count q db in
       if witnesses > 0 then begin
         (* Row count of the raw shared super-model — the axis the dense
-           crossover and the strategy threshold are phrased in. *)
+           regime is phrased in. *)
         let rows =
           match Encode.shared_of_witnesses Encode.Ilp set q db (Eval.witnesses q db) with
           | Encode.Shared s -> Lp.Frozen.num_rows (Lp.Frozen.of_model s.Encode.smodel)
           | Encode.Shared_trivial | Encode.Shared_impossible -> 0
         in
         let cold, t_cold = time (fun () -> cold_ranking set q db) in
-        let session = mk_session db in
-        let strategy =
-          match Session.batch_strategy session with
-          | `Shared_delta -> "shared"
-          | `Cold_per_tuple -> "cold"
-        in
+        let session = Session.create ~basis set q db in
         let snap0 = Obs.Counter.snapshot () in
         let ranked, t_session = time (fun () -> Session.ranking session) in
         let snap1 = Obs.Counter.snapshot () in
         let par, t_par =
           if jobs > 1 then begin
-            let par_session = mk_session db in
+            let par_session = Session.create ~basis set q db in
             let par, t = time (fun () -> Session.ranking_par ~jobs par_session) in
             (Some par, t)
           end
@@ -666,8 +656,8 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
         in
         entries :=
           Printf.sprintf
-            "{\"tuples\":%d,\"witnesses\":%d,\"rows\":%d,\"ranked\":%d,\"strategy\":\"%s\",\"jobs\":%d,\"cold_s\":%.6f,\"session_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.2f,\"par_speedup\":%.2f,\"identical\":%b,\"phases\":{\"witnesses_s\":%.6f,\"encode_s\":%.6f,\"lint_s\":%.6f,\"prep_s\":%.6f,\"solve_s\":%.6f,\"questions\":%d}%s}"
-            tuples witnesses rows (List.length ranked) strategy jobs t_cold t_session t_par
+            "{\"tuples\":%d,\"witnesses\":%d,\"rows\":%d,\"ranked\":%d,\"jobs\":%d,\"cold_s\":%.6f,\"session_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.2f,\"par_speedup\":%.2f,\"identical\":%b,\"phases\":{\"witnesses_s\":%.6f,\"encode_s\":%.6f,\"lint_s\":%.6f,\"prep_s\":%.6f,\"solve_s\":%.6f,\"questions\":%d}%s}"
+            tuples witnesses rows (List.length ranked) jobs t_cold t_session t_par
             speedup par_speedup identical prof.Session.witnesses_s prof.Session.encode_s
             prof.Session.lint_s prof.Session.prep_s prof.Session.solve_s prof.Session.questions
             basis
@@ -679,7 +669,6 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
               string_of_int witnesses;
               string_of_int rows;
               string_of_int (List.length ranked);
-              strategy;
               fmt_time t_cold;
               fmt_time t_session;
               fmt_time t_par;
@@ -1005,8 +994,8 @@ let dense_arg =
     & flag
     & info [ "dense" ]
         ~doc:
-          "Shrink the join domain so witnesses multiply — the regime where the shared \
-           super-model loses to cold per-tuple solves (crossover measurement)")
+          "Shrink the join domain so witnesses multiply — the dense regime, where the shared \
+           super-model's row count grows fastest relative to the per-tuple programs")
 
 let trace_arg =
   Arg.(
@@ -1020,20 +1009,11 @@ let trace_arg =
 let basis_arg =
   Arg.(
     value
-    & opt (enum [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse) ]) `Auto
+    & opt (enum [ ("sparse", `Sparse); ("dense", `Dense) ]) `Sparse
     & info [ "basis" ] ~docv:"KERNEL"
         ~doc:
-          "Basis kernel for every session the benchmark opens: auto (= sparse LU), sparse, or \
+          "Basis kernel for every session the benchmark opens: sparse LU (the default), or \
            dense (the reference inverse, for before/after comparisons)")
-
-let force_shared_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "force-shared" ]
-        ~doc:
-          "Disable the dense-regime fallback (dense_rows_threshold = max_int) so the shared \
-           super-model path runs at any row count — how the crossover itself is measured")
 
 let metrics_arg =
   Arg.(
@@ -1048,12 +1028,11 @@ let metrics_arg =
 let ranking_cmd =
   Cmd.v (Cmd.info "ranking" ~doc:"responsibility ranking: warm session vs cold per-tuple solves")
     Term.(
-      const (fun scale json jobs dense basis force_shared metrics trace ->
+      const (fun scale json jobs dense basis metrics trace ->
           let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
-          run_ranking ~jobs ~dense ~basis ~force_shared ~metrics ?trace scale json;
+          run_ranking ~jobs ~dense ~basis ~metrics ?trace scale json;
           0)
-      $ scale_arg $ json_arg $ jobs_arg $ dense_arg $ basis_arg $ force_shared_arg
-      $ metrics_arg $ trace_arg)
+      $ scale_arg $ json_arg $ jobs_arg $ dense_arg $ basis_arg $ metrics_arg $ trace_arg)
 
 let run_all scale =
   run_table1 ();

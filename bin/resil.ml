@@ -414,10 +414,20 @@ let diverse_arg =
           "Reorder the family by greedy max-min symmetric difference before truncating, so \
            a $(b,-n) prefix spreads over the family instead of clustering")
 
+(* A negative job count is a usage error (exit 124), not a crash in
+   [Lp.Pool.create] or a silent sequential run. *)
+let non_negative_int =
+  let parse s =
+    match Arg.(conv_parser int) s with
+    | Ok n when n < 0 -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %d" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.(conv_printer int))
+
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt non_negative_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Domains to spread the solves over (0 = all recommended domains). The output is \
@@ -654,7 +664,7 @@ let responsibility_cmd =
 (* ----- rank -------------------------------------------------------------- *)
 
 let rank_cmd =
-  let run data bag exact lint all json jobs basis trace stats metrics runlog query =
+  let run data bag exact lint all json jobs trace stats metrics runlog query =
     with_telemetry ~metrics ~runlog ~trace ~stats "resil.rank" @@ fun () ->
     let db = load_db data in
     match parse_query db query with
@@ -667,7 +677,7 @@ let rank_cmd =
       (* One session: witnesses, encoding and presolve are paid once, and
          every tuple's ILP[RSP*] is a warm-started delta-solve — spread
          over [jobs] domains when asked (output is identical). *)
-      let session = Session.create ~exact ~basis sem q db in
+      let session = Session.create ~exact sem q db in
       (* Always the pool path — at [jobs = 1] it degenerates to the
          sequential loop but emits the same telemetry shape, so --stats
          output is schema-identical for every N. *)
@@ -730,27 +740,6 @@ let rank_cmd =
       end
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output") in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domains to spread the per-tuple solves over (0 = all recommended domains). The \
-             ranking is identical for every N.")
-  in
-  let basis =
-    let choice =
-      Arg.enum [ ("auto", `Auto); ("sparse", `Sparse); ("dense", `Dense) ]
-    in
-    Arg.(
-      value
-      & opt choice `Auto
-      & info [ "basis" ] ~docv:"KERNEL"
-          ~doc:
-            "Simplex basis kernel: $(b,sparse) LU (the default behind $(b,auto)) or the \
-             $(b,dense) reference inverse. The ranking is identical for either.")
-  in
   let query = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in
   Cmd.v
     (Cmd.info "rank"
@@ -761,7 +750,7 @@ let rank_cmd =
           resilience family and add each tuple's criticality (fraction of minimum \
           contingency sets containing it).")
     Term.(
-      const run $ data_arg $ bag_arg $ exact_arg $ lint_arg $ all_arg $ json $ jobs $ basis
+      const run $ data_arg $ bag_arg $ exact_arg $ lint_arg $ all_arg $ json $ jobs_arg
       $ trace_arg $ stats_arg $ metrics_arg $ runlog_arg $ query)
 
 (* ----- explain ----------------------------------------------------------- *)

@@ -4,7 +4,7 @@
    exact-rational simplex instantiates them unchanged. *)
 
 type stats = { factor_nnz : int; basis_nnz : int; etas : int; eta_nnz : int }
-type choice = [ `Auto | `Dense | `Sparse ]
+type choice = [ `Dense | `Sparse ]
 
 exception Singular
 

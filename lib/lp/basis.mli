@@ -28,10 +28,10 @@ type stats = {
   eta_nnz : int;  (** total entries stored in those etas *)
 }
 
-type choice = [ `Auto | `Dense | `Sparse ]
-(** Kernel selection, threaded through every solver entry point.  [`Auto]
-    resolves to the sparse LU kernel; [`Dense] forces the reference dense
-    inverse (differential testing, pathological fill). *)
+type choice = [ `Dense | `Sparse ]
+(** Kernel selection, threaded through every solver entry point.  The
+    default everywhere is [`Sparse] (the LU kernel); [`Dense] forces the
+    reference dense inverse, kept for differential testing. *)
 
 exception Singular
 (** Raised by {!S.refactor} when the basis is (numerically) singular.  The

@@ -37,15 +37,6 @@ module type S = sig
   val solve_session :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> session -> result
 
-  val solve_session_par :
-    ?node_limit:int ->
-    ?time_limit:float ->
-    ?delta:Frozen.Delta.t ->
-    ?par_depth:int ->
-    pool:Pool.t ->
-    session ->
-    result
-
   val relax :
     ?delta:Frozen.Delta.t -> session -> [ `Optimal of elt * elt array | `Infeasible | `Unbounded ]
 
@@ -112,7 +103,6 @@ module Make (F : Numeric.Field.S) = struct
 
   type session = {
     sfz : Frozen.t;
-    skernel : Basis.choice;  (* inherited by per-domain sessions in _par *)
     slp : Lp.session;
     mutable sext : (Frozen.Delta.t * Frozen.t) option;
         (* Cache of the last append extension: the delta whose appends were
@@ -121,13 +111,7 @@ module Make (F : Numeric.Field.S) = struct
            solve would re-copy the matrix every call. *)
   }
 
-  let create_session ?(kernel = `Auto) fz =
-    {
-      sfz = fz;
-      skernel = kernel;
-      slp = Lp.create_session ~kernel fz;
-      sext = None;
-    }
+  let create_session ?kernel fz = { sfz = fz; slp = Lp.create_session ?kernel fz; sext = None }
 
   (* The session's program with the delta's appends materialised (cached by
      append identity). *)
@@ -174,77 +158,6 @@ module Make (F : Numeric.Field.S) = struct
     done;
     !acc
 
-  (* One depth-first search over deltas against a warm LP session.  The
-     incumbent store and budgets are abstracted so the sequential solver
-     backs them with plain refs while the parallel solver shares atomics
-     across domains, and both run the {e same} traversal (children pushed in
-     the same order, same pruning, same rounding heuristic).
-
-     [tick] accounts one node and returns [false] when the node budget is
-     exhausted; [best]/[offer] read and propose incumbents; [on_solved]
-     fires per optimal relaxation (the callers use the first to record the
-     root).  With [frontier_depth], nodes reaching that depth are handed to
-     [defer] {e unsolved} instead of being explored — the parallel frontier.
-     Returns whether a budget stopped the search. *)
-  let dfs ~lp ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
-      ~on_solved ?frontier_depth ?(defer = fun _ -> ()) stack0 =
-    let objective_at = frozen_objective_at fz nvars in
-    (* Primal heuristic: ceil every positive integer variable (in covering
-       programs this is always feasible), validated against the base delta —
-       branching fixes are search artifacts a root-feasible point need not
-       respect, and rounding preserves 0/1 fixes anyway. *)
-    let try_rounding solution =
-      let x = Array.copy solution in
-      List.iter
-        (fun v -> x.(v) <- (if F.to_float solution.(v) > 1e-6 then F.one else F.zero))
-        int_vars;
-      if Frozen.check_feasible ~delta:base_delta fz (Array.map F.to_float x) then
-        offer (objective_at x) x
-    in
-    let hit_limit = ref false in
-    let stack = ref stack0 in
-    let continue = ref true in
-    while !continue do
-      match !stack with
-      | [] -> continue := false
-      | (node_delta, depth) :: rest -> (
-        stack := rest;
-        match frontier_depth with
-        | Some d when depth >= d -> defer node_delta
-        | _ ->
-          if timed_out () || not (tick ()) then begin
-            hit_limit := true;
-            Obs.Counter.incr c_budget_hits;
-            continue := false
-          end
-          else begin
-            Obs.Counter.incr c_nodes;
-            Obs.Counter.record_max c_max_depth depth;
-            match Lp.session_solve lp node_delta with
-            | Lp.Infeasible -> Obs.Counter.incr c_infeasible_nodes
-            | Lp.Optimal { objective; solution } ->
-              on_solved objective solution;
-              let bound = strengthen pure_int_obj objective in
-              let pruned =
-                match best () with Some inc -> F.compare bound inc >= 0 | None -> false
-              in
-              if pruned then Obs.Counter.incr c_pruned
-              else begin
-                match most_fractional solution int_vars with
-                | None ->
-                  Obs.Counter.incr c_integral_leaves;
-                  offer objective solution
-                | Some v ->
-                  try_rounding solution;
-                  stack :=
-                    (Frozen.Delta.fix v 0 node_delta, depth + 1)
-                    :: (Frozen.Delta.fix v 1 node_delta, depth + 1)
-                    :: !stack
-              end
-          end)
-    done;
-    !hit_limit
-
   let status_of ~incumbent ~hit_limit =
     match (incumbent, hit_limit) with
     | Some _, false -> Optimal
@@ -252,25 +165,21 @@ module Make (F : Numeric.Field.S) = struct
     | None, true -> Limit_no_solution
     | None, false -> Infeasible
 
-  (* A "first optimal relaxation" recorder; the first solved node of a tree
-     is always its root. *)
-  let root_recorder int_vars =
-    let root_objective = ref None in
-    let root_integral = ref false in
-    let on_solved obj sol =
-      if !root_objective = None then begin
-        root_objective := Some obj;
-        root_integral := Lp.integral_on sol int_vars
-      end
-    in
-    (root_objective, root_integral, on_solved)
-
   (* Lifetime simplex work of a session's warm LP engine. *)
   let session_work sess = (Lp.session_pivots sess.slp, Lp.session_refactors sess.slp)
 
+  (* One depth-first search over deltas against the session's warm LP
+     engine: children are pushed fix-0 first, a node is pruned when its
+     (strengthened) bound cannot beat the incumbent, and every branching
+     node offers a rounded point as a candidate incumbent.  The first solved
+     node is the root. *)
   let solve_session ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) sess =
     let fz = extended sess delta in
     let nvars, int_vars, pure_int_obj = fz_meta fz in
+    (* [fz] is already the extended program, so the rounding check gets the
+       delta with its appends stripped — passing them again would apply
+       them twice. *)
+    let base_delta = Frozen.Delta.clear_appends delta in
     let span0 = Obs.Trace.begin_ () in
     let piv0, ref0 = session_work sess in
     let t0 = Clock.now () in
@@ -295,22 +204,66 @@ module Make (F : Numeric.Field.S) = struct
         incumbent_obj := Some obj;
         incumbent_sol := Some sol
     in
-    let root_objective, root_integral, on_solved = root_recorder int_vars in
-    (* [fz] is already the extended program, so the rounding check gets the
-       delta with its appends stripped — passing them again would apply
-       them twice. *)
-    let hit_limit =
-      dfs ~lp:sess.slp ~fz
-        ~base_delta:(Frozen.Delta.clear_appends delta)
-        ~nvars ~int_vars ~pure_int_obj
-        ~best:(fun () -> !incumbent_obj)
-        ~offer ~tick ~timed_out ~on_solved
-        [ (delta, 0) ]
+    let root_objective = ref None in
+    let root_integral = ref false in
+    (* Primal heuristic: ceil every positive integer variable (in covering
+       programs this is always feasible), validated against the base delta —
+       branching fixes are search artifacts a root-feasible point need not
+       respect, and rounding preserves 0/1 fixes anyway. *)
+    let try_rounding solution =
+      let x = Array.copy solution in
+      List.iter
+        (fun v -> x.(v) <- (if F.to_float solution.(v) > 1e-6 then F.one else F.zero))
+        int_vars;
+      if Frozen.check_feasible ~delta:base_delta fz (Array.map F.to_float x) then
+        offer (frozen_objective_at fz nvars x) x
     in
+    let hit_limit = ref false in
+    let stack = ref [ (delta, 0) ] in
+    let continue = ref true in
+    while !continue do
+      match !stack with
+      | [] -> continue := false
+      | (node_delta, depth) :: rest ->
+        stack := rest;
+        if timed_out () || not (tick ()) then begin
+          hit_limit := true;
+          Obs.Counter.incr c_budget_hits;
+          continue := false
+        end
+        else begin
+          Obs.Counter.incr c_nodes;
+          Obs.Counter.record_max c_max_depth depth;
+          match Lp.session_solve sess.slp node_delta with
+          | Lp.Infeasible -> Obs.Counter.incr c_infeasible_nodes
+          | Lp.Optimal { objective; solution } ->
+            if !root_objective = None then begin
+              root_objective := Some objective;
+              root_integral := Lp.integral_on solution int_vars
+            end;
+            let bound = strengthen pure_int_obj objective in
+            let pruned =
+              match !incumbent_obj with Some inc -> F.compare bound inc >= 0 | None -> false
+            in
+            if pruned then Obs.Counter.incr c_pruned
+            else begin
+              match most_fractional solution int_vars with
+              | None ->
+                Obs.Counter.incr c_integral_leaves;
+                offer objective solution
+              | Some v ->
+                try_rounding solution;
+                stack :=
+                  (Frozen.Delta.fix v 0 node_delta, depth + 1)
+                  :: (Frozen.Delta.fix v 1 node_delta, depth + 1)
+                  :: !stack
+            end
+        end
+    done;
     let piv1, ref1 = session_work sess in
     Obs.Trace.end_ span0 "bb.solve";
     {
-      status = status_of ~incumbent:!incumbent_obj ~hit_limit;
+      status = status_of ~incumbent:!incumbent_obj ~hit_limit:!hit_limit;
       objective = !incumbent_obj;
       solution = !incumbent_sol;
       nodes = !nodes;
@@ -319,117 +272,6 @@ module Make (F : Numeric.Field.S) = struct
       pivots = piv1 - piv0;
       refactors = ref1 - ref0;
     }
-
-  (* Parallel exploration of the top of the tree: the session's own engine
-     expands breadth (depth-first, but only to [par_depth] levels), the
-     resulting frontier subtrees are drained by the pool — one fresh
-     warm-startable session per participating domain, all against the same
-     shared frozen arrays — and bound updates flow through an atomic
-     incumbent every domain prunes against.  Node and time budgets are
-     shared: one atomic node counter, one deadline. *)
-  let solve_session_par ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) ?(par_depth = 3)
-      ~pool sess =
-    if Pool.jobs pool <= 1 || par_depth <= 0 then
-      solve_session ?node_limit ?time_limit ~delta sess
-    else begin
-      let fz = extended sess delta in
-      let base_delta = Frozen.Delta.clear_appends delta in
-      let nvars, int_vars, pure_int_obj = fz_meta fz in
-      let span0 = Obs.Trace.begin_ () in
-      let piv0, ref0 = session_work sess in
-      (* Work done by the per-domain engines of phase 2; drained into these
-         totals as each frontier task completes. *)
-      let par_pivots = Atomic.make 0 in
-      let par_refactors = Atomic.make 0 in
-      let t0 = Clock.now () in
-      let timed_out () =
-        match time_limit with Some limit -> Clock.elapsed t0 > limit | None -> false
-      in
-      let nodes = Atomic.make 0 in
-      let tick () =
-        match node_limit with
-        | None ->
-          Atomic.incr nodes;
-          true
-        | Some l ->
-          let n = Atomic.fetch_and_add nodes 1 in
-          if n >= l then begin
-            (* Undo the overshoot so the reported count stays within the
-               budget regardless of how many domains raced here. *)
-            ignore (Atomic.fetch_and_add nodes (-1));
-            false
-          end
-          else true
-      in
-      let incumbent = Atomic.make None in
-      let best () = Option.map fst (Atomic.get incumbent) in
-      let rec offer obj sol =
-        let cur = Atomic.get incumbent in
-        match cur with
-        | Some (inc, _) when F.compare obj inc >= 0 -> ()
-        | _ ->
-          if Atomic.compare_and_set incumbent cur (Some (obj, sol)) then
-            Obs.Counter.incr c_incumbents
-          else offer obj sol
-      in
-      let root_objective, root_integral, on_solved = root_recorder int_vars in
-      (* Phase 1: expand the top [par_depth] levels on the session's own
-         engine; nodes reaching the cutoff become the frontier. *)
-      let frontier = ref [] in
-      let hit1 =
-        dfs ~lp:sess.slp ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
-          ~on_solved ~frontier_depth:par_depth
-          ~defer:(fun d -> frontier := d :: !frontier)
-          [ (delta, 0) ]
-      in
-      let frontier = Array.of_list (List.rev !frontier) in
-      let hit_limit = Atomic.make hit1 in
-      if (not hit1) && Array.length frontier > 0 then begin
-        (* Phase 2: one subtree per frontier delta.  A domain joining the
-           batch opens its own session against the shared frozen program;
-           a task observing an exhausted budget returns without
-           exploring. *)
-        ignore
-          (Pool.run_init pool
-             (* Domains open their session on the BASE program: frontier
-                deltas carry the appends, and each domain's LP session
-                absorbs them exactly once on its first solve.  Opening on
-                the extended program would extend again. *)
-             ~init:(fun () -> create_session ~kernel:sess.skernel sess.sfz)
-             ~tasks:(Array.length frontier)
-             (fun dom_sess i ->
-               if not (Atomic.get hit_limit) then begin
-                 let dp0, dr0 = session_work dom_sess in
-                 let hit =
-                   dfs ~lp:dom_sess.slp ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best
-                     ~offer ~tick ~timed_out
-                     ~on_solved:(fun _ _ -> ())
-                     [ (frontier.(i), par_depth) ]
-                 in
-                 let dp1, dr1 = session_work dom_sess in
-                 ignore (Atomic.fetch_and_add par_pivots (dp1 - dp0));
-                 ignore (Atomic.fetch_and_add par_refactors (dr1 - dr0));
-                 if hit then Atomic.set hit_limit true
-               end))
-      end;
-      let incumbent_obj, incumbent_sol =
-        match Atomic.get incumbent with
-        | Some (obj, sol) -> (Some obj, Some sol)
-        | None -> (None, None)
-      in
-      let piv1, ref1 = session_work sess in
-      Obs.Trace.end_ span0 "bb.solve";
-      {
-        status = status_of ~incumbent:incumbent_obj ~hit_limit:(Atomic.get hit_limit);
-        objective = incumbent_obj;
-        solution = incumbent_sol;
-        nodes = Atomic.get nodes;
-        root_objective = !root_objective;
-        root_integral = !root_integral;
-        pivots = piv1 - piv0 + Atomic.get par_pivots;
-        refactors = ref1 - ref0 + Atomic.get par_refactors;
-      }
-    end
 
   let solve_frozen ?node_limit ?time_limit ?delta fz =
     solve_session ?node_limit ?time_limit ?delta (create_session fz)

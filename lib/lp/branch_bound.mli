@@ -14,7 +14,10 @@
     Every solve runs on a frozen program through a warm {!Simplex} session;
     {!S} is the field-generic surface, and {!Solvers.engine} packs an
     instantiation with a session so callers write one code path for the
-    float and exact fields. *)
+    float and exact fields.  The search is sequential, one tree on one
+    engine; parallelism lives a level up, where independent questions
+    (a ranking's tuples, an enumeration's subspaces) each get their own
+    engine over the same frozen arrays. *)
 
 module type S = sig
   (** {1 The field} *)
@@ -56,8 +59,7 @@ module type S = sig
             variables — the paper's LP=ILP condition observed in practice. *)
     pivots : int;
         (** Simplex pivots spent on this solve, attributed through the warm
-            session's lifetime totals (parallel solves include the
-            per-domain engines). *)
+            session's lifetime totals. *)
     refactors : int;  (** Basis refactorisations, attributed like [pivots]. *)
   }
 
@@ -74,8 +76,7 @@ module type S = sig
 
   val create_session : ?kernel:Basis.choice -> Frozen.t -> session
   (** [kernel] selects the basis representation of the warm LP session
-      ([`Auto] = sparse LU, see {!Basis.choice}); {!solve_session_par}'s
-      per-domain sessions inherit it. *)
+      (default [`Sparse], see {!Basis.choice}). *)
 
   val solve_session :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> session -> result
@@ -87,28 +88,6 @@ module type S = sig
       absorbs the appends (see {!Simplex.session_solve}) and [solution] is
       indexed by extended variable; appended integer columns must be
       binary-compatible (upper bound 1 or none). *)
-
-  val solve_session_par :
-    ?node_limit:int ->
-    ?time_limit:float ->
-    ?delta:Frozen.Delta.t ->
-    ?par_depth:int ->
-    pool:Pool.t ->
-    session ->
-    result
-  (** {!solve_session} with the two children of every node in the top
-      [par_depth] levels (default 3) explored in parallel: the session's own
-      engine expands that prefix of the tree, the resulting frontier
-      subtrees are drained by the {!Pool} — each participating domain opens
-      its own warm-startable session against the {e same} shared frozen
-      arrays — and bound updates flow through an atomic incumbent all
-      domains prune against.  Node and time budgets are shared across
-      domains (one atomic node counter, one deadline), so the contract of
-      {!solve_session} is preserved; without budgets the returned status and
-      objective are identical to the sequential solve (the optimum is
-      unique; the optimal {e point} and node count may differ, since
-      pruning order depends on incumbent arrival).  With a 1-domain pool or
-      [par_depth = 0] this {e is} [solve_session], bit for bit. *)
 
   val relax :
     ?delta:Frozen.Delta.t -> session -> [ `Optimal of elt * elt array | `Infeasible | `Unbounded ]

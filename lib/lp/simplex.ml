@@ -54,7 +54,7 @@ module Make (F : Numeric.Field.S) = struct
   let make_kernel (choice : Basis.choice) ~nrows ~col : basis_kernel =
     match choice with
     | `Dense -> K ((module Dense_kernel), Dense_kernel.create ~nrows ~col)
-    | `Sparse | `Auto -> K ((module Sparse_kernel), Sparse_kernel.create ~nrows ~col)
+    | `Sparse -> K ((module Sparse_kernel), Sparse_kernel.create ~nrows ~col)
 
   let k_refactor kern basis = match kern with K ((module B), k) -> B.refactor k basis
   let k_ftran kern entries = match kern with K ((module B), k) -> B.ftran k entries
@@ -67,7 +67,6 @@ module Make (F : Numeric.Field.S) = struct
   let k_should_refactor kern = match kern with K ((module B), k) -> B.should_refactor k
   let k_etas kern = match kern with K ((module B), k) -> B.etas k
   let k_stats kern = match kern with K ((module B), k) -> B.stats k
-  let kernel_name kern = match kern with K ((module B), _) -> B.name
 
   let observe_factor kern =
     if Obs.Sink.active () then begin
@@ -176,7 +175,7 @@ module Make (F : Numeric.Field.S) = struct
     done;
     k_refactor s.skern s.sbasis
 
-  let create_state ?(kernel = `Auto) fz =
+  let create_state ?(kernel = `Sparse) fz =
     let nstruct = Frozen.num_vars fz in
     let nrows = Frozen.num_rows fz in
     let ncols = nstruct + nrows in
@@ -721,7 +720,7 @@ module Make (F : Numeric.Field.S) = struct
     mutable ses_abs : Frozen.Delta.t;  (* appends the state was compiled for *)
   }
 
-  let create_session ?(kernel = `Auto) fz =
+  let create_session ?(kernel = `Sparse) fz =
     {
       ses_base = fz;
       ses_choice = kernel;
@@ -735,7 +734,6 @@ module Make (F : Numeric.Field.S) = struct
      monotone. *)
   let session_pivots s = s.ses_st.stotal_pivots
   let session_refactors s = s.ses_st.srefactors
-  let session_kernel s = kernel_name s.ses_st.skern
 
   let session_absorb sess delta =
     let old = sess.ses_st in

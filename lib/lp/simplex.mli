@@ -46,7 +46,7 @@ module Make (F : Numeric.Field.S) : sig
   type session
 
   val create_session : ?kernel:Basis.choice -> Frozen.t -> session
-  (** The session's basis kernel is fixed at creation ([`Auto] = sparse
+  (** The session's basis kernel is fixed at creation (default [`Sparse]
       LU; [`Dense] forces the reference inverse, used by the
       [dense_vs_sparse_basis] differential oracle). *)
 
@@ -58,9 +58,6 @@ module Make (F : Numeric.Field.S) : sig
 
   val session_refactors : session -> int
   (** Lifetime basis-refactorisation count of the session. *)
-
-  val session_kernel : session -> string
-  (** Name of the session's basis kernel (["sparse-lu"] or ["dense"]). *)
 
   val session_solve : session -> Frozen.Delta.t -> outcome
   (** Solve the frozen program under the delta, warm-starting from

@@ -51,8 +51,6 @@ type rsp_answer = {
   rsp_stats : stats;
 }
 
-type strategy = [ `Shared_delta | `Cold_per_tuple ]
-
 type profile = {
   witnesses_s : float;
   encode_s : float;
@@ -106,13 +104,13 @@ let presolved ~presolve model =
   else Some (raw, None)
 
 (* [presolved], plus the warm engine and the structural certificate. *)
-let prep_of_model ~exact ~presolve ~kernel model =
+let prep_of_model ?kernel ~exact ~presolve model =
   Option.map
     (fun (fz, vm) ->
       {
         pfz = fz;
         pvm = vm;
-        pengine = Lp.Solvers.engine ~exact ~kernel fz;
+        pengine = Lp.Solvers.engine ~exact ?kernel fz;
         pcert = Obs.Trace.with_span "session.struct" (fun () -> Lp.Struct.analyze fz);
         pint = Lp.Frozen.integer_vars fz;
       })
@@ -121,8 +119,8 @@ let prep_of_model ~exact ~presolve ~kernel model =
 type core = {
   cshared : Encode.shared;
   cprep : prep option Lazy.t;
-      (* presolve + engine, paid only if a shared-program solve happens —
-         a dense-regime session that only ever ranks never forces this *)
+      (* presolve + engine, paid by the first question — a session opened
+         only for lint or analysis never forces this *)
   cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the unreduced frozen program *)
 }
 
@@ -131,27 +129,14 @@ type state = Sfalse | Snone | Sactive of core
 type t = {
   sdb : Database.t;
   ssem : Problem.semantics;
-  squery : Cq.t;
-  switnesses : Eval.witness list;
   sexact : bool;
-  spresolve : bool;
   sbasis : Lp.Basis.choice;
-  srelax : Encode.relaxation;
-  sstrategy : strategy;
   state : state;
   sacc : acc;
 }
 
-(* Re-measured with the sparse LU kernel (BENCH.md, PR 7): the shared
-   batch now wins at every measured size of the dense q2_chain family —
-   2.0x at 2.6k rows, 3.8x at 5.1k, 4.2x at 10.3k — where the dense
-   inverse lost from ~1.9k rows on (the PR 3 crossover behind the old
-   1700 default).  No crossover was observed up to ~10^4 rows; the
-   threshold now only guards the regime beyond what was measured. *)
-let default_dense_rows_threshold = 10_000
-
-let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basis = `Auto)
-    ?(dense_rows_threshold = default_dense_rows_threshold) ?witnesses semantics q db =
+let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
+    ?witnesses semantics q db =
   let acc = fresh_acc () in
   let tw0 = Lp.Clock.now () in
   let witnesses =
@@ -161,57 +146,38 @@ let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basi
   in
   acc.a_witnesses <- Lp.Clock.elapsed tw0;
   let te0 = Lp.Clock.now () in
-  let state, strategy =
+  let state =
     Obs.Trace.with_span "session.encode" (fun () ->
         match Encode.shared_of_witnesses relaxation semantics q db witnesses with
-        | Encode.Shared_trivial -> (Sfalse, `Shared_delta)
-        | Encode.Shared_impossible -> (Snone, `Shared_delta)
+        | Encode.Shared_trivial -> Sfalse
+        | Encode.Shared_impossible -> Snone
         | Encode.Shared shared ->
           let raw = Lp.Frozen.of_model shared.Encode.smodel in
-          let strategy =
-            if Lp.Frozen.num_rows raw > dense_rows_threshold then `Cold_per_tuple
-            else `Shared_delta
-          in
-          ( Sactive
-              {
-                cshared = shared;
-                cprep =
-                  (* Timed inside the thunk so the cost lands on whichever
-                     question actually forces the shared prep. *)
-                  lazy
-                    (Obs.Trace.with_span "session.prep" (fun () ->
-                         let t0 = Lp.Clock.now () in
-                         let p =
-                           prep_of_model ~exact ~presolve ~kernel:basis shared.Encode.smodel
-                         in
-                         acc.a_prep <- acc.a_prep +. Lp.Clock.elapsed t0;
-                         p));
-                cdiags =
-                  lazy
-                    (Obs.Trace.with_span "session.lint" (fun () ->
-                         let t0 = Lp.Clock.now () in
-                         let d = Lp.Lint.lint raw in
-                         acc.a_lint <- acc.a_lint +. Lp.Clock.elapsed t0;
-                         d));
-              },
-            strategy ))
+          Sactive
+            {
+              cshared = shared;
+              cprep =
+                (* Timed inside the thunk so the cost lands on whichever
+                   question actually forces the shared prep. *)
+                lazy
+                  (Obs.Trace.with_span "session.prep" (fun () ->
+                       let t0 = Lp.Clock.now () in
+                       let p =
+                         prep_of_model ~exact ~presolve ~kernel:basis shared.Encode.smodel
+                       in
+                       acc.a_prep <- acc.a_prep +. Lp.Clock.elapsed t0;
+                       p));
+              cdiags =
+                lazy
+                  (Obs.Trace.with_span "session.lint" (fun () ->
+                       let t0 = Lp.Clock.now () in
+                       let d = Lp.Lint.lint raw in
+                       acc.a_lint <- acc.a_lint +. Lp.Clock.elapsed t0;
+                       d));
+            })
   in
   acc.a_encode <- Lp.Clock.elapsed te0;
-  {
-    sdb = db;
-    ssem = semantics;
-    squery = q;
-    switnesses = witnesses;
-    sexact = exact;
-    spresolve = presolve;
-    sbasis = basis;
-    srelax = relaxation;
-    sstrategy = strategy;
-    state;
-    sacc = acc;
-  }
-
-let batch_strategy t = t.sstrategy
+  { sdb = db; ssem = semantics; sexact = exact; sbasis = basis; state; sacc = acc }
 
 (* --- Delta plumbing ------------------------------------------------------- *)
 
@@ -327,7 +293,7 @@ let rsp_delta core t =
 (* Certificate-aware dispatch + branch-and-bound under the delta against
    [engine] — the submitter's warm engine on the sequential paths, a
    per-domain engine over the same frozen arrays on the parallel ones, a
-   fresh one on the cold per-question path ({!cold_solve}).
+   fresh one on the cold one-shot path ({!cold_solve}).
 
    Every solve is relax-first: one warm-started LP relaxation under the
    delta.  When its optimum is integral on the integer variables it {e is}
@@ -500,10 +466,9 @@ let rsp_shared ?node_limit ?time_limit core prep engine tid =
    under the empty delta.  [prep_time] covers everything before the solve.
    The per-question encoding is deliberately not the session's shared
    program: one question never amortises the larger shared model. *)
-let cold_solve ?node_limit ?time_limit ?(kernel = `Auto) ~op ~exact ~presolve ~answer
-    (enc : Encode.encoding) =
+let cold_solve ?node_limit ?time_limit ~op ~exact ~presolve ~answer (enc : Encode.encoding) =
   let tp0 = Lp.Clock.now () in
-  match prep_of_model ~exact ~presolve ~kernel enc.Encode.model with
+  match prep_of_model ~exact ~presolve enc.Encode.model with
   | None -> No_contingency
   | Some prep -> (
     let prep_time = Lp.Clock.elapsed tp0 in
@@ -520,35 +485,14 @@ let cold_lp ~exact ~presolve (enc : Encode.encoding) =
   | None -> None
   | Some (fz, vm) -> relax_point vm (Lp.Solvers.engine ~exact fz) Lp.Frozen.Delta.empty
 
-(* The cold per-tuple path the dense regime falls back to: what
-   Solve.responsibility runs, minus the witness re-enumeration (the session
-   already owns the witness list).  Reads only immutable session state and
-   the database, so parallel rankings run it from many domains. *)
-let cold_responsibility ?node_limit ?time_limit t tid =
-  match Encode.rsp_of_witnesses t.srelax t.ssem t.squery t.sdb t.switnesses tid with
-  | Encode.Trivial _ -> Query_false
-  | Encode.Impossible -> No_contingency
-  | Encode.Encoded enc ->
-    cold_solve ?node_limit ?time_limit ~kernel:t.sbasis ~op:"responsibility" ~exact:t.sexact
-      ~presolve:t.spresolve enc
-      ~answer:(fun rsp_value responsibility_set rsp_stats ->
-        { rsp_value; responsibility_set; rsp_stats })
-
 let responsibility_body ?node_limit ?time_limit t tid =
   match t.state with
   | Sfalse -> Query_false
   | Snone -> No_contingency
   | Sactive core -> (
-    match t.sstrategy with
-    | `Cold_per_tuple ->
-      (* Skip tuples outside every witness without an encode, as the shared
-         path does. *)
-      if rsp_delta core tid = None then No_contingency
-      else cold_responsibility ?node_limit ?time_limit t tid
-    | `Shared_delta -> (
-      match Lazy.force core.cprep with
-      | None -> No_contingency
-      | Some prep -> rsp_shared ?node_limit ?time_limit core prep prep.pengine tid))
+    match Lazy.force core.cprep with
+    | None -> No_contingency
+    | Some prep -> rsp_shared ?node_limit ?time_limit core prep prep.pengine tid)
 
 let responsibility ?node_limit ?time_limit t tid =
   note_question t;
@@ -595,12 +539,9 @@ let ranking ?node_limit ?time_limit t =
   | Sfalse | Snone -> []
   | Sactive core ->
     let solve_one =
-      match t.sstrategy with
-      | `Cold_per_tuple -> fun tid -> cold_responsibility ?node_limit ?time_limit t tid
-      | `Shared_delta -> (
-        match Lazy.force core.cprep with
-        | None -> fun _ -> No_contingency
-        | Some prep -> fun tid -> rsp_shared ?node_limit ?time_limit core prep prep.pengine tid)
+      match Lazy.force core.cprep with
+      | None -> fun _ -> No_contingency
+      | Some prep -> fun tid -> rsp_shared ?node_limit ?time_limit core prep prep.pengine tid
     in
     merge_ranking
       (record_rankings t (List.map (fun tid -> (tid, solve_one tid)) (candidates core t.sdb)))
@@ -617,26 +558,17 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
     if tasks = 0 then []
     else begin
       let outcomes =
-        match t.sstrategy with
-        | `Cold_per_tuple ->
-          (* Every task is a self-contained cold solve against read-only
-             session state. *)
+        match Lazy.force core.cprep with
+        | None -> Array.make tasks No_contingency
+        | Some prep ->
+          (* Each participating domain opens its own warm engine against
+             the shared presolved frozen arrays and drains a chunk of
+             per-tuple delta-solves. *)
           Lp.Pool.with_pool ~jobs (fun pool ->
-              Lp.Pool.run pool ~tasks (fun i ->
-                  cold_responsibility ?node_limit ?time_limit t cands.(i)))
-        | `Shared_delta -> (
-          match Lazy.force core.cprep with
-          | None -> Array.make tasks No_contingency
-          | Some prep ->
-            (* Each participating domain opens its own warm engine against
-               the shared presolved frozen arrays and drains a chunk of
-               per-tuple delta-solves. *)
-            Lp.Pool.with_pool ~jobs (fun pool ->
-                Lp.Pool.run_init pool
-                  ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
-                  ~tasks
-                  (fun engine i ->
-                    rsp_shared ?node_limit ?time_limit core prep engine cands.(i))))
+              Lp.Pool.run_init pool
+                ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
+                ~tasks
+                (fun engine i -> rsp_shared ?node_limit ?time_limit core prep engine cands.(i)))
       in
       merge_ranking
         (record_rankings t

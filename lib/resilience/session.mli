@@ -17,19 +17,14 @@ open! Relalg
       tuple, so the whole batch reuses one matrix, one presolve, and the
       dual-simplex basis of the previous optimum.
 
-    {b Dense regime.}  The shared super-model has one row per (witness,
+    {b Dense instances.}  The shared super-model has one row per (witness,
     member) pair plus indicator links, so on dense instances (many large
-    witnesses) it grows far past the per-tuple programs it replaces.
+    witnesses) it grows well past the per-tuple programs it replaces.
     Under the sparse LU basis kernel a warm pivot costs nonzeros, not
-    rows, and the shared batch wins at every size measured so far (PR 7:
-    up to ~10^4 rows, 1.4-4.2x over cold); the row threshold only guards
-    the unmeasured regime beyond that.  When the raw shared program
-    exceeds it (override with [dense_rows_threshold]) the session
-    switches {!responsibility}, {!ranking} and {!ranking_par} to the cold
-    per-tuple path: a fresh ILP[RSP*](t) encode + freeze + presolve +
-    solve per tuple, exactly what {!Solve.responsibility} runs, minus the
-    witness re-enumeration.  {!resilience} and the relaxation views always
-    use the shared program (they are one solve, not a batch).
+    rows, and the shared batch beat cold per-tuple solves at every size
+    measured (up to ~10^4 rows, 1.4-4.2x; BENCH.md), so every question a
+    session answers runs on the shared program.  The one-shot per-question
+    encoding is {!cold_solve}, what {!Solve} runs for a single question.
 
     Answers agree with the one-shot {!Solve} functions; the differential
     test suite checks this per tuple on random instances, float and exact. *)
@@ -55,10 +50,10 @@ type stats = {
       (** Seconds of {e pure} branch-and-bound for this question — excludes
           encoding, freezing and presolve (see [prep_time]). *)
   prep_time : float;
-      (** Seconds of per-question preparation: encode + freeze + presolve +
-          engine build on the cold per-tuple path.  [0.] on the shared-delta
-          path, where preparation is paid once per session and reported by
-          {!profile} instead. *)
+      (** Seconds of per-question preparation: freeze + presolve +
+          engine build on the one-shot path ({!cold_solve}).  [0.] on a
+          session's delta-solves, where preparation is paid once per
+          session and reported by {!profile} instead. *)
   pivots : int;  (** Simplex pivots spent on this question. *)
   refactors : int;  (** Basis refactorisations spent on this question. *)
 }
@@ -80,16 +75,11 @@ type rsp_answer = {
   rsp_stats : stats;
 }
 
-type strategy = [ `Shared_delta | `Cold_per_tuple ]
-(** How the session batches per-tuple responsibility solves. *)
-
 type profile = {
   witnesses_s : float;  (** Witness enumeration (the relational join). *)
   encode_s : float;  (** Shared-program encode + freeze, in {!create}. *)
   lint_s : float;  (** {!Lp.Lint} over the frozen program (lazy). *)
-  prep_s : float;
-      (** Presolve + engine build: the session's own lazy shared prep plus
-          the per-question prep of every cold per-tuple solve. *)
+  prep_s : float;  (** Presolve + engine build: the session's lazy shared prep. *)
   solve_s : float;  (** Pure branch-and-bound time summed over questions. *)
   questions : int;  (** Questions asked (each ranking candidate counts). *)
 }
@@ -102,7 +92,6 @@ val create :
   ?presolve:bool ->
   ?relaxation:Encode.relaxation ->
   ?basis:Lp.Basis.choice ->
-  ?dense_rows_threshold:int ->
   ?witnesses:Eval.witness list ->
   Problem.semantics ->
   Cq.t ->
@@ -112,28 +101,23 @@ val create :
     order): the enumeration join is skipped and the caller's list is
     encoded directly — how the incremental service reuses witnesses it
     maintained under inserts/deletes instead of re-joining per question.
-    Enumerate witnesses, encode and freeze the shared program, pick the
-    batching {!strategy} by its row count, and open the solver session
-    (presolve and engine are built lazily, on the first shared-program
+    Enumerate witnesses, encode and freeze the shared program, and open
+    the solver session (presolve and engine are built lazily, on the first
     solve).  [relaxation] (default {!Encode.Ilp}) fixes the integrality
     discipline of the shared program for the session's lifetime:
     {!Encode.Ilp} for exact answers, {!Encode.Milp}/{!Encode.Lp} for the
-    relaxations feeding {!Approx}.  [basis] (default [`Auto] = sparse LU)
-    selects the simplex basis kernel for every engine the session opens —
-    the shared warm engine, each {!ranking_par} domain engine, and every
-    cold per-tuple solve; [`Dense] forces the reference dense inverse
-    (used by the [dense_vs_sparse_basis] differential oracle). *)
-
-val batch_strategy : t -> strategy
-(** The regime {!create} picked — [`Cold_per_tuple] iff the raw shared
-    program's row count exceeded the dense threshold. *)
+    relaxations feeding {!Approx}.  [basis] (default [`Sparse] LU) selects
+    the simplex basis kernel for every engine the session opens — the
+    shared warm engine and each parallel domain engine; [`Dense] forces
+    the reference dense inverse (used by the [dense_vs_sparse_basis]
+    differential oracle). *)
 
 val resilience : ?node_limit:int -> ?time_limit:float -> t -> res_answer outcome
-(** RES*(Q, D) as a delta-solve (always on the shared program). *)
+(** RES*(Q, D) as a delta-solve. *)
 
 val responsibility :
   ?node_limit:int -> ?time_limit:float -> t -> Database.tuple_id -> rsp_answer outcome
-(** RSP*(Q, D, t), via the session's {!batch_strategy}.  [No_contingency]
+(** RSP*(Q, D, t) as a delta-solve.  [No_contingency]
     when [t] appears in no witness (removing it cannot change the answer). *)
 
 val ranking :
@@ -150,11 +134,10 @@ val ranking_par :
   ?jobs:int ->
   t ->
   (Database.tuple_id * int * float) list
-(** {!ranking} with the per-tuple solves drained by an {!Lp.Pool}: under
-    [`Shared_delta] each participating domain opens its own warm simplex
-    engine against the session's shared frozen arrays and runs a chunk of
-    delta-solves; under [`Cold_per_tuple] each task is a self-contained
-    cold solve.  Results are merged in task order, so the output is
+(** {!ranking} with the per-tuple solves drained by an {!Lp.Pool}: each
+    participating domain opens its own warm simplex engine against the
+    session's shared frozen arrays and runs a chunk of delta-solves.
+    Results are merged in task order, so the output is
     {e bit-identical} to {!ranking} for every [jobs] (the ranking compares
     optimal objective values, which are basis-independent).  [jobs = 0]
     (the default) means {!Lp.Pool.default_jobs}; [jobs = 1] still routes
@@ -174,9 +157,7 @@ val enumerate_resilience :
     set are appended to the question's delta and the warm engine re-solves
     — each cut is a single appended row the dual-simplex session absorbs
     basis-intact, so a re-solve costs a handful of pivots, not a cold
-    solve.  Always runs on the shared program (enumeration is one cut
-    chain, not a per-tuple batch, so the dense-regime fallback does not
-    apply).  The family is returned in canonical order with
+    solve.  The family is returned in canonical order with
     [exhausted = true] when the final re-solve proved it complete;
     [time_limit] bounds the whole chain (wall clock), [node_limit] each
     solve, and [cap] the number of sets as a safety valve (a capped result
@@ -232,7 +213,6 @@ val profile : t -> profile
 val cold_solve :
   ?node_limit:int ->
   ?time_limit:float ->
-  ?kernel:Lp.Basis.choice ->
   op:string ->
   exact:bool ->
   presolve:bool ->

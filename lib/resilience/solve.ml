@@ -84,9 +84,6 @@ let enumerate_responsibility ?exact ?presolve ?node_limit ?time_limit ?jobs ?cap
 let responsibility_ranking ?exact ?presolve semantics q db =
   Session.ranking (Session.create ?exact ?presolve semantics q db)
 
-let responsibility_ranking_par ?exact ?presolve ?jobs semantics q db =
-  Session.ranking_par ?jobs (Session.create ?exact ?presolve semantics q db)
-
 (* --- Flow baseline ------------------------------------------------------ *)
 
 let linearize_by_domination semantics q =

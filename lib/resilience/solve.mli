@@ -152,19 +152,6 @@ val responsibility_ranking :
     every tuple's ILP is a warm-started delta-solve against the shared
     frozen program. *)
 
-val responsibility_ranking_par :
-  ?exact:bool ->
-  ?presolve:bool ->
-  ?jobs:int ->
-  Problem.semantics ->
-  Cq.t ->
-  Database.t ->
-  (Database.tuple_id * int * float) list
-(** {!responsibility_ranking} with the per-tuple solves spread over [jobs]
-    domains ({!Session.ranking_par}); output is bit-identical to the
-    sequential ranking for every [jobs].  [jobs = 0] (default) picks
-    {!Lp.Pool.default_jobs}. *)
-
 (** {1 Flow baseline (prior work)} *)
 
 val linearize_by_domination : Problem.semantics -> Cq.t -> Cq.t

@@ -277,6 +277,54 @@ let prop_bb_matches_bruteforce =
       | Some obj -> int_of_float (Float.round obj) = !best
       | None -> false)
 
+(* A random 0/1-fix overlay over a quarter of the variables each way. *)
+let random_fixes rng vars =
+  Array.fold_left
+    (fun d v ->
+      match Random.State.int rng 4 with
+      | 0 -> Lp.Frozen.Delta.fix_zero v d
+      | 1 -> Lp.Frozen.Delta.force_one v d
+      | _ -> d)
+    no_fix vars
+
+let float_outcome r =
+  (r.FB.status = FB.Optimal, Option.map (fun o -> int_of_float (Float.round o)) r.FB.objective)
+
+let exact_outcome r =
+  ( r.EB.status = EB.Optimal,
+    Option.map (fun o -> int_of_float (Float.round (Numeric.Rat.to_float o))) r.EB.objective )
+
+(* The sequential search is the same on every field and basis kernel: status
+   and optimum agree between the float sparse-LU, float dense-inverse and
+   exact-rational sessions, under a random fix overlay. *)
+let prop_bb_fields_kernels_agree =
+  Harness.seeded_prop ~count:150 "B&B: float = exact = dense-kernel optimum" (fun rng ->
+      let nvars = 3 + Random.State.int rng 7 in
+      let nrows = 2 + Random.State.int rng 7 in
+      let fz, vars = Harness.random_covering_frozen ~integer:true rng ~nvars ~nrows in
+      let delta = random_fixes rng vars in
+      let sparse = float_outcome (FB.solve_frozen ~delta fz) in
+      let dense = float_outcome (FB.solve_session ~delta (FB.create_session ~kernel:`Dense fz)) in
+      let exact = exact_outcome (EB.solve_frozen ~delta fz) in
+      sparse = dense && sparse = exact)
+
+(* One session answers a stream of trees, each root warm from the previous
+   call's final basis; no search state may leak from one call into the
+   next, so every answer equals a fresh session's on the same overlay. *)
+let prop_bb_warm_chain_matches_fresh =
+  Harness.seeded_prop ~count:120 "warm B&B session across overlays = fresh solves (float + exact)"
+    (fun rng ->
+      let nvars = 3 + Random.State.int rng 7 in
+      let nrows = 2 + Random.State.int rng 7 in
+      let fz, vars = Harness.random_covering_frozen ~integer:true rng ~nvars ~nrows in
+      let deltas = List.init 5 (fun _ -> random_fixes rng vars) in
+      let fs = FB.create_session fz and es = EB.create_session fz in
+      List.for_all
+        (fun delta ->
+          float_outcome (FB.solve_session ~delta fs) = float_outcome (FB.solve_frozen ~delta fz)
+          && exact_outcome (EB.solve_session ~delta es) = exact_outcome (EB.solve_frozen ~delta fz))
+        deltas)
+
 let () =
   let q = Harness.qtest in
   Alcotest.run "lp"
@@ -307,5 +355,7 @@ let () =
           Alcotest.test_case "rejects general integers" `Quick test_bb_rejects_general_integers;
           Alcotest.test_case "exact = float" `Quick test_bb_exact_matches_float;
           q prop_bb_matches_bruteforce;
+          q prop_bb_fields_kernels_agree;
+          q prop_bb_warm_chain_matches_fresh;
         ] );
     ]

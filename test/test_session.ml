@@ -57,8 +57,8 @@ let qcheck_cases =
 (* --- Parallel vs sequential ------------------------------------------------ *)
 
 (* ranking_par must be bit-identical to ranking — same tuples, same k, same
-   rho floats — for every job count, on both strategies.  The instance is
-   solved sequentially once and in parallel at jobs ∈ {1, 2, 4}. *)
+   rho floats — for every job count.  The instance is solved sequentially
+   once and in parallel at jobs ∈ {1, 2, 4}. *)
 let ranking_par_agrees ~exact rng =
   let sem, q, db = Harness.random_case rng in
   let session = Session.create ~exact sem q db in
@@ -66,22 +66,6 @@ let ranking_par_agrees ~exact rng =
   List.for_all
     (fun jobs -> Session.ranking_par ~jobs (Session.create ~exact sem q db) = sequential)
     [ 1; 2; 4 ]
-
-(* Same, with the strategy forced cold, so the parallel cold path (fresh
-   per-tuple encodes from many domains) is exercised on sparse instances
-   too. *)
-let ranking_par_cold_agrees rng =
-  let sem, q, db = Harness.random_case rng in
-  let session = Session.create ~dense_rows_threshold:0 sem q db in
-  let sequential = Session.ranking session in
-  (* A query-false / no-contingency instance never reaches the strategy
-     decision; otherwise threshold 0 must force the cold path. *)
-  (sequential = [] || Session.batch_strategy session = `Cold_per_tuple)
-  && List.for_all
-       (fun jobs ->
-         Session.ranking_par ~jobs (Session.create ~dense_rows_threshold:0 sem q db)
-         = sequential)
-       [ 2; 4 ]
 
 let par_qcheck_cases =
   [
@@ -91,67 +75,13 @@ let par_qcheck_cases =
       (ranking_par_agrees ~exact:false);
     Harness.seeded_prop ~count:70 "Session.ranking_par = Session.ranking (exact, jobs 1/2/4)"
       (ranking_par_agrees ~exact:true);
-    Harness.seeded_prop ~count:60 "Session.ranking_par = Session.ranking (forced cold path)"
-      ranking_par_cold_agrees;
   ]
 
-(* Parallel branch-and-bound: random frozen covering programs (from the
-   shared Harness generator), optimum value and status must match the
-   sequential session solve for every pool size and frontier depth. *)
-let bb_configs = [ (1, 3); (2, 0); (2, 2); (4, 3) ]
-
-let bb_par_agrees ~exact rng =
-  let nvars = 4 + Random.State.int rng 6 in
-  let nrows = 3 + Random.State.int rng 6 in
-  let fz, _ = Harness.random_covering_frozen rng ~nvars ~nrows in
-  if exact then begin
-    let open Lp.Solvers.Exact_bb in
-    let seq = solve_session (create_session fz) in
-    List.for_all
-      (fun (jobs, par_depth) ->
-        Lp.Pool.with_pool ~jobs (fun pool ->
-            let par = solve_session_par ~par_depth ~pool (create_session fz) in
-            par.status = seq.status && par.objective = seq.objective))
-      bb_configs
-  end
-  else begin
-    let open Lp.Solvers.Float_bb in
-    let seq = solve_session (create_session fz) in
-    List.for_all
-      (fun (jobs, par_depth) ->
-        Lp.Pool.with_pool ~jobs (fun pool ->
-            let par = solve_session_par ~par_depth ~pool (create_session fz) in
-            par.status = seq.status && par.objective = seq.objective))
-      bb_configs
-  end
-
-let bb_par_qcheck =
-  [
-    Harness.seeded_prop ~count:120 "parallel B&B optimum = sequential (float)"
-      (bb_par_agrees ~exact:false);
-    Harness.seeded_prop ~count:60 "parallel B&B optimum = sequential (exact)"
-      (bb_par_agrees ~exact:true);
-  ]
-
-(* --- Dense-regime fallback -------------------------------------------------- *)
-
-(* The strategy decision is pinned on two fixtures: a sparse chain instance
-   stays on the shared delta path, a dense one (small join domain, witnesses
-   multiplied until the shared program tops the row threshold) falls back to
-   cold per-tuple solves. *)
-let test_strategy_sparse () =
-  let rng = Harness.rng_of 42 in
-  let q = Queries.q2_chain () in
-  let specs = Datagen.Random_inst.specs_of_query q ~count:40 in
-  let db = Datagen.Random_inst.db rng ~domain:80 specs in
-  let session = Session.create Problem.Set q db in
-  Alcotest.(check bool) "sparse instance stays on the shared path" true
-    (Session.batch_strategy session = `Shared_delta)
+(* --- Fixed fixtures: sparse, dense, mid-size ------------------------------ *)
 
 let dense_db () =
-  (* R and S over a 2-value join domain: 60x60 tuples give ~1800 witnesses —
-     past the old dense-inverse crossover (1700 rows), well below the
-     re-measured sparse-LU threshold (10^4 rows). *)
+  (* R and S over a 2-value join domain: 60x60 tuples give ~1800 witnesses,
+     so the shared program is far larger than any per-tuple one. *)
   let db = Database.create () in
   for i = 0 to 59 do
     ignore (Database.add db "R" [| i; i mod 2 |]);
@@ -159,40 +89,49 @@ let dense_db () =
   done;
   db
 
-let test_strategy_dense () =
+let test_dense_ranking_par () =
+  (* The per-tuple reference is too slow on this fixture; the parallel
+     ranking (per-domain engines over the shared arrays) is checked against
+     the sequential one instead. *)
   let q = Queries.q2_chain () in
   let db = dense_db () in
-  let session = Session.create Problem.Set q db in
-  Alcotest.(check bool) "dense instance stays shared under the raised threshold" true
-    (Session.batch_strategy session = `Shared_delta);
-  Alcotest.(check bool) "a low threshold still falls back to cold per-tuple" true
-    (Session.batch_strategy (Session.create ~dense_rows_threshold:1700 Problem.Set q db)
-    = `Cold_per_tuple);
-  (* The threshold override flips the decision both ways. *)
-  Alcotest.(check bool) "max_int threshold forces shared" true
-    (Session.batch_strategy (Session.create ~dense_rows_threshold:max_int Problem.Set q db)
-    = `Shared_delta);
-  let rng = Harness.rng_of 42 in
-  let sparse =
-    Datagen.Random_inst.db rng ~domain:80 (Datagen.Random_inst.specs_of_query q ~count:40)
-  in
-  Alcotest.(check bool) "zero threshold forces cold" true
-    (Session.batch_strategy (Session.create ~dense_rows_threshold:0 Problem.Set q sparse)
-    = `Cold_per_tuple)
+  let sequential = Session.ranking (Session.create Problem.Set q db) in
+  Alcotest.(check bool) "fixture ranks tuples" true (sequential <> []);
+  Alcotest.(check bool) "ranking_par = ranking" true
+    (Session.ranking_par ~jobs:2 (Session.create Problem.Set q db) = sequential)
 
-let test_strategies_agree () =
-  (* Both regimes rank a mid-size instance identically. *)
-  let rng = Harness.rng_of 7 in
+(* A 2-chain instance drawn by [Datagen.Random_inst] from a fixed seed. *)
+let chain_db ~seed ~count ~domain =
+  let specs = Datagen.Random_inst.specs_of_query (Queries.q2_chain ()) ~count in
+  Datagen.Random_inst.db (Harness.rng_of seed) ~domain specs
+
+let check_matches_reference db =
   let q = Queries.q2_chain () in
-  let specs = Datagen.Random_inst.specs_of_query q ~count:12 in
-  let db = Datagen.Random_inst.db rng ~domain:3 specs in
-  let shared = Session.create ~dense_rows_threshold:max_int Problem.Set q db in
-  let cold = Session.create ~dense_rows_threshold:0 Problem.Set q db in
-  Alcotest.(check bool) "fixture exercises both strategies" true
-    (Session.batch_strategy shared = `Shared_delta
-    && Session.batch_strategy cold = `Cold_per_tuple);
-  let to_list s = List.map (fun (t, k, _) -> (t, k)) (Session.ranking s) in
-  Alcotest.(check (list (pair int int))) "identical rankings" (to_list shared) (to_list cold)
+  let got = List.map (fun (t, k, _) -> (t, k)) (Session.ranking (Session.create Problem.Set q db)) in
+  Alcotest.(check bool) "fixture ranks tuples" true (got <> []);
+  Alcotest.(check (list (pair int int)))
+    "identical rankings"
+    (Harness.reference_ranking ~exact:false Problem.Set q db)
+    got
+
+(* A wide join domain: few witnesses per tuple, a sparse shared program. *)
+let test_sparse_ranking_matches_reference () =
+  check_matches_reference (chain_db ~seed:42 ~count:40 ~domain:80)
+
+(* A mid-size instance whose shared program dwarfs each per-tuple one. *)
+let mid_db () = chain_db ~seed:7 ~count:12 ~domain:3
+
+let test_ranking_matches_reference () = check_matches_reference (mid_db ())
+
+let test_dense_basis_ranks_identically () =
+  (* The dense-inverse kernel is the reference for the default sparse LU:
+     on the mid-size fixture both rank the same tuples with the same k and
+     the same rho. *)
+  let q = Queries.q2_chain () in
+  let sparse = Session.ranking (Session.create Problem.Set q (mid_db ())) in
+  let dense = Session.ranking (Session.create ~basis:`Dense Problem.Set q (mid_db ())) in
+  Alcotest.(check bool) "fixture ranks tuples" true (sparse <> []);
+  Alcotest.(check bool) "dense kernel = sparse kernel" true (dense = sparse)
 
 (* --- Warm vs cold dual simplex, per delta kind ----------------------------- *)
 
@@ -336,12 +275,15 @@ let () =
           test_case "query false" `Quick test_query_false_session;
           test_case "fully exogenous witness" `Quick test_fully_exogenous_witness;
         ] );
-      ( "dense-fallback",
+      ( "fixtures",
         [
-          test_case "sparse fixture stays shared" `Quick test_strategy_sparse;
-          test_case "dense fixture goes cold" `Quick test_strategy_dense;
-          test_case "both strategies rank identically" `Quick test_strategies_agree;
+          test_case "sparse fixture: ranking = per-tuple reference" `Quick
+            test_sparse_ranking_matches_reference;
+          test_case "dense fixture: ranking_par = ranking" `Quick test_dense_ranking_par;
+          test_case "ranking = per-tuple reference" `Quick test_ranking_matches_reference;
+          test_case "dense basis kernel ranks identically" `Quick
+            test_dense_basis_ranks_identically;
         ] );
       ("differential", Harness.qtests qcheck_cases);
-      ("parallel", Harness.qtests (par_qcheck_cases @ bb_par_qcheck));
+      ("parallel", Harness.qtests par_qcheck_cases);
     ]
