@@ -27,24 +27,10 @@ let pp_tuples db tids =
 
 (* ----- lint helpers ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let diag_json (d : Lp.Lint.diag) =
   Printf.sprintf {|{"code":"%s","severity":"%s","message":"%s"}|} d.Lp.Lint.code
     (Lp.Lint.severity_name d.Lp.Lint.severity)
-    (json_escape d.Lp.Lint.message)
+    (Obs.Json_string.escape d.Lp.Lint.message)
 
 let diags_json ds = "[" ^ String.concat "," (List.map diag_json ds) ^ "]"
 
@@ -74,7 +60,7 @@ let cert_json (c : Lp.Struct.t) =
   Printf.sprintf {|{"verdict":"%s","witness":%s,"structural":%b,"features":%s}|}
     (Lp.Struct.verdict_name c)
     (match c.Lp.Struct.verdict with
-    | Lp.Struct.Integral w -> "\"" ^ json_escape (Lp.Struct.witness_name w) ^ "\""
+    | Lp.Struct.Integral w -> "\"" ^ Obs.Json_string.escape (Lp.Struct.witness_name w) ^ "\""
     | Lp.Struct.Fractional _ | Lp.Struct.Unknown -> "null")
     (Lp.Struct.structural c)
     (features_json c.Lp.Struct.features)
@@ -111,10 +97,22 @@ let lint_arg =
 
 (* ----- telemetry ---------------------------------------------------------- *)
 
+(* A telemetry output file: its directory must exist, so a bad path is a
+   usage error (exit 124) before any work, not a [Sys_error] after it. *)
+let out_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if s = "" || (Sys.file_exists s && Sys.is_directory s) then
+      Error (`Msg (Printf.sprintf "'%s' is not a file name" s))
+    else if Sys.file_exists dir && Sys.is_directory dir then Ok s
+    else Error (`Msg (Printf.sprintf "no '%s' directory" dir))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let trace_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Record solver telemetry and write a Chrome trace-event JSON to FILE (load in \
@@ -140,7 +138,7 @@ let metrics_arg =
 let runlog_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "runlog" ] ~docv:"FILE"
         ~doc:
           "Append one JSON line per ILP solve to FILE: the structural feature vector, the \
@@ -255,7 +253,7 @@ let lint_cmd =
         print_endline
           (Printf.sprintf
              {|{"query":"%s","semantics":"%s","diagnostics":{"query":%s,"instance":%s,"model":%s},"model_stats":%s,"presolve":%s}|}
-             (json_escape (Cq.to_string q))
+             (Obs.Json_string.escape (Cq.to_string q))
              (if bag then "bag" else "set")
              (diags_json query_diags) (diags_json instance_diags)
              (match model_part with Some (md, _, _) -> diags_json md | None -> "[]")
@@ -347,10 +345,10 @@ let analyze_cmd =
         print_endline
           (Printf.sprintf
              {|{"query":"%s","semantics":"%s","complexity":"%s","dichotomy":"%s","certificate":%s,"model_stats":%s,"diagnostics":%s}|}
-             (json_escape (Cq.to_string q))
+             (Obs.Json_string.escape (Cq.to_string q))
              (if bag then "bag" else "set")
              (complexity_name complexity)
-             (json_escape (Analysis.describe sem q))
+             (Obs.Json_string.escape (Analysis.describe sem q))
              (match cert with Some c -> cert_json c | None -> "null")
              (match model_part with Some (_, st) -> stats_json st | None -> "null")
              (diags_json all))
@@ -435,7 +433,7 @@ let jobs_arg =
 
 let crit_row_json db (c : Enumerate.criticality) =
   Printf.sprintf {|{"tuple":"%s","count":%d,"total":%d,"criticality":%g,"exact":"%s"}|}
-    (json_escape (Database_io.print_tuple db c.Enumerate.crit_tuple))
+    (Obs.Json_string.escape (Database_io.print_tuple db c.Enumerate.crit_tuple))
     c.Enumerate.crit_count c.Enumerate.crit_total c.Enumerate.crit_float
     (Numeric.Rat.to_string c.Enumerate.crit_exact)
 
@@ -457,7 +455,7 @@ let print_family_json db ~nsets ~diverse (fam : Enumerate.family) =
     "["
     ^ String.concat ","
         (List.map
-           (fun tid -> "\"" ^ json_escape (Database_io.print_tuple db tid) ^ "\"")
+           (fun tid -> "\"" ^ Obs.Json_string.escape (Database_io.print_tuple db tid) ^ "\"")
            s)
     ^ "]"
   in
@@ -705,11 +703,11 @@ let rank_cmd =
           match crit_of tid with
           | Some c ->
             Printf.sprintf {|{"tuple":"%s","k":%d,"responsibility":%g,"criticality":%g}|}
-              (json_escape (Database_io.print_tuple db tid))
+              (Obs.Json_string.escape (Database_io.print_tuple db tid))
               k rho c
           | None ->
             Printf.sprintf {|{"tuple":"%s","k":%d,"responsibility":%g}|}
-              (json_escape (Database_io.print_tuple db tid))
+              (Obs.Json_string.escape (Database_io.print_tuple db tid))
               k rho
         in
         print_endline ("[" ^ String.concat "," (List.map row ranked) ^ "]");
@@ -819,12 +817,12 @@ let certificate_cmd =
 
 let fuzz_disc_json (d : Check.Fuzz.discrepancy) =
   Printf.sprintf {|{"oracle":"%s","profile":"%s","case_seed":%d,"message":"%s","saved":%s}|}
-    (json_escape d.Check.Fuzz.oracle)
-    (json_escape d.Check.Fuzz.case.Check.Gen.profile)
+    (Obs.Json_string.escape d.Check.Fuzz.oracle)
+    (Obs.Json_string.escape d.Check.Fuzz.case.Check.Gen.profile)
     d.Check.Fuzz.case.Check.Gen.seed
-    (json_escape d.Check.Fuzz.message)
+    (Obs.Json_string.escape d.Check.Fuzz.message)
     (match d.Check.Fuzz.saved with
-    | Some p -> "\"" ^ json_escape p ^ "\""
+    | Some p -> "\"" ^ Obs.Json_string.escape p ^ "\""
     | None -> "null")
 
 let fuzz_cmd =
@@ -849,16 +847,16 @@ let fuzz_cmd =
       if json then begin
         let row (r : Check.Fuzz.replay_result) =
           Printf.sprintf {|{"file":"%s","oracle":"%s","status":"%s","message":%s}|}
-            (json_escape r.Check.Fuzz.path)
-            (json_escape r.Check.Fuzz.entry.Check.Corpus.oracle)
+            (Obs.Json_string.escape r.Check.Fuzz.path)
+            (Obs.Json_string.escape r.Check.Fuzz.entry.Check.Corpus.oracle)
             (match r.Check.Fuzz.verdict with Check.Oracle.Pass -> "pass" | Check.Oracle.Fail _ -> "fail")
             (match r.Check.Fuzz.verdict with
             | Check.Oracle.Pass -> "null"
-            | Check.Oracle.Fail m -> "\"" ^ json_escape m ^ "\"")
+            | Check.Oracle.Fail m -> "\"" ^ Obs.Json_string.escape m ^ "\"")
         in
         print_endline
           (Printf.sprintf {|{"corpus":"%s","files":%d,"failing":%d,"results":[%s]}|}
-             (json_escape dir) (List.length results) (List.length failing)
+             (Obs.Json_string.escape dir) (List.length results) (List.length failing)
              (String.concat "," (List.map row results)))
       end
       else begin
@@ -1106,7 +1104,12 @@ let serve_cmd =
     in
     let finish code =
       (match metrics_file with Some path -> write_metrics_file path | None -> ());
-      (match recorder_file with Some path -> Obs.Recorder.dump_to_file path | None -> ());
+      (match recorder_file with
+      | Some path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Serve.Engine.recorder_json ());
+            output_char oc '\n')
+      | None -> ());
       code
     in
     let preload_failed =
@@ -1184,7 +1187,7 @@ let serve_cmd =
   let metrics_file =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "metrics-file" ] ~docv:"FILE"
           ~doc:
             "Write the Prometheus text exposition to FILE (atomic rename) every \
@@ -1201,7 +1204,7 @@ let serve_cmd =
   let recorder_file =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "recorder-file" ] ~docv:"FILE"
           ~doc:
             "Dump the flight recorder (the last events of every domain) as JSON to FILE at \

@@ -1,43 +1,26 @@
-type t = { name : string; cell : int Atomic.t }
+(* A counter is a bare registry cell, so a disarmed [incr] is one load of
+   the switch word and nothing else. *)
+type t = int Atomic.t
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-let registry_mu = Mutex.create ()
-
-let () =
-  Sink.on_install (fun () ->
-    Mutex.lock registry_mu;
-    Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) registry;
-    Mutex.unlock registry_mu)
-
-let create name =
-  Mutex.lock registry_mu;
-  let c =
-    match Hashtbl.find_opt registry name with
-    | Some c -> c
-    | None ->
-      let c = { name; cell = Atomic.make 0 } in
-      Hashtbl.add registry name c;
-      c
-  in
-  Mutex.unlock registry_mu;
-  c
-
-let incr c = if Sink.recording () then Atomic.incr c.cell
-let add c n = if Sink.recording () then ignore (Atomic.fetch_and_add c.cell n)
+let create ?help name = Metrics.counter_cell ?help name
+let incr c = if Sink.recording () then Atomic.incr c
+let add c n = if Sink.recording () then ignore (Atomic.fetch_and_add c n)
 
 let record_max c n =
   if Sink.recording () then begin
     let rec go () =
-      let seen = Atomic.get c.cell in
-      if n > seen && not (Atomic.compare_and_set c.cell seen n) then go ()
+      let seen = Atomic.get c in
+      if n > seen && not (Atomic.compare_and_set c seen n) then go ()
     in
     go ()
   end
 
-let value c = Atomic.get c.cell
+let value c = Atomic.get c
 
 let snapshot () =
-  Mutex.lock registry_mu;
-  let xs = Hashtbl.fold (fun _ c acc -> (c.name, Atomic.get c.cell) :: acc) registry [] in
-  Mutex.unlock registry_mu;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) xs
+  List.filter_map
+    (fun s ->
+      match s.Metrics.svalue with
+      | Metrics.Vcounter v -> Some (s.Metrics.sname, v)
+      | Metrics.Vgauge _ | Metrics.Vhist _ -> None)
+    (Metrics.snapshot ())

@@ -1,17 +1,19 @@
-(** Named atomic counters.
+(** Named atomic counters: the counter kind of the {!Metrics} registry.
 
     A counter is created once per name (creation is idempotent: two
     [create "x"] calls — e.g. from the float and exact instantiations of a
-    solver functor — share one cell), lives in a global registry, and is
-    safe to bump from any domain.  Increments are dropped while neither
-    the trace sink nor the metrics plane is on, so a counter bump on a hot
-    path costs one atomic load and allocates nothing. *)
+    solver functor — share one cell) and is safe to bump from any domain.
+    Increments are dropped while neither the trace sink nor the metrics
+    plane is on, so a counter bump on a hot path costs one atomic load and
+    allocates nothing. *)
 
 type t
 
-val create : string -> t
+val create : ?help:string -> string -> t
 (** [create name] returns the counter registered under [name], creating it
-    on first use.  Dotted names ("simplex.pivots") group the stats export. *)
+    on first use.  Dotted names ("simplex.pivots") group the stats export;
+    [help] is the Prometheus HELP line.
+    @raise Invalid_argument if [name] is a gauge or histogram. *)
 
 val incr : t -> unit
 (** Add 1 (no-op while nothing is armed). *)

@@ -1,20 +1,7 @@
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let args_json args =
   args
-  |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+  |> List.map (fun (k, v) ->
+         Printf.sprintf "\"%s\":\"%s\"" (Json_string.escape k) (Json_string.escape v))
   |> String.concat ","
 
 (* Chrome "X" (complete) events only: no begin/end pairing to get wrong, and
@@ -46,7 +33,7 @@ let write_chrome oc (spans : Trace.span list) =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"resil\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-           (json_escape s.name) ts dur s.dom (args_json s.args)))
+           (Json_string.escape s.name) ts dur s.dom (args_json s.args)))
     spans;
   output_string oc "\n]}\n"
 
@@ -67,12 +54,12 @@ let stats_json (spans : Trace.span list) =
     Hashtbl.fold (fun name ct acc -> (name, ct) :: acc) agg []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (name, (count, total)) ->
-         Printf.sprintf "    \"%s\": {\"count\": %d, \"total_s\": %.6f}" (json_escape name) count
-           total)
+         Printf.sprintf "    \"%s\": {\"count\": %d, \"total_s\": %.6f}"
+           (Json_string.escape name) count total)
   in
   let counter_rows =
     Counter.snapshot ()
-    |> List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %d" (json_escape name) v)
+    |> List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %d" (Json_string.escape name) v)
   in
   let wall =
     match spans with

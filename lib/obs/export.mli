@@ -3,8 +3,10 @@
     Two formats, matching the two consumers: Chrome trace-event JSON for a
     human staring at Perfetto (one track per domain, ts/dur in microseconds
     relative to the earliest span), and a flat stats JSON for golden tests
-    and CI trend lines (counters plus per-name span aggregates, every float
-    printed with a fixed ["%.6f"] so digit-normalized goldens are stable). *)
+    and CI trend lines (the registry's counters plus per-name span
+    aggregates, every float printed with a fixed ["%.6f"] so
+    digit-normalized goldens are stable).  Strings are escaped by
+    {!Json_string}. *)
 
 val write_chrome : out_channel -> Trace.span list -> unit
 (** Write a complete [{"traceEvents": [...]}] document: one thread-name

@@ -6,16 +6,15 @@
    histograms render against a fixed bucket ladder, so digit-normalized
    goldens are stable across runs and job counts.
 
-   Instruments are registered at module-init time like counters (creation
-   is idempotent per (name, labels)); recording is gated on
-   [Sink.recording], so an un-armed process pays one atomic load per
-   site. *)
+   Instruments are registered at module-init time (creation is idempotent
+   per (name, labels)); recording is gated on [Sink.recording], so an
+   un-armed process pays one atomic load per site.  Counters are bumped
+   through [Counter]; their cells live in this table. *)
 
-type counter = int Atomic.t
 type gauge = float Atomic.t
 type histogram = Histogram.t
 
-type instrument = Icounter of counter | Igauge of gauge | Ihist of histogram
+type instrument = Icounter of int Atomic.t | Igauge of gauge | Ihist of histogram
 
 type entry = { ename : string; ehelp : string; elabels : (string * string) list; einst : instrument }
 
@@ -54,8 +53,8 @@ let register ?(help = "") ?(labels = []) name make same =
   Mutex.unlock registry_mu;
   r
 
-let counter ?help ?labels name =
-  register ?help ?labels name
+let counter_cell ?help name =
+  register ?help name
     (fun () ->
       let c = Atomic.make 0 in
       (Icounter c, c))
@@ -75,8 +74,6 @@ let histogram ?help ?labels name =
       (Ihist h, h))
     (function Ihist h -> Some h | Icounter _ | Igauge _ -> None)
 
-let incr c = if Sink.recording () then Atomic.incr c
-let add c n = if Sink.recording () then ignore (Atomic.fetch_and_add c n)
 let set g v = if Sink.recording () then Atomic.set g v
 let observe h v = if Sink.recording () then Histogram.observe h v
 
@@ -124,24 +121,14 @@ let sanitize name =
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_')
     name
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let prom_labels = function
   | [] -> ""
   | ls ->
     "{"
-    ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (escape v)) ls)
+    ^ String.concat ","
+        (List.map
+           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (Json_string.escape v))
+           ls)
     ^ "}"
 
 let prometheus_of series =
@@ -155,7 +142,8 @@ let prometheus_of series =
       in
       if not (Hashtbl.mem headed n) then begin
         Hashtbl.add headed n ();
-        if s.shelp <> "" then Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" n (escape s.shelp));
+        if s.shelp <> "" then
+          Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" n (Json_string.escape s.shelp));
         Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" n kind)
       end;
       let lbl = prom_labels s.slabels in
@@ -177,15 +165,7 @@ let prometheus_of series =
     series;
   Buffer.contents b
 
-(* Plain counters from the global counter registry ride along as counter
-   series, mirroring [json]'s merged counters object. *)
-let prometheus () =
-  let plain =
-    Counter.snapshot ()
-    |> List.map (fun (n, v) -> { sname = n; shelp = ""; slabels = []; svalue = Vcounter v })
-  in
-  prometheus_of
-    (List.sort (fun a b -> compare (a.sname, a.slabels) (b.sname, b.slabels)) (snapshot () @ plain))
+let prometheus () = prometheus_of (snapshot ())
 
 let series_key s =
   s.sname
@@ -207,24 +187,19 @@ let json_of series =
   in
   let pick f = List.filter_map f series in
   Buffer.add_char b '{';
-  (* Plain counters from the global counter registry and metric counters
-     share one object: both are name -> monotone int. *)
-  let counters =
-    Counter.snapshot ()
-    @ pick (fun s -> match s.svalue with Vcounter v -> Some (series_key s, v) | _ -> None)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  obj "counters" (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%d" (escape k) v)) counters;
+  obj "counters"
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Json_string.escape k) v))
+    (pick (fun s -> match s.svalue with Vcounter v -> Some (series_key s, v) | _ -> None));
   Buffer.add_char b ',';
   obj "gauges"
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%.6f" (escape k) v))
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%.6f" (Json_string.escape k) v))
     (pick (fun s -> match s.svalue with Vgauge v -> Some (series_key s, v) | _ -> None));
   Buffer.add_char b ',';
   obj "histograms"
     (fun (k, h) ->
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%.6f" (escape k) h.Histogram.total
-           (Histogram.sum_of h));
+        (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%.6f" (Json_string.escape k)
+           h.Histogram.total (Histogram.sum_of h));
       List.iter
         (fun (qn, p) ->
           Buffer.add_string b (Printf.sprintf ",\"%s\":%.6f" qn (quantile_or_zero h p)))

@@ -1,35 +1,31 @@
-(** Typed metric registry with Prometheus and JSON exposition.
+(** The instrument registry, with Prometheus and JSON exposition.
 
-    Three instrument kinds — monotone counters, gauges, and
-    {!Histogram}-backed latency/size distributions — registered once per
-    (name, static label set) at module-init time, recorded from any
-    domain, and exported with a {e run-independent shape}: every
-    registered instrument is always exposed (zero-valued when untouched)
-    and histograms render against a fixed bucket ladder, so
-    digit-normalized goldens are stable across runs and job counts.
+    One table holds all three instrument kinds — monotone counters
+    (recorded through {!Counter}), gauges, and {!Histogram}-backed
+    latency/size distributions — registered once per (name, static label
+    set) at module-init time, recorded from any domain, and exported with
+    a {e run-independent shape}: every registered instrument is always
+    exposed (zero-valued when untouched) and histograms render against a
+    fixed bucket ladder, so digit-normalized goldens are stable across runs
+    and job counts.
 
     Recording is gated on {!Sink.recording} (the trace sink {e or} the
     metrics plane): an un-armed process pays exactly one atomic load per
-    instrumented site.  [Sink.install] resets all instruments along with
-    the counters; [Sink.arm_metrics] does not (services accumulate). *)
+    instrumented site.  [Sink.install] zeroes every instrument;
+    [Sink.arm_metrics] does not (services accumulate). *)
 
-type counter
 type gauge
 type histogram = Histogram.t
 
-val counter : ?help:string -> ?labels:(string * string) list -> string -> counter
+val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
+val histogram : ?help:string -> ?labels:(string * string) list -> string -> histogram
 (** Idempotent per (name, labels), like {!Counter.create}.  Registering an
     existing (name, labels) under a different kind raises
     [Invalid_argument]. *)
 
-val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
-val histogram : ?help:string -> ?labels:(string * string) list -> string -> histogram
-
-val incr : counter -> unit
-val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
-(** All no-ops while nothing is armed (one atomic load). *)
+(** Both no-ops while nothing is armed (one atomic load). *)
 
 (** {2 Snapshot isolation}
 
@@ -47,22 +43,25 @@ type series = {
 }
 
 val snapshot : unit -> series list
-(** Sorted by (name, labels). *)
+(** Every instrument, sorted by (name, labels). *)
 
 val prometheus : unit -> string
 (** Prometheus text exposition (format 0.0.4): HELP/TYPE headers, one
     line per series, histograms as cumulative [le] buckets over a fixed
     ladder plus [_sum]/[_count].  Metric names have non-identifier
-    characters mapped to ['_'].  Plain {!Counter.snapshot} counters are
-    merged in as counter series, as in {!json}. *)
+    characters mapped to ['_']. *)
 
 val prometheus_of : series list -> string
 
 val json : unit -> string
 (** Flat JSON: [{"counters": {...}, "gauges": {...}, "histograms":
     {name: {"count", "sum", "p50", "p90", "p99", "p999"}}}] with keys
-    sorted and every float printed ["%.6f"].  The counters object merges
-    {!Counter.snapshot} (the plain counter registry) with metric
-    counters.  Quantiles of an empty histogram read 0. *)
+    sorted and every float printed ["%.6f"].  Quantiles of an empty
+    histogram read 0. *)
 
 val json_of : series list -> string
+
+(**/**)
+
+val counter_cell : ?help:string -> string -> int Atomic.t
+(* The registry side of {!Counter.create}; use that instead. *)

@@ -1,112 +1,2 @@
-(* Flight recorder: a fixed-size per-domain ring buffer of recent events,
-   for post-mortem inspection after a timeout, error or signal.  Recording
-   is one armed-check (atomic load), one slot write and one atomic cursor
-   store; the ring never grows, so a long-running service can leave it
-   armed permanently.  Dumping walks every domain's ring at quiescent (or
-   at least best-effort) time and sorts by timestamp — a racing writer can
-   at worst tear the oldest slot, never block. *)
-
-type event = {
-  ev_t : float;  (* Clock.now at record time *)
-  ev_dom : int;
-  ev_op : string;
-  ev_fields : (string * string) list;  (* fingerprint, phase timings, basis stats, ... *)
-}
-
-let ring_size = 64 (* power of two *)
-
-type ring = { slots : event option array; cursor : int Atomic.t }
-
-let all_rings : ring list ref = ref []
-let all_mu = Mutex.create ()
-
-let armed_flag = Atomic.make false
-let armed () = Atomic.get armed_flag
-let arm () = Atomic.set armed_flag true
-let disarm () = Atomic.set armed_flag false
-
-let key =
-  Domain.DLS.new_key (fun () ->
-    let r = { slots = Array.make ring_size None; cursor = Atomic.make 0 } in
-    Mutex.lock all_mu;
-    all_rings := r :: !all_rings;
-    Mutex.unlock all_mu;
-    r)
-
-let clear () =
-  Mutex.lock all_mu;
-  List.iter
-    (fun r ->
-      Array.fill r.slots 0 ring_size None;
-      Atomic.set r.cursor 0)
-    !all_rings;
-  Mutex.unlock all_mu
-
-let () = Sink.on_install clear
-
-let note ?(fields = []) op =
-  if armed () then begin
-    let r = Domain.DLS.get key in
-    let i = Atomic.get r.cursor in
-    r.slots.(i land (ring_size - 1)) <-
-      Some { ev_t = Clock.now (); ev_dom = (Domain.self () :> int); ev_op = op; ev_fields = fields };
-    Atomic.set r.cursor (i + 1)
-  end
-
-(* One ring in logical (oldest-first) order: once the cursor has wrapped,
-   the oldest live slot is the one the next write would overwrite. *)
-let ring_events r =
-  let c = Atomic.get r.cursor in
-  let first = if c < ring_size then 0 else c land (ring_size - 1) in
-  let n = min c ring_size in
-  List.filter_map (fun k -> r.slots.((first + k) land (ring_size - 1))) (List.init n Fun.id)
-
-let dump () =
-  Mutex.lock all_mu;
-  let rings = !all_rings in
-  Mutex.unlock all_mu;
-  (* The clock can tie across consecutive events, so the cross-ring merge
-     must be stable to keep each ring's logical order. *)
-  rings
-  |> List.concat_map ring_events
-  |> List.stable_sort (fun a b -> compare (a.ev_t, a.ev_dom) (b.ev_t, b.ev_dom))
-
-(* --- post-mortem JSON ------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let dump_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"flight_recorder\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"t\":%.6f,\"dom\":%d,\"op\":\"%s\"" e.ev_t e.ev_dom (json_escape e.ev_op));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-        e.ev_fields;
-      Buffer.add_char b '}')
-    (dump ());
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let dump_to_file path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (dump_json ());
-      output_char oc '\n')
+let note ?(fields = []) op = if Sink.recorder_armed () then Trace.ring_note op fields
+let dump = Trace.ring_dump

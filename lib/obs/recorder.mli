@@ -1,38 +1,21 @@
-(** Flight recorder: fixed-size per-domain ring buffers of recent events,
-    dumped post-mortem after a timeout, error or signal.
+(** Flight recorder: the last events of every domain, kept for a
+    post-mortem after a timeout, error or signal.
 
-    Arming rules: the recorder has its own switch, independent of the
-    trace sink and metrics plane — [resil serve] arms it at startup and
-    leaves it on (the rings never grow), one-shot commands never arm it.
-    While disarmed {!note} is one atomic load; while armed it is one slot
-    write plus one atomic cursor store, no locks, no I/O.  [Sink.install]
-    clears the rings. *)
-
-type event = {
-  ev_t : float;  (** {!Clock.now} at record time *)
-  ev_dom : int;
-  ev_op : string;
-  ev_fields : (string * string) list;
-      (** free-form context: fingerprint, phase timings, basis stats … *)
-}
-
-val arm : unit -> unit
-val disarm : unit -> unit
-val armed : unit -> bool
+    Events are {!Trace.span} instants ([t0 = t1]) written into the bounded
+    ring of the calling domain's {!Trace} event store: 64 slots,
+    overwriting the oldest.  The recorder has its own bit in the {!Sink}
+    word, independent of the trace sink and metrics plane — [resil serve]
+    arms it at startup and leaves it on (the rings never grow), one-shot
+    commands never arm it.  While disarmed {!note} is one atomic load;
+    while armed it is one slot write plus one atomic cursor store, no
+    locks, no I/O.  The serve engine renders the dump, inline in a
+    [timeout] error and in [--recorder-file]. *)
 
 val note : ?fields:(string * string) list -> string -> unit
-(** [note ~fields op] records one event into the calling domain's ring,
-    overwriting the oldest once the ring (64 slots) is full. *)
+(** [note ~fields op] records one instant named [op], with [fields] as its
+    args, into the calling domain's ring (no-op while disarmed). *)
 
-val dump : unit -> event list
+val dump : unit -> Trace.span list
 (** Every retained event across all domains, oldest first.  Best-effort
-    against racing writers (a writer can tear the slot it is replacing,
+    against racing writers (a writer can replace the slot being read,
     never block or crash the dump). *)
-
-val dump_json : unit -> string
-(** [{"flight_recorder": [{"t", "dom", "op", ...fields}]}] — fields
-    render as strings, timestamps ["%.6f"]. *)
-
-val dump_to_file : string -> unit
-
-val clear : unit -> unit

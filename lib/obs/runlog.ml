@@ -16,33 +16,20 @@ let current : log option Atomic.t = Atomic.make None
 
 let enabled () = Atomic.get current <> None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render fields =
   let b = Buffer.create 256 in
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (json_escape k));
+      Buffer.add_string b (Printf.sprintf "\"%s\":" (Json_string.escape k));
       Buffer.add_string b
         (match v with
         | I n -> string_of_int n
         | F f -> if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
         | B true -> "true"
         | B false -> "false"
-        | S s -> Printf.sprintf "\"%s\"" (json_escape s)))
+        | S s -> Printf.sprintf "\"%s\"" (Json_string.escape s)))
     fields;
   Buffer.add_char b '}';
   Buffer.contents b

@@ -1,12 +1,15 @@
-(** Per-domain span buffers merged at drain time.
+(** The per-domain event store: span buffers merged at drain time, and the
+    flight recorder's rings.
 
     A span is a completed interval [(t0, t1)] on one domain's track, with a
-    static name and optional key/value args.  Recording appends to a buffer
-    local to the recording domain (created lazily via [Domain.DLS] and kept
-    alive past domain exit), so tracing adds no cross-domain contention; the
-    single submitter merges and sorts all buffers at [drain].  Nothing is
-    recorded while no sink is installed — [with_span] then just runs its
-    body. *)
+    static name and optional key/value args; an instant is a span with
+    [t0 = t1].  Each domain owns one store (created lazily via
+    [Domain.DLS] and kept alive past domain exit) holding an unbounded
+    span buffer and a bounded ring, so recording adds no cross-domain
+    contention; the single submitter merges and sorts all buffers at
+    [drain].  Nothing is buffered while no sink is installed —
+    [with_span] then just runs its body.  [Sink.install] empties the span
+    buffers and the rings. *)
 
 type span = {
   name : string;
@@ -36,3 +39,10 @@ val drain : unit -> span list
 (** Take every buffered span from every domain that recorded any, sorted by
     start time, and clear the buffers.  Call only when worker domains are
     quiescent (after pool tasks complete). *)
+
+(**/**)
+
+(* The ring side of the store, behind {!Recorder}; use that module. *)
+
+val ring_note : string -> (string * string) list -> unit
+val ring_dump : unit -> span list

@@ -51,10 +51,10 @@ let h_queue =
 let g_sessions = Obs.Metrics.gauge ~help:"Cached incremental sessions" "serve.cache.sessions"
 let g_hit_ratio = Obs.Metrics.gauge ~help:"Session cache hit ratio" "serve.cache.hit_ratio"
 let g_db_tuples = Obs.Metrics.gauge ~help:"Tuples in the base database" "serve.db.tuples"
-let c_requests = Obs.Metrics.counter ~help:"Request lines handled" "serve.requests.total"
+let c_requests = Obs.Counter.create ~help:"Request lines handled" "serve.requests.total"
 
 let c_timeouts =
-  Obs.Metrics.counter ~help:"Questions ended by an expired deadline" "serve.timeouts.total"
+  Obs.Counter.create ~help:"Questions ended by an expired deadline" "serve.timeouts.total"
 
 let op_of_question = function
   | Protocol.Resilience -> "resilience"
@@ -95,7 +95,7 @@ let create ?(metrics = true) ?(max_sessions = 8) ?(max_line = 1 lsl 20) () =
      buffering (that stays behind [--trace]), so memory is bounded. *)
   if metrics then begin
     Obs.Sink.arm_metrics ();
-    Obs.Recorder.arm ()
+    Obs.Sink.arm_recorder ()
   end;
   {
     db = Database.create ();
@@ -398,29 +398,30 @@ let do_ask t (a : Protocol.ask) =
 let cnt_pivots = Obs.Counter.create "simplex.pivots"
 let cnt_nodes = Obs.Counter.create "bb.nodes"
 
-(* Last retained flight-recorder events, rendered for a [timeout] error's
-   ["data"].  Every field the engine records is a decimal-numeric string
-   (the fingerprint is written in unsigned decimal, not hex, for exactly
-   this reason), so all values render as JSON numbers and the serve goldens'
-   digit normalization keeps the exposition deterministic. *)
-let recorder_events_json () =
+(* Retained flight-recorder events (the [last] ones, or all), rendered for
+   a [timeout] error's ["data"] and for [--recorder-file].  Every field
+   the engine records is a decimal-numeric string (the fingerprint is
+   written in unsigned decimal, not hex, for exactly this reason), so all
+   values render as JSON numbers and the serve goldens' digit
+   normalization keeps the exposition deterministic. *)
+let recorder_events ?last () =
   let evs = Obs.Recorder.dump () in
-  let n = List.length evs in
-  let evs = if n > 16 then List.filteri (fun i _ -> i >= n - 16) evs else evs in
+  let skip = match last with Some n -> List.length evs - n | None -> 0 in
   Json.List
-    (List.map
-       (fun (e : Obs.Recorder.event) ->
-         let field (k, v) =
-           match float_of_string_opt v with
-           | Some f -> (k, Json.Float f)
-           | None -> (k, Json.Str v)
-         in
-         Json.Obj
-           (("t", Json.Float e.Obs.Recorder.ev_t)
-           :: ("dom", Json.Int e.Obs.Recorder.ev_dom)
-           :: ("op", Json.Str e.Obs.Recorder.ev_op)
-           :: List.map field e.Obs.Recorder.ev_fields))
-       evs)
+    (List.filteri (fun i _ -> i >= skip) evs
+    |> List.map (fun (e : Obs.Trace.span) ->
+           let field (k, v) =
+             match float_of_string_opt v with
+             | Some f -> (k, Json.Float f)
+             | None -> (k, Json.Str v)
+           in
+           Json.Obj
+             (("t", Json.Float e.Obs.Trace.t0)
+             :: ("dom", Json.Int e.Obs.Trace.dom)
+             :: ("op", Json.Str e.Obs.Trace.name)
+             :: List.map field e.Obs.Trace.args)))
+
+let recorder_json () = Json.to_string (Json.Obj [ ("flight_recorder", recorder_events ()) ])
 
 let attach_recorder data =
   let base =
@@ -429,13 +430,13 @@ let attach_recorder data =
     | Some d -> [ ("incumbent", d) ]
     | None -> []
   in
-  Some (Json.Obj (base @ [ ("flight_recorder", recorder_events_json ()) ]))
+  Some (Json.Obj (base @ [ ("flight_recorder", recorder_events ~last:16 ()) ]))
 
 (* Wrap a question with the per-op solve histogram, a flight-recorder
    event, and — on a deadline expiry — the recorder dump attached to the
    error payload.  One atomic load when nothing is armed. *)
 let timed_ask t (a : Protocol.ask) =
-  if not (Obs.Sink.recording () || Obs.Recorder.armed ()) then do_ask t a
+  if not (Obs.Sink.any ()) then do_ask t a
   else begin
     let op = op_of_question a.Protocol.question in
     let t0 = Obs.Clock.now () in
@@ -448,7 +449,7 @@ let timed_ask t (a : Protocol.ask) =
     let timed_out =
       match reply with Err (Protocol.Timeout, _, _) -> true | _ -> false
     in
-    if timed_out then Obs.Metrics.incr c_timeouts;
+    if timed_out then Obs.Counter.incr c_timeouts;
     let outcome =
       match reply with
       | Result _ -> "ok"
@@ -465,7 +466,7 @@ let timed_ask t (a : Protocol.ask) =
         ]
       op;
     match reply with
-    | Err (Protocol.Timeout, msg, data) when Obs.Recorder.armed () ->
+    | Err (Protocol.Timeout, msg, data) when Obs.Sink.recorder_armed () ->
       Err (Protocol.Timeout, msg, attach_recorder data)
     | reply -> reply
   end
@@ -545,7 +546,7 @@ let handle_line ?received_at t line =
   let live = Obs.Sink.recording () in
   let t0 = if live then Obs.Clock.now () else 0. in
   if live then begin
-    Obs.Metrics.incr c_requests;
+    Obs.Counter.incr c_requests;
     match received_at with
     | Some r -> Obs.Metrics.observe h_queue (Float.max 0. (t0 -. r))
     | None -> ()

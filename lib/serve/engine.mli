@@ -23,11 +23,12 @@
 
     {b Metrics.}  Unless created with [~metrics:false] the engine arms the
     metrics plane ({!Obs.Sink.arm_metrics}) and the flight recorder
-    ({!Obs.Recorder.arm}) at startup: per-op request/solve latency
+    ({!Obs.Sink.arm_recorder}) at startup: per-op request/solve latency
     histograms, queue-wait, cache gauges and request/timeout counters are
     maintained, the [metrics] protocol op exposes them (JSON or Prometheus
-    text), and a [timeout] error's ["data"] carries the last
-    flight-recorder events under ["flight_recorder"]. *)
+    text), and a [timeout] error's ["data"] carries the last 16
+    flight-recorder events under ["flight_recorder"].  {!recorder_json}
+    renders every retained event the same way. *)
 
 type t
 
@@ -49,3 +50,8 @@ val request_stop : t -> unit
 val stopping : t -> bool
 
 val max_line : t -> int
+
+val recorder_json : unit -> string
+(** [{"flight_recorder": [{"t", "dom", "op", ...fields}]}]: every retained
+    {!Obs.Recorder} event, oldest first, rendered as in a [timeout] error
+    (numeric fields as JSON numbers).  One line, no trailing newline. *)

@@ -335,7 +335,7 @@ let test_histogram_merge_bit_identical () =
 
 (* --- Metrics registry and exposition ------------------------------------------- *)
 
-let m_c = Obs.Metrics.counter ~help:"test metric counter" "test.metrics.count"
+let m_c = Obs.Counter.create ~help:"test metric counter" "test.metrics.count"
 let m_g = Obs.Metrics.gauge ~help:"test metric gauge" "test.metrics.gauge"
 let m_h = Obs.Metrics.histogram ~help:"test latency" ~labels:[ ("op", "x") ] "test.metrics.lat"
 
@@ -347,8 +347,8 @@ let contains hay needle =
 let test_metrics_gated_off () =
   Obs.Sink.uninstall ();
   Obs.Sink.disarm_metrics ();
-  Obs.Metrics.incr m_c;
-  Obs.Metrics.add m_c 10;
+  Obs.Counter.incr m_c;
+  Obs.Counter.add m_c 10;
   Obs.Metrics.set m_g 5.;
   Obs.Metrics.observe m_h 1.;
   let series = Obs.Metrics.snapshot () in
@@ -363,11 +363,11 @@ let test_metrics_gated_off () =
   | _ -> Alcotest.fail "wrong kind"
 
 let test_metrics_idempotent_and_kinds () =
-  let again = Obs.Metrics.counter "test.metrics.count" in
+  let again = Obs.Counter.create "test.metrics.count" in
   Obs.Sink.arm_metrics ();
   Fun.protect ~finally:Obs.Sink.disarm_metrics @@ fun () ->
-  Obs.Metrics.incr m_c;
-  Obs.Metrics.incr again;
+  Obs.Counter.incr m_c;
+  Obs.Counter.incr again;
   (match
      (List.find
         (fun s -> s.Obs.Metrics.sname = "test.metrics.count")
@@ -387,7 +387,7 @@ let test_metrics_exposition () =
   ignore (Obs.Trace.drain ());
   Obs.Sink.arm_metrics ();
   Fun.protect ~finally:Obs.Sink.disarm_metrics @@ fun () ->
-  Obs.Metrics.add m_c 3;
+  Obs.Counter.add m_c 3;
   Obs.Metrics.set m_g 2.5;
   List.iter (Obs.Metrics.observe m_h) [ 0.0005; 0.05; 0.05; 5. ];
   let prom = Obs.Metrics.prometheus () in
@@ -422,23 +422,32 @@ let test_metrics_exposition () =
 (* --- Flight recorder ------------------------------------------------------------ *)
 
 let test_recorder_ring () =
-  Obs.Recorder.clear ();
-  Obs.Recorder.disarm ();
+  Obs.Sink.install ();
+  Obs.Sink.uninstall ();
+  Obs.Sink.disarm_recorder ();
   Obs.Recorder.note ~fields:[ ("k", "1") ] "dropped";
   Alcotest.(check int) "disarmed notes nothing" 0 (List.length (Obs.Recorder.dump ()));
-  Obs.Recorder.arm ();
-  Fun.protect ~finally:Obs.Recorder.disarm @@ fun () ->
+  Obs.Sink.arm_recorder ();
+  Fun.protect ~finally:Obs.Sink.disarm_recorder @@ fun () ->
   for i = 1 to 100 do
     Obs.Recorder.note ~fields:[ ("i", string_of_int i) ] "op"
   done;
   let evs = Obs.Recorder.dump () in
   Alcotest.(check int) "ring keeps the last 64" 64 (List.length evs);
-  let is = List.map (fun e -> int_of_string (List.assoc "i" e.Obs.Recorder.ev_fields)) evs in
+  let is = List.map (fun e -> int_of_string (List.assoc "i" e.Obs.Trace.args)) evs in
   Alcotest.(check (list int)) "oldest-first, newest retained" (List.init 64 (fun k -> 37 + k)) is;
-  let js = Obs.Recorder.dump_json () in
+  Alcotest.(check bool) "events are instants" true
+    (List.for_all (fun e -> e.Obs.Trace.t0 = e.Obs.Trace.t1) evs);
+  Alcotest.(check (list string)) "span buffers untouched" []
+    (List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.drain ()));
+  let js = Serve.Engine.recorder_json () in
   Alcotest.(check bool) "json envelope" true (contains js "\"flight_recorder\":[");
-  Obs.Recorder.clear ();
-  Alcotest.(check int) "clear empties" 0 (List.length (Obs.Recorder.dump ()))
+  (match Option.bind (Serve.Json.member "flight_recorder" (Serve.Json.of_string js)) Serve.Json.to_list_opt with
+  | Some l -> Alcotest.(check int) "every retained event rendered" 64 (List.length l)
+  | None -> Alcotest.fail "no flight_recorder list");
+  Obs.Sink.install ();
+  Obs.Sink.uninstall ();
+  Alcotest.(check int) "install empties" 0 (List.length (Obs.Recorder.dump ()))
 
 (* --- Runlog --------------------------------------------------------------------- *)
 
@@ -497,6 +506,135 @@ let test_runlog_from_solve () =
       "\"cols\":"; "\"nnz\":"; "\"certified\":"; "\"wall_s\":";
     ]
 
+(* --- Off path allocates nothing -------------------------------------------------- *)
+
+let test_disarmed_no_alloc () =
+  (* The "off path is one atomic load" contract, checked deterministically:
+     with nothing armed, 10^5 calls of each instrument leave the minor heap
+     untouched (the measurement's own cost is taken from an empty body). *)
+  Obs.Sink.uninstall ();
+  Obs.Sink.disarm_metrics ();
+  Obs.Sink.disarm_recorder ();
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> ()) in
+  List.iter
+    (fun (name, f) ->
+      let used = words (fun () -> for i = 1 to 100_000 do f i done) in
+      Alcotest.(check (float 0.)) (name ^ " allocates nothing") base used)
+    [
+      ("Counter.incr", fun _ -> Obs.Counter.incr c_a);
+      ("Counter.add", fun i -> Obs.Counter.add c_a i);
+      ("Counter.record_max", fun i -> Obs.Counter.record_max c_max i);
+      ("Metrics.observe", fun _ -> Obs.Metrics.observe m_h 1.);
+      ("Metrics.set", fun _ -> Obs.Metrics.set m_g 5.);
+      ("Recorder.note", fun _ -> Obs.Recorder.note "test.off");
+      ("Trace.begin_/end_", fun _ -> Obs.Trace.end_ (Obs.Trace.begin_ ()) "test.off");
+      ("Trace.instant", fun _ -> Obs.Trace.instant "test.off");
+    ]
+
+(* --- One registry ------------------------------------------------------------- *)
+
+let test_registry_one_kind_per_name () =
+  let _ = Obs.Counter.create "test.registry.kind" in
+  Alcotest.check_raises "histogram over a counter"
+    (Invalid_argument "Obs.Metrics: \"test.registry.kind\" re-registered with a different kind")
+    (fun () -> ignore (Obs.Metrics.histogram "test.registry.kind"));
+  let _ = Obs.Metrics.gauge "test.registry.gauge" in
+  Alcotest.check_raises "counter over a gauge"
+    (Invalid_argument "Obs.Metrics: \"test.registry.gauge\" re-registered with a different kind")
+    (fun () -> ignore (Obs.Counter.create "test.registry.gauge"))
+
+let test_install_resets_everything () =
+  (* One [Sink.install] zeroes every instrument kind, empties the span
+     buffers and clears the recorder rings. *)
+  let series name =
+    (List.find (fun s -> s.Obs.Metrics.sname = name) (Obs.Metrics.snapshot ())).Obs.Metrics.svalue
+  in
+  Obs.Sink.arm_metrics ();
+  Obs.Sink.arm_recorder ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Sink.uninstall ();
+      Obs.Sink.disarm_metrics ();
+      Obs.Sink.disarm_recorder ())
+  @@ fun () ->
+  Obs.Counter.incr m_c;
+  Obs.Metrics.set m_g 7.;
+  Obs.Metrics.observe m_h 0.5;
+  Obs.Recorder.note "test.reset";
+  Obs.Sink.install ();
+  Obs.Trace.instant "test.reset";
+  Obs.Sink.install ();
+  Alcotest.(check int) "counter zeroed" 0 (Obs.Counter.value m_c);
+  Alcotest.(check bool) "gauge zeroed" true (series "test.metrics.gauge" = Obs.Metrics.Vgauge 0.);
+  (match series "test.metrics.lat" with
+  | Obs.Metrics.Vhist h -> Alcotest.(check int) "histogram zeroed" 0 h.Obs.Histogram.total
+  | _ -> Alcotest.fail "wrong kind");
+  Alcotest.(check int) "span buffers empty" 0 (List.length (Obs.Trace.drain ()));
+  Alcotest.(check int) "recorder rings empty" 0 (List.length (Obs.Recorder.dump ()))
+
+(* --- The shared JSON string escaper ------------------------------------------- *)
+
+let parses_as_string s =
+  Serve.Json.of_string ("\"" ^ Obs.Json_string.escape s ^ "\"") = Serve.Json.Str s
+
+let test_escaper_round_trip () =
+  let pieces =
+    Array.append
+      (Array.init 128 (fun c -> String.make 1 (Char.chr c)))
+      [| "\xc3\xa9"; "\xe2\x82\xac"; "\xe4\xb8\xad"; "\xf0\x9d\x84\x9e" |]
+  in
+  Alcotest.(check bool) "every byte 0x00-0x7f at once" true
+    (parses_as_string (String.concat "" (Array.to_list pieces)));
+  let rng = Random.State.make [| 15 |] in
+  for _ = 1 to 2000 do
+    let s =
+      String.concat ""
+        (List.init (Random.State.int rng 24) (fun _ ->
+             pieces.(Random.State.int rng (Array.length pieces))))
+    in
+    if not (parses_as_string s) then Alcotest.failf "no round trip for %S" s
+  done;
+  Alcotest.(check string) "short forms" {|\"\\\n\r\t\u0001|} (Obs.Json_string.escape "\"\\\n\r\t\001")
+
+let hostile = "test.hostile\"\\\n\t"
+
+let test_hostile_names_stay_json () =
+  let c = Obs.Counter.create hostile in
+  let spans =
+    with_sink (fun () ->
+        Obs.Counter.incr c;
+        Obs.Trace.with_span hostile (fun () -> ());
+        Obs.Trace.drain ())
+  in
+  let member_of name doc =
+    match Serve.Json.member name (Serve.Json.of_string doc) with
+    | Some v -> v
+    | None -> Alcotest.failf "no %S member" name
+  in
+  let stats = Obs.Export.stats_json spans in
+  Alcotest.(check bool) "stats_json counter" true
+    (Serve.Json.member hostile (member_of "counters" stats) = Some (Serve.Json.Int 1));
+  Alcotest.(check bool) "stats_json span" true
+    (Serve.Json.member hostile (member_of "spans" stats) <> None);
+  Alcotest.(check bool) "Metrics.json counter" true
+    (Serve.Json.member hostile (member_of "counters" (Obs.Metrics.json ())) <> None);
+  let path = Filename.temp_file "runlog" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Runlog.enable path;
+  Obs.Runlog.record (fun () -> [ (hostile, Obs.Runlog.S hostile) ]);
+  Obs.Runlog.disable ();
+  let ic = open_in path in
+  let _header = input_line ic in
+  let line = input_line ic in
+  close_in ic;
+  Alcotest.(check bool) "runlog line" true
+    (Serve.Json.member hostile (Serve.Json.of_string line) = Some (Serve.Json.Str hostile))
+
 let () =
   let open Alcotest in
   run "obs"
@@ -510,6 +648,13 @@ let () =
         [
           test_case "drops everything" `Quick test_disabled_drops_everything;
           test_case "identical solver answers" `Quick test_disabled_same_answers;
+          test_case "disarmed instruments allocate nothing" `Quick test_disarmed_no_alloc;
+        ] );
+      ( "registry",
+        [
+          test_case "one kind per name" `Quick test_registry_one_kind_per_name;
+          test_case "install resets every kind, spans and rings" `Quick
+            test_install_resets_everything;
         ] );
       ( "counters",
         [
@@ -549,5 +694,7 @@ let () =
         [
           test_case "chrome trace document" `Quick test_chrome_export;
           test_case "flat stats json" `Quick test_stats_json;
+          test_case "escaper round-trips bytes and UTF-8" `Quick test_escaper_round_trip;
+          test_case "hostile names stay valid JSON" `Quick test_hostile_names_stay_json;
         ] );
     ]
