@@ -527,10 +527,10 @@ let run_micro () =
         Test.make ~name:"presolve"
           (Staged.stage (fun () -> ignore (Lp.Presolve.presolve frozen)));
         Test.make ~name:"lp-dual"
-          (* the production path: the dual simplex sees the presolved model *)
+          (* the dual simplex on the presolved model *)
           (Staged.stage (fun () -> ignore (Lp.Solvers.Float_simplex.solve_frozen presolved)));
         Test.make ~name:"lp-dual-raw"
-          (* freeze + solve of the unpresolved encoding *)
+          (* the production path: freeze + solve of the encoding as built *)
           (Staged.stage (fun () ->
                ignore
                  (Lp.Solvers.Float_simplex.solve_frozen (Lp.Frozen.of_model enc.Encode.model))));
@@ -553,7 +553,7 @@ let run_micro () =
 (* ---- Ranking batch: warm session vs cold per-tuple solves ----------------------- *)
 
 (* What Solve.responsibility_ranking did before the session layer: a fresh
-   witness enumeration, encoding, lint-able model, presolve and
+   witness enumeration, encoding, lint-able model, freeze and
    branch-and-bound per tuple. *)
 let cold_ranking sem q db =
   Database.tuples db
@@ -609,7 +609,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
       let count = int_of_float (float_of_int count *. scale) in
       (* Sparse joins (domain ~ 2x the relation size): most tuples sit in
          few witnesses, so the cold path's per-tuple witness enumeration,
-         encoding and presolve dominate — exactly the cost the session
+         encoding and freeze dominate — exactly the cost the session
          amortises.  Dense instances (--dense: domain ~ count/8) instead
          multiply the witness count and with it the shared super-model's
          row count, the axis along which a warm pivot grows costlier; the
@@ -704,7 +704,7 @@ let percentile p h = Obs.Histogram.percentile h p
 
 (* The serve fast path in one number: a cached incremental session answers a
    repeated resilience question without re-running the witness join, the
-   encode, or the presolve — only the warm solve.  The cold baseline is what
+   encode, or the freeze — only the warm solve.  The cold baseline is what
    a one-shot CLI invocation pays per question (everything from the join
    down, process startup excluded).  Mutate rows measure the delta path: one
    fresh-tuple insert (delta-join + program append) followed by a warm

@@ -672,7 +672,7 @@ let rank_cmd =
     | Ok q ->
       let sem = semantics_of_bag bag in
       if lint then lint_to_stderr sem q db;
-      (* One session: witnesses, encoding and presolve are paid once, and
+      (* One session: witnesses, encoding and freezing are paid once, and
          every tuple's ILP[RSP*] is a warm-started delta-solve — spread
          over [jobs] domains when asked (output is identical). *)
       let session = Session.create ~exact sem q db in
@@ -959,8 +959,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: generate adversarial random cases and cross-check every \
-          solver path against independent oracles (float vs exact, warm vs cold, presolve \
-          on/off, ILP vs brute force, parallel vs sequential, LP/flow/ILP sandwich). \
+          solver path against independent oracles (float vs exact, warm vs cold, solved \
+          encoding vs its presolved reduction, ILP vs brute force, parallel vs sequential, LP/flow/ILP sandwich). \
           Discrepancies are shrunk to minimal repros. Exits 1 if any discrepancy is found.")
     Term.(
       const run $ seconds $ instances $ seed $ oracle_names $ json $ corpus $ no_shrink $ replay

@@ -15,13 +15,8 @@ type vmap = {
 
 type result = Infeasible | Unbounded | Reduced of Frozen.t * vmap
 
-let orig_nvars vm = vm.orig_nvars
 let obj_offset vm = vm.obj_offset
 let summary vm = vm.summary
-
-let var_image vm v =
-  let j = vm.new_of_orig.(v) in
-  if j >= 0 then `Kept j else `Fixed vm.fixed_value.(v)
 
 let lift vm ~of_int x =
   Array.init vm.orig_nvars (fun v ->

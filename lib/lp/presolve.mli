@@ -26,14 +26,17 @@
       cost and every row it appears in either loosens when the variable shrinks
       or is satisfiable by the variable at its bound alone (the covering
       cap argument of DESIGN.md §5), every optimum can be truncated under
-      the bound, so the bound — a whole extra row in the dual simplex —
-      is pure overhead.  For integer variables only binary bounds are
-      stripped, preserving {!Branch_bound}'s 0/1 branching.
+      the bound, so the bound is never binding at an optimum.  For
+      integer variables only binary bounds are stripped, preserving
+      {!Branch_bound}'s 0/1 branching.
 
     The encoders emit one covering row per witness tuple-set; on real
     instances many of those rows are duplicated or dominated after
-    exogenous-tuple filtering, which is what makes this a hot-path win
-    rather than hygiene. *)
+    exogenous-tuple filtering.  No solve path runs this pass: the
+    relax-first dispatch settles most questions at the root LP, where a
+    reduction only adds preparation cost.  It backs the presolve summary
+    of [resil lint]/[analyze], and the test suite and the
+    [presolve_on_off] fuzz oracle check it against the solve path. *)
 
 type vmap
 (** Witness of the reduction: how original variables map into the reduced
@@ -54,16 +57,6 @@ type result =
 val presolve : ?strip_bounds:bool -> Frozen.t -> result
 (** Consumes and produces the frozen compiled form ({!Frozen.t}); the
     input is never modified (frozen programs are immutable). *)
-
-val orig_nvars : vmap -> int
-
-val var_image : vmap -> Model.var -> [ `Kept of Model.var | `Fixed of int ]
-(** Where an original variable went: renumbered into the reduced program,
-    or eliminated at a fixed value.  Lets callers translate
-    {!Frozen.Delta} overrides built against the original program into the
-    reduced one (an override conflicting with a [`Fixed] value means the
-    combination is infeasible {e provided} the presolve fix was
-    feasibility-forced, as all fixes on covering-family programs are). *)
 
 val obj_offset : vmap -> int
 (** Objective contribution of the fixed variables:

@@ -133,6 +133,8 @@ let features_of fz view =
     root_fractional = None;
   }
 
+let features fz = features_of fz (view_of fz)
+
 (* --- Heller-Tompkins bipartitions ------------------------------------------- *)
 
 (* 2-colour items under parity constraints: [edges] lists

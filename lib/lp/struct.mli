@@ -33,8 +33,10 @@
     which preserve total unimodularity — so a certificate for the base
     program certifies every delta-solve against it.  [Root_vertex]
     certificates do {e not} transfer (the optimum moves with the delta);
-    {!structural} tells the two apart, and is what the certificate-aware
-    dispatch in [Resilience.Session]/[Resilience.Solve] keys on. *)
+    {!structural} tells the two apart.  The solve paths never call
+    {!analyze}: they settle a question by its root-LP vertex directly.
+    Its verdict is an output of [resil analyze], [Resilience.Validate] and
+    the certificate fuzz oracle. *)
 
 type features = {
   rows : int;  (** Rows with at least one free entry under the delta. *)
@@ -101,6 +103,11 @@ val analyze :
     solves the root LP relaxation and harvests an integral or fractional
     vertex from its basis.  Every emitted certificate has been re-checked
     with {!verify} before being returned. *)
+
+val features : Frozen.t -> features
+(** The {!features} vector of the whole program (no delta), in one pass
+    over its rows and without running any recognizer — what the run-log
+    records per solve. *)
 
 val verify : ?delta:Frozen.Delta.t -> ?eps:float -> Frozen.t -> t -> bool
 (** Re-derive the certificate's claim from the witness and the matrix,

@@ -6,7 +6,7 @@
    disabled); the on path takes a mutex — solves are milliseconds, a log
    line is microseconds. *)
 
-let schema_version = 1
+let schema_version = 2
 
 type field = I of int | F of float | B of bool | S of string
 

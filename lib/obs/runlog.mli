@@ -9,6 +9,9 @@
     taken (certified / branch-and-bound / relaxation), and the outcome
     (status, objective, nodes, pivots, refactors, wall seconds).
     Consumers must skip records from header versions they do not know.
+    Version 2 dropped version 1's [verdict] and [structural] fields (the
+    solve path no longer runs a structure analysis); the feature vector
+    is computed only while the log is enabled.
 
     While disabled, an instrumented site costs one atomic load and builds
     nothing ({!record} takes a thunk).  Writing is mutex-serialized and

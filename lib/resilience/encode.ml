@@ -19,10 +19,9 @@ let tuple_var model semantics db integer var_of_tuple tuple_of_var tid =
     let info = Database.tuple db tid in
     let name = Printf.sprintf "X_%s_%d" info.Database.rel tid in
     (* The binary bound is declared honestly (Model rejects unbounded
-       integer variables); Presolve re-proves it redundant — in these
-       covering programs any solution can be capped at 1 without losing
-       feasibility or raising cost (Section 5 of DESIGN.md) — and strips it
-       again, so the dual simplex still sees exactly one row per witness. *)
+       integer variables).  It costs the solver no row: [Lp.Simplex] keeps
+       finite upper bounds natively as per-column bounds, so the dual
+       simplex still sees exactly one row per witness. *)
     let v =
       Lp.Model.add_var ~name ~integer ~upper:1 ~obj:(Problem.weight semantics info) model
     in

@@ -234,8 +234,8 @@ let drive ?cap ?time_limit ~pin ~cut ~run base =
 (* --- Cold reference ------------------------------------------------------ *)
 
 (* The differential reference the warm session path is tested against: the
-   per-question encoding is frozen {e without} presolve (so cut rows speak
-   raw variable indices), and every link of the chain runs on a fresh
+   per-question encoding is frozen as built (so cut rows speak the
+   encoding's variable indices), and every link of the chain runs on a fresh
    engine — a brand-new session absorbing the whole delta cold.
    Identical family, none of the warm-basis machinery. *)
 

@@ -16,7 +16,7 @@ open! Relalg
     row absorbed basis-intact by the session's dual-simplex engine); this
     module owns the solver-independent machinery — orderings, criticality,
     cut construction, the drive loop — plus a deliberately {e cold}
-    reference enumerator (fresh solve per cut, no presolve, no warm basis)
+    reference enumerator (fresh solve per cut, no warm basis)
     that the differential oracle pins the warm path against. *)
 
 type stats = {
@@ -142,9 +142,9 @@ val drive :
 
 (** {1 Cold reference enumerators}
 
-    Per-question {!Encode.res}/{!Encode.rsp} encodings frozen {e without}
-    presolve, each link of the cut chain a fresh [solve_frozen] — no warm
-    basis anywhere.  The differential oracle compares these, the warm
+    Per-question {!Encode.res}/{!Encode.rsp} encodings frozen as built,
+    each link of the cut chain a fresh [solve_frozen] — no warm basis
+    anywhere.  The differential oracle compares these, the warm
     {!Session} path and {!Bruteforce.resilience_family} on the same
     instances. *)
 

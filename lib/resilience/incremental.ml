@@ -5,11 +5,11 @@ open Relalg
 let c_appends = Obs.Counter.create "incremental.appends"
 let c_rebuilds = Obs.Counter.create "incremental.rebuilds"
 
-(* The resilience fast path: the plain covering program ILP[RES*] frozen
-   RAW — deliberately no presolve, so variable indices are stable and a
-   tuple insert extends the program by appended columns/rows instead of
-   invalidating a reduction.  The warm branch-and-bound session absorbs the
-   appends without dropping its basis (see Lp.Frozen.Delta). *)
+(* The resilience fast path: the plain covering program ILP[RES*] frozen as
+   encoded (like every solve path), so variable indices are stable and a
+   tuple insert extends the program by appended columns/rows.  The warm
+   branch-and-bound session absorbs the appends without dropping its basis
+   (see Lp.Frozen.Delta). *)
 type res_core = {
   rengine : Lp.Solvers.engine;
   mutable rdelta : Lp.Frozen.Delta.t;  (* grows monotonically by appends *)

@@ -12,11 +12,8 @@ type stats = {
 }
 
 (* Certificate-aware dispatch telemetry: solves settled by an integrality
-   certificate (no branch-and-bound), and the subset backed by a
-   delta-transferable structural witness rather than a per-solve root
-   vertex. *)
+   certificate (an integral root-LP vertex, no branch-and-bound). *)
 let c_certified = Obs.Counter.create "solve.certified"
-let c_certified_structural = Obs.Counter.create "solve.certified_structural"
 
 (* Enumeration telemetry: no-good cuts appended, optimal sets streamed, and
    enumerations that proved their family complete (final re-solve
@@ -76,52 +73,26 @@ type acc = {
 let fresh_acc () =
   { a_witnesses = 0.; a_encode = 0.; a_lint = 0.; a_prep = 0.; a_solve = 0.; a_questions = 0 }
 
-(* Solver state over one frozen program: the presolved form (what per-domain
-   engines are created from), the presolve witness, the submitter's own
-   warm engine, and the structural integrality certificate.  The certificate
-   is computed eagerly with the prep (NOT lazily: preps are shared across
-   the domains of a parallel ranking, and [Lazy.force] is not domain-safe);
-   its witnesses are delta-transferable, so one analysis covers every
-   delta-solve of the session. *)
+(* Solver state over one frozen program: the program exactly as encoded
+   (what per-domain engines are created from), the submitter's own warm
+   engine, and the program's integer variables.  No reduction sits between
+   the encoding and the solver, so deltas, appended rows and solutions all
+   speak the encoding's variable numbering. *)
 type prep = {
   pfz : Lp.Frozen.t;
-  pvm : Lp.Presolve.vmap option;
   pengine : Lp.Solvers.engine;
-  pcert : Lp.Struct.t;
-  pint : Lp.Model.var list;  (* integer variables of [pfz] *)
+  pint : Lp.Model.var list;
 }
 
-(* Freeze + (optionally) presolve a model; [None] when presolve decides the
-   program outright (every program here has non-negative costs and is
-   feasible unless exogenous tuples block it, so a verdict is treated as
-   "no contingency"). *)
-let presolved ~presolve model =
-  let raw = Lp.Frozen.of_model model in
-  if presolve then
-    match Lp.Presolve.presolve raw with
-    | Lp.Presolve.Reduced (fz, vm) -> Some (fz, Some vm)
-    | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded -> None
-  else Some (raw, None)
-
-(* [presolved], plus the warm engine and the structural certificate. *)
-let prep_of_model ?kernel ~exact ~presolve model =
-  Option.map
-    (fun (fz, vm) ->
-      {
-        pfz = fz;
-        pvm = vm;
-        pengine = Lp.Solvers.engine ~exact ?kernel fz;
-        pcert = Obs.Trace.with_span "session.struct" (fun () -> Lp.Struct.analyze fz);
-        pint = Lp.Frozen.integer_vars fz;
-      })
-    (presolved ~presolve model)
+let prep_of_frozen ?kernel ~exact fz =
+  { pfz = fz; pengine = Lp.Solvers.engine ~exact ?kernel fz; pint = Lp.Frozen.integer_vars fz }
 
 type core = {
   cshared : Encode.shared;
-  cprep : prep option Lazy.t;
-      (* presolve + engine, paid by the first question — a session opened
-         only for lint or analysis never forces this *)
-  cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the unreduced frozen program *)
+  cprep : prep Lazy.t;
+      (* engine build, paid by the first question — a session opened only
+         for lint or analysis never forces this *)
+  cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the frozen program *)
 }
 
 type state = Sfalse | Snone | Sactive of core
@@ -135,7 +106,7 @@ type t = {
   sacc : acc;
 }
 
-let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
+let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
     ?witnesses semantics q db =
   let acc = fresh_acc () in
   let tw0 = Lp.Clock.now () in
@@ -162,9 +133,7 @@ let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basi
                 lazy
                   (Obs.Trace.with_span "session.prep" (fun () ->
                        let t0 = Lp.Clock.now () in
-                       let p =
-                         prep_of_model ~exact ~presolve ~kernel:basis shared.Encode.smodel
-                       in
+                       let p = prep_of_frozen ~exact ~kernel:basis raw in
                        acc.a_prep <- acc.a_prep +. Lp.Clock.elapsed t0;
                        p));
               cdiags =
@@ -181,88 +150,10 @@ let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basi
 
 (* --- Delta plumbing ------------------------------------------------------- *)
 
-(* Deltas are phrased against the raw shared program; [translate] renumbers
-   them into the presolved one.  A fix conflicting with a presolve-fixed
-   value means the combination is infeasible (presolve only fixes what
-   feasibility forces on this model family). *)
-let translate vm delta =
-  match vm with
-  | None -> Some delta
-  | Some vm ->
-    List.fold_left
-      (fun acc (v, k) ->
-        match acc with
-        | None -> None
-        | Some d -> (
-          match Lp.Presolve.var_image vm v with
-          | `Kept j -> Some (Lp.Frozen.Delta.fix j k d)
-          | `Fixed k' -> if k' = k then Some d else None))
-      (Some Lp.Frozen.Delta.empty)
-      (Lp.Frozen.Delta.bindings delta)
-
-(* Appended rows (the enumeration pin and no-good cuts are phrased against
-   raw shared-model variables, like the bound fixes) are renumbered through
-   the presolve witness too: kept variables map to their reduced index,
-   eliminated variables fold their fixed value into the right-hand side.  A
-   row whose left-hand side vanishes entirely is checked as a constant —
-   dropped when satisfied, the whole delta infeasible otherwise.  The
-   translation is deterministic row by row, so a monotone chain of raw
-   appends translates to a monotone chain of reduced appends and the warm
-   engine still absorbs each new cut as a basis-intact suffix
-   ([Frozen.Delta.extends] compares structurally). *)
-let translate_row vm (sense, rhs, expr) =
-  let entries, rhs =
-    List.fold_left
-      (fun (es, rhs) (v, c) ->
-        match Lp.Presolve.var_image vm v with
-        | `Kept j -> ((j, c) :: es, rhs)
-        | `Fixed k -> (es, rhs - (c * k)))
-      ([], rhs) expr
-  in
-  match List.sort (fun (a, _) (b, _) -> compare a b) entries with
-  | [] ->
-    let sat =
-      match sense with
-      | Lp.Model.Leq -> 0 <= rhs
-      | Lp.Model.Geq -> 0 >= rhs
-      | Lp.Model.Eq -> rhs = 0
-    in
-    if sat then `Drop else `Infeasible
-  | entries -> `Row (sense, rhs, entries)
-
-let translate_full vm delta =
-  match vm with
-  | None -> Some delta
-  | Some vm_ -> (
-    match translate vm delta with
-    | None -> None
-    | Some d ->
-      List.fold_left
-        (fun acc row ->
-          match acc with
-          | None -> None
-          | Some d -> (
-            match translate_row vm_ row with
-            | `Drop -> Some d
-            | `Infeasible -> None
-            | `Row (sense, rhs, entries) ->
-              Some (Lp.Frozen.Delta.append_row sense rhs entries d)))
-        (Some d)
-        (Lp.Frozen.Delta.appended_rows delta))
-
-let offset_of vm = match vm with Some vm -> Lp.Presolve.obj_offset vm | None -> 0
-
-let lift_sol vm ~of_int sol =
-  match vm with Some vm -> Lp.Presolve.lift vm ~of_int sol | None -> sol
-
-(* The LP relaxation optimum under an already-translated delta, lifted to
-   the unreduced program's variables and converted to float. *)
-let relax_point vm (Lp.Solvers.Engine ((module B), s)) delta =
+(* The LP relaxation optimum under a delta, converted to float. *)
+let relax_point (Lp.Solvers.Engine ((module B), s)) delta =
   match B.relax ~delta s with
-  | `Optimal (obj, x) ->
-    Some
-      ( B.to_float obj +. float_of_int (offset_of vm),
-        B.to_floats (lift_sol vm ~of_int:B.of_int x) )
+  | `Optimal (obj, x) -> Some (B.to_float obj, B.to_floats x)
   | `Infeasible | `Unbounded -> None
 
 (* Witness indicators fixed to 1, counterfactual slack released. *)
@@ -299,63 +190,50 @@ let rsp_delta core t =
    delta.  When its optimum is integral on the integer variables it {e is}
    the ILP optimum (an integral feasible point meeting the LP lower bound)
    — the solve is settled by that root-vertex certificate with {e zero}
-   branch-and-bound nodes, [certified = true].  This is guaranteed, not
-   luck, whenever the session's structural certificate holds: structural
-   witnesses survive delta bound fixes, so one [Lp.Struct.analyze] covers
-   every question the session answers.  Otherwise branch-and-bound runs as
-   before, warm-started from the relaxation's final basis (the root
-   re-solve costs a handful of pivots), so hard instances pay essentially
-   nothing for the probe.  Values and points convert to float once, on the
-   way out. *)
+   branch-and-bound nodes, [certified = true].  On the paper's PTIME query
+   classes the covering programs have integral relaxations, so this is the
+   common case.  Otherwise branch-and-bound runs, warm-started from the
+   relaxation's final basis (the root re-solve costs a handful of pivots),
+   so hard instances pay essentially nothing for the probe.  Values and
+   points convert to float once, on the way out. *)
 let run_engine_raw ?node_limit ?time_limit prep (Lp.Solvers.Engine ((module B), s)) delta =
   let t0 = Lp.Clock.now () in
-  match translate_full prep.pvm delta with
-  | None -> `Infeasible
-  | Some d -> (
-    let foffset = float_of_int (offset_of prep.pvm) in
-    let value o = B.to_float o +. foffset in
-    let point x = B.to_floats (lift_sol prep.pvm ~of_int:B.of_int x) in
-    let finish ?(certified = false) nodes root_lp root_integral pivots refactors objective
-        solution =
-      let solve_time = Lp.Clock.elapsed t0 in
-      if certified then begin
-        Obs.Counter.incr c_certified;
-        if Lp.Struct.structural prep.pcert then Obs.Counter.incr c_certified_structural
-      end;
-      ( objective,
-        solution,
-        { nodes; root_lp; root_integral; certified; solve_time; prep_time = 0.; pivots; refactors }
-      )
-    in
-    match B.relax ~delta:d s with
-    | `Optimal (obj, x) when B.integral_on x prep.pint ->
-      let obj = value obj in
-      `Ok (finish ~certified:true 0 obj true 0 0 obj (point x))
-    | `Optimal _ | `Infeasible | `Unbounded -> (
-      let r = B.solve_session ?node_limit ?time_limit ~delta:d s in
-      let root = match r.B.root_objective with Some o -> value o | None -> nan in
-      match r.B.status with
-      | B.Optimal ->
-        `Ok
-          (finish r.B.nodes root r.B.root_integral r.B.pivots r.B.refactors
-             (value (Option.get r.B.objective))
-             (point (Option.get r.B.solution)))
-      | B.Infeasible | B.Unbounded -> `Infeasible
-      | B.Feasible -> `Budget (Option.map value r.B.objective)
-      | B.Limit_no_solution -> `Budget None))
+  let finish ?(certified = false) nodes root_lp root_integral pivots refactors objective solution =
+    let solve_time = Lp.Clock.elapsed t0 in
+    if certified then Obs.Counter.incr c_certified;
+    ( objective,
+      solution,
+      { nodes; root_lp; root_integral; certified; solve_time; prep_time = 0.; pivots; refactors } )
+  in
+  match B.relax ~delta s with
+  | `Optimal (obj, x) when B.integral_on x prep.pint ->
+    let obj = B.to_float obj in
+    `Ok (finish ~certified:true 0 obj true 0 0 obj (B.to_floats x))
+  | `Optimal _ | `Infeasible | `Unbounded -> (
+    let r = B.solve_session ?node_limit ?time_limit ~delta s in
+    let root = match r.B.root_objective with Some o -> B.to_float o | None -> nan in
+    match r.B.status with
+    | B.Optimal ->
+      `Ok
+        (finish r.B.nodes root r.B.root_integral r.B.pivots r.B.refactors
+           (B.to_float (Option.get r.B.objective))
+           (B.to_floats (Option.get r.B.solution)))
+    | B.Infeasible | B.Unbounded -> `Infeasible
+    | B.Feasible -> `Budget (Option.map B.to_float r.B.objective)
+    | B.Limit_no_solution -> `Budget None)
 
-(* One run-log line: the solved program's structural feature vector, the
-   dispatch path taken, and the outcome, versioned by the run-log header. *)
-let runlog_solve_fields ~op ~status ~path:dispatch ~cert ?stats:st ~wall () =
-  let f = cert.Lp.Struct.features in
+(* One run-log line: the solved program's feature vector, the dispatch path
+   taken, and the outcome, versioned by the run-log header.  Called only
+   from inside the run-log's thunk, so the feature pass runs only while the
+   run-log is enabled. *)
+let runlog_solve_fields ~op ~status ~path:dispatch ~fz ?stats:st ~wall () =
+  let f = Lp.Struct.features fz in
   let sti g = match st with Some s -> g s | None -> 0 in
   let open Obs.Runlog in
   [
     ("op", S op);
     ("status", S status);
     ("path", S dispatch);
-    ("verdict", S (Lp.Struct.verdict_name cert));
-    ("structural", B (Lp.Struct.structural cert));
     ("rows", I f.Lp.Struct.rows);
     ("cols", I f.Lp.Struct.cols);
     ("nnz", I f.Lp.Struct.nnz);
@@ -379,7 +257,7 @@ let runlog_solve_fields ~op ~status ~path:dispatch ~cert ?stats:st ~wall () =
 
 (* Instrumentation wrapper around every engine solve: one observation per
    metrics-plane distribution and one run-log record per solve — the
-   session's [Lp.Struct] feature vector alongside the dispatch path taken
+   program's [Lp.Struct] feature vector alongside the dispatch path taken
    and the outcome, i.e. one line of the portfolio training corpus.  With
    nothing armed this is the raw solve plus two atomic loads. *)
 let run_engine ?node_limit ?time_limit ?(op = "solve") prep engine delta =
@@ -402,7 +280,7 @@ let run_engine ?node_limit ?time_limit ?(op = "solve") prep engine delta =
           | `Infeasible -> ("infeasible", "relax", None)
           | `Budget _ -> ("budget", "bb", None)
         in
-        runlog_solve_fields ~op ~status ~path ~cert:prep.pcert ?stats:st ~wall ());
+        runlog_solve_fields ~op ~status ~path ~fz:prep.pfz ?stats:st ~wall ());
     r
   end
 
@@ -427,15 +305,12 @@ let resilience_body ?node_limit ?time_limit t =
   | Sfalse -> Query_false
   | Snone -> No_contingency
   | Sactive core -> (
-    match Lazy.force core.cprep with
-    | None -> No_contingency
-    | Some prep -> (
-      match run_engine ?node_limit ?time_limit ~op:"resilience" prep prep.pengine (res_delta core) with
-      | `Infeasible -> No_contingency
-      | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
-      | `Ok (obj, sol, st) ->
-        Solved
-          { res_value = round_value obj; contingency = read_tuples core sol; res_stats = st }))
+    let prep = Lazy.force core.cprep in
+    match run_engine ?node_limit ?time_limit ~op:"resilience" prep prep.pengine (res_delta core) with
+    | `Infeasible -> No_contingency
+    | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
+    | `Ok (obj, sol, st) ->
+      Solved { res_value = round_value obj; contingency = read_tuples core sol; res_stats = st })
 
 let resilience ?node_limit ?time_limit t =
   note_question t;
@@ -461,38 +336,35 @@ let rsp_shared ?node_limit ?time_limit core prep engine tid =
           rsp_stats = st;
         })
 
-(* One cold question on a per-question encoding: freeze, presolve,
-   structural analysis and a fresh engine, then one certificate-aware solve
-   under the empty delta.  [prep_time] covers everything before the solve.
-   The per-question encoding is deliberately not the session's shared
-   program: one question never amortises the larger shared model. *)
-let cold_solve ?node_limit ?time_limit ~op ~exact ~presolve ~answer (enc : Encode.encoding) =
+(* One cold question on a per-question encoding: freeze and a fresh engine,
+   then one certificate-aware solve under the empty delta.  [prep_time]
+   covers everything before the solve.  The per-question encoding is
+   deliberately not the session's shared program: one question never
+   amortises the larger shared model. *)
+let cold_solve ?node_limit ?time_limit ~op ~exact ~answer (enc : Encode.encoding) =
   let tp0 = Lp.Clock.now () in
-  match prep_of_model ~exact ~presolve enc.Encode.model with
-  | None -> No_contingency
-  | Some prep -> (
-    let prep_time = Lp.Clock.elapsed tp0 in
-    match run_engine ?node_limit ?time_limit ~op prep prep.pengine Lp.Frozen.Delta.empty with
-    | `Infeasible -> No_contingency
-    | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
-    | `Ok (obj, sol, st) ->
-      Solved (answer (round_value obj) (Encode.contingency enc sol) { st with prep_time }))
+  let prep = prep_of_frozen ~exact (Lp.Frozen.of_model enc.Encode.model) in
+  let prep_time = Lp.Clock.elapsed tp0 in
+  match run_engine ?node_limit ?time_limit ~op prep prep.pengine Lp.Frozen.Delta.empty with
+  | `Infeasible -> No_contingency
+  | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
+  | `Ok (obj, sol, st) ->
+    Solved (answer (round_value obj) (Encode.contingency enc sol) { st with prep_time })
 
 (* The LP relaxation of a per-question encoding (integrality ignored):
-   freeze, presolve, one solve on a fresh engine. *)
-let cold_lp ~exact ~presolve (enc : Encode.encoding) =
-  match presolved ~presolve enc.Encode.model with
-  | None -> None
-  | Some (fz, vm) -> relax_point vm (Lp.Solvers.engine ~exact fz) Lp.Frozen.Delta.empty
+   freeze, one solve on a fresh engine. *)
+let cold_lp ~exact (enc : Encode.encoding) =
+  relax_point
+    (Lp.Solvers.engine ~exact (Lp.Frozen.of_model enc.Encode.model))
+    Lp.Frozen.Delta.empty
 
 let responsibility_body ?node_limit ?time_limit t tid =
   match t.state with
   | Sfalse -> Query_false
   | Snone -> No_contingency
-  | Sactive core -> (
-    match Lazy.force core.cprep with
-    | None -> No_contingency
-    | Some prep -> rsp_shared ?node_limit ?time_limit core prep prep.pengine tid)
+  | Sactive core ->
+    let prep = Lazy.force core.cprep in
+    rsp_shared ?node_limit ?time_limit core prep prep.pengine tid
 
 let responsibility ?node_limit ?time_limit t tid =
   note_question t;
@@ -538,11 +410,8 @@ let ranking ?node_limit ?time_limit t =
   match t.state with
   | Sfalse | Snone -> []
   | Sactive core ->
-    let solve_one =
-      match Lazy.force core.cprep with
-      | None -> fun _ -> No_contingency
-      | Some prep -> fun tid -> rsp_shared ?node_limit ?time_limit core prep prep.pengine tid
-    in
+    let prep = Lazy.force core.cprep in
+    let solve_one tid = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
     merge_ranking
       (record_rankings t (List.map (fun tid -> (tid, solve_one tid)) (candidates core t.sdb)))
 
@@ -557,18 +426,15 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
     let tasks = Array.length cands in
     if tasks = 0 then []
     else begin
+      let prep = Lazy.force core.cprep in
+      (* Each participating domain opens its own warm engine against the
+         shared frozen arrays and drains a chunk of per-tuple delta-solves. *)
       let outcomes =
-        match Lazy.force core.cprep with
-        | None -> Array.make tasks No_contingency
-        | Some prep ->
-          (* Each participating domain opens its own warm engine against
-             the shared presolved frozen arrays and drains a chunk of
-             per-tuple delta-solves. *)
-          Lp.Pool.with_pool ~jobs (fun pool ->
-              Lp.Pool.run_init pool
-                ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
-                ~tasks
-                (fun engine i -> rsp_shared ?node_limit ?time_limit core prep engine cands.(i)))
+        Lp.Pool.with_pool ~jobs (fun pool ->
+            Lp.Pool.run_init pool
+              ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
+              ~tasks
+              (fun engine i -> rsp_shared ?node_limit ?time_limit core prep engine cands.(i)))
       in
       merge_ranking
         (record_rankings t
@@ -716,11 +582,8 @@ let enumerate_resilience ?node_limit ?time_limit ?(jobs = 1) ?cap t =
   match t.state with
   | Sfalse -> Query_false
   | Snone -> No_contingency
-  | Sactive core -> (
-    match Lazy.force core.cprep with
-    | None -> No_contingency
-    | Some prep ->
-      enum_question ?node_limit ?time_limit ?cap ~jobs t core prep (res_delta core))
+  | Sactive core ->
+    enum_question ?node_limit ?time_limit ?cap ~jobs t core (Lazy.force core.cprep) (res_delta core)
 
 let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
@@ -729,47 +592,35 @@ let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
   | Sfalse -> Query_false
   | Snone -> No_contingency
   | Sactive core -> (
-    match Lazy.force core.cprep with
+    let prep = Lazy.force core.cprep in
+    match rsp_delta core tid with
     | None -> No_contingency
-    | Some prep -> (
-      match rsp_delta core tid with
-      | None -> No_contingency
-      | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core prep base))
+    | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core prep base)
 
 (* --- Relaxation views ----------------------------------------------------- *)
 
 let read_values core sol =
   List.map (fun (v, tid) -> (tid, sol.(v))) core.cshared.Encode.stuple_of_var
 
-let relax_run core prep delta =
-  match translate prep.pvm delta with
-  | None -> None
-  | Some d ->
-    Option.map
-      (fun (obj, sol) -> (obj, read_values core sol))
-      (relax_point prep.pvm prep.pengine d)
-
 let resilience_solution t =
   match t.state with
   | Sfalse | Snone -> None
-  | Sactive core -> (
-    match Lazy.force core.cprep with
-    | None -> None
-    | Some prep -> relax_run core prep (res_delta core))
+  | Sactive core ->
+    Option.map
+      (fun (obj, sol) -> (obj, read_values core sol))
+      (relax_point (Lazy.force core.cprep).pengine (res_delta core))
 
 let responsibility_solution t tid =
   match t.state with
   | Sfalse | Snone -> None
   | Sactive core -> (
-    match Lazy.force core.cprep with
+    let prep = Lazy.force core.cprep in
+    match rsp_delta core tid with
     | None -> None
-    | Some prep -> (
-      match rsp_delta core tid with
-      | None -> None
-      | Some delta -> (
-        match run_engine ~op:"solution" prep prep.pengine delta with
-        | `Infeasible | `Budget _ -> None
-        | `Ok (obj, sol, _) -> Some (obj, read_values core sol))))
+    | Some delta -> (
+      match run_engine ~op:"solution" prep prep.pengine delta with
+      | `Infeasible | `Budget _ -> None
+      | `Ok (obj, sol, _) -> Some (obj, read_values core sol)))
 
 let diagnostics t =
   match t.state with Sfalse | Snone -> [] | Sactive core -> Lazy.force core.cdiags

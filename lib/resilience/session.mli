@@ -1,21 +1,22 @@
 open! Relalg
 
-(** A solve session: pay for witness enumeration, encoding, lint and
-    presolve {e once}, then answer resilience and per-tuple responsibility
+(** A solve session: pay for witness enumeration, encoding, freezing and
+    lint {e once}, then answer resilience and per-tuple responsibility
     questions as cheap delta-solves against one frozen program.
 
     The session builds the shared super-model of {!Encode.shared_of_witnesses}
     (tuple variables, witness indicators, counterfactual slack), freezes it
-    ({!Lp.Frozen}), presolves the frozen form, and opens one warm-started
-    branch-and-bound session over it ({!Lp.Branch_bound}).  Every question is
+    ({!Lp.Frozen}), and opens one warm-started branch-and-bound session over
+    the frozen form exactly as encoded ({!Lp.Branch_bound}) — no presolve
+    and no structure analysis run on any solve path.  Every question is
     then a {!Lp.Frozen.Delta} — a set of bound fixes — against that matrix:
 
     - {!resilience} fixes every witness indicator to 1;
     - {!responsibility}[ t] fixes [X\[t\] = 0], the counterfactual slack to
       0, and the indicator of every witness avoiding [t] to 1;
     - {!ranking} runs the responsibility delta for every endogenous witness
-      tuple, so the whole batch reuses one matrix, one presolve, and the
-      dual-simplex basis of the previous optimum.
+      tuple, so the whole batch reuses one matrix and the dual-simplex
+      basis of the previous optimum.
 
     {b Dense instances.}  The shared super-model has one row per (witness,
     member) pair plus indicator links, so on dense instances (many large
@@ -41,17 +42,17 @@ type stats = {
   certified : bool;
       (** The solve was settled by an integrality certificate: the
           warm-started root relaxation's optimum was integral on the integer
-          variables (a root-vertex certificate — guaranteed whenever
-          {!Lp.Struct} certifies the session's matrix structurally) and was
-          accepted as the ILP optimum with zero branch-and-bound nodes.
-          Counted by the [solve.certified] / [solve.certified_structural]
-          {!Obs} counters. *)
+          variables (a root-vertex certificate — the common case on the
+          paper's PTIME query classes, whose covering programs have integral
+          relaxations) and was accepted as the ILP optimum with zero
+          branch-and-bound nodes.  Counted by the [solve.certified] {!Obs}
+          counter. *)
   solve_time : float;
       (** Seconds of {e pure} branch-and-bound for this question — excludes
-          encoding, freezing and presolve (see [prep_time]). *)
+          encoding, freezing and engine build (see [prep_time]). *)
   prep_time : float;
-      (** Seconds of per-question preparation: freeze + presolve +
-          engine build on the one-shot path ({!cold_solve}).  [0.] on a
+      (** Seconds of per-question preparation: freeze + engine build on
+          the one-shot path ({!cold_solve}).  [0.] on a
           session's delta-solves, where preparation is paid once per
           session and reported by {!profile} instead. *)
   pivots : int;  (** Simplex pivots spent on this question. *)
@@ -79,7 +80,7 @@ type profile = {
   witnesses_s : float;  (** Witness enumeration (the relational join). *)
   encode_s : float;  (** Shared-program encode + freeze, in {!create}. *)
   lint_s : float;  (** {!Lp.Lint} over the frozen program (lazy). *)
-  prep_s : float;  (** Presolve + engine build: the session's lazy shared prep. *)
+  prep_s : float;  (** Engine build: the session's lazy shared prep. *)
   solve_s : float;  (** Pure branch-and-bound time summed over questions. *)
   questions : int;  (** Questions asked (each ranking candidate counts). *)
 }
@@ -89,7 +90,6 @@ type profile = {
 
 val create :
   ?exact:bool ->
-  ?presolve:bool ->
   ?relaxation:Encode.relaxation ->
   ?basis:Lp.Basis.choice ->
   ?witnesses:Eval.witness list ->
@@ -102,8 +102,7 @@ val create :
     encoded directly — how the incremental service reuses witnesses it
     maintained under inserts/deletes instead of re-joining per question.
     Enumerate witnesses, encode and freeze the shared program, and open
-    the solver session (presolve and engine are built lazily, on the first
-    solve).  [relaxation] (default {!Encode.Ilp}) fixes the integrality
+    the solver session (the engine is built lazily, on the first solve).  [relaxation] (default {!Encode.Ilp}) fixes the integrality
     discipline of the shared program for the session's lifetime:
     {!Encode.Ilp} for exact answers, {!Encode.Milp}/{!Encode.Lp} for the
     relaxations feeding {!Approx}.  [basis] (default [`Sparse] LU) selects
@@ -215,19 +214,15 @@ val cold_solve :
   ?time_limit:float ->
   op:string ->
   exact:bool ->
-  presolve:bool ->
   answer:(int -> Database.tuple_id list -> stats -> 'a) ->
   Encode.encoding ->
   'a outcome
-(** Freeze, presolve ([presolve]), analyse and solve the encoding cold —
-    the root-vertex certificate first, branch-and-bound otherwise — and
-    build the answer from (optimum, tuple set read off the encoding,
-    stats).  [stats.prep_time] covers freeze + presolve + structural
-    analysis + engine build; [op] names the question in the run log.
-    [No_contingency] when presolve or the solve proves the program
-    infeasible. *)
+(** Freeze and solve the encoding cold — the root-vertex certificate
+    first, branch-and-bound otherwise — and build the answer from
+    (optimum, tuple set read off the encoding, stats).  [stats.prep_time]
+    covers freeze + engine build; [op] names the question in the run log.
+    [No_contingency] when the solve proves the program infeasible. *)
 
-val cold_lp : exact:bool -> presolve:bool -> Encode.encoding -> (float * float array) option
+val cold_lp : exact:bool -> Encode.encoding -> (float * float array) option
 (** The LP relaxation optimum of the encoding with its primal point over
-    the encoding's variables (lifted through presolve); [None] when
-    infeasible. *)
+    the encoding's variables; [None] when infeasible. *)

@@ -29,7 +29,7 @@ type rsp_answer = Session.rsp_answer = {
   rsp_stats : stats;
 }
 
-let resilience ?(exact = false) ?(presolve = true) ?node_limit ?time_limit semantics q db =
+let resilience ?(exact = false) ?node_limit ?time_limit semantics q db =
   let witnesses = Eval.witnesses q db in
   if witnesses = [] then Query_false
   else begin
@@ -37,22 +37,22 @@ let resilience ?(exact = false) ?(presolve = true) ?node_limit ?time_limit seman
     | Encode.Trivial _ -> Query_false
     | Encode.Impossible -> No_contingency
     | Encode.Encoded enc ->
-      Session.cold_solve ?node_limit ?time_limit ~op:"resilience" ~exact ~presolve enc
+      Session.cold_solve ?node_limit ?time_limit ~op:"resilience" ~exact enc
         ~answer:(fun res_value contingency res_stats -> { res_value; contingency; res_stats })
   end
 
-let resilience_lp_solution ?(exact = false) ?(presolve = true) semantics q db =
+let resilience_lp_solution ?(exact = false) semantics q db =
   match Encode.res Encode.Lp semantics q db with
   | Encode.Trivial _ | Encode.Impossible -> None
   | Encode.Encoded enc -> (
-    match Session.cold_lp ~exact ~presolve enc with
+    match Session.cold_lp ~exact enc with
     | None -> None
     | Some (obj, sol) -> Some (obj, enc, sol))
 
-let resilience_lp ?exact ?presolve semantics q db =
-  Option.map (fun (obj, _, _) -> obj) (resilience_lp_solution ?exact ?presolve semantics q db)
+let resilience_lp ?exact semantics q db =
+  Option.map (fun (obj, _, _) -> obj) (resilience_lp_solution ?exact semantics q db)
 
-let responsibility ?(exact = false) ?(presolve = true) ?node_limit ?time_limit
+let responsibility ?(exact = false) ?node_limit ?time_limit
     ?(relaxation = Encode.Ilp) semantics q db t =
   let witnesses = Eval.witnesses q db in
   if witnesses = [] then Query_false
@@ -61,28 +61,28 @@ let responsibility ?(exact = false) ?(presolve = true) ?node_limit ?time_limit
     | Encode.Trivial _ -> Query_false
     | Encode.Impossible -> No_contingency
     | Encode.Encoded enc ->
-      Session.cold_solve ?node_limit ?time_limit ~op:"responsibility" ~exact ~presolve enc
+      Session.cold_solve ?node_limit ?time_limit ~op:"responsibility" ~exact enc
         ~answer:(fun rsp_value responsibility_set rsp_stats ->
           { rsp_value; responsibility_set; rsp_stats })
   end
 
-let responsibility_lp ?(exact = false) ?(presolve = true) semantics q db t =
+let responsibility_lp ?(exact = false) semantics q db t =
   match Encode.rsp Encode.Lp semantics q db t with
   | Encode.Trivial _ | Encode.Impossible -> None
-  | Encode.Encoded enc -> Option.map fst (Session.cold_lp ~exact ~presolve enc)
+  | Encode.Encoded enc -> Option.map fst (Session.cold_lp ~exact enc)
 
-let enumerate_resilience ?exact ?presolve ?node_limit ?time_limit ?jobs ?cap semantics q db =
+let enumerate_resilience ?exact ?node_limit ?time_limit ?jobs ?cap semantics q db =
   Session.enumerate_resilience ?node_limit ?time_limit ?jobs ?cap
-    (Session.create ?exact ?presolve semantics q db)
+    (Session.create ?exact semantics q db)
 
-let enumerate_responsibility ?exact ?presolve ?node_limit ?time_limit ?jobs ?cap semantics q db
+let enumerate_responsibility ?exact ?node_limit ?time_limit ?jobs ?cap semantics q db
     t =
   Session.enumerate_responsibility ?node_limit ?time_limit ?jobs ?cap
-    (Session.create ?exact ?presolve semantics q db)
+    (Session.create ?exact semantics q db)
     t
 
-let responsibility_ranking ?exact ?presolve semantics q db =
-  Session.ranking (Session.create ?exact ?presolve semantics q db)
+let responsibility_ranking ?exact semantics q db =
+  Session.ranking (Session.create ?exact semantics q db)
 
 (* --- Flow baseline ------------------------------------------------------ *)
 

@@ -7,13 +7,14 @@ open! Relalg
     Every function has a [`Float] fast path (the default) and an [`Exact]
     path running the identical pipeline over arbitrary-precision rationals.
 
-    Every solve runs {!Lp.Presolve} first ([?presolve], on by default): the
-    model is shrunk by optimum-preserving reductions — duplicate and
-    dominated witness rows dropped, forced deletions fixed, redundant binary
-    bounds stripped — and solutions are lifted back to the full encoding, so
-    answers (values {e and} contingency sets) are unchanged; pass
-    [~presolve:false] to solve the raw encoding, e.g. when differential
-    testing the presolver itself. *)
+    Every solve runs on the encoding exactly as built: it is frozen and
+    handed to a fresh engine, with no reduction pass in between, so the
+    solver's variables are the encoding's and solutions need no lifting.
+    The relax-first dispatch settles most questions at the root LP (the
+    covering programs of the PTIME query classes have integral
+    relaxations), where a presolve pass would only add preparation cost.
+    {!Lp.Presolve} remains a library for [resil analyze]'s summary and its
+    own differential tests. *)
 
 type stats = Session.stats = {
   nodes : int;
@@ -26,9 +27,9 @@ type stats = Session.stats = {
           guaranteed when {!Lp.Struct} certifies the matrix structurally)
           with zero branch-and-bound nodes. *)
   solve_time : float;
-      (** Seconds of pure branch-and-bound (encode, freeze and presolve
-          excluded — see [prep_time]). *)
-  prep_time : float;  (** Seconds of freeze + presolve + engine build. *)
+      (** Seconds of pure branch-and-bound (encode, freeze and engine
+          build excluded — see [prep_time]). *)
+  prep_time : float;  (** Seconds of freeze + engine build. *)
   pivots : int;  (** Simplex pivots spent on this solve. *)
   refactors : int;  (** Basis refactorisations spent on this solve. *)
 }
@@ -57,7 +58,6 @@ type rsp_answer = Session.rsp_answer = {
 
 val resilience :
   ?exact:bool ->
-  ?presolve:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
   Problem.semantics ->
@@ -67,13 +67,12 @@ val resilience :
 (** RES*(Q, D) by ILP[RES*] (Theorem 4.2). *)
 
 val resilience_lp :
-  ?exact:bool -> ?presolve:bool -> Problem.semantics -> Cq.t -> Database.t -> float option
+  ?exact:bool -> Problem.semantics -> Cq.t -> Database.t -> float option
 (** LP[RES*] optimum ([None] when the query is false or no program exists).
     Equal to RES* on every PTIME case (Theorems 8.6/8.7). *)
 
 val resilience_lp_solution :
   ?exact:bool ->
-  ?presolve:bool ->
   Problem.semantics ->
   Cq.t ->
   Database.t ->
@@ -83,7 +82,6 @@ val resilience_lp_solution :
 
 val responsibility :
   ?exact:bool ->
-  ?presolve:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
   ?relaxation:Encode.relaxation ->
@@ -98,7 +96,6 @@ val responsibility :
 
 val responsibility_lp :
   ?exact:bool ->
-  ?presolve:bool ->
   Problem.semantics ->
   Cq.t ->
   Database.t ->
@@ -109,7 +106,6 @@ val responsibility_lp :
 
 val enumerate_resilience :
   ?exact:bool ->
-  ?presolve:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
   ?jobs:int ->
@@ -119,12 +115,11 @@ val enumerate_resilience :
   Database.t ->
   Enumerate.family outcome
 (** Every minimum contingency set of RES*(Q, D), via a fresh
-    {!Session.enumerate_resilience} — pay witnesses/encode/presolve once,
+    {!Session.enumerate_resilience} — pay witnesses/encode/freeze once,
     then one warm no-good-cut chain. *)
 
 val enumerate_responsibility :
   ?exact:bool ->
-  ?presolve:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
   ?jobs:int ->
@@ -138,7 +133,6 @@ val enumerate_responsibility :
 
 val responsibility_ranking :
   ?exact:bool ->
-  ?presolve:bool ->
   Problem.semantics ->
   Cq.t ->
   Database.t ->

@@ -362,8 +362,8 @@ let do_ask t (a : Protocol.ask) =
           | Some tid -> rsp_reply t (Incremental.responsibility ?time_limit inc tid)))
       | Protocol.Enumerate target -> (
         (* Enumeration rides the same maintained incremental session the
-           point questions use: the warm engine, witnesses and presolve are
-           all reused, the cut chain is per-request delta state. *)
+           point questions use: the warm engine, witnesses and frozen
+           program are all reused, the cut chain is per-request delta state. *)
         let ses = Incremental.session inc in
         match target with
         | None ->

@@ -98,7 +98,7 @@ let random_covering_frozen ?integer rng ~nvars ~nrows =
   let m, vars = random_covering_model ?integer rng ~nvars ~nrows in
   (Lp.Frozen.of_model m, vars)
 
-(* The reference ranking: a fresh encode + presolve + branch-and-bound per
+(* The reference ranking: a fresh encode + freeze + branch-and-bound per
    tuple, exactly what Solve.responsibility_ranking did before the session
    layer existed. *)
 let reference_ranking ~exact sem q db =

@@ -479,7 +479,8 @@ let test_runlog_records () =
 
 let test_runlog_from_solve () =
   (* End to end: a solve through Resilience.Solve with the runlog enabled
-     appends one schema-versioned record carrying features and outcome. *)
+     appends one record, under a version-2 header, carrying features and
+     outcome. *)
   let path = Filename.temp_file "runlog" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let q = Relalg.Cq_parser.parse "Q :- R(x, y), S(y)" in
@@ -496,7 +497,7 @@ let test_runlog_from_solve () =
   let header = input_line ic in
   let record = input_line ic in
   close_in ic;
-  Alcotest.(check bool) "header line" true (contains header "\"runlog\":\"resil-solve\"");
+  Alcotest.(check string) "v2 header" {|{"runlog":"resil-solve","version":2}|} header;
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "record has %S" needle) true
@@ -504,7 +505,13 @@ let test_runlog_from_solve () =
     [
       "\"op\":\"resilience\""; "\"status\":\"optimal\""; "\"path\":"; "\"rows\":";
       "\"cols\":"; "\"nnz\":"; "\"certified\":"; "\"wall_s\":";
-    ]
+    ];
+  (* v2 dropped the structure analysis verdict: no solve path runs it. *)
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (Printf.sprintf "record lacks %S" needle) false
+        (contains record needle))
+    [ "\"verdict\":"; "\"structural\":" ]
 
 (* --- Off path allocates nothing -------------------------------------------------- *)
 

@@ -75,31 +75,63 @@ let exact_roundtrip seed =
           (Numeric.Rat.add o2 (Numeric.Rat.of_int (Lp.Presolve.obj_offset vm)))
       | _ -> false))
 
-(* End-to-end: Solve.resilience with presolve on vs off (float and exact),
-   plus contingency validity of the presolved answer. *)
+(* The solve paths run the encoding as built; presolve is checked against
+   them.  [presolved ~exact ~relax m] reduces the frozen model, solves the
+   reduced program through [Lp.Solvers] (branch-and-bound, or just the LP
+   relaxation with [relax]) and returns the lifted optimum: the reduced
+   value plus the presolve offset, and whether the lifted point satisfies
+   the unreduced model.  [None]: presolve or the solve found it infeasible. *)
+let presolved ~exact ~relax m =
+  match Lp.Presolve.presolve (Lp.Frozen.of_model m) with
+  | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded -> None
+  | Lp.Presolve.Reduced (fz, vm) -> (
+    let (Lp.Solvers.Engine ((module B), s)) = Lp.Solvers.engine ~exact fz in
+    let optimum =
+      if relax then match B.relax s with `Optimal (o, x) -> Some (o, x) | _ -> None
+      else
+        let r = B.solve_session s in
+        match (r.B.status, r.B.objective, r.B.solution) with
+        | B.Optimal, Some o, Some x -> Some (o, x)
+        | _ -> None
+    in
+    Option.map
+      (fun (o, x) ->
+        ( B.to_float o +. float_of_int (Lp.Presolve.obj_offset vm),
+          Lp.Model.check_feasible m (B.to_floats (Lp.Presolve.lift vm ~of_int:B.of_int x)) ))
+      optimum)
+
+(* End-to-end: Solve.resilience (float and exact) against presolve applied
+   to the same ILP[RES*] encoding, plus contingency validity of the
+   answer. *)
 let end_to_end ~exact seed =
   let rng = Random.State.make [| seed |] in
   let sem, q, db = random_case rng in
-  let on = Solve.resilience ~exact ~presolve:true sem q db in
-  let off = Solve.resilience ~exact ~presolve:false sem q db in
-  match (on, off) with
-  | Solve.Solved a, Solve.Solved b ->
-    a.Solve.res_value = b.Solve.res_value
-    && Solve.verify_contingency sem q db a.Solve.contingency
-  | Solve.Query_false, Solve.Query_false -> true
-  | Solve.No_contingency, Solve.No_contingency -> true
+  match (Solve.resilience ~exact sem q db, Encode.res Encode.Ilp sem q db) with
+  | Solve.Solved a, Encode.Encoded enc -> (
+    match presolved ~exact ~relax:false enc.Encode.model with
+    | Some (p, lift_ok) ->
+      Float.abs (float_of_int a.Solve.res_value -. p) < 1e-6
+      && lift_ok
+      && Solve.verify_contingency sem q db a.Solve.contingency
+    | None -> false)
+  | Solve.No_contingency, Encode.Encoded enc ->
+    presolved ~exact ~relax:false enc.Encode.model = None
+  | Solve.Query_false, Encode.Trivial _ -> true
+  | Solve.No_contingency, Encode.Impossible -> true
   | _ -> false
 
+(* LP[RES*]: Solve.resilience_lp against the presolved relaxation. *)
 let lp_roundtrip seed =
   let rng = Random.State.make [| seed |] in
   let sem, q, db = random_case rng in
-  match
-    ( Solve.resilience_lp ~presolve:true sem q db,
-      Solve.resilience_lp ~presolve:false sem q db )
-  with
-  | Some a, Some b -> Float.abs (a -. b) < 1e-6
-  | None, None -> true
-  | _ -> false
+  match (Solve.resilience_lp sem q db, Encode.res Encode.Lp sem q db) with
+  | Some a, Encode.Encoded enc -> (
+    match presolved ~exact:false ~relax:true enc.Encode.model with
+    | Some (p, lift_ok) -> Float.abs (a -. p) < 1e-6 && lift_ok
+    | None -> false)
+  | None, Encode.Encoded enc -> presolved ~exact:false ~relax:true enc.Encode.model = None
+  | None, (Encode.Trivial _ | Encode.Impossible) -> true
+  | Some _, (Encode.Trivial _ | Encode.Impossible) -> false
 
 let qcheck_cases =
   [

@@ -260,6 +260,56 @@ let test_fully_exogenous_witness () =
   | _ -> Alcotest.fail "expected No_contingency");
   Alcotest.(check int) "empty ranking" 0 (List.length (Session.ranking session))
 
+(* --- What the solve paths run ---------------------------------------------- *)
+
+(* [create] is idempotent: this is the solver's own cell whenever the module
+   that registers it is linked in (and a fresh, never-bumped one when no
+   code that could bump it is). *)
+let counter name = Obs.Counter.value (Obs.Counter.create name)
+
+let test_solve_paths_run_encoding_as_built () =
+  (* Every solve path hands the encoding to the solver as built: with a
+     trace sink installed (so every counter records), cold RES and RSP, a
+     warm ranking and an enumeration leave the presolve and
+     structure-analysis counters at 0 — and answer what exhaustive search
+     answers.  One exogenous tuple gives the encodings the singleton and
+     dominated rows presolve would otherwise reduce. *)
+  let sem = Problem.Set in
+  let q = Queries.q2_chain () in
+  let db = chain_db ~seed:3 ~count:5 ~domain:2 in
+  Database.set_exo db (List.hd (Database.tuples db)).Database.id true;
+  Obs.Sink.install ();
+  Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
+  let res = Solve.resilience sem q db in
+  let tuples = Problem.endogenous_tuples q db in
+  let rsps = List.map (fun t -> (t, Solve.responsibility sem q db t)) tuples in
+  let session = Session.create sem q db in
+  let ranking = List.map (fun (t, k, _) -> (t, k)) (Session.ranking session) in
+  let family = Session.enumerate_resilience session in
+  Alcotest.(check int) "presolve.passes" 0 (counter "presolve.passes");
+  Alcotest.(check int) "struct.analyses" 0 (counter "struct.analyses");
+  (match (res, Bruteforce.resilience sem q db) with
+  | Solve.Solved a, Some v -> Alcotest.(check int) "RES* = brute force" v a.Solve.res_value
+  | _ -> Alcotest.fail "fixture: RES* must be solved and finite");
+  let brute_rsp = List.map (fun t -> (t, Bruteforce.responsibility sem q db t)) tuples in
+  List.iter
+    (fun (t, o) ->
+      match (o, List.assoc t brute_rsp) with
+      | Solve.Solved a, Some v ->
+        Alcotest.(check int) (Printf.sprintf "RSP*(t%d) = brute force" t) v a.Solve.rsp_value
+      | Solve.No_contingency, None -> ()
+      | _ -> Alcotest.failf "RSP*(t%d): verdict differs from brute force" t)
+    rsps;
+  Alcotest.(check (list (pair int int)))
+    "ranking = brute force"
+    (List.sort compare (List.filter_map (fun (t, v) -> Option.map (fun k -> (t, k)) v) brute_rsp))
+    (List.sort compare ranking);
+  match (family, Bruteforce.resilience_family sem q db) with
+  | Session.Solved f, Some (opt, sets) ->
+    Alcotest.(check int) "enumeration optimum" opt f.Enumerate.opt;
+    Alcotest.(check (list (list int))) "enumerated family = brute force" sets f.Enumerate.sets
+  | _ -> Alcotest.fail "fixture: the enumeration must be solved"
+
 let () =
   let open Alcotest in
   run "session"
@@ -283,6 +333,11 @@ let () =
           test_case "ranking = per-tuple reference" `Quick test_ranking_matches_reference;
           test_case "dense basis kernel ranks identically" `Quick
             test_dense_basis_ranks_identically;
+        ] );
+      ( "solve-path",
+        [
+          test_case "no presolve or structure analysis on any solve path" `Quick
+            test_solve_paths_run_encoding_as_built;
         ] );
       ("differential", Harness.qtests qcheck_cases);
       ("parallel", Harness.qtests par_qcheck_cases);
