@@ -101,32 +101,12 @@ module Make (F : Numeric.Field.S) = struct
      a responsibility batch (many near-identical ILPs against one frozen
      core) cheap. *)
 
-  type session = {
-    sfz : Frozen.t;
-    slp : Lp.session;
-    mutable sext : (Frozen.Delta.t * Frozen.t) option;
-        (* Cache of the last append extension: the delta whose appends were
-           materialised and the resulting frozen program.  A serve-style
-           batch replays the same grown delta many times; re-extending per
-           solve would re-copy the matrix every call. *)
-  }
+  type session = Lp.session
 
-  let create_session ?kernel fz = { sfz = fz; slp = Lp.create_session ?kernel fz; sext = None }
-
-  (* The session's program with the delta's appends materialised (cached by
-     append identity). *)
-  let extended sess delta =
-    if not (Frozen.Delta.has_appends delta) then sess.sfz
-    else
-      match sess.sext with
-      | Some (d, fz) when Frozen.Delta.same_appends d delta -> fz
-      | _ ->
-        let fz = Frozen.extend sess.sfz delta in
-        sess.sext <- Some (delta, fz);
-        fz
+  let create_session = Lp.create_session
 
   let relax ?(delta = Frozen.Delta.empty) sess =
-    match Lp.session_solve sess.slp delta with
+    match Lp.session_solve sess delta with
     | Lp.Optimal { objective; solution } -> `Optimal (objective, solution)
     | Lp.Infeasible -> `Infeasible
 
@@ -166,7 +146,7 @@ module Make (F : Numeric.Field.S) = struct
     | None, false -> Infeasible
 
   (* Lifetime simplex work of a session's warm LP engine. *)
-  let session_work sess = (Lp.session_pivots sess.slp, Lp.session_refactors sess.slp)
+  let session_work sess = (Lp.session_pivots sess, Lp.session_refactors sess)
 
   (* One depth-first search over deltas against the session's warm LP
      engine: children are pushed fix-0 first, a node is pruned when its
@@ -174,7 +154,7 @@ module Make (F : Numeric.Field.S) = struct
      node offers a rounded point as a candidate incumbent.  The first solved
      node is the root. *)
   let solve_session ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) sess =
-    let fz = extended sess delta in
+    let fz = Lp.session_program sess delta in
     let nvars, int_vars, pure_int_obj = fz_meta fz in
     (* [fz] is already the extended program, so the rounding check gets the
        delta with its appends stripped — passing them again would apply
@@ -234,7 +214,7 @@ module Make (F : Numeric.Field.S) = struct
         else begin
           Obs.Counter.incr c_nodes;
           Obs.Counter.record_max c_max_depth depth;
-          match Lp.session_solve sess.slp node_delta with
+          match Lp.session_solve sess node_delta with
           | Lp.Infeasible -> Obs.Counter.incr c_infeasible_nodes
           | Lp.Optimal { objective; solution } ->
             if !root_objective = None then begin

@@ -718,6 +718,7 @@ module Make (F : Numeric.Field.S) = struct
     ses_choice : Basis.choice;
     mutable ses_st : sstate;
     mutable ses_abs : Frozen.Delta.t;  (* appends the state was compiled for *)
+    mutable ses_fz : Frozen.t;  (* [ses_base] with [ses_abs]'s appends materialised *)
   }
 
   let create_session ?(kernel = `Sparse) fz =
@@ -726,6 +727,7 @@ module Make (F : Numeric.Field.S) = struct
       ses_choice = kernel;
       ses_st = create_state ~kernel fz;
       ses_abs = Frozen.Delta.empty;
+      ses_fz = fz;
     }
 
   (* Lifetime work totals, for per-solve deltas in branch-and-bound and the
@@ -737,7 +739,8 @@ module Make (F : Numeric.Field.S) = struct
 
   let session_absorb sess delta =
     let old = sess.ses_st in
-    let st = create_state ~kernel:sess.ses_choice (Frozen.extend sess.ses_base delta) in
+    let fz = Frozen.extend sess.ses_base delta in
+    let st = create_state ~kernel:sess.ses_choice fz in
     st.stotal_pivots <- old.stotal_pivots;
     st.srefactors <- old.srefactors;
     if old.snrows > 0 && Frozen.Delta.extends ~prefix:sess.ses_abs delta then begin
@@ -762,10 +765,15 @@ module Make (F : Numeric.Field.S) = struct
       | exception Basis.Singular -> session_reset st
     end;
     sess.ses_st <- st;
-    sess.ses_abs <- delta
+    sess.ses_abs <- delta;
+    sess.ses_fz <- fz
+
+  let session_program sess delta =
+    if not (Frozen.Delta.same_appends delta sess.ses_abs) then session_absorb sess delta;
+    sess.ses_fz
 
   let session_solve sess delta =
-    if not (Frozen.Delta.same_appends delta sess.ses_abs) then session_absorb sess delta;
+    ignore (session_program sess delta);
     state_solve sess.ses_st delta
 
   let solve_frozen ?(delta = Frozen.Delta.empty) ?kernel fz =
