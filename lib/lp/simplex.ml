@@ -375,6 +375,7 @@ module Make (F : Numeric.Field.S) = struct
     in
     let result = ref `Optimal in
     let continue = ref true in
+    let piv0 = s.stotal_pivots in
     while !continue do
       incr iters;
       if !iters > max_iters then failwith "Simplex.session_solve: dual iteration limit";
@@ -582,6 +583,8 @@ module Make (F : Numeric.Field.S) = struct
         end
       end
     done;
+    (* Without a pivot no dual update was skipped: darr is still exact. *)
+    if s.stotal_pivots = piv0 then s.sdarr_stale <- false;
     !result
 
   let session_extract s =
