@@ -623,7 +623,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
            regime is phrased in. *)
         let rows =
           match Encode.shared_of_witnesses Encode.Ilp set q db (Eval.witnesses q db) with
-          | Encode.Shared s -> Lp.Frozen.num_rows (Lp.Frozen.of_model s.Encode.smodel)
+          | Encode.Shared s -> Lp.Frozen.num_rows s.Encode.sfz
           | Encode.Shared_trivial | Encode.Shared_impossible -> 0
         in
         let cold, t_cold = time (fun () -> cold_ranking set q db) in
@@ -814,9 +814,9 @@ let run_serve ?(jobs = 1) scale json =
    re-solve's pivot bill relative to the cold reference, which re-solves the
    whole ILP from scratch after every cut.  The 2-chain over a dense join
    domain keeps the cut re-solves off the certificate fast path, so both
-   paths genuinely pivot (certificate-settled solves report zero pivots and
-   say nothing), while branch-and-bound stays shallow enough that the root
-   re-solve — the part the warm basis pays for — dominates the pivot bill.
+   paths genuinely branch, while branch-and-bound stays shallow enough that
+   the root re-solve — the part the warm basis pays for — dominates the
+   pivot bill.  A warm re-solve's pivots include its relaxation probe.
    The CI gate asserts the aggregate warm/cold pivots-per-cut ratio stays
    small — the proof the appended cut is absorbed basis-intact rather than
    paid for with a cold solve. *)

@@ -417,14 +417,18 @@ let struct_soundness case =
    stream applied to an [Incremental.t] must leave it agreeing with
    from-scratch enumeration + encode + solve after every mutation — the
    witness set (as valuations), the RES* value and verdict, a sampled
-   tuple's RSP*, and any returned contingency must falsify the query.
-   The same stream is replayed at float and at exact-rational fields. *)
+   tuple's RSP*, the full ranking against cold per-tuple solves, and the
+   minimum-contingency family against a cold enumeration; any returned
+   contingency must falsify the query.  Every question runs on the
+   instance's one maintained session, so these checks cover the write
+   overlays, the counterfactual refresh and compaction.  The same stream
+   is replayed at float and at exact-rational fields. *)
 
 let sorted_valuations ws = List.sort compare (List.map (fun w -> w.Eval.valuation) ws)
 
-let serve_incremental_step ~step sem q inc =
+let serve_incremental_step ~step ~exact sem q inc =
   let db = Incremental.db inc in
-  let exact = Incremental.exact inc in
+  let ses = Incremental.session inc in
   all_of
     [
       (fun () ->
@@ -435,7 +439,7 @@ let serve_incremental_step ~step sem q inc =
             (List.length want)
         else Pass);
       (fun () ->
-        match (Incremental.resilience inc, Solve.resilience ~exact sem q db) with
+        match (Session.resilience ses, Solve.resilience ~exact sem q db) with
         | Session.Solved a, Solve.Solved b when a.Session.res_value <> b.Solve.res_value ->
           failf "step %d: incremental RES* %d <> cold %d" step a.Session.res_value
             b.Solve.res_value
@@ -452,7 +456,7 @@ let serve_incremental_step ~step sem q inc =
         | None -> Pass
         | Some info -> (
           let tid = info.Database.id in
-          match (Incremental.responsibility inc tid, Solve.responsibility ~exact sem q db tid) with
+          match (Session.responsibility ses tid, Solve.responsibility ~exact sem q db tid) with
           | Session.Solved a, Solve.Solved b when a.Session.rsp_value <> b.Solve.rsp_value ->
             failf "step %d: incremental RSP*(t%d) %d <> cold %d" step tid a.Session.rsp_value
               b.Solve.rsp_value
@@ -460,6 +464,20 @@ let serve_incremental_step ~step sem q inc =
             failf "step %d: RSP*(t%d) verdict: incremental %s <> cold %s" step tid (kind i)
               (kind c)
           | _ -> Pass));
+      (fun () ->
+        let warm = List.map (fun (tid, k, _) -> (tid, k)) (Session.ranking ses) in
+        if warm <> cold_ranking ~exact sem q db then
+          failf "step %d: incremental ranking differs from cold per-tuple solves" step
+        else Pass);
+      (fun () ->
+        match (Session.enumerate_resilience ses, Solve.enumerate_resilience ~exact sem q db) with
+        | Session.Solved a, Session.Solved b
+          when (a.Enumerate.opt, a.Enumerate.sets, a.Enumerate.exhausted)
+               <> (b.Enumerate.opt, b.Enumerate.sets, b.Enumerate.exhausted) ->
+          failf "step %d: incremental RES family differs from a cold enumeration" step
+        | i, c when kind i <> kind c ->
+          failf "step %d: RES family verdict: incremental %s <> cold %s" step (kind i) (kind c)
+        | _ -> Pass);
     ]
 
 let serve_incremental_db seed ({ sem; q; db } : Gen.db_case) =
@@ -506,7 +524,7 @@ let serve_incremental_db seed ({ sem; q; db } : Gen.db_case) =
           (match op with
           | `Ins (rel, args, mult, exo) -> ignore (Incremental.insert ~mult ~exo inc rel args)
           | `Del id -> Incremental.delete inc id);
-          match serve_incremental_step ~step sem q inc with
+          match serve_incremental_step ~step ~exact sem q inc with
           | Pass -> go (step + 1) rest
           | Fail m -> Fail (Printf.sprintf "exact=%b %s" exact m))
       in

@@ -42,6 +42,8 @@ module type S = sig
 
   val solve_frozen :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> Frozen.t -> result
+
+  val session_work : session -> int * int
 end
 
 module Make (F : Numeric.Field.S) = struct
@@ -145,7 +147,6 @@ module Make (F : Numeric.Field.S) = struct
     | None, true -> Limit_no_solution
     | None, false -> Infeasible
 
-  (* Lifetime simplex work of a session's warm LP engine. *)
   let session_work sess = (Lp.session_pivots sess, Lp.session_refactors sess)
 
   (* One depth-first search over deltas against the session's warm LP

@@ -98,6 +98,11 @@ module type S = sig
   val solve_frozen :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> Frozen.t -> result
   (** One-shot convenience: [solve_session] on a fresh session. *)
+
+  val session_work : session -> int * int
+  (** Lifetime simplex pivots and refactorisations of the session's warm
+      LP engine; callers take before/after differences to attribute work
+      to one question, a {!relax} probe included. *)
 end
 
 module Make (F : Numeric.Field.S) : S with type elt = F.t

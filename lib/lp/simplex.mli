@@ -76,13 +76,9 @@ module Make (F : Numeric.Field.S) : sig
       re-compile. *)
 
   val session_program : session -> Frozen.Delta.t -> Frozen.t
-  (** The program {!session_solve} solves under the delta: the base with
-      the delta's appends materialised (bound overrides not applied).  The
-      session absorbs the appends here, as {!session_solve} would, and
-      keeps the one extended copy per append epoch, so callers that need
-      the grown program (branch-and-bound's integrality and rounding
-      checks) never extend it a second time.  The base itself when the
-      delta has no appends. *)
+  (** The base with the delta's appends materialised, which the session
+      absorbs here as {!session_solve} would: the one extended copy per
+      append epoch, shared with branch-and-bound's checks. *)
 
   val solve_frozen : ?delta:Frozen.Delta.t -> ?kernel:Basis.choice -> Frozen.t -> outcome
   (** One-shot convenience: [session_solve (create_session fz) delta]. *)

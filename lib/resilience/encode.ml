@@ -130,7 +130,7 @@ let rsp relax semantics q db t = rsp_of_witnesses relax semantics q db (Eval.wit
 (* --- Shared super-model --------------------------------------------------- *)
 
 type shared = {
-  smodel : Lp.Model.t;
+  sfz : Lp.Frozen.t;
   stuple_of_var : (Lp.Model.var * Database.tuple_id) list;
   svar_of_tuple : (Database.tuple_id, Lp.Model.var) Hashtbl.t;
   switnesses : (Lp.Model.var * Database.tuple_id list) list;
@@ -197,7 +197,7 @@ let shared_of_witnesses relax semantics q db witnesses =
         (List.length witness_vars - 1);
       Shared
         {
-          smodel = model;
+          sfz = Lp.Frozen.of_model model;
           stuple_of_var = List.rev !tuple_of_var;
           svar_of_tuple = var_of_tuple;
           switnesses = witness_vars;

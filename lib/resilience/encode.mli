@@ -93,7 +93,8 @@ val contingency : encoding -> float array -> Database.tuple_id list
     Theorem 9.1 carry over unchanged. *)
 
 type shared = {
-  smodel : Lp.Model.t;
+  sfz : Lp.Frozen.t;
+      (** The program, frozen as encoded (the builder is not kept). *)
   stuple_of_var : (Lp.Model.var * Database.tuple_id) list;
       (** Tuple decision variables, in creation order. *)
   svar_of_tuple : (Database.tuple_id, Lp.Model.var) Hashtbl.t;

@@ -1,24 +1,25 @@
 open! Relalg
 
 (** A maintained resilience instance: one (query, database) pair kept alive
-    across tuple inserts and deletes, answering questions without re-running
-    the witness join from scratch.
+    across tuple inserts and deletes.  It owns a {!Database.copy} of the
+    database it was created on, the witness list, maintained by
+    delta-joins, and one {!Session.t} built from that list; every question
+    is a {!Session} call on {!session}.
 
-    The instance owns a {!Database.copy} of the database it was created on
-    and maintains the witness list incrementally:
-
-    - inserting a {e new} tuple runs the delta-join {!Eval.delta_insert}
-      (only the witnesses using the new tuple are enumerated) and, when the
-      resilience covering program is already built, extends it in place with
-      appended columns/rows ({!Lp.Frozen.Delta}) that the warm
-      branch-and-bound session absorbs without dropping its basis;
-    - re-inserting an {e existing} tuple (multiplicity bump / exogeneity OR)
-      and deletes keep the maintained witness list but rebuild the program
-      lazily — those mutations move objective weights or drop rows, which
-      appends cannot express;
-    - {!responsibility} and {!ranking_par} route through a cached
-      {!Session.t} created with [~witnesses], so they skip the join but pay
-      the shared-program encode once per mutation epoch.
+    Writes are overlays on the session's one frozen program (see
+    {!Session.add_witnesses} and {!Session.drop_tuple}): a {e new} tuple's
+    insert runs the delta-join {!Eval.delta_insert} and appends the
+    witnesses it created; a delete drops the witnesses using the tuple.  A
+    write re-encodes the session from the witness list only in three
+    cases, each counted by the [incremental.rebuilds] counter:
+    - compaction, once the appended nonzeros pass a quarter of the base
+      program's;
+    - re-inserting an existing tuple (a bag multiplicity bump or an
+      exogeneity OR moves objective weights);
+    - leaving a no-program state: the query was false at build and a
+      witness appears, or a fully exogenous witness blocked every
+      contingency at build and the last such witness is gone.
+    The session, and a rebuild, is built lazily by the next question.
 
     Every answer must equal the from-scratch {!Solve} answer on the current
     database — the [serve_incremental] differential oracle pins exactly
@@ -28,7 +29,7 @@ type t
 
 val create : ?exact:bool -> Problem.semantics -> Cq.t -> Database.t -> t
 (** Copies the database (the caller's copy is never mutated) and enumerates
-    the initial witnesses; programs are built lazily on first question. *)
+    the initial witnesses; the session is built on the first question. *)
 
 val db : t -> Database.t
 (** The instance's own database, reflecting all mutations so far.  Callers
@@ -39,44 +40,15 @@ val witnesses : t -> Eval.witness list
     [Eval.witnesses (query t) (db t)] as a set of valuations (order
     differs: incrementally discovered witnesses are appended). *)
 
-val exact : t -> bool
-val semantics : t -> Problem.semantics
-val query : t -> Cq.t
-
 val insert : ?mult:int -> ?exo:bool -> t -> string -> int array -> Database.tuple_id
 (** Inserts a tuple ({!Database.add} semantics: re-inserting an existing
     tuple bumps multiplicity and ORs [exo], with a stable id) and maintains
-    the witnesses.  A genuinely new tuple takes the delta-join fast path;
-    an existing one invalidates the cached programs. *)
+    the witnesses and the session. *)
 
 val delete : t -> Database.tuple_id -> unit
-(** Removes the tuple ({!Database.remove}) and drops every witness using
-    it.  No-op on an id that is not live. *)
-
-val resilience :
-  ?node_limit:int -> ?time_limit:float -> t -> Session.res_answer Session.outcome
-(** RES*(Q, D) on the current database.  On the append fast path this is a
-    warm delta-solve over the extended covering program; otherwise the
-    program is rebuilt from the maintained witnesses (still skipping the
-    join).  [res_stats.certified] is always [false] here — the raw covering
-    program bypasses the certificate-aware {!Session} dispatch. *)
-
-val responsibility :
-  ?node_limit:int ->
-  ?time_limit:float ->
-  t ->
-  Database.tuple_id ->
-  Session.rsp_answer Session.outcome
-(** RSP*(Q, D, t) via the cached shared-program session. *)
-
-val ranking_par :
-  ?node_limit:int ->
-  ?time_limit:float ->
-  ?jobs:int ->
-  t ->
-  (Database.tuple_id * int * float) list
-(** {!Session.ranking_par} on the cached session. *)
+(** Removes the tuple ({!Database.remove}), drops every witness using it
+    and maintains the session.  No-op on an id that is not live. *)
 
 val session : t -> Session.t
-(** The cached shared-program session for the current database state,
-    built on demand (and after every mutation). *)
+(** The session for the current database state, the one program every
+    question on this instance runs on.  Do not hand it writes directly. *)

@@ -74,35 +74,49 @@ let fresh_acc () =
   { a_witnesses = 0.; a_encode = 0.; a_lint = 0.; a_prep = 0.; a_solve = 0.; a_questions = 0 }
 
 (* Solver state over one frozen program: the program exactly as encoded
-   (what per-domain engines are created from), the submitter's own warm
-   engine, and the program's integer variables.  No reduction sits between
-   the encoding and the solver, so deltas, appended rows and solutions all
-   speak the encoding's variable numbering. *)
-type prep = {
-  pfz : Lp.Frozen.t;
-  pengine : Lp.Solvers.engine;
-  pint : Lp.Model.var list;
-}
+   (what per-domain engines are created from) and the submitter's own warm
+   engine.  No reduction sits between the encoding and the solver, so
+   deltas, appended rows and solutions all speak the encoding's variable
+   numbering. *)
+type prep = { pfz : Lp.Frozen.t; pengine : Lp.Solvers.engine }
 
-let prep_of_frozen ?kernel ~exact fz =
-  { pfz = fz; pengine = Lp.Solvers.engine ~exact ?kernel fz; pint = Lp.Frozen.integer_vars fz }
+let prep_of_frozen ?kernel ~exact fz = { pfz = fz; pengine = Lp.Solvers.engine ~exact ?kernel fz }
 
+(* The maintained program: the shared encoding as frozen at build, plus an
+   overlay that writes grow.  Every question's delta starts from
+   [coverlay]: its appends are the columns and rows inserts and
+   counterfactual refreshes added, its bound fixes force every live
+   witness indicator to 1 and pin deleted tuples to 0 and retired
+   counterfactual slacks to 1. *)
 type core = {
-  cshared : Encode.shared;
+  cfz : Lp.Frozen.t;
   cprep : prep Lazy.t;
       (* engine build, paid by the first question — a session opened only
          for lint or analysis never forces this *)
   cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the frozen program *)
+  cinteger : bool * bool;  (* are tuple columns, witness indicators integral? *)
+  cvar_of_tuple : (Database.tuple_id, Lp.Model.var) Hashtbl.t;
+  mutable ctuple_of_var : (Lp.Model.var * Database.tuple_id) list;  (* creation order *)
+  mutable clive : (Lp.Model.var * Database.tuple_id list) list;
+      (* live witness indicators, newest first, with their full tuple sets *)
+  mutable cz : Lp.Model.var;  (* slack of the current counterfactual row *)
+  mutable cstale : bool;  (* [clive] moved since that row was written *)
+  mutable coverlay : Lp.Frozen.Delta.t;
+  mutable cnvars : int;  (* base + appended *)
+  mutable cints : Lp.Model.var list;  (* integer variables, base + appended *)
+  mutable cgrown : int;  (* appended nonzeros *)
 }
-
-type state = Sfalse | Snone | Sactive of core
 
 type t = {
   sdb : Database.t;
+  sq : Cq.t;
   ssem : Problem.semantics;
   sexact : bool;
   sbasis : Lp.Basis.choice;
-  state : state;
+  sprog : core option;  (* [None]: no witness, or a blocker, at build *)
+  mutable sblockers : Database.tuple_id list list;
+      (* live witness tuple sets without an endogenous tuple: nothing can
+         destroy them, so no contingency set exists *)
   sacc : acc;
 }
 
@@ -117,16 +131,15 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
   in
   acc.a_witnesses <- Lp.Clock.elapsed tw0;
   let te0 = Lp.Clock.now () in
-  let state =
+  let sprog =
     Obs.Trace.with_span "session.encode" (fun () ->
         match Encode.shared_of_witnesses relaxation semantics q db witnesses with
-        | Encode.Shared_trivial -> Sfalse
-        | Encode.Shared_impossible -> Snone
+        | Encode.Shared_trivial | Encode.Shared_impossible -> None
         | Encode.Shared shared ->
-          let raw = Lp.Frozen.of_model shared.Encode.smodel in
-          Sactive
+          let raw = shared.Encode.sfz in
+          Some
             {
-              cshared = shared;
+              cfz = raw;
               cprep =
                 (* Timed inside the thunk so the cost lands on whichever
                    question actually forces the shared prep. *)
@@ -143,10 +156,131 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
                        let d = Lp.Lint.lint raw in
                        acc.a_lint <- acc.a_lint +. Lp.Clock.elapsed t0;
                        d));
+              cinteger = (relaxation = Encode.Ilp, relaxation <> Encode.Lp);
+              cvar_of_tuple = shared.Encode.svar_of_tuple;
+              ctuple_of_var = shared.Encode.stuple_of_var;
+              clive = List.rev shared.Encode.switnesses;
+              cz = shared.Encode.sz;
+              cstale = false;
+              coverlay =
+                List.fold_left
+                  (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d)
+                  Lp.Frozen.Delta.empty shared.Encode.switnesses;
+              cnvars = Lp.Frozen.num_vars raw;
+              cints = Lp.Frozen.integer_vars raw;
+              cgrown = 0;
             })
   in
   acc.a_encode <- Lp.Clock.elapsed te0;
-  { sdb = db; ssem = semantics; sexact = exact; sbasis = basis; state; sacc = acc }
+  let sblockers =
+    if Option.is_some sprog then []
+    else List.filter (List.for_all (Problem.tuple_exo q db)) (Eval.unique_tuple_sets witnesses)
+  in
+  { sdb = db; sq = q; ssem = semantics; sexact = exact; sbasis = basis; sprog; sblockers; sacc = acc }
+
+(* The program a question runs on, or the outcome that needs none: no
+   contingency while a blocker is live, a false query when no witness is. *)
+let active t =
+  match t.sprog with
+  | _ when t.sblockers <> [] -> Error No_contingency
+  | Some core when core.clive <> [] -> Ok core
+  | Some _ | None -> Error Query_false
+
+(* --- Writes ----------------------------------------------------------------- *)
+
+(* Witness sets appended by writes (dropped unless a sink is installed). *)
+let c_appends = Obs.Counter.create "incremental.appends"
+
+(* The compaction rule: appended nonzeros past a quarter of the base's. *)
+let compaction_due core = 4 * core.cgrown > Lp.Frozen.nnz core.cfz
+
+let append_col core ~integer ~name ~obj =
+  let v = core.cnvars in
+  core.cnvars <- v + 1;
+  if integer then core.cints <- v :: core.cints;
+  core.coverlay <- Lp.Frozen.Delta.append_col ~integer ~upper:1 ~name ~obj core.coverlay;
+  v
+
+let append_row core sense rhs expr =
+  core.cgrown <- core.cgrown + List.length expr;
+  core.coverlay <- Lp.Frozen.Delta.append_row sense rhs expr core.coverlay
+
+(* One new live witness, encoded as [Encode.shared_of_witnesses] encodes
+   each of its own: [X] columns for endogenous tuples that have none yet,
+   an indicator [W] (the newest column, so every row below is in normal
+   form), tracking rows [W - X >= 0] and the destruction row
+   [sum X - W >= 0]. *)
+let append_witness t core set endo =
+  let xint, wint = core.cinteger in
+  let xs =
+    List.map
+      (fun tid ->
+        match Hashtbl.find_opt core.cvar_of_tuple tid with
+        | Some v -> v
+        | None ->
+          let info = Database.tuple t.sdb tid in
+          let v =
+            append_col core ~integer:xint
+              ~name:(Printf.sprintf "X_%s_%d" info.Database.rel tid)
+              ~obj:(Problem.weight t.ssem info)
+          in
+          Hashtbl.add core.cvar_of_tuple tid v;
+          core.ctuple_of_var <- core.ctuple_of_var @ [ (v, tid) ];
+          v)
+      endo
+    |> List.sort compare
+  in
+  let w = append_col core ~integer:wint ~name:(Printf.sprintf "W_%d" core.cnvars) ~obj:0 in
+  List.iter (fun x -> append_row core Lp.Model.Geq 0 [ (x, -1); (w, 1) ]) xs;
+  append_row core Lp.Model.Geq 0 (List.map (fun x -> (x, 1)) xs @ [ (w, -1) ]);
+  core.clive <- (w, set) :: core.clive;
+  core.coverlay <- Lp.Frozen.Delta.force_one w core.coverlay;
+  core.cstale <- true;
+  Obs.Counter.incr c_appends
+
+let add_witnesses t fresh =
+  List.iter
+    (fun set ->
+      match (List.filter (fun tid -> not (Problem.tuple_exo t.sq t.sdb tid)) set, t.sprog) with
+      | [], _ -> t.sblockers <- set :: t.sblockers
+      | endo, Some core -> append_witness t core set endo
+      | _ :: _, None -> ())
+    (Eval.unique_tuple_sets fresh);
+  match t.sprog with
+  | Some core -> not (compaction_due core)
+  | None -> fresh = [] || t.sblockers <> []
+
+let drop_tuple t tid =
+  let blocked = t.sblockers <> [] in
+  t.sblockers <- List.filter (fun set -> not (List.mem tid set)) t.sblockers;
+  match t.sprog with
+  | None -> t.sblockers <> [] || not blocked
+  | Some core ->
+    (match Hashtbl.find_opt core.cvar_of_tuple tid with
+    | Some v -> core.coverlay <- Lp.Frozen.Delta.fix_zero v core.coverlay
+    | None -> ());
+    let dead, live = List.partition (fun (_, set) -> List.mem tid set) core.clive in
+    if dead <> [] then begin
+      core.clive <- live;
+      core.coverlay <-
+        List.fold_left (fun d (wv, _) -> Lp.Frozen.Delta.release wv d) core.coverlay dead;
+      core.cstale <- true
+    end;
+    not (compaction_due core)
+
+(* The counterfactual refresh: a fresh row [sum W - Z' <= |live| - 1] over
+   the live indicators, the old slack fixed to 1 (its row goes vacuous).
+   Runs on the submitting domain, before any pool starts. *)
+let refresh_counterfactual core =
+  if core.cstale then begin
+    core.coverlay <- Lp.Frozen.Delta.force_one core.cz core.coverlay;
+    let z = append_col core ~integer:false ~name:"Z" ~obj:0 in
+    append_row core Lp.Model.Leq
+      (List.length core.clive - 1)
+      (List.rev_map (fun (wv, _) -> (wv, 1)) core.clive @ [ (z, -1) ]);
+    core.cz <- z;
+    core.cstale <- false
+  end
 
 (* --- Delta plumbing ------------------------------------------------------- *)
 
@@ -156,28 +290,22 @@ let relax_point (Lp.Solvers.Engine ((module B), s)) delta =
   | `Optimal (obj, x) -> Some (B.to_float obj, B.to_floats x)
   | `Infeasible | `Unbounded -> None
 
-(* Witness indicators fixed to 1, counterfactual slack released. *)
-let res_delta core =
-  List.fold_left
-    (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d)
-    (Lp.Frozen.Delta.force_one core.cshared.Encode.sz Lp.Frozen.Delta.empty)
-    core.cshared.Encode.switnesses
+(* The overlay forces the live indicators; the counterfactual slack goes to 1. *)
+let res_delta core = Lp.Frozen.Delta.force_one core.cz core.coverlay
 
-(* [None]: t appears in no witness. *)
+(* [None]: t appears in no live witness.  Releases the indicators of the
+   witnesses containing [t]; needs a fresh counterfactual row. *)
 let rsp_delta core t =
-  let with_t, without_t =
-    List.partition (fun (_, set) -> List.mem t set) core.cshared.Encode.switnesses
-  in
-  if with_t = [] then None
-  else begin
-    let d = Lp.Frozen.Delta.fix_zero core.cshared.Encode.sz Lp.Frozen.Delta.empty in
+  match List.filter (fun (_, set) -> List.mem t set) core.clive with
+  | [] -> None
+  | with_t ->
+    let d = Lp.Frozen.Delta.fix_zero core.cz core.coverlay in
     let d =
-      match Hashtbl.find_opt core.cshared.Encode.svar_of_tuple t with
+      match Hashtbl.find_opt core.cvar_of_tuple t with
       | Some v -> Lp.Frozen.Delta.fix_zero v d
       | None -> d (* exogenous tuple: it never had a decision variable *)
     in
-    Some (List.fold_left (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d) d without_t)
-  end
+    Some (List.fold_left (fun d (wv, _) -> Lp.Frozen.Delta.release wv d) d with_t)
 
 (* --- Solving -------------------------------------------------------------- *)
 
@@ -194,28 +322,34 @@ let rsp_delta core t =
    classes the covering programs have integral relaxations, so this is the
    common case.  Otherwise branch-and-bound runs, warm-started from the
    relaxation's final basis (the root re-solve costs a handful of pivots),
-   so hard instances pay essentially nothing for the probe.  Values and
-   points convert to float once, on the way out. *)
-let run_engine_raw ?node_limit ?time_limit prep (Lp.Solvers.Engine ((module B), s)) delta =
+   so hard instances pay essentially nothing for the probe.  [ints] are
+   the integer variables of the program the delta solves, appended ones
+   included.  Pivots and refactorisations are the engine's work over the
+   whole question, probe included.  Values and points convert to float
+   once, on the way out. *)
+let run_engine_raw ?node_limit ?time_limit ints (Lp.Solvers.Engine ((module B), s)) delta =
   let t0 = Lp.Clock.now () in
-  let finish ?(certified = false) nodes root_lp root_integral pivots refactors objective solution =
+  let piv0, ref0 = B.session_work s in
+  let finish ?(certified = false) nodes root_lp root_integral objective solution =
     let solve_time = Lp.Clock.elapsed t0 in
+    let piv1, ref1 = B.session_work s in
+    let pivots = piv1 - piv0 and refactors = ref1 - ref0 in
     if certified then Obs.Counter.incr c_certified;
     ( objective,
       solution,
       { nodes; root_lp; root_integral; certified; solve_time; prep_time = 0.; pivots; refactors } )
   in
   match B.relax ~delta s with
-  | `Optimal (obj, x) when B.integral_on x prep.pint ->
+  | `Optimal (obj, x) when B.integral_on x ints ->
     let obj = B.to_float obj in
-    `Ok (finish ~certified:true 0 obj true 0 0 obj (B.to_floats x))
+    `Ok (finish ~certified:true 0 obj true obj (B.to_floats x))
   | `Optimal _ | `Infeasible | `Unbounded -> (
     let r = B.solve_session ?node_limit ?time_limit ~delta s in
     let root = match r.B.root_objective with Some o -> B.to_float o | None -> nan in
     match r.B.status with
     | B.Optimal ->
       `Ok
-        (finish r.B.nodes root r.B.root_integral r.B.pivots r.B.refactors
+        (finish r.B.nodes root r.B.root_integral
            (B.to_float (Option.get r.B.objective))
            (B.to_floats (Option.get r.B.solution)))
     | B.Infeasible | B.Unbounded -> `Infeasible
@@ -260,12 +394,12 @@ let runlog_solve_fields ~op ~status ~path:dispatch ~fz ?stats:st ~wall () =
    program's [Lp.Struct] feature vector alongside the dispatch path taken
    and the outcome, i.e. one line of the portfolio training corpus.  With
    nothing armed this is the raw solve plus two atomic loads. *)
-let run_engine ?node_limit ?time_limit ?(op = "solve") prep engine delta =
+let run_engine ?node_limit ?time_limit ?(op = "solve") ~ints prep engine delta =
   if not (Obs.Sink.recording () || Obs.Runlog.enabled ()) then
-    run_engine_raw ?node_limit ?time_limit prep engine delta
+    run_engine_raw ?node_limit ?time_limit ints engine delta
   else begin
     let t0 = Lp.Clock.now () in
-    let r = run_engine_raw ?node_limit ?time_limit prep engine delta in
+    let r = run_engine_raw ?node_limit ?time_limit ints engine delta in
     let wall = Lp.Clock.elapsed t0 in
     (match r with
     | `Ok (_, _, st) ->
@@ -287,7 +421,7 @@ let run_engine ?node_limit ?time_limit ?(op = "solve") prep engine delta =
 let read_tuples core sol =
   List.filter_map
     (fun (v, tid) -> if sol.(v) > 0.5 then Some tid else None)
-    core.cshared.Encode.stuple_of_var
+    core.ctuple_of_var
 
 let round_value x = int_of_float (Float.round x)
 
@@ -300,41 +434,35 @@ let note_stats t st =
   t.sacc.a_solve <- t.sacc.a_solve +. st.solve_time;
   t.sacc.a_prep <- t.sacc.a_prep +. st.prep_time
 
-let resilience_body ?node_limit ?time_limit t =
-  match t.state with
-  | Sfalse -> Query_false
-  | Snone -> No_contingency
-  | Sactive core -> (
+let resilience ?node_limit ?time_limit t =
+  note_question t;
+  match active t with
+  | Error outcome -> outcome
+  | Ok core -> (
     let prep = Lazy.force core.cprep in
-    match run_engine ?node_limit ?time_limit ~op:"resilience" prep prep.pengine (res_delta core) with
+    match
+      run_engine ?node_limit ?time_limit ~op:"resilience" ~ints:core.cints prep prep.pengine
+        (res_delta core)
+    with
     | `Infeasible -> No_contingency
     | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
     | `Ok (obj, sol, st) ->
+      note_stats t st;
       Solved { res_value = round_value obj; contingency = read_tuples core sol; res_stats = st })
-
-let resilience ?node_limit ?time_limit t =
-  note_question t;
-  let outcome = resilience_body ?node_limit ?time_limit t in
-  (match outcome with
-  | Solved a -> note_stats t a.res_stats
-  | Query_false | No_contingency | Budget_exhausted _ -> ());
-  outcome
 
 (* The shared-program responsibility delta-solve. *)
 let rsp_shared ?node_limit ?time_limit core prep engine tid =
   match rsp_delta core tid with
   | None -> No_contingency
   | Some delta -> (
-    match run_engine ?node_limit ?time_limit ~op:"responsibility" prep engine delta with
+    match
+      run_engine ?node_limit ?time_limit ~op:"responsibility" ~ints:core.cints prep engine delta
+    with
     | `Infeasible -> No_contingency
     | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
     | `Ok (obj, sol, st) ->
       Solved
-        {
-          rsp_value = round_value obj;
-          responsibility_set = read_tuples core sol;
-          rsp_stats = st;
-        })
+        { rsp_value = round_value obj; responsibility_set = read_tuples core sol; rsp_stats = st })
 
 (* One cold question on a per-question encoding: freeze and a fresh engine,
    then one certificate-aware solve under the empty delta.  [prep_time]
@@ -345,7 +473,8 @@ let cold_solve ?node_limit ?time_limit ~op ~exact ~answer (enc : Encode.encoding
   let tp0 = Lp.Clock.now () in
   let prep = prep_of_frozen ~exact (Lp.Frozen.of_model enc.Encode.model) in
   let prep_time = Lp.Clock.elapsed tp0 in
-  match run_engine ?node_limit ?time_limit ~op prep prep.pengine Lp.Frozen.Delta.empty with
+  let ints = Lp.Frozen.integer_vars prep.pfz in
+  match run_engine ?node_limit ?time_limit ~op ~ints prep prep.pengine Lp.Frozen.Delta.empty with
   | `Infeasible -> No_contingency
   | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
   | `Ok (obj, sol, st) ->
@@ -358,21 +487,18 @@ let cold_lp ~exact (enc : Encode.encoding) =
     (Lp.Solvers.engine ~exact (Lp.Frozen.of_model enc.Encode.model))
     Lp.Frozen.Delta.empty
 
-let responsibility_body ?node_limit ?time_limit t tid =
-  match t.state with
-  | Sfalse -> Query_false
-  | Snone -> No_contingency
-  | Sactive core ->
-    let prep = Lazy.force core.cprep in
-    rsp_shared ?node_limit ?time_limit core prep prep.pengine tid
-
 let responsibility ?node_limit ?time_limit t tid =
   note_question t;
-  let outcome = responsibility_body ?node_limit ?time_limit t tid in
-  (match outcome with
-  | Solved a -> note_stats t a.rsp_stats
-  | Query_false | No_contingency | Budget_exhausted _ -> ());
-  outcome
+  match active t with
+  | Error outcome -> outcome
+  | Ok core ->
+    refresh_counterfactual core;
+    let prep = Lazy.force core.cprep in
+    let outcome = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
+    (match outcome with
+    | Solved a -> note_stats t a.rsp_stats
+    | Query_false | No_contingency | Budget_exhausted _ -> ());
+    outcome
 
 (* Endogenous witness tuples, in database order — exactly the tuples a
    ranking solves for.  Everything else is skipped without a solve
@@ -382,7 +508,7 @@ let candidates core db =
   Database.tuples db
   |> List.filter_map (fun info ->
          let tid = info.Database.id in
-         if Hashtbl.mem core.cshared.Encode.svar_of_tuple tid then Some tid else None)
+         if Hashtbl.mem core.cvar_of_tuple tid then Some tid else None)
 
 (* Ranking accounting: each candidate counts as one question; solved
    answers contribute their solve/prep time.  Runs on the submitter. *)
@@ -407,9 +533,10 @@ let merge_ranking outcomes =
   |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b)
 
 let ranking ?node_limit ?time_limit t =
-  match t.state with
-  | Sfalse | Snone -> []
-  | Sactive core ->
+  match active t with
+  | Error _ -> []
+  | Ok core ->
+    refresh_counterfactual core;
     let prep = Lazy.force core.cprep in
     let solve_one tid = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
     merge_ranking
@@ -419,9 +546,10 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
   (* jobs = 1 still routes through the pool (its sequential fast path), so
      the telemetry a ranking emits has the same shape at every job count. *)
-  match t.state with
-  | Sfalse | Snone -> []
-  | Sactive core ->
+  match active t with
+  | Error _ -> []
+  | Ok core ->
+    refresh_counterfactual core;
     let cands = Array.of_list (candidates core t.sdb) in
     let tasks = Array.length cands in
     if tasks = 0 then []
@@ -443,15 +571,19 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
 
 (* --- Solution enumeration -------------------------------------------------- *)
 
-(* The pin row's left-hand side: every weighted tuple variable of the raw
-   shared program (witness indicators and the slack carry no weight), which
-   by construction is exactly the objective — so [sum w_t X(t) <= OPT]
-   confines every later solve to the optimal face. *)
+(* The pin row's left-hand side: every weighted tuple variable of the
+   program (witness indicators and the slacks carry no weight), which by
+   construction is exactly the objective — so [sum w_t X(t) <= OPT]
+   confines every later solve to the optimal face.  A deleted tuple is
+   skipped: the overlay fixes its variable to 0. *)
 let enum_pin_expr t core =
   Enumerate.pin_expr
-    (List.map
-       (fun (v, tid) -> (v, Problem.weight t.ssem (Database.tuple t.sdb tid)))
-       core.cshared.Encode.stuple_of_var)
+    (List.filter_map
+       (fun (v, tid) ->
+         if Database.mem t.sdb tid then
+           Some (v, Problem.weight t.ssem (Database.tuple t.sdb tid))
+         else None)
+       core.ctuple_of_var)
 
 (* One warm ILP solve under the delta, shaped for [Enumerate.drive]: the
    cut chain grows monotonically on one engine, so each re-solve absorbs
@@ -460,13 +592,13 @@ let enum_run ?node_limit core prep engine time_left delta =
   let time_limit =
     match time_left with Some l -> Some (Float.max l 0.) | None -> None
   in
-  match run_engine ?node_limit ?time_limit ~op:"enumerate" prep engine delta with
+  match run_engine ?node_limit ?time_limit ~op:"enumerate" ~ints:core.cints prep engine delta with
   | `Infeasible -> `Infeasible
   | `Budget _ -> `Budget
   | `Ok (obj, sol, st) ->
     `Ok (round_value obj, read_tuples core sol, (st.nodes, st.pivots, st.refactors))
 
-let var_of_tuple core tid = Hashtbl.find_opt core.cshared.Encode.svar_of_tuple tid
+let var_of_tuple core tid = Hashtbl.find_opt core.cvar_of_tuple tid
 
 (* Parallel enumeration by disjoint seed-split on the first optimum
    S0 = {s_1 < ... < s_k} (Lawler/Murty partition): subspace i keeps
@@ -579,19 +711,18 @@ let enum_question ?node_limit ?time_limit ?cap ~jobs t core prep base =
 let enumerate_resilience ?node_limit ?time_limit ?(jobs = 1) ?cap t =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
   note_question t;
-  match t.state with
-  | Sfalse -> Query_false
-  | Snone -> No_contingency
-  | Sactive core ->
+  match active t with
+  | Error outcome -> outcome
+  | Ok core ->
     enum_question ?node_limit ?time_limit ?cap ~jobs t core (Lazy.force core.cprep) (res_delta core)
 
 let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
   note_question t;
-  match t.state with
-  | Sfalse -> Query_false
-  | Snone -> No_contingency
-  | Sactive core -> (
+  match active t with
+  | Error outcome -> outcome
+  | Ok core -> (
+    refresh_counterfactual core;
     let prep = Lazy.force core.cprep in
     match rsp_delta core tid with
     | None -> No_contingency
@@ -600,30 +731,30 @@ let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
 (* --- Relaxation views ----------------------------------------------------- *)
 
 let read_values core sol =
-  List.map (fun (v, tid) -> (tid, sol.(v))) core.cshared.Encode.stuple_of_var
+  List.map (fun (v, tid) -> (tid, sol.(v))) core.ctuple_of_var
 
 let resilience_solution t =
-  match t.state with
-  | Sfalse | Snone -> None
-  | Sactive core ->
+  match active t with
+  | Error _ -> None
+  | Ok core ->
     Option.map
       (fun (obj, sol) -> (obj, read_values core sol))
       (relax_point (Lazy.force core.cprep).pengine (res_delta core))
 
 let responsibility_solution t tid =
-  match t.state with
-  | Sfalse | Snone -> None
-  | Sactive core -> (
+  match active t with
+  | Error _ -> None
+  | Ok core -> (
+    refresh_counterfactual core;
     let prep = Lazy.force core.cprep in
     match rsp_delta core tid with
     | None -> None
     | Some delta -> (
-      match run_engine ~op:"solution" prep prep.pengine delta with
+      match run_engine ~op:"solution" ~ints:core.cints prep prep.pengine delta with
       | `Infeasible | `Budget _ -> None
       | `Ok (obj, sol, _) -> Some (obj, read_values core sol)))
 
-let diagnostics t =
-  match t.state with Sfalse | Snone -> [] | Sactive core -> Lazy.force core.cdiags
+let diagnostics t = match t.sprog with None -> [] | Some core -> Lazy.force core.cdiags
 
 let profile t =
   {

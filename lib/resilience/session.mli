@@ -5,8 +5,8 @@ open! Relalg
     questions as cheap delta-solves against one frozen program.
 
     The session builds the shared super-model of {!Encode.shared_of_witnesses}
-    (tuple variables, witness indicators, counterfactual slack), freezes it
-    ({!Lp.Frozen}), and opens one warm-started branch-and-bound session over
+    (tuple variables, witness indicators, counterfactual slack, frozen as
+    {!Lp.Frozen}), and opens one warm-started branch-and-bound session over
     the frozen form exactly as encoded ({!Lp.Branch_bound}) — no presolve
     and no structure analysis run on any solve path.  Every question is
     then a {!Lp.Frozen.Delta} — a set of bound fixes — against that matrix:
@@ -27,8 +27,28 @@ open! Relalg
     session answers runs on the shared program.  The one-shot per-question
     encoding is {!cold_solve}, what {!Solve} runs for a single question.
 
+    {b Writes} ({!add_witnesses}, {!drop_tuple}) are overlays on the same
+    program, kept in a delta every later question starts from; the warm
+    engines absorb it without dropping their basis.
+    - An insert appends, per new witness tuple set, [X] columns for its
+      endogenous tuples that have none and an indicator [W] with its
+      tracking and destruction rows.  A set with no endogenous tuple is a
+      {e blocker} instead: while one is live, no contingency set exists.
+    - A delete fixes [X\[t\] = 0] and drops the witnesses [t] was in from
+      the {e live set}, the indicators the resilience and responsibility
+      deltas force.  A dead indicator is left free, so its rows go
+      vacuous.  The query is false when no witness is live.
+    - {e Counterfactual refresh.}  Base rows are immutable, so the row
+      [sum W - Z <= |W| - 1] cannot follow the live set.  After the live
+      set changes, the next responsibility question appends a fresh row
+      over the live indicators with a fresh slack and fixes the old slack
+      to 1.
+    - {e Compaction.}  Once the appended nonzeros pass a quarter of the
+      base program's, a write asks its caller to rebuild.
+
     Answers agree with the one-shot {!Solve} functions; the differential
-    test suite checks this per tuple on random instances, float and exact. *)
+    test suite checks this per tuple on random instances, float and exact,
+    and the [serve_incremental] oracle under insert/delete streams. *)
 
 type t
 
@@ -55,8 +75,10 @@ type stats = {
           the one-shot path ({!cold_solve}).  [0.] on a
           session's delta-solves, where preparation is paid once per
           session and reported by {!profile} instead. *)
-  pivots : int;  (** Simplex pivots spent on this question. *)
-  refactors : int;  (** Basis refactorisations spent on this question. *)
+  pivots : int;
+      (** Simplex pivots spent on this question, the relaxation that
+          settles a certified answer included. *)
+  refactors : int;  (** Basis refactorisations, counted like [pivots]. *)
 }
 
 type 'a outcome =
@@ -110,6 +132,25 @@ val create :
     shared warm engine and each parallel domain engine; [`Dense] forces
     the reference dense inverse (used by the [dense_vs_sparse_basis]
     differential oracle). *)
+
+(** {1 Writes}
+
+    The caller mutates the database (the session reads the same
+    [Database.t]), then reports the write.  [false] means the write could
+    not be taken as an overlay: the caller must replace the session by one
+    built from its current witness list, as this one is now stale. *)
+
+val add_witnesses : t -> Eval.witness list -> bool
+(** The witnesses a fresh-tuple insert created ({!Eval.delta_insert}).
+    [false] when compaction is due, or when the session has no program and
+    a new witness needs one.  Re-inserting an existing tuple moves
+    objective weights, which no overlay expresses: rebuild instead. *)
+
+val drop_tuple : t -> Database.tuple_id -> bool
+(** A tuple delete.  [false] when compaction is due, or when the session
+    has no program and the last blocking witness is gone. *)
+
+(** {1 Questions} *)
 
 val resilience : ?node_limit:int -> ?time_limit:float -> t -> res_answer outcome
 (** RES*(Q, D) as a delta-solve. *)

@@ -350,21 +350,20 @@ let do_ask t (a : Protocol.ask) =
     | Some budget when budget <= 0. -> timeout_err None
     | _ -> (
       let key = (Cq.to_string q, a.Protocol.bag, a.Protocol.exact) in
-      let inc = session t ~key q in
+      let ses = Incremental.session (session t ~key q) in
       match a.Protocol.question with
-      | Protocol.Resilience -> res_reply t (Incremental.resilience ?time_limit inc)
+      | Protocol.Resilience -> res_reply t (Session.resilience ?time_limit ses)
       | Protocol.Responsibility tuple -> (
         match parse_tuple t tuple with
         | Error msg -> Err (Protocol.Bad_request, msg, None)
         | Ok info -> (
           match Database.find t.db info.Database.rel info.Database.args with
           | None -> Err (Protocol.Not_found, "tuple not found", None)
-          | Some tid -> rsp_reply t (Incremental.responsibility ?time_limit inc tid)))
+          | Some tid -> rsp_reply t (Session.responsibility ?time_limit ses tid)))
       | Protocol.Enumerate target -> (
-        (* Enumeration rides the same maintained incremental session the
-           point questions use: the warm engine, witnesses and frozen
-           program are all reused, the cut chain is per-request delta state. *)
-        let ses = Incremental.session inc in
+        (* Enumeration rides the same maintained session the point questions
+           use: the warm engine, witnesses and frozen program are all
+           reused, the cut chain is per-request delta state. *)
         match target with
         | None ->
           enum_reply t a.Protocol.limit
@@ -380,9 +379,7 @@ let do_ask t (a : Protocol.ask) =
                 (Session.enumerate_responsibility ?time_limit ~jobs:a.Protocol.jobs ses
                    tid))))
       | Protocol.Rank ->
-        let ranked =
-          Incremental.ranking_par ?time_limit ~jobs:a.Protocol.jobs inc
-        in
+        let ranked = Session.ranking_par ?time_limit ~jobs:a.Protocol.jobs ses in
         let row (tid, k, rho) =
           Json.Obj
             [

@@ -310,6 +310,122 @@ let test_solve_paths_run_encoding_as_built () =
     Alcotest.(check (list (list int))) "enumerated family = brute force" sets f.Enumerate.sets
   | _ -> Alcotest.fail "fixture: the enumeration must be solved"
 
+(* --- Writes as overlays -------------------------------------------------------- *)
+
+(* A certified answer reports the simplex work its root relaxation did,
+   not zero: the pivots in its stats equal the [simplex.pivots] counter's
+   movement over the question. *)
+let test_certified_reports_pivots () =
+  let session = Session.create Problem.Set (Queries.q2_chain ()) (mid_db ()) in
+  Obs.Sink.install ();
+  Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
+  let p0 = counter "simplex.pivots" in
+  match Session.resilience session with
+  | Session.Solved a ->
+    let st = a.Session.res_stats in
+    Alcotest.(check bool) "certified" true st.Session.certified;
+    Alcotest.(check bool) "the root LP pivoted" true (st.Session.pivots > 0);
+    Alcotest.(check int) "pivots = simplex.pivots delta" (counter "simplex.pivots" - p0)
+      st.Session.pivots
+  | _ -> Alcotest.fail "fixture: RES* must be solved"
+
+(* Every write below must be taken as an overlay, not a rebuild. *)
+let overlay_ok what ok = Alcotest.(check bool) (what ^ " taken as an overlay") true ok
+
+(* Appended integer columns enter the root-certificate integrality check.
+   Twenty disjoint 2-paths give the base program an integral LP optimum;
+   inserting a 3-cycle then appends its columns and rows only, and the
+   covering LP of a 3-cycle is fractional (1/2 per tuple).  An integrality
+   check over the base columns alone would accept that point as certified
+   with a contingency that keeps the query true. *)
+let test_appended_columns_checked () =
+  let sem = Problem.Set and q = Queries.q2_chain_sj () in
+  let db = Database.create () in
+  for i = 1 to 20 do
+    ignore (Database.add db "R" [| (100 * i) + 1; (100 * i) + 2 |]);
+    ignore (Database.add db "R" [| (100 * i) + 2; (100 * i) + 3 |])
+  done;
+  let session = Session.create sem q db in
+  List.iter
+    (fun args ->
+      let id = Database.add db "R" args in
+      overlay_ok "insert" (Session.add_witnesses session (Eval.delta_insert q db id)))
+    [ [| 1; 2 |]; [| 2; 3 |]; [| 3; 1 |] ];
+  match (Session.resilience session, Solve.resilience sem q db) with
+  | Session.Solved a, Solve.Solved b ->
+    Alcotest.(check bool) "fractional root not certified" false a.Session.res_stats.Session.certified;
+    Alcotest.(check int) "RES* = cold" b.Solve.res_value a.Session.res_value;
+    Alcotest.(check int) "RES* = 22" 22 a.Session.res_value;
+    Alcotest.(check bool) "contingency falsifies the query" true
+      (Solve.verify_contingency sem q db a.Session.contingency)
+  | _ -> Alcotest.fail "fixture: RES* must be solved"
+
+let check_family what got want =
+  match (got, want) with
+  | Session.Solved a, Session.Solved b ->
+    Alcotest.(check int) (what ^ ": optimum") b.Enumerate.opt a.Enumerate.opt;
+    Alcotest.(check (list (list int))) (what ^ ": family") b.Enumerate.sets a.Enumerate.sets
+  | _ -> Alcotest.fail (what ^ ": both enumerations must be solved")
+
+(* The enumeration pin row skips deleted tuples, whose variables the
+   overlay fixes to 0 (their database rows are gone). *)
+let test_enumeration_after_delete () =
+  let sem = Problem.Set and q = Queries.q2_chain () in
+  let inc = Incremental.create sem q (mid_db ()) in
+  ignore (Session.resilience (Incremental.session inc));
+  Obs.Sink.install ();
+  Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
+  Incremental.delete inc (List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))));
+  check_family "after delete"
+    (Session.enumerate_resilience (Incremental.session inc))
+    (Solve.enumerate_resilience sem q (Incremental.db inc));
+  Alcotest.(check int) "no rebuild" 0 (counter "incremental.rebuilds")
+
+(* A stream of fresh-tuple inserts and deletes on a maintained instance.
+   Asking only RES*, every write stays an overlay and each answer agrees
+   with a cold solve.  Then the same kind of writes, each followed by a
+   full ranking: every ranking refreshes the counterfactual row, so the
+   appended nonzeros soon pass the compaction threshold and a later write
+   rebuilds; rankings must match the per-tuple reference throughout. *)
+let test_write_stream () =
+  let sem = Problem.Set and q = Queries.q2_chain () in
+  let inc = Incremental.create sem q (chain_db ~seed:11 ~count:40 ~domain:10) in
+  let ses () = Incremental.session inc in
+  ignore (Session.resilience (ses ()));
+  Obs.Sink.install ();
+  Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
+  let check_res step =
+    let db = Incremental.db inc in
+    match (Session.resilience (ses ()), Solve.resilience sem q db) with
+    | Session.Solved a, Solve.Solved b ->
+      Alcotest.(check int) (Printf.sprintf "step %d: RES* = cold" step) b.Solve.res_value
+        a.Session.res_value;
+      Alcotest.(check bool) (Printf.sprintf "step %d: contingency valid" step) true
+        (Solve.verify_contingency sem q db a.Session.contingency)
+    | _ -> Alcotest.failf "step %d: RES* must be solved" step
+  in
+  let check_ranking step =
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "step %d: ranking = per-tuple reference" step)
+      (Harness.reference_ranking ~exact:false sem q (Incremental.db inc))
+      (List.map (fun (t, k, _) -> (t, k)) (Session.ranking (ses ())))
+  in
+  let victim () = List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))) in
+  let write = function
+    | `Ins (rel, args) -> ignore (Incremental.insert inc rel args)
+    | `Del -> Incremental.delete inc (victim ())
+  in
+  let writes base =
+    [ `Ins ("R", [| base; 1 |]); `Del; `Ins ("S", [| 1; base |]); `Del; `Ins ("R", [| base + 1; 2 |]); `Del ]
+  in
+  List.iteri (fun step w -> write w; check_res step) (writes 100);
+  Alcotest.(check int) "no rebuild" 0 (counter "incremental.rebuilds");
+  Alcotest.(check bool) "witnesses appended" true (counter "incremental.appends" > 0);
+  List.iteri (fun step w -> write w; check_ranking step) (writes 200);
+  Alcotest.(check bool) "compaction rebuilt" true (counter "incremental.rebuilds" > 0);
+  check_family "final" (Session.enumerate_resilience (ses ()))
+    (Solve.enumerate_resilience sem q (Incremental.db inc))
+
 let () =
   let open Alcotest in
   run "session"
@@ -338,6 +454,14 @@ let () =
         [
           test_case "no presolve or structure analysis on any solve path" `Quick
             test_solve_paths_run_encoding_as_built;
+        ] );
+      ( "write-overlays",
+        [
+          test_case "certified answers report their pivots" `Quick test_certified_reports_pivots;
+          test_case "appended integer columns enter the certificate check" `Quick
+            test_appended_columns_checked;
+          test_case "enumeration after a delete" `Quick test_enumeration_after_delete;
+          test_case "insert/delete stream stays on overlays" `Quick test_write_stream;
         ] );
       ("differential", Harness.qtests qcheck_cases);
       ("parallel", Harness.qtests par_qcheck_cases);
