@@ -6,7 +6,8 @@ type t = {
   syms : Symbol.t;
   by_key : (string * int list, tuple_id) Hashtbl.t;
   store : (tuple_id, tuple_info) Hashtbl.t;
-  mutable order : tuple_id list;  (* reverse insertion order *)
+  mutable order : tuple_id list;  (* reverse insertion order, retired ids included *)
+  mutable retired : int;  (* retired ids in [order] *)
   mutable next_id : int;
   arities : (string, int) Hashtbl.t;
 }
@@ -18,6 +19,7 @@ let create ?symbols () =
     by_key = Hashtbl.create 256;
     store = Hashtbl.create 256;
     order = [];
+    retired = 0;
     next_id = 0;
     arities = Hashtbl.create 8;
   }
@@ -61,7 +63,13 @@ let remove t id =
   | None -> ()
   | Some info ->
     Hashtbl.remove t.store id;
-    Hashtbl.remove t.by_key (key info.rel info.args)
+    Hashtbl.remove t.by_key (key info.rel info.args);
+    (* Prune once retired ids outnumber live ones: walks cost the live count. *)
+    t.retired <- t.retired + 1;
+    if t.retired > Hashtbl.length t.store then begin
+      t.order <- List.filter (Hashtbl.mem t.store) t.order;
+      t.retired <- 0
+    end
 
 let set_exo t id exo =
   let info = tuple t id in
@@ -100,6 +108,7 @@ let copy t =
       by_key = Hashtbl.copy t.by_key;
       store = Hashtbl.copy t.store;
       order = t.order;
+      retired = t.retired;
       next_id = t.next_id;
       arities = Hashtbl.copy t.arities;
     }

@@ -46,6 +46,18 @@ let test_database_copy_restrict () =
   Alcotest.(check int) "restricted size" 1 (Database.num_tuples only_b);
   Alcotest.(check bool) "ids preserved" true (Database.mem only_b b)
 
+(* Removing most tuples prunes retired ids from the order list; the live
+   tuples keep their insertion order, in the database and in its copy. *)
+let test_database_removals_keep_order () =
+  let db = Database.create () in
+  let ids = List.init 12 (fun i -> Database.add db "R" [| i; i |]) in
+  List.iteri (fun i id -> if i mod 4 <> 1 then Database.remove db id) ids;
+  let later = Database.add db "R" [| 99; 99 |] in
+  let want = List.filteri (fun i _ -> i mod 4 = 1) ids @ [ later ] in
+  let got db = List.map (fun info -> info.Database.id) (Database.tuples db) in
+  Alcotest.(check (list int)) "live tuples in insertion order" want (got db);
+  Alcotest.(check (list int)) "copy keeps the order" want (got (Database.copy db))
+
 let test_database_max_const () =
   let db = Database.create () in
   ignore (Database.add db "R" [| 3; 42 |]);
@@ -476,6 +488,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_database_basics;
           Alcotest.test_case "copy/restrict" `Quick test_database_copy_restrict;
           Alcotest.test_case "max_const" `Quick test_database_max_const;
+          Alcotest.test_case "removals keep insertion order" `Quick
+            test_database_removals_keep_order;
         ] );
       ( "parser",
         [
