@@ -1,9 +1,8 @@
 open Relalg
 
-(* Re-encodes from the maintained witness list after a write the session
-   could not take as an overlay — for `resil serve --stats` and the bench
-   harness (dropped unless a trace sink is installed).  The first build is
-   not counted. *)
+(* Re-encodes from the witness list after a write the session could not
+   take as an overlay (the first build is not counted); dropped unless a
+   trace sink is installed. *)
 let c_rebuilds = Obs.Counter.create "incremental.rebuilds"
 
 type t = {
@@ -21,9 +20,9 @@ let build t = Session.create ~exact:t.iexact ~witnesses:t.iwitnesses t.isem t.iq
 
 let create ?(exact = false) semantics q db =
   let db = Database.copy db in
-  let witnesses = Eval.witnesses q db in
   let rec t =
-    { idb = db; isem = semantics; iq = q; iexact = exact; iwitnesses = witnesses; isession = lazy (build t) }
+    { idb = db; isem = semantics; iq = q; iexact = exact; iwitnesses = Eval.witnesses q db;
+      isession = lazy (build t) }
   in
   t
 
@@ -31,11 +30,7 @@ let db t = t.idb
 let witnesses t = t.iwitnesses
 let session t = Lazy.force t.isession
 
-let rebuild t =
-  t.isession <-
-    lazy
-      (Obs.Counter.incr c_rebuilds;
-       build t)
+let rebuild t = t.isession <- lazy (Obs.Counter.incr c_rebuilds; build t)
 
 (* Hand a write to the built session; [false] from it means rebuild. *)
 let overlay t write = if Lazy.is_val t.isession && not (write (session t)) then rebuild t

@@ -256,9 +256,9 @@ let drop_tuple t tid =
   match t.sprog with
   | None -> t.sblockers <> [] || not blocked
   | Some core ->
-    (match Hashtbl.find_opt core.cvar_of_tuple tid with
-    | Some v -> core.coverlay <- Lp.Frozen.Delta.fix_zero v core.coverlay
-    | None -> ());
+    Option.iter
+      (fun v -> core.coverlay <- Lp.Frozen.Delta.fix_zero v core.coverlay)
+      (Hashtbl.find_opt core.cvar_of_tuple tid);
     let dead, live = List.partition (fun (_, set) -> List.mem tid set) core.clive in
     if dead <> [] then begin
       core.clive <- live;
@@ -543,7 +543,6 @@ let ranking ?node_limit ?time_limit t =
       (record_rankings t (List.map (fun tid -> (tid, solve_one tid)) (candidates core t.sdb)))
 
 let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
-  let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
   (* jobs = 1 still routes through the pool (its sequential fast path), so
      the telemetry a ranking emits has the same shape at every job count. *)
   match active t with
@@ -685,7 +684,9 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
           }
     end
 
-let enum_question ?node_limit ?time_limit ?cap ~jobs t core prep base =
+let enum_question ?node_limit ?time_limit ?cap ~jobs t core base =
+  let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
+  let prep = Lazy.force core.cprep in
   Obs.Trace.with_span "session.enumerate" (fun () ->
       let pin opt d =
         Lp.Frozen.Delta.append_row Lp.Model.Leq opt (enum_pin_expr t core) d
@@ -709,24 +710,21 @@ let enum_question ?node_limit ?time_limit ?cap ~jobs t core prep base =
         Solved fam)
 
 let enumerate_resilience ?node_limit ?time_limit ?(jobs = 1) ?cap t =
-  let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
   note_question t;
   match active t with
   | Error outcome -> outcome
   | Ok core ->
-    enum_question ?node_limit ?time_limit ?cap ~jobs t core (Lazy.force core.cprep) (res_delta core)
+    enum_question ?node_limit ?time_limit ?cap ~jobs t core (res_delta core)
 
 let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
-  let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
   note_question t;
   match active t with
   | Error outcome -> outcome
   | Ok core -> (
     refresh_counterfactual core;
-    let prep = Lazy.force core.cprep in
     match rsp_delta core tid with
     | None -> No_contingency
-    | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core prep base)
+    | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core base)
 
 (* --- Relaxation views ----------------------------------------------------- *)
 

@@ -135,10 +135,8 @@ val create :
 
 (** {1 Writes}
 
-    The caller mutates the database (the session reads the same
-    [Database.t]), then reports the write.  [false] means the write could
-    not be taken as an overlay: the caller must replace the session by one
-    built from its current witness list, as this one is now stale. *)
+    Report a write after applying it to the session's [Database.t].
+    [false]: the session is now stale; rebuild it from the witness list. *)
 
 val add_witnesses : t -> Eval.witness list -> bool
 (** The witnesses a fresh-tuple insert created ({!Eval.delta_insert}).
