@@ -108,7 +108,7 @@ module Make (F : Numeric.Field.S) = struct
   let create_session = Lp.create_session
 
   let relax ?(delta = Frozen.Delta.empty) sess =
-    match Lp.session_solve sess delta with
+    match Lp.session_relax sess delta with
     | Lp.Optimal { objective; solution } -> `Optimal (objective, solution)
     | Lp.Infeasible -> `Infeasible
 

@@ -722,6 +722,7 @@ module Make (F : Numeric.Field.S) = struct
     mutable ses_st : sstate;
     mutable ses_abs : Frozen.Delta.t;  (* appends the state was compiled for *)
     mutable ses_fz : Frozen.t;  (* [ses_base] with [ses_abs]'s appends materialised *)
+    mutable ses_relaxed : (Frozen.Delta.t * outcome) option;  (* see [session_relax] *)
   }
 
   let create_session ?(kernel = `Sparse) fz =
@@ -731,6 +732,7 @@ module Make (F : Numeric.Field.S) = struct
       ses_st = create_state ~kernel fz;
       ses_abs = Frozen.Delta.empty;
       ses_fz = fz;
+      ses_relaxed = None;
     }
 
   (* Lifetime work totals, for per-solve deltas in branch-and-bound and the
@@ -776,8 +778,19 @@ module Make (F : Numeric.Field.S) = struct
     sess.ses_fz
 
   let session_solve sess delta =
+    sess.ses_relaxed <- None;
     ignore (session_program sess delta);
     state_solve sess.ses_st delta
+
+  (* With no solve since the last relaxation under an equal delta, the state
+     still sits at that optimum: a re-solve would make no pivot. *)
+  let session_relax sess delta =
+    match sess.ses_relaxed with
+    | Some (d, outcome) when Frozen.Delta.equal d delta -> outcome
+    | Some _ | None ->
+      let outcome = session_solve sess delta in
+      sess.ses_relaxed <- Some (delta, outcome);
+      outcome
 
   let solve_frozen ?(delta = Frozen.Delta.empty) ?kernel fz =
     session_solve (create_session ?kernel fz) delta

@@ -75,6 +75,10 @@ module Make (F : Numeric.Field.S) : sig
       are not an extension of the absorbed ones triggers a cold
       re-compile. *)
 
+  val session_relax : session -> Frozen.Delta.t -> outcome
+  (** {!session_solve}, but a delta equal to the last relaxation's, with no
+      solve since, returns its outcome untouched. *)
+
   val session_program : session -> Frozen.Delta.t -> Frozen.t
   (** The base with the delta's appends materialised, which the session
       absorbs here as {!session_solve} would: the one extended copy per
