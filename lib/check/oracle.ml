@@ -417,10 +417,9 @@ let struct_soundness case =
    stream applied to an [Incremental.t] must leave it agreeing with
    from-scratch enumeration + encode + solve after every mutation — the
    witness set (as valuations), the RES* value and verdict, a sampled
-   tuple's RSP*, the full ranking against cold per-tuple solves, and the
-   minimum-contingency family against a cold enumeration; any returned
-   contingency must falsify the query.  Every question runs on the
-   instance's one maintained session, so these checks cover the write
+   tuple's RSP*, the full ranking and the minimum-contingency family; any
+   returned contingency must falsify the query.  Every question runs on
+   the instance's one maintained session, so this covers the write
    overlays, the counterfactual refresh and compaction.  The same stream
    is replayed at float and at exact-rational fields. *)
 

@@ -1,29 +1,21 @@
 open! Relalg
 
 (** A maintained resilience instance: one (query, database) pair kept alive
-    across tuple inserts and deletes.  It owns a {!Database.copy} of the
-    database it was created on, the witness list, maintained by
-    delta-joins, and one {!Session.t} built from that list; every question
-    is a {!Session} call on {!session}.
+    across tuple inserts and deletes.  It owns a {!Database.copy}, the
+    witness list, kept by delta-joins ({!Eval.delta_insert}), and one
+    {!Session.t}; every question is a {!Session} call on {!session}.
 
-    Writes are overlays on the session's one frozen program (see
-    {!Session.add_witnesses} and {!Session.drop_tuple}): a {e new} tuple's
-    insert runs the delta-join {!Eval.delta_insert} and appends the
-    witnesses it created; a delete drops the witnesses using the tuple.  A
-    write re-encodes the session from the witness list only in three
-    cases, each counted by the [incremental.rebuilds] counter:
-    - compaction, once the appended nonzeros pass a quarter of the base
-      program's;
-    - re-inserting an existing tuple (a bag multiplicity bump or an
-      exogeneity OR moves objective weights);
-    - leaving a no-program state: the query was false at build and a
-      witness appears, or a fully exogenous witness blocked every
-      contingency at build and the last such witness is gone.
-    The session, and a rebuild, is built lazily by the next question.
+    Writes are overlays on the session's program ({!Session.add_witnesses},
+    {!Session.drop_tuple}: the live set, the counterfactual refresh and the
+    compaction rule are described there).  A write re-encodes from the
+    witness list, counted by [incremental.rebuilds] and paid by the next
+    question, only on compaction, on re-insert of an existing tuple (its
+    weight or exogeneity moves), or when leaving a no-program state (the
+    query false, or a fully exogenous witness, at build).
 
     Every answer must equal the from-scratch {!Solve} answer on the current
-    database — the [serve_incremental] differential oracle pins exactly
-    that, under random insert/delete streams, at float and exact fields. *)
+    database: the [serve_incremental] oracle checks it under random
+    insert/delete streams, at float and exact fields. *)
 
 type t
 

@@ -205,11 +205,8 @@ let append_row core sense rhs expr =
   core.cgrown <- core.cgrown + List.length expr;
   core.coverlay <- Lp.Frozen.Delta.append_row sense rhs expr core.coverlay
 
-(* One new live witness, encoded as [Encode.shared_of_witnesses] encodes
-   each of its own: [X] columns for endogenous tuples that have none yet,
-   an indicator [W] (the newest column, so every row below is in normal
-   form), tracking rows [W - X >= 0] and the destruction row
-   [sum X - W >= 0]. *)
+(* One new live witness, encoded as [Encode.shared_of_witnesses] does; [W]
+   is the newest column, so every row below is in normal form. *)
 let append_witness t core set endo =
   let xint, wint = core.cinteger in
   let xs =
@@ -615,33 +612,14 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
   | `Budget -> `Budget
   | `Ok (opt, s0, (n0, p0, r0)) ->
     let s0 = List.sort compare s0 in
-    if s0 = [] then
-      `Family
-        Enumerate.
-          {
-            opt;
-            sets = [ [] ];
-            exhausted = true;
-            fstats =
-              {
-                cuts = 0;
-                solves = 1;
-                nodes = n0;
-                first_pivots = p0;
-                cut_pivots = 0;
-                refactors = r0;
-                time = Lp.Clock.elapsed t0;
-              };
-          }
-    else begin
-      let seeds = Array.of_list s0 in
-      let k = Array.length seeds in
-      let fix tid f d =
-        match var_of_tuple core tid with Some v -> f v d | None -> d
-      in
-      let results =
+    let seeds = Array.of_list s0 in
+    let fix tid f d = match var_of_tuple core tid with Some v -> f v d | None -> d in
+    (* [s0 = []] (OPT = 0) leaves no subspace: the family is [{[]}]. *)
+    let results =
+      if seeds = [||] then [||]
+      else
         Lp.Pool.with_pool ~jobs (fun pool ->
-            Lp.Pool.run pool ~tasks:k (fun i ->
+            Lp.Pool.run pool ~tasks:(Array.length seeds) (fun i ->
                 let engine = Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz in
                 let sub = ref base in
                 for j = 0 to i - 1 do
@@ -651,38 +629,37 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
                 Enumerate.collect ?cap ?time_limit ~t0 ~opt ~cut
                   ~run:(enum_run ?node_limit core prep engine)
                   ~seen:[] (pin opt !sub)))
-      in
-      let sets = ref [ s0 ] and exhausted = ref true in
-      let cuts = ref 0 and solves = ref 1 and nodes = ref n0 in
-      let cut_pivots = ref 0 and refactors = ref r0 in
-      Array.iter
-        (fun (ss, ex, (c, s, n, p, r)) ->
-          sets := ss @ !sets;
-          exhausted := !exhausted && ex;
-          cuts := !cuts + c;
-          solves := !solves + s;
-          nodes := !nodes + n;
-          cut_pivots := !cut_pivots + p;
-          refactors := !refactors + r)
-        results;
-      `Family
-        Enumerate.
-          {
-            opt;
-            sets = canonical !sets;
-            exhausted = !exhausted;
-            fstats =
-              {
-                cuts = !cuts;
-                solves = !solves;
-                nodes = !nodes;
-                first_pivots = p0;
-                cut_pivots = !cut_pivots;
-                refactors = !refactors;
-                time = Lp.Clock.elapsed t0;
-              };
-          }
-    end
+    in
+    let sets = ref [ s0 ] and exhausted = ref true in
+    let cuts = ref 0 and solves = ref 1 and nodes = ref n0 in
+    let cut_pivots = ref 0 and refactors = ref r0 in
+    Array.iter
+      (fun (ss, ex, (c, s, n, p, r)) ->
+        sets := ss @ !sets;
+        exhausted := !exhausted && ex;
+        cuts := !cuts + c;
+        solves := !solves + s;
+        nodes := !nodes + n;
+        cut_pivots := !cut_pivots + p;
+        refactors := !refactors + r)
+      results;
+    `Family
+      Enumerate.
+        {
+          opt;
+          sets = canonical !sets;
+          exhausted = !exhausted;
+          fstats =
+            {
+              cuts = !cuts;
+              solves = !solves;
+              nodes = !nodes;
+              first_pivots = p0;
+              cut_pivots = !cut_pivots;
+              refactors = !refactors;
+              time = Lp.Clock.elapsed t0;
+            };
+        }
 
 let enum_question ?node_limit ?time_limit ?cap ~jobs t core base =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
