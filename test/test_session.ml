@@ -455,7 +455,7 @@ let () =
           test_case "no presolve or structure analysis on any solve path" `Quick
             test_solve_paths_run_encoding_as_built;
         ] );
-      ( "write-overlays",
+      ( "overlays",
         [
           test_case "certified answers report their pivots" `Quick test_certified_reports_pivots;
           test_case "appended integer columns enter the certificate check" `Quick
