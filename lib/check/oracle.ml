@@ -249,13 +249,20 @@ let sandwich ({ sem; q; db } : Gen.db_case) =
 (* ----- LP oracles ---------------------------------------------------------- *)
 
 module FS = Lp.Solvers.Float_simplex
+module ES = Lp.Solvers.Exact_simplex
 module FB = Lp.Solvers.Float_bb
 module EB = Lp.Solvers.Exact_bb
 
 (* One warm session replays the whole delta sequence; every step must match
    a cold session (fresh all-slack basis) on the same delta.  This is the
-   sharpest detector for basis/inverse drift across warm solves. *)
-let lp_warm_vs_cold ({ frozen; deltas } : Gen.lp_case) =
+   sharpest detector for basis/inverse drift across warm solves, and for
+   the warm entry that moves a session by the diff between consecutive
+   deltas.  The float leg compares within 1e-7 and checks the warm point;
+   the exact leg replays the sequence over rationals and wants equal
+   objectives, with no tolerance to hide an entry that drops a change.
+   Rational solves on the larger generated programs take seconds each, so
+   the exact leg runs on the small ones only (see [small_lp]). *)
+let lp_warm_vs_cold ~small ({ frozen; deltas } : Gen.lp_case) =
   let warm = FS.create_session frozen in
   let rec go i = function
     | [] -> Pass
@@ -272,7 +279,22 @@ let lp_warm_vs_cold ({ frozen; deltas } : Gen.lp_case) =
       | FS.Infeasible, FS.Infeasible -> go (i + 1) rest
       | _ -> failf "step %d: warm and cold outcome kinds differ" i)
   in
-  go 0 deltas
+  let exact_warm = ES.create_session frozen in
+  let rec go_exact i = function
+    | [] -> Pass
+    | delta :: rest -> (
+      let w = ES.session_solve exact_warm delta in
+      let c = ES.session_solve (ES.create_session frozen) delta in
+      match (w, c) with
+      | ES.Optimal { objective = wo; _ }, ES.Optimal { objective = co; _ } ->
+        if Numeric.Rat.equal wo co then go_exact (i + 1) rest
+        else
+          failf "step %d: exact warm objective %s <> cold %s" i (Numeric.Rat.to_string wo)
+            (Numeric.Rat.to_string co)
+      | ES.Infeasible, ES.Infeasible -> go_exact (i + 1) rest
+      | _ -> failf "step %d: exact warm and cold outcome kinds differ" i)
+  in
+  all_of [ (fun () -> go 0 deltas); (fun () -> if small then go_exact 0 deltas else Pass) ]
 
 (* Float branch-and-bound (and root LP) vs the exact rational instantiation
    on the base program and a few deltas.  Small programs only: the exact
@@ -714,9 +736,9 @@ let all =
     };
     {
       name = "lp_warm_vs_cold";
-      descr = "warm simplex session = cold session on every delta of the sequence";
+      descr = "warm simplex session = cold session on every delta (float; exact on small programs)";
       applies = lp_only true;
-      check = on_lp lp_warm_vs_cold;
+      check = (fun case -> on_lp (lp_warm_vs_cold ~small:(small_lp case)) case);
     };
     {
       name = "lp_float_vs_exact";

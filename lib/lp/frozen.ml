@@ -64,8 +64,6 @@ module Delta = struct
     && (d1.rcols == d2.rcols || d1.rcols = d2.rcols)
     && (d1.rrows == d2.rrows || d1.rrows = d2.rrows)
 
-  let equal d1 d2 = same_appends d1 d2 && M.equal Int.equal d1.fixes d2.fixes
-
   let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
   let extends ~prefix d =

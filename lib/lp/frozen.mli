@@ -88,9 +88,6 @@ module Delta : sig
   (** Do the two deltas carry exactly the same appends (bound overrides
       ignored)?  Constant time when the deltas share structure. *)
 
-  val equal : t -> t -> bool
-  (** The same bound overrides and the same appends. *)
-
   val extends : prefix:t -> t -> bool
   (** Is [prefix]'s append sequence a prefix of the delta's?  (True in
       particular when {!same_appends}.)  Warm sessions use this to absorb

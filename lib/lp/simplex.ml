@@ -89,14 +89,24 @@ module Make (F : Numeric.Field.S) = struct
      A [session] compiles a {!Frozen.t} once into sparse columns with
      native per-column bounds — finite upper bounds are NOT materialised as
      rows, and equality rows get a slack fixed to [0,0] — and then solves
-     any number of {!Frozen.Delta} bound overlays against it.  The dual
-     simplex needs a dual-feasible start, which bounds make trivial to
-     maintain: reduced costs depend only on (basis, costs), and a delta
-     changes only bounds, so the optimal basis of the previous solve stays
-     dual feasible for the next one after snapping each nonbasic variable
-     to the bound its reduced-cost sign prefers.  That is the whole
-     warm-start protocol; branch-and-bound fixes and responsibility-batch
-     overlays both go through it.
+     any number of {!Frozen.Delta} bound overlays against it.
+
+     Warm start.  The state keeps one invariant: its basic values, nonbasic
+     bound statuses and reduced costs are consistent with the {e installed}
+     delta, the one the last solve ran under (empty for a fresh state).
+     Reduced costs depend only on (basis, costs) and a delta changes only
+     bounds, so the last basis stays dual feasible under the next delta
+     once every column whose bounds move is snapped to the bound its
+     reduced-cost sign prefers.  A solve therefore moves the state by the
+     diff between the installed delta and its own ([state_install]): it
+     restores and applies bounds on the columns either delta binds,
+     re-prices the columns it releases, and corrects the basic values with
+     one sparse FTRAN of the nonbasic columns whose value moved.  The entry
+     costs what the delta changes, not the program; a re-solve under the
+     installed delta touches no column.  Only creation, the all-slack
+     reset, refactorisation and append absorption re-derive the whole
+     state.  Branch-and-bound fixes and responsibility-batch overlays both
+     go through this one path.
 
      Every objective coefficient is non-negative ({!Frozen} enforces it at
      construction), so the all-slack basis is a universally available
@@ -121,12 +131,12 @@ module Make (F : Numeric.Field.S) = struct
     sb : F.t array;
     base_lb : F.t array;
     base_ub : F.t option array;  (* None = +inf *)
-    lb : F.t array;  (* after the current delta *)
+    lb : F.t array;  (* under the installed delta *)
     ub : F.t option array;
     skern : basis_kernel;
     sbasis : int array;
+    sbpos : int array;  (* basis position of each column, -1 when nonbasic *)
     sxb : F.t array;
-    s_in_basis : bool array;
     s_at_upper : bool array;
     sdarr : F.t array;  (* reduced costs, maintained across pivots/deltas *)
     (* Index of rows whose basic value violates a bound, maintained
@@ -137,15 +147,19 @@ module Make (F : Numeric.Field.S) = struct
     sviol : int array;
     sviol_pos : int array;
     mutable sviol_n : int;
-    (* Pricing skip set: basic columns and columns fixed by the current
-       delta can never enter, so the alpha pass does not price them.  The
-       cost is that a fixed column's reduced cost goes stale during a solve
-       (its incremental dual update is skipped too); [sdarr_stale] records
-       that, and the next solve entry recomputes darr from the basis before
-       trusting signs.  [sfixed] caches the per-delta fixed test. *)
+    (* Pricing skip set: basic columns and fixed columns can never enter,
+       so the alpha pass does not price them.  The cost is that a fixed
+       column's reduced cost goes stale while pivots run; the simplex
+       multipliers [sy] = c_B B^-1 are kept current instead (each pivot
+       adds a multiple of the BTRAN row it already computed), and a delta
+       that releases a column re-prices it from them.  [sfixed] caches the
+       fixed test under the installed bounds. *)
     sskip : bool array;
     sfixed : bool array;
-    mutable sdarr_stale : bool;
+    sy : F.t array;
+    mutable sinst : (Model.var * int) list;  (* the installed delta's bindings *)
+    schg : int array;  (* install scratch: the columns whose bounds move *)
+    sold : F.t array;  (* install scratch: their values before the move *)
     mutable stotal_pivots : int;
         (* Lifetime pivot count; never reset.  Per-session (not a global
            counter) so parallel batches can report per-solve deltas without
@@ -158,23 +172,81 @@ module Make (F : Numeric.Field.S) = struct
   let slack_sign fz i =
     match Frozen.row_sense fz i with Model.Leq | Model.Eq -> F.one | Model.Geq -> F.neg F.one
 
+  let session_fixed s j = match s.ub.(j) with Some u -> F.compare u s.lb.(j) <= 0 | None -> false
+
+  let session_nb_value s j =
+    if s.s_at_upper.(j) then match s.ub.(j) with Some u -> u | None -> s.lb.(j) else s.lb.(j)
+
+  let session_row_violated s r =
+    let jb = s.sbasis.(r) in
+    let x = s.sxb.(r) in
+    F.sign (F.sub s.lb.(jb) x) > 0
+    || (match s.ub.(jb) with Some u -> F.sign (F.sub x u) > 0 | None -> false)
+
+  let session_rebuild_viol s =
+    s.sviol_n <- 0;
+    for r = 0 to s.snrows - 1 do
+      if session_row_violated s r then begin
+        s.sviol_pos.(r) <- s.sviol_n;
+        s.sviol.(s.sviol_n) <- r;
+        s.sviol_n <- s.sviol_n + 1
+      end
+      else s.sviol_pos.(r) <- -1
+    done
+
+  (* Re-check one row after its basic value (or basis column) changed. *)
+  let session_update_viol s r =
+    let v = session_row_violated s r in
+    let p = s.sviol_pos.(r) in
+    if v && p < 0 then begin
+      s.sviol_pos.(r) <- s.sviol_n;
+      s.sviol.(s.sviol_n) <- r;
+      s.sviol_n <- s.sviol_n + 1
+    end
+    else if (not v) && p >= 0 then begin
+      let last = s.sviol.(s.sviol_n - 1) in
+      s.sviol.(p) <- last;
+      s.sviol_pos.(last) <- p;
+      s.sviol_pos.(r) <- -1;
+      s.sviol_n <- s.sviol_n - 1
+    end
+
+  (* xb = Binv (b - N x_N): valid whenever the kernel matches the basis. *)
+  let session_compute_xb s =
+    let n = s.snrows in
+    let rhs = Array.sub s.sb 0 n in
+    for j = 0 to s.sncols - 1 do
+      if s.sbpos.(j) < 0 then begin
+        let v = session_nb_value s j in
+        if F.sign v <> 0 then
+          List.iter (fun (i, c) -> rhs.(i) <- F.sub rhs.(i) (F.mul c v)) s.scols.(j)
+      end
+    done;
+    let w = k_ftran_dense s.skern rhs in
+    Array.blit w 0 s.sxb 0 n;
+    session_rebuild_viol s
+
   (* Reset to the all-slack basis: reduced costs equal the raw costs (slack
      costs are zero) and every structural column sits at its lower bound —
      dual feasible because all costs are non-negative.  The all-slack basis
      matrix is diagonal (+-1), so the kernel refactor cannot fail. *)
   let session_reset s =
-    let n = s.snrows in
-    for i = 0 to n - 1 do
-      s.sbasis.(i) <- s.snstruct + i
+    Array.fill s.sbpos 0 s.sncols (-1);
+    for i = 0 to s.snrows - 1 do
+      s.sbasis.(i) <- s.snstruct + i;
+      s.sbpos.(s.snstruct + i) <- i
     done;
     Array.fill s.s_at_upper 0 s.sncols false;
     for j = 0 to s.sncols - 1 do
-      s.s_in_basis.(j) <- j >= s.snstruct;
       s.sskip.(j) <- s.sfixed.(j) || j >= s.snstruct;
       s.sdarr.(j) <- s.scost.(j)
     done;
-    k_refactor s.skern s.sbasis
+    Array.fill s.sy 0 s.snrows F.zero;
+    k_refactor s.skern s.sbasis;
+    session_compute_xb s
 
+  (* A fresh state: base bounds, an empty installed delta, the all-slack
+     basis. *)
   let create_state ?(kernel = `Sparse) fz =
     let nstruct = Frozen.num_vars fz in
     let nrows = Frozen.num_rows fz in
@@ -243,8 +315,8 @@ module Make (F : Numeric.Field.S) = struct
         ub = Array.copy base_ub;
         skern = make_kernel kernel ~nrows ~col:(fun j -> scols.(j));
         sbasis = Array.make (max 1 nrows) 0;
+        sbpos = Array.make (max 1 ncols) (-1);
         sxb = Array.make (max 1 nrows) F.zero;
-        s_in_basis = Array.make (max 1 ncols) false;
         s_at_upper = Array.make (max 1 ncols) false;
         sdarr = Array.make (max 1 ncols) F.zero;
         sviol = Array.make (max 1 nrows) 0;
@@ -252,96 +324,64 @@ module Make (F : Numeric.Field.S) = struct
         sviol_n = 0;
         sskip = Array.make (max 1 ncols) false;
         sfixed = Array.make (max 1 ncols) false;
-        sdarr_stale = false;
+        sy = Array.make (max 1 nrows) F.zero;
+        sinst = [];
+        schg = Array.make (max 1 ncols) 0;
+        sold = Array.make (max 1 ncols) F.zero;
         stotal_pivots = 0;
         srefactors = 0;
       }
     in
+    for j = 0 to ncols - 1 do
+      s.sfixed.(j) <- session_fixed s j
+    done;
     session_reset s;
     s
 
-  let session_fixed s j = match s.ub.(j) with Some u -> F.compare u s.lb.(j) <= 0 | None -> false
+  (* The reduced cost d_j = c_j - y a_j under the multipliers [sy]. *)
+  let session_price s j =
+    List.fold_left (fun acc (i, c) -> F.sub acc (F.mul s.sy.(i) c)) s.scost.(j) s.scols.(j)
 
-  let session_nb_value s j =
-    if s.s_at_upper.(j) then match s.ub.(j) with Some u -> u | None -> s.lb.(j) else s.lb.(j)
-
-  let session_row_violated s r =
-    let jb = s.sbasis.(r) in
-    let x = s.sxb.(r) in
-    F.sign (F.sub s.lb.(jb) x) > 0
-    || (match s.ub.(jb) with Some u -> F.sign (F.sub x u) > 0 | None -> false)
-
-  let session_rebuild_viol s =
-    s.sviol_n <- 0;
-    for r = 0 to s.snrows - 1 do
-      if session_row_violated s r then begin
-        s.sviol_pos.(r) <- s.sviol_n;
-        s.sviol.(s.sviol_n) <- r;
-        s.sviol_n <- s.sviol_n + 1
-      end
-      else s.sviol_pos.(r) <- -1
-    done
-
-  (* Re-check one row after its basic value (or basis column) changed. *)
-  let session_update_viol s r =
-    let v = session_row_violated s r in
-    let p = s.sviol_pos.(r) in
-    if v && p < 0 then begin
-      s.sviol_pos.(r) <- s.sviol_n;
-      s.sviol.(s.sviol_n) <- r;
-      s.sviol_n <- s.sviol_n + 1
-    end
-    else if (not v) && p >= 0 then begin
-      let last = s.sviol.(s.sviol_n - 1) in
-      s.sviol.(p) <- last;
-      s.sviol_pos.(last) <- p;
-      s.sviol_pos.(r) <- -1;
-      s.sviol_n <- s.sviol_n - 1
-    end
-
-  (* xb = Binv (b - N x_N): valid whenever the kernel matches the basis. *)
-  let session_compute_xb s =
-    let n = s.snrows in
-    let rhs = Array.sub s.sb 0 n in
-    for j = 0 to s.sncols - 1 do
-      if not s.s_in_basis.(j) then begin
-        let v = session_nb_value s j in
-        if F.sign v <> 0 then
-          List.iter (fun (i, c) -> rhs.(i) <- F.sub rhs.(i) (F.mul c v)) s.scols.(j)
-      end
-    done;
-    let w = k_ftran_dense s.skern rhs in
-    Array.blit w 0 s.sxb 0 n;
-    session_rebuild_viol s
-
+  (* Recompute the multipliers y = c_B B^-1 (one BTRAN) and every reduced
+     cost from them. *)
   let session_refresh_darr s =
-    let n = s.snrows in
-    let cb = Array.make n F.zero in
-    for i = 0 to n - 1 do
-      cb.(i) <- s.scost.(s.sbasis.(i))
-    done;
-    let y = k_btran s.skern cb in
+    let y = k_btran s.skern (Array.init s.snrows (fun i -> s.scost.(s.sbasis.(i)))) in
+    Array.blit y 0 s.sy 0 s.snrows;
     for j = 0 to s.sncols - 1 do
-      if s.s_in_basis.(j) then s.sdarr.(j) <- F.zero
-      else begin
-        let acc = ref s.scost.(j) in
-        List.iter (fun (i, c) -> acc := F.sub !acc (F.mul y.(i) c)) s.scols.(j);
-        s.sdarr.(j) <- !acc
-      end
+      s.sdarr.(j) <- (if s.sbpos.(j) >= 0 then F.zero else session_price s j)
     done
 
-  exception Session_singular
+  (* Snap the nonbasic columns [col 0 .. col (n-1)] to the bound their
+     reduced cost prefers; a fixed column sits at its single bound.  A
+     column left with d < 0 and no finite upper bound (one a delta has just
+     released) makes the basis dual infeasible for these bounds: the
+     all-slack reset takes over, and the result is [false].  The one status
+     repair behind both the solve entry and every refactorisation. *)
+  let session_repair s n col =
+    try
+      for k = 0 to n - 1 do
+        let j = col k in
+        if s.sbpos.(j) < 0 then
+          s.s_at_upper.(j) <-
+            (not s.sfixed.(j))
+            && F.sign s.sdarr.(j) < 0
+            && match s.ub.(j) with Some _ -> true | None -> raise Exit
+      done;
+      true
+    with Exit ->
+      session_reset s;
+      false
 
+  (* Refactorise the current basis and re-derive reduced costs, nonbasic
+     statuses and basic values from it.  A numerically singular basis
+     (floats only) falls back to the always-valid all-slack start rather
+     than failing the solve. *)
   let session_refactorize s =
-    (try k_refactor s.skern s.sbasis
-     with Basis.Singular ->
-       (* A numerically singular basis (floats only): fall back to the
-          always-valid all-slack start rather than failing the solve. *)
-       session_reset s;
-       session_compute_xb s;
-       raise Session_singular);
-    session_compute_xb s;
-    session_refresh_darr s
+    match k_refactor s.skern s.sbasis with
+    | () ->
+      session_refresh_darr s;
+      if session_repair s s.sncols Fun.id then session_compute_xb s
+    | exception Basis.Singular -> session_reset s
 
   (* The bounded-variable dual simplex.  Invariants: darr is dual feasible
      for the nonbasic positions (at lower => d >= 0, at upper => d <= 0,
@@ -362,20 +402,15 @@ module Make (F : Numeric.Field.S) = struct
       end
     in
     let refactor () =
-      (match session_refactorize s with
-      | () -> ()
-      | exception Session_singular ->
-        (* session_reset already restored the all-slack state (darr equals
-           the raw costs there), so the solve continues from the cold
-           start. *)
-        ());
+      (* After a singular fallback the solve continues from the all-slack
+         state. *)
+      session_refactorize s;
       s.srefactors <- s.srefactors + 1;
       Obs.Counter.incr c_refactors;
       observe_factor s.skern
     in
     let result = ref `Optimal in
     let continue = ref true in
-    let piv0 = s.stotal_pivots in
     while !continue do
       incr iters;
       if !iters > max_iters then failwith "Simplex.session_solve: dual iteration limit";
@@ -479,7 +514,7 @@ module Make (F : Numeric.Field.S) = struct
         let j = ref 0 in
         while !j < Array.length cand && not (!bland && !enter >= 0) do
           let jj = cand.(!j) in
-          if (not s.s_in_basis.(jj)) && not s.sfixed.(jj) then begin
+          if s.sbpos.(jj) < 0 && not s.sfixed.(jj) then begin
             let a = s.salpha.(jj) in
             let ra = F.mul rho a in
             let eligible, ratio =
@@ -551,18 +586,24 @@ module Make (F : Numeric.Field.S) = struct
             (* Dual update before the basis update (alpha reads the row of
                the pre-pivot inverse, captured in [brow]). *)
             let theta = F.div s.sdarr.(q) wcol.(r) in
-            if F.sign theta <> 0 then
+            if F.sign theta <> 0 then begin
+              (* d_j -= theta alpha_j is y += theta brow, priced out. *)
+              for i = 0 to n - 1 do
+                let bi = brow.(i) in
+                if F.sign bi <> 0 then s.sy.(i) <- F.add s.sy.(i) (F.mul theta bi)
+              done;
               Array.iter
                 (fun k ->
-                  if (not s.s_in_basis.(k)) && k <> q then
+                  if s.sbpos.(k) < 0 && k <> q then
                     s.sdarr.(k) <- F.sub s.sdarr.(k) (F.mul theta s.salpha.(k)))
-                cand;
+                cand
+            end;
             s.sdarr.(jb_leave) <- F.neg theta;
             s.sdarr.(q) <- F.zero;
-            s.s_in_basis.(jb_leave) <- false;
+            s.sbpos.(jb_leave) <- -1;
             s.sskip.(jb_leave) <- s.sfixed.(jb_leave);
             s.s_at_upper.(jb_leave) <- F.sign rho < 0;
-            s.s_in_basis.(q) <- true;
+            s.sbpos.(q) <- r;
             s.sskip.(q) <- true;
             s.sbasis.(r) <- q;
             s.sxb.(r) <- entering_value;
@@ -583,15 +624,13 @@ module Make (F : Numeric.Field.S) = struct
         end
       end
     done;
-    (* Without a pivot no dual update was skipped: darr is still exact. *)
-    if s.stotal_pivots = piv0 then s.sdarr_stale <- false;
     !result
 
   let session_extract s =
     let nvars = s.snstruct in
     let x = Array.make nvars F.zero in
     for j = 0 to nvars - 1 do
-      if not s.s_in_basis.(j) then x.(j) <- session_nb_value s j
+      if s.sbpos.(j) < 0 then x.(j) <- session_nb_value s j
     done;
     for r = 0 to s.snrows - 1 do
       if s.sbasis.(r) < nvars then x.(s.sbasis.(r)) <- s.sxb.(r)
@@ -602,104 +641,115 @@ module Make (F : Numeric.Field.S) = struct
     done;
     Optimal { objective = !objective; solution = x }
 
-  let state_solve s delta =
-    (* Install the delta over the base bounds. *)
-    Array.blit s.base_lb 0 s.lb 0 (max 1 s.sncols);
-    Array.blit s.base_ub 0 s.ub 0 (max 1 s.sncols);
-    let infeasible_fix = ref false in
-    List.iter
-      (fun (v, k) ->
-        if v < 0 || v >= s.snstruct then invalid_arg "Simplex.session_solve: unknown variable";
-        let kf = F.of_int k in
-        (match s.base_ub.(v) with
-        | Some u when F.compare kf u > 0 -> infeasible_fix := true
-        | _ -> ());
-        if k < 0 then infeasible_fix := true;
-        s.lb.(v) <- kf;
-        s.ub.(v) <- Some kf)
-      (Frozen.Delta.bindings delta);
-    if !infeasible_fix then Infeasible
-    else if s.snrows = 0 then begin
-      (* No rows: every variable sits at its lower bound. *)
-      let x = Array.init s.snstruct (fun v -> s.lb.(v)) in
-      let objective = ref F.zero in
-      for v = 0 to s.snstruct - 1 do
-        if F.sign s.scost.(v) <> 0 then objective := F.add !objective (F.mul s.scost.(v) x.(v))
+  (* Move column [j] to the bounds [lb, ub] at a solve entry, recording it
+     as change [n] together with its value under the old bounds. *)
+  let session_move s n j lb ub =
+    s.schg.(n) <- j;
+    s.sold.(n) <- session_nb_value s j;
+    s.lb.(j) <- lb;
+    s.ub.(j) <- ub;
+    let fx = session_fixed s j in
+    s.sfixed.(j) <- fx;
+    s.sskip.(j) <- fx || s.sbpos.(j) >= 0;
+    n + 1
+
+  (* Move the state from the installed delta to the one with [bindings]
+     (ascending by variable, checked feasible), keeping the invariant.  Only
+     the columns whose bounds differ between the two are touched:
+     - bounds: restore the old fixes, apply the new ones;
+     - reduced costs: a released column, which missed the dual updates of
+       every pivot while it was fixed, is re-priced from [sy];
+     - statuses: [session_repair] on the moved columns;
+     - basic values: xb -= B^-1 (sum_j a_j dx_j) over the nonbasic columns
+       whose value moved, one sparse FTRAN, with the violation index
+       re-checked on its pattern and on the rows of moved basic columns. *)
+  let state_install s bindings =
+    let restore n v = session_move s n v s.base_lb.(v) s.base_ub.(v) in
+    let apply n v k =
+      let kf = F.of_int k in
+      session_move s n v kf (Some kf)
+    in
+    let rec merge n old nw =
+      match (old, nw) with
+      | [], [] -> n
+      | (v, _) :: old', [] -> merge (restore n v) old' []
+      | [], (v, k) :: nw' -> merge (apply n v k) [] nw'
+      | (v, k) :: old', (v', k') :: nw' ->
+        if v < v' then merge (restore n v) old' nw
+        else if v > v' then merge (apply n v' k') old nw'
+        else if k = k' then merge n old' nw'
+        else merge (apply n v' k') old' nw'
+    in
+    let n = merge 0 s.sinst bindings in
+    s.sinst <- bindings;
+    for k = 0 to n - 1 do
+      let j = s.schg.(k) in
+      if s.sbpos.(j) < 0 && not s.sfixed.(j) then s.sdarr.(j) <- session_price s j
+    done;
+    (* A failed repair has reset the state to all-slack, xb included. *)
+    if session_repair s n (fun k -> s.schg.(k)) then begin
+      let rhs = ref [] in
+      for k = 0 to n - 1 do
+        let j = s.schg.(k) in
+        if s.sbpos.(j) < 0 then begin
+          let dx = F.sub (session_nb_value s j) s.sold.(k) in
+          if F.sign dx <> 0 then
+            List.iter (fun (i, c) -> rhs := (i, F.mul c dx) :: !rhs) s.scols.(j)
+        end
       done;
-      Optimal { objective = !objective; solution = x }
+      (match !rhs with
+      | [] -> ()
+      | rhs ->
+        let w = k_ftran s.skern rhs in
+        let plen = k_ftran_pattern_len s.skern in
+        if plen >= 0 then begin
+          let pat = k_ftran_pattern s.skern in
+          for idx = 0 to plen - 1 do
+            let r = pat.(idx) in
+            s.sxb.(r) <- F.sub s.sxb.(r) w.(r);
+            session_update_viol s r
+          done
+        end
+        else begin
+          F.axpy (F.neg F.one) w s.sxb;
+          session_rebuild_viol s
+        end);
+      for k = 0 to n - 1 do
+        let r = s.sbpos.(s.schg.(k)) in
+        if r >= 0 then session_update_viol s r
+      done
     end
+
+  let state_solve s delta =
+    let bindings = Frozen.Delta.bindings delta in
+    (* An infeasible fix is rejected before any state is touched. *)
+    let infeasible =
+      List.fold_left
+        (fun bad (v, k) ->
+          if v < 0 || v >= s.snstruct then invalid_arg "Simplex.session_solve: unknown variable";
+          bad || k < 0
+          || match s.base_ub.(v) with Some u -> F.compare (F.of_int k) u > 0 | None -> false)
+        false bindings
+    in
+    if infeasible then Infeasible
     else begin
-      (* The previous solve skipped dual updates on its fixed columns;
-         their reduced costs cannot be trusted until recomputed from the
-         basis. *)
-      if s.sdarr_stale then session_refresh_darr s;
-      let has_fixed = ref false in
-      for j = 0 to s.sncols - 1 do
-        let fx = session_fixed s j in
-        s.sfixed.(j) <- fx;
-        if fx then has_fixed := true
-      done;
-      s.sdarr_stale <- !has_fixed;
-      (* Repair nonbasic positions for dual feasibility under the new
-         bounds: fixed columns sit at their (single) bound, otherwise the
-         reduced-cost sign picks the bound.  d < 0 with no finite upper can
-         only be left over from a previously-fixed column; the all-slack
-         reset recovers dual feasibility in that case. *)
-      (try
-         for j = 0 to s.sncols - 1 do
-           if not s.s_in_basis.(j) then
-             if s.sfixed.(j) then s.s_at_upper.(j) <- false
-             else if F.sign s.sdarr.(j) >= 0 then s.s_at_upper.(j) <- false
-             else
-               match s.ub.(j) with
-               | Some _ -> s.s_at_upper.(j) <- true
-               | None -> raise Exit
-         done
-       with Exit -> session_reset s);
-      for j = 0 to s.sncols - 1 do
-        s.sskip.(j) <- s.sfixed.(j) || s.s_in_basis.(j)
-      done;
-      session_compute_xb s;
+      state_install s bindings;
       match session_run s with
       | `Optimal -> session_extract s
       | `Infeasible when k_etas s.skern = 0 ->
         (* The verdict was reached on a freshly factorised basis — no update
            drift to distrust. *)
         Infeasible
-      | `Infeasible ->
+      | `Infeasible -> (
         (* Never trust an infeasibility verdict reached on a basis with
            updates on it: accumulated drift in the factors/darr can hide
            every eligible entering column.  Re-derive on a fresh
            factorisation of the *current* basis — exact factors, exactly
-           recomputed duals and basics — which removes the drift while
-           keeping the warm start (an all-slack restart here would pay a
-           full cold solve per infeasible node). *)
-        (match session_refactorize s with
-        | () ->
-          (* The exact duals can flip a nonbasic bound status; repair it
-             exactly as the solve entry does, then rebuild the basics the
-             repair may have moved. *)
-          (try
-             for j = 0 to s.sncols - 1 do
-               if not s.s_in_basis.(j) then
-                 if s.sfixed.(j) then s.s_at_upper.(j) <- false
-                 else if F.sign s.sdarr.(j) >= 0 then s.s_at_upper.(j) <- false
-                 else
-                   match s.ub.(j) with
-                   | Some _ -> s.s_at_upper.(j) <- true
-                   | None -> raise Exit
-             done
-           with Exit -> session_reset s);
-          for j = 0 to s.sncols - 1 do
-            s.sskip.(j) <- s.sfixed.(j) || s.s_in_basis.(j)
-          done;
-          session_compute_xb s
-        | exception Session_singular ->
-          (* session_reset already restored the all-slack state. *)
-          ());
-        (match session_run s with
-        | `Infeasible -> Infeasible
-        | `Optimal -> session_extract s)
+           recomputed duals, statuses and basics — which removes the drift
+           while keeping the warm start (an all-slack restart here would pay
+           a full cold solve per infeasible node). *)
+        session_refactorize s;
+        match session_run s with `Infeasible -> Infeasible | `Optimal -> session_extract s)
     end
 
   (* ----- Public sessions: append absorption over the compiled state ----
@@ -714,7 +764,8 @@ module Make (F : Numeric.Field.S) = struct
      unchanged, and appended columns — which by construction of frozen
      rows cannot appear in base rows — price out at their own non-negative
      objective.  Base rows are immutable, which is the invariant making
-     this sound. *)
+     this sound.  The re-compiled state has an empty installed delta: the
+     next solve installs its fixes by the usual diff. *)
 
   type session = {
     ses_base : Frozen.t;
@@ -722,7 +773,6 @@ module Make (F : Numeric.Field.S) = struct
     mutable ses_st : sstate;
     mutable ses_abs : Frozen.Delta.t;  (* appends the state was compiled for *)
     mutable ses_fz : Frozen.t;  (* [ses_base] with [ses_abs]'s appends materialised *)
-    mutable ses_relaxed : (Frozen.Delta.t * outcome) option;  (* see [session_relax] *)
   }
 
   let create_session ?(kernel = `Sparse) fz =
@@ -732,7 +782,6 @@ module Make (F : Numeric.Field.S) = struct
       ses_st = create_state ~kernel fz;
       ses_abs = Frozen.Delta.empty;
       ses_fz = fz;
-      ses_relaxed = None;
     }
 
   (* Lifetime work totals, for per-solve deltas in branch-and-bound and the
@@ -759,15 +808,16 @@ module Make (F : Numeric.Field.S) = struct
       for i = old.snrows to st.snrows - 1 do
         st.sbasis.(i) <- st.snstruct + i
       done;
-      Array.fill st.s_in_basis 0 st.sncols false;
+      Array.fill st.sbpos 0 st.sncols (-1);
       for i = 0 to st.snrows - 1 do
-        st.s_in_basis.(st.sbasis.(i)) <- true
+        st.sbpos.(st.sbasis.(i)) <- i
       done;
-      (* Nonbasic bound statuses are re-derived from the refreshed reduced
-         costs at the next solve entry, so none are copied here. *)
-      match k_refactor st.skern st.sbasis with
-      | () -> st.sdarr_stale <- true
-      | exception Basis.Singular -> session_reset st
+      for j = 0 to st.sncols - 1 do
+        st.sskip.(j) <- st.sfixed.(j) || st.sbpos.(j) >= 0
+      done;
+      (* Reduced costs, nonbasic statuses and basic values all follow from
+         the seeded basis, so none are copied. *)
+      session_refactorize st
     end;
     sess.ses_st <- st;
     sess.ses_abs <- delta;
@@ -778,19 +828,8 @@ module Make (F : Numeric.Field.S) = struct
     sess.ses_fz
 
   let session_solve sess delta =
-    sess.ses_relaxed <- None;
     ignore (session_program sess delta);
     state_solve sess.ses_st delta
-
-  (* With no solve since the last relaxation under an equal delta, the state
-     still sits at that optimum: a re-solve would make no pivot. *)
-  let session_relax sess delta =
-    match sess.ses_relaxed with
-    | Some (d, outcome) when Frozen.Delta.equal d delta -> outcome
-    | Some _ | None ->
-      let outcome = session_solve sess delta in
-      sess.ses_relaxed <- Some (delta, outcome);
-      outcome
 
   let solve_frozen ?(delta = Frozen.Delta.empty) ?kernel fz =
     session_solve (create_session ?kernel fz) delta

@@ -41,7 +41,10 @@ module Make (F : Numeric.Field.S) : sig
       dual simplex.  Because a delta changes only bounds, the basis and
       reduced costs of the previous solve remain dual feasible, so every
       solve after the first warm-starts from the previous optimum instead
-      of the all-slack basis. *)
+      of the all-slack basis.  The warm entry costs what the delta changes
+      against the previous one (the columns either binds), not the size of
+      the program: a re-solve under the same delta touches no column and
+      makes no pivot. *)
 
   type session
 
@@ -62,7 +65,8 @@ module Make (F : Numeric.Field.S) : sig
   val session_solve : session -> Frozen.Delta.t -> outcome
   (** Solve the frozen program under the delta, warm-starting from
       whatever basis the previous call left behind.  Fixing a variable
-      outside its base bounds yields [Infeasible].
+      outside its base bounds yields [Infeasible] and leaves the session as
+      it was.
 
       When the delta carries row/column appends ({!Frozen.Delta.append_row},
       {!Frozen.Delta.append_col}), the session absorbs them: the state is
@@ -74,10 +78,6 @@ module Make (F : Numeric.Field.S) : sig
       (each derived from the last via [append_*]); a delta whose appends
       are not an extension of the absorbed ones triggers a cold
       re-compile. *)
-
-  val session_relax : session -> Frozen.Delta.t -> outcome
-  (** {!session_solve}, but a delta equal to the last relaxation's, with no
-      solve since, returns its outcome untouched. *)
 
   val session_program : session -> Frozen.Delta.t -> Frozen.t
   (** The base with the delta's appends materialised, which the session

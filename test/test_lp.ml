@@ -325,6 +325,104 @@ let prop_bb_warm_chain_matches_fresh =
           && exact_outcome (EB.solve_session ~delta es) = exact_outcome (EB.solve_frozen ~delta fz))
         deltas)
 
+(* --- Warm entry: a session moved by delta diffs = a fresh session ----------- *)
+
+(* One warm session per field replays [deltas]; every answer must equal a
+   fresh session's on the same delta (float objectives within 1e-7, exact
+   objectives equal as rationals), and every warm float solution must
+   satisfy the program under its delta. *)
+let check_warm_chain name fz deltas =
+  let fw = FS.create_session fz and ew = ES.create_session fz in
+  List.iteri
+    (fun i delta ->
+      let step = Printf.sprintf "%s, step %d" name i in
+      (match (FS.session_solve fw delta, FS.solve_frozen ~delta fz) with
+      | FS.Optimal { objective = w; solution }, FS.Optimal { objective = c; _ } ->
+        Alcotest.(check (float 1e-7)) (step ^ ": float objective") c w;
+        Alcotest.(check bool) (step ^ ": feasible") true (Lp.Frozen.check_feasible ~delta fz solution)
+      | FS.Infeasible, FS.Infeasible -> ()
+      | _ -> Alcotest.failf "%s: float warm and fresh outcomes differ" step);
+      match (ES.session_solve ew delta, ES.solve_frozen ~delta fz) with
+      | ES.Optimal { objective = w; _ }, ES.Optimal { objective = c; _ } ->
+        if not (Numeric.Rat.equal w c) then
+          Alcotest.failf "%s: exact warm %s <> fresh %s" step (Numeric.Rat.to_string w)
+            (Numeric.Rat.to_string c)
+      | ES.Infeasible, ES.Infeasible -> ()
+      | _ -> Alcotest.failf "%s: exact warm and fresh outcomes differ" step)
+    deltas
+
+(* x = 3 is basic at the base optimum of [mk_lp].  Fixing it moves no
+   nonbasic value, only the bounds of a basic column, so the entry must
+   re-check the row x is basic in: otherwise x keeps 3 and the fixed
+   programs answer the base optimum 9. *)
+let test_warm_fix_basic () =
+  let m, x, _ = mk_lp () in
+  check_warm_chain "fix basic x" (freeze m)
+    [ no_fix; fix x 1 no_fix; fix x 0 no_fix; no_fix; fix x 1 no_fix ]
+
+(* min x + 5y s.t. x + y >= 1, both in [0, 1].  Fixing x = 0 on a fresh
+   session makes y enter (one pivot), which raises the row dual to 5 while
+   the skipped x keeps its reduced cost 1.  Releasing x must re-price it to
+   1 - 5 = -4 and move it to its upper bound (objective 1); the stale cost
+   leaves x at 0 and y in, objective 5.  Deleting the re-pricing loop in
+   [Simplex.state_install], or the multiplier update of the pivot, fails
+   this case. *)
+let test_warm_release_reprices () =
+  let m = M.create () in
+  let x = M.add_var ~upper:1 ~obj:1 m in
+  let y = M.add_var ~upper:1 ~obj:5 m in
+  M.add_constr m [ (x, 1); (y, 1) ] M.Geq 1;
+  let fz = freeze m in
+  check_warm_chain "release x" fz [ fix x 0 no_fix; no_fix ];
+  let s = FS.create_session fz in
+  Alcotest.(check (option (float 1e-9))) "x fixed" (Some 5.0)
+    (objective_of (FS.session_solve s (fix x 0 no_fix)));
+  Alcotest.(check bool) "the fixed solve pivoted" true (FS.session_pivots s > 0);
+  Alcotest.(check (option (float 1e-9))) "x released" (Some 1.0)
+    (objective_of (FS.session_solve s no_fix))
+
+(* A fix above a variable's upper bound is rejected before the state
+   moves: the deltas around it answer as fresh sessions do, and a re-solve
+   under the delta installed before it makes no pivot. *)
+let test_warm_over_upper_fix () =
+  let fz, vars = Harness.random_covering_frozen (Harness.rng_of 11) ~nvars:8 ~nrows:7 in
+  let a = fix vars.(0) 0 (fix vars.(2) 1 no_fix) in
+  let bad = fix vars.(1) 2 (fix vars.(0) 1 no_fix) in
+  let b = fix vars.(0) 1 no_fix in
+  check_warm_chain "over-upper fix" fz [ a; bad; a; bad; b ];
+  let s = FS.create_session fz in
+  ignore (FS.session_solve s a);
+  let p = FS.session_pivots s in
+  Alcotest.(check bool) "over-upper fix infeasible" true (FS.session_solve s bad = FS.Infeasible);
+  ignore (FS.session_solve s a);
+  Alcotest.(check int) "re-solve under the installed delta: no pivot" p (FS.session_pivots s)
+
+let test_warm_alternation () =
+  let rng = Harness.rng_of 7 in
+  let fz, vars = Harness.random_covering_frozen rng ~nvars:12 ~nrows:10 in
+  let a = random_fixes rng vars and b = random_fixes rng vars in
+  check_warm_chain "alternation" fz (List.init 100 (fun i -> if i mod 2 = 0 then a else b))
+
+(* Appends after warm solves: the session re-compiles with an empty
+   installed delta and installs the next fixes by the usual diff, fixes on
+   appended columns included. *)
+let test_warm_appends () =
+  let module D = Lp.Frozen.Delta in
+  let fz, vars = Harness.random_covering_frozen (Harness.rng_of 5) ~nvars:6 ~nrows:5 in
+  let nv = Array.length vars in
+  let d1 = D.append_row M.Geq 1 [ (vars.(0), 1); (nv, 1) ] (D.append_col ~upper:1 ~name:"a" ~obj:1 no_fix) in
+  let d2 = D.append_row M.Geq 1 [ (nv, 1); (nv + 1, 1) ] (D.append_col ~upper:1 ~name:"b" ~obj:2 d1) in
+  check_warm_chain "appends" fz
+    [
+      fix vars.(0) 0 no_fix;
+      fix vars.(1) 1 no_fix;
+      fix vars.(0) 0 d1;
+      fix nv 0 (fix vars.(0) 0 d1);
+      fix nv 0 d2;
+      fix (nv + 1) 1 d2;
+      d2;
+    ]
+
 let () =
   let q = Harness.qtest in
   Alcotest.run "lp"
@@ -357,5 +455,13 @@ let () =
           q prop_bb_matches_bruteforce;
           q prop_bb_fields_kernels_agree;
           q prop_bb_warm_chain_matches_fresh;
+        ] );
+      ( "warm entry",
+        [
+          Alcotest.test_case "basic column fixed away" `Quick test_warm_fix_basic;
+          Alcotest.test_case "released column re-priced" `Quick test_warm_release_reprices;
+          Alcotest.test_case "over-upper fix leaves state" `Quick test_warm_over_upper_fix;
+          Alcotest.test_case "two deltas alternated 50 times" `Quick test_warm_alternation;
+          Alcotest.test_case "appends after warm solves" `Quick test_warm_appends;
         ] );
     ]
