@@ -499,6 +499,12 @@ let run_ablations scale =
 
 (* ---- Bechamel micro-benchmarks ------------------------------------------------ *)
 
+(* The functor instances at the float field: the same bodies as the float
+   units behind Lp.Solvers, run through one call per field operation.  The
+   "/functor" rows below time them beside the units. *)
+module Functor_simplex = Lp.Simplex.Make (Numeric.Field.Float_field)
+module Functor_bb = Lp.Branch_bound.Make (Numeric.Field.Float_field)
+
 let run_micro () =
   print_endline "\n== Micro-benchmarks (Bechamel) ==";
   let open Bechamel in
@@ -518,6 +524,23 @@ let run_micro () =
     | Lp.Presolve.Reduced (m, _) -> m
     | _ -> failwith "presolve failed"
   in
+  (* One self-join 2-chain ILP shaped like the batch workload's: 60 R pairs
+     over a domain of 18, whose root LP is fractional, so the solve
+     branches. *)
+  let sj =
+    let q = Queries.q2_chain_sj () in
+    let db =
+      Datagen.Random_inst.db (Random.State.make [| 7 |]) ~domain:18
+        [ { Datagen.Random_inst.rel = "R"; arity = 2; count = 60 } ]
+    in
+    match Encode.res Encode.Ilp set q db with
+    | Encode.Encoded e -> Lp.Frozen.of_model e.Encode.model
+    | _ -> failwith "encode failed"
+  in
+  let r = Lp.Solvers.Float_bb.solve_frozen sj in
+  Printf.printf "bb-q2chainsj: %d rows, %d columns; %d nodes, %d pivots per solve\n"
+    (Lp.Frozen.num_rows sj) (Lp.Frozen.num_vars sj) r.Lp.Solvers.Float_bb.nodes
+    r.Lp.Solvers.Float_bb.pivots;
   let tests =
     Test.make_grouped ~name:"resilience"
       [
@@ -534,21 +557,33 @@ let run_micro () =
           (Staged.stage (fun () ->
                ignore
                  (Lp.Solvers.Float_simplex.solve_frozen (Lp.Frozen.of_model enc.Encode.model))));
+        Test.make ~name:"lp-dual-raw/functor"
+          (Staged.stage (fun () ->
+               ignore (Functor_simplex.solve_frozen (Lp.Frozen.of_model enc.Encode.model))));
+        Test.make ~name:"bb-q2chainsj"
+          (Staged.stage (fun () -> ignore (Lp.Solvers.Float_bb.solve_frozen sj)));
+        Test.make ~name:"bb-q2chainsj/functor"
+          (Staged.stage (fun () -> ignore (Functor_bb.solve_frozen sj)));
         Test.make ~name:"flow-baseline"
           (Staged.stage (fun () -> ignore (Solve.resilience_flow set q db)));
       ]
   in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
+  (* Wall clock and minor-heap allocation side by side, one row per test. *)
+  let clock = Toolkit.Instance.monotonic_clock and minor = Toolkit.Instance.minor_allocated in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
+  let raw = Benchmark.all cfg [ clock; minor ] tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-    results
+  let times = Analyze.all ols clock raw and words = Analyze.all ols minor raw in
+  let estimate tbl name =
+    match Option.map Analyze.OLS.estimates (Hashtbl.find_opt tbl name) with
+    | Some (Some [ est ]) -> Printf.sprintf "%12.0f" est
+    | Some _ | None -> Printf.sprintf "%12s" "-"
+  in
+  Printf.printf "%-40s %12s %12s\n" "" "ns/run" "words/run";
+  Hashtbl.fold (fun name _ acc -> name :: acc) times []
+  |> List.sort compare
+  |> List.iter (fun name ->
+         Printf.printf "%-40s %s %s\n" name (estimate times name) (estimate words name))
 
 (* ---- Ranking batch: warm session vs cold per-tuple solves ----------------------- *)
 

@@ -167,6 +167,9 @@ end
 
 (* ----- Sparse LU kernel ------------------------------------------------ *)
 
+(* The build also compiles this functor's body on its own, with F the
+   float field, as the unit {!Float_lu} (lib/lp/dune, with [open Basis]):
+   the body may use this file's types and exception, nothing else of it. *)
 module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
   type elt = F.t
 
@@ -227,6 +230,14 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     mutable wpat_n : int;
     wstamp : int array;
     mutable wstamp_val : int;
+    (* Result buffers, handed out by {!ftran}/{!ftran_dense} ([wbuf]) and
+       {!btran_unit} ([ybuf]) instead of a fresh array per call; [ypat]
+       lists the [ypat_n] entries of [ybuf] the last unit row wrote, which
+       the next call clears. *)
+    wbuf : elt array;
+    ybuf : elt array;
+    ypat : int array;
+    mutable ypat_n : int;
   }
 
   let name = "sparse-lu"
@@ -275,6 +286,10 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       wpat_n = -1;
       wstamp = Array.make n 0;
       wstamp_val = 0;
+      wbuf = Array.make n F.zero;
+      ybuf = Array.make n F.zero;
+      ypat = Array.make n 0;
+      ypat_n = 0;
     }
 
   (* Symbolic step of Gilbert-Peierls: the nonzero pattern of L^-1 a is the
@@ -318,11 +333,12 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     List.iter (fun (i, _) -> dfs i) entries;
     !tn
 
-  (* Same iterative DFS over an arbitrary successor map, rooted at
-     [starts.(0 .. ns-1)]: fills [t.topo] with a postorder and returns its
-     length.  Reverse postorder visits every node before its successors, a
-     valid order for scatter-form triangular solves.  Shares the
-     stamp/stack scratch with {!reach} — traversals never interleave. *)
+  (* Same iterative DFS over arbitrary successor lists ([succ.(node)]),
+     rooted at [starts.(0 .. ns-1)]: fills [t.topo] with a postorder and
+     returns its length.  Reverse postorder visits every node before its
+     successors, a valid order for scatter-form triangular solves.  Shares
+     the stamp/stack scratch with {!reach} — traversals never
+     interleave. *)
   let reach_from t succ starts ns =
     t.stamp_val <- t.stamp_val + 1;
     let sv = t.stamp_val in
@@ -336,7 +352,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
         let sp = ref 1 in
         while !sp > 0 do
           let node = t.stack.(!sp - 1) in
-          let succs = succ node in
+          let succs = succ.(node) in
           let e = t.estack.(!sp - 1) in
           if e < Array.length succs then begin
             t.estack.(!sp - 1) <- e + 1;
@@ -564,8 +580,9 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     done;
     (* U back-substitution over the steps reachable from those starts
        (contributions flow down the column pattern [u_i]). *)
-    let tn = reach_from t (fun k -> t.u_i.(k)) t.starts !ns in
-    let w = Array.make t.nrows F.zero in
+    let tn = reach_from t t.u_i t.starts !ns in
+    let w = t.wbuf in
+    Array.fill w 0 t.nrows F.zero;
     t.wstamp_val <- t.wstamp_val + 1;
     t.wpat_n <- 0;
     for idx = tn - 1 downto 0 do
@@ -610,7 +627,8 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       z.(k) <- x.(pr);
       x.(pr) <- F.zero
     done;
-    let w = Array.make n F.zero in
+    (* Every entry of the result buffer is written below. *)
+    let w = t.wbuf in
     for k = n - 1 downto 0 do
       let v = F.div z.(k) t.udiag.(k) in
       z.(k) <- F.zero;
@@ -746,7 +764,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     done;
     (* U^T solve: z_k = (v_k - sum over the U^T row) / udiag_k; a finalized
        step scatters into the steps listed by its [ut] row. *)
-    let tn = reach_from t (fun j -> t.ut_i.(j)) t.starts !ns in
+    let tn = reach_from t t.ut_i t.starts !ns in
     let nl = ref 0 in
     for idx = tn - 1 downto 0 do
       let j = t.topo.(idx) in
@@ -765,8 +783,12 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     done;
     (* L^T solve, same shape without the division; results land on the
        step's pivot row. *)
-    let tn = reach_from t (fun j -> t.lt_i.(j)) t.starts !nl in
-    let y = Array.make t.nrows F.zero in
+    let tn = reach_from t t.lt_i t.starts !nl in
+    let y = t.ybuf in
+    for idx = 0 to t.ypat_n - 1 do
+      y.(t.ypat.(idx)) <- F.zero
+    done;
+    t.ypat_n <- 0;
     for idx = tn - 1 downto 0 do
       let j = t.topo.(idx) in
       let yj = t.z.(j) in
@@ -777,7 +799,9 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
           let k = ti.(e) in
           t.z.(k) <- F.sub t.z.(k) (F.mul tv.(e) yj)
         done;
-        y.(t.piv_row.(j)) <- yj
+        y.(t.piv_row.(j)) <- yj;
+        t.ypat.(t.ypat_n) <- t.piv_row.(j);
+        t.ypat_n <- t.ypat_n + 1
       end
     done;
     y

@@ -19,7 +19,10 @@
     updates, whose per-iteration cost tracks the nonzero count rather than
     the row count.  The simplex paths in {!Simplex} are written against
     {!S} only, so both instantiate at any {!Numeric.Field.S} — the
-    exact-rational oracle runs through the very same kernels. *)
+    exact-rational oracle runs through the very same kernels.  The
+    production float solver runs the body of {!Sparse_lu} compiled as the
+    monomorphic unit {!Float_lu}, with the field operations inlined and
+    unboxed. *)
 
 type stats = {
   factor_nnz : int;  (** nonzeros stored for the factorised basis *)
@@ -57,12 +60,14 @@ module type S = sig
 
   val ftran : t -> (int * elt) list -> elt array
   (** [ftran t a] solves [B w = a] for a sparse column [a]; the result is a
-      fresh dense array indexed by basis position. *)
+      dense array indexed by basis position.  It may be a buffer the kernel
+      reuses (the sparse kernel's is): read-only for the caller, and valid
+      until the next {!ftran} or {!ftran_dense} on the kernel. *)
 
   val ftran_dense : t -> elt array -> elt array
   (** [ftran_dense t rhs] solves [B w = rhs] for a dense right-hand side
       (used to recompute the basic values after a refactor); [rhs] is not
-      modified. *)
+      modified.  The result obeys the {!ftran} buffer contract. *)
 
   val ftran_pattern : t -> int array
   val ftran_pattern_len : t -> int
@@ -82,7 +87,9 @@ module type S = sig
 
   val btran_unit : t -> int -> elt array
   (** [btran_unit t r] is row [r] of [B⁻¹] (BTRAN of the [r]-th unit
-      vector), the row the dual ratio test prices columns against. *)
+      vector), the row the dual ratio test prices columns against.  Like
+      {!ftran}'s, the result may be a reused buffer: read-only, and valid
+      until the next {!btran_unit}. *)
 
   val update : t -> r:int -> wcol:elt array -> unit
   (** [update t ~r ~wcol] replaces the basis column at position [r] by the

@@ -1,14 +1,3 @@
-(* Shared between the float and exact instantiations (creation is
-   idempotent by name); every bump is dropped unless a trace sink is
-   installed. *)
-let c_nodes = Obs.Counter.create "bb.nodes"
-let c_pruned = Obs.Counter.create "bb.pruned"
-let c_infeasible_nodes = Obs.Counter.create "bb.infeasible_nodes"
-let c_integral_leaves = Obs.Counter.create "bb.integral_leaves"
-let c_incumbents = Obs.Counter.create "bb.incumbents"
-let c_budget_hits = Obs.Counter.create "bb.budget_hits"
-let c_max_depth = Obs.Counter.create "bb.max_depth"
-
 module type S = sig
   type elt
 
@@ -46,7 +35,22 @@ module type S = sig
   val session_work : session -> int * int
 end
 
+(* The build also compiles this functor's body on its own, with F the
+   float field and {!Float_simplex} as [Lp], as the unit {!Float_bb}
+   (lib/lp/dune): the body may not use anything defined at this file's top
+   level. *)
 module Make (F : Numeric.Field.S) = struct
+  (* Shared by every instance of this body, float unit and exact functor
+     alike (creation is idempotent by name); every bump is dropped unless a
+     trace sink is installed. *)
+  let c_nodes = Obs.Counter.create "bb.nodes"
+  let c_pruned = Obs.Counter.create "bb.pruned"
+  let c_infeasible_nodes = Obs.Counter.create "bb.infeasible_nodes"
+  let c_integral_leaves = Obs.Counter.create "bb.integral_leaves"
+  let c_incumbents = Obs.Counter.create "bb.incumbents"
+  let c_budget_hits = Obs.Counter.create "bb.budget_hits"
+  let c_max_depth = Obs.Counter.create "bb.max_depth"
+
   module Lp = Simplex.Make (F)
 
   type elt = F.t

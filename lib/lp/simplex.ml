@@ -13,30 +13,52 @@
    and before pivoting on noise-level elements, and pricing falls back to
    Bland's rule late in the iteration budget. *)
 
-(* Cross-field instrumentation: the float and exact instantiations of the
-   functor share one set of counters ({!Obs.Counter.create} is idempotent by
-   name), and every bump is dropped unless a trace sink is installed, so the
-   per-pivot cost with telemetry off is a single atomic load. *)
-let c_pivots = Obs.Counter.create "simplex.pivots"
-let c_bland_falls = Obs.Counter.create "simplex.bland_falls"
-let c_refactors = Obs.Counter.create "simplex.refactors"
-let c_eta_peak = Obs.Counter.create "simplex.eta_peak"
+module type S = sig
+  type elt
+  type outcome = Optimal of { objective : elt; solution : elt array } | Infeasible
 
-(* The dual session never flips a nonbasic bound inside a pivot, so this
-   counter always reads 0; it stays registered because the telemetry key
-   set is a published schema (the --stats goldens lock it). *)
-let () = ignore (Obs.Counter.create "simplex.bound_flips")
+  val integral_on : elt array -> Model.var list -> bool
 
-(* Basis-kernel telemetry: high-water factor size and fill ratio (percent of
-   the basis nonzero count), and the running FTRAN result sparsity
-   (nnz/length, accumulated so the trace consumer can form the fraction). *)
-let c_lu_factor_nnz = Obs.Counter.create "simplex.lu_factor_nnz"
-let c_lu_fill_pct = Obs.Counter.create "simplex.lu_fill_pct"
-let c_ftran_nnz = Obs.Counter.create "simplex.ftran_nnz"
-let c_ftran_len = Obs.Counter.create "simplex.ftran_len"
+  type session
 
+  val create_session : ?kernel:Basis.choice -> Frozen.t -> session
+  val session_pivots : session -> int
+  val session_refactors : session -> int
+  val session_solve : session -> Frozen.Delta.t -> outcome
+  val session_program : session -> Frozen.Delta.t -> Frozen.t
+  val solve_frozen : ?delta:Frozen.Delta.t -> ?kernel:Basis.choice -> Frozen.t -> outcome
+end
+
+(* The build also compiles this functor's body on its own, with F the
+   float field and {!Float_lu} as the sparse kernel, as the unit
+   {!Float_simplex} (lib/lp/dune): the body may not use anything defined at
+   this file's top level. *)
 module Make (F : Numeric.Field.S) = struct
-  type outcome = Optimal of { objective : F.t; solution : F.t array } | Infeasible
+  (* Cross-field instrumentation: every instance of this body (the float
+     unit, the exact functor instance) shares one set of counters
+     ({!Obs.Counter.create} is idempotent by name), and every bump is dropped
+     unless a trace sink is installed, so the per-pivot cost with telemetry
+     off is a single atomic load. *)
+  let c_pivots = Obs.Counter.create "simplex.pivots"
+  let c_bland_falls = Obs.Counter.create "simplex.bland_falls"
+  let c_refactors = Obs.Counter.create "simplex.refactors"
+  let c_eta_peak = Obs.Counter.create "simplex.eta_peak"
+
+  (* The dual session never flips a nonbasic bound inside a pivot, so this
+     counter always reads 0; it stays registered because the telemetry key
+     set is a published schema (the --stats goldens lock it). *)
+  let () = ignore (Obs.Counter.create "simplex.bound_flips")
+
+  (* Basis-kernel telemetry: high-water factor size and fill ratio (percent of
+     the basis nonzero count), and the running FTRAN result sparsity
+     (nnz/length, accumulated so the trace consumer can form the fraction). *)
+  let c_lu_factor_nnz = Obs.Counter.create "simplex.lu_factor_nnz"
+  let c_lu_fill_pct = Obs.Counter.create "simplex.lu_fill_pct"
+  let c_ftran_nnz = Obs.Counter.create "simplex.ftran_nnz"
+  let c_ftran_len = Obs.Counter.create "simplex.ftran_len"
+
+  type elt = F.t
+  type outcome = Optimal of { objective : elt; solution : elt array } | Infeasible
 
   let integral_on x vars = List.for_all (fun v -> F.is_integral x.(v)) vars
 
@@ -77,10 +99,21 @@ module Make (F : Numeric.Field.S) = struct
           (100 * st.Basis.factor_nnz / st.Basis.basis_nnz)
     end
 
-  let observe_ftran w =
+  (* FTRAN density of [w], the kernel's last FTRAN result: counted over
+     the result's published pattern (a duplicate-free superset of its
+     nonzeros) when the kernel tracked one, over the whole vector
+     otherwise. *)
+  let observe_ftran kern w =
     if Obs.Sink.active () then begin
       let nnz = ref 0 in
-      Array.iter (fun v -> if F.sign v <> 0 then incr nnz) w;
+      let plen = k_ftran_pattern_len kern in
+      if plen >= 0 then begin
+        let pat = k_ftran_pattern kern in
+        for idx = 0 to plen - 1 do
+          if F.sign w.(pat.(idx)) <> 0 then incr nnz
+        done
+      end
+      else Array.iter (fun v -> if F.sign v <> 0 then incr nnz) w;
       Obs.Counter.add c_ftran_nnz !nnz;
       Obs.Counter.add c_ftran_len (Array.length w)
     end
@@ -383,6 +416,37 @@ module Make (F : Numeric.Field.S) = struct
       if session_repair s s.sncols Fun.id then session_compute_xb s
     | exception Basis.Singular -> session_reset s
 
+  (* In-place ascending heapsort of [a.(0 .. n-1)]: the pivot's candidate
+     list, put in column order without a copy. *)
+  let sift (a : int array) root len =
+    let root = ref root in
+    let continue = ref true in
+    while !continue do
+      let child = (2 * !root) + 1 in
+      if child >= len then continue := false
+      else begin
+        let child = if child + 1 < len && a.(child + 1) > a.(child) then child + 1 else child in
+        if a.(child) > a.(!root) then begin
+          let tmp = a.(!root) in
+          a.(!root) <- a.(child);
+          a.(child) <- tmp;
+          root := child
+        end
+        else continue := false
+      end
+    done
+
+  let sort_prefix a n =
+    for i = (n / 2) - 1 downto 0 do
+      sift a i n
+    done;
+    for last = n - 1 downto 1 do
+      let tmp = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- tmp;
+      sift a 0 last
+    done
+
   (* The bounded-variable dual simplex.  Invariants: darr is dual feasible
      for the nonbasic positions (at lower => d >= 0, at upper => d <= 0,
      fixed => unconstrained), the kernel factorises the basis, xb holds the
@@ -423,26 +487,28 @@ module Make (F : Numeric.Field.S) = struct
       (* Leaving row: a basic value outside its bounds, drawn from the
          incrementally maintained violation index.  rho = +1 when the
          leaver must rise to its lower bound, -1 when it must drop to its
-         upper bound; largest violation wins.  The index holds rows in
-         arbitrary order, so ties — equal violations, and Bland's
+         upper bound (an int: multiplying by it is a negation or nothing);
+         largest violation wins.  The index holds rows in arbitrary
+         order, so ties — equal violations, and Bland's
          smallest-basis-index rule — break explicitly towards the choices
          the old ascending full scan made. *)
       let leave = ref (-1) in
-      let leave_rho = ref F.one in
+      let leave_rho = ref 1 in
       let best_viol = ref F.zero in
       for vi = 0 to s.sviol_n - 1 do
         let r = s.sviol.(vi) in
         let jb = s.sbasis.(r) in
         let x = s.sxb.(r) in
-        let viol, rho =
-          let low = F.sub s.lb.(jb) x in
-          if F.sign low > 0 then (low, F.one)
+        let low = F.sub s.lb.(jb) x in
+        let rho = if F.sign low > 0 then 1 else -1 in
+        let viol =
+          if rho > 0 then low
           else
             match s.ub.(jb) with
             | Some u ->
               let high = F.sub x u in
-              if F.sign high > 0 then (high, F.neg F.one) else (F.zero, F.one)
-            | None -> (F.zero, F.one)
+              if F.sign high > 0 then high else F.zero
+            | None -> F.zero
         in
         if F.sign viol > 0 then
           if !leave < 0 then begin
@@ -478,7 +544,8 @@ module Make (F : Numeric.Field.S) = struct
            test and the dual update scan candidates, not all columns.  The
            candidate list is sorted so the scan order — and hence every
            tie-break, including Bland's smallest-index rule — matches the
-           plain column sweep it replaces. *)
+           plain column sweep it replaces; it is sorted in place, the
+           [stouched] scratch itself. *)
         s.salpha_stamp_val <- s.salpha_stamp_val + 1;
         let stamp = s.salpha_stamp_val in
         let ntouched = ref 0 in
@@ -501,8 +568,8 @@ module Make (F : Numeric.Field.S) = struct
             done
           end
         done;
-        let cand = Array.sub s.stouched 0 !ntouched in
-        Array.sort compare cand;
+        let ntouched = !ntouched in
+        sort_prefix s.stouched ntouched;
         (* Dual ratio test: an entering candidate must move x_B(r) towards
            its violated bound (sign of rho * alpha decides), and the one
            with the smallest |d / alpha| keeps every other reduced cost on
@@ -512,27 +579,18 @@ module Make (F : Numeric.Field.S) = struct
         let enter_alpha = ref F.zero in
         let best_theta = ref F.zero in
         let j = ref 0 in
-        while !j < Array.length cand && not (!bland && !enter >= 0) do
-          let jj = cand.(!j) in
+        while !j < ntouched && not (!bland && !enter >= 0) do
+          let jj = s.stouched.(!j) in
           if s.sbpos.(jj) < 0 && not s.sfixed.(jj) then begin
             let a = s.salpha.(jj) in
-            let ra = F.mul rho a in
-            let eligible, ratio =
-              if s.s_at_upper.(jj) then
-                if F.sign ra > 0 then begin
-                  let d = s.sdarr.(jj) in
-                  let d = if F.sign d > 0 then F.zero else d in
-                  (true, F.div (F.neg d) ra)
-                end
-                else (false, F.zero)
-              else if F.sign ra < 0 then begin
-                let d = s.sdarr.(jj) in
-                let d = if F.sign d < 0 then F.zero else d in
-                (true, F.div d (F.neg ra))
-              end
-              else (false, F.zero)
-            in
-            if eligible then begin
+            let ra = if rho > 0 then a else F.neg a in
+            let at_upper = s.s_at_upper.(jj) in
+            if if at_upper then F.sign ra > 0 else F.sign ra < 0 then begin
+              let d = s.sdarr.(jj) in
+              let ratio =
+                if at_upper then F.div (F.neg (if F.sign d > 0 then F.zero else d)) ra
+                else F.div (if F.sign d < 0 then F.zero else d) (F.neg ra)
+              in
               let better =
                 !enter < 0
                 || F.compare ratio !best_theta < 0
@@ -555,7 +613,7 @@ module Make (F : Numeric.Field.S) = struct
         else begin
           let q = !enter in
           let wcol = k_ftran s.skern s.scols.(q) in
-          observe_ftran wcol;
+          observe_ftran s.skern wcol;
           if k_etas s.skern > 25 && F.compare (F.abs wcol.(r)) F.pivot_tol <= 0 then
             (* Noise-level pivot on a stale basis: refactorise and retry
                on fresh numbers. *)
@@ -563,7 +621,7 @@ module Make (F : Numeric.Field.S) = struct
           else begin
             let jb_leave = s.sbasis.(r) in
             let target =
-              if F.sign rho > 0 then s.lb.(jb_leave)
+              if rho > 0 then s.lb.(jb_leave)
               else match s.ub.(jb_leave) with Some u -> u | None -> assert false
             in
             let step = F.div (F.sub s.sxb.(r) target) wcol.(r) in
@@ -592,17 +650,17 @@ module Make (F : Numeric.Field.S) = struct
                 let bi = brow.(i) in
                 if F.sign bi <> 0 then s.sy.(i) <- F.add s.sy.(i) (F.mul theta bi)
               done;
-              Array.iter
-                (fun k ->
-                  if s.sbpos.(k) < 0 && k <> q then
-                    s.sdarr.(k) <- F.sub s.sdarr.(k) (F.mul theta s.salpha.(k)))
-                cand
+              for c = 0 to ntouched - 1 do
+                let k = s.stouched.(c) in
+                if s.sbpos.(k) < 0 && k <> q then
+                  s.sdarr.(k) <- F.sub s.sdarr.(k) (F.mul theta s.salpha.(k))
+              done
             end;
             s.sdarr.(jb_leave) <- F.neg theta;
             s.sdarr.(q) <- F.zero;
             s.sbpos.(jb_leave) <- -1;
             s.sskip.(jb_leave) <- s.sfixed.(jb_leave);
-            s.s_at_upper.(jb_leave) <- F.sign rho < 0;
+            s.s_at_upper.(jb_leave) <- rho < 0;
             s.sbpos.(q) <- r;
             s.sskip.(q) <- true;
             s.sbasis.(r) <- q;

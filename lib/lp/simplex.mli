@@ -1,16 +1,21 @@
 (** Bounded-variable dual simplex over an arbitrary ordered field and a
     pluggable basis kernel.
 
-    The same algorithm instantiated at {!Numeric.Field.Float_field} gives the
-    production solver, and at {!Numeric.Field.Rat_field} an exact-arithmetic
-    oracle used in tests and to certify LP-relaxation integrality claims
-    (Theorems 8.6–8.13 of the paper).
+    The algorithm is written once, as the body of {!Make}.  Instantiated at
+    {!Numeric.Field.Rat_field} it is an exact-arithmetic oracle used in
+    tests and to certify LP-relaxation integrality claims (Theorems
+    8.6–8.13 of the paper).  The production float solver is the same body
+    compiled as the monomorphic unit {!Float_simplex}, whose field
+    operations inline and stay unboxed; [Make (Numeric.Field.Float_field)]
+    gives bit-identical results through a call per field operation, and
+    the tests keep it as the unit's reference.
 
     The basis representation lives behind {!Basis.S}: sessions take
     [?kernel] selecting {!Basis.Sparse_lu} (the default — sparse LU with
     product-form eta updates, iteration cost tracking nonzeros) or
     {!Basis.Dense} (the reference explicit inverse, kept for differential
-    testing).  Both kernels instantiate at either field.
+    testing).  Both kernels instantiate at either field; {!Float_simplex}
+    runs the sparse kernel as the float unit {!Float_lu}.
 
     There is one solve path: compile a {!Frozen.t} into a session, then
     solve {!Frozen.Delta} overlays against it.  Every frozen program has a
@@ -19,9 +24,12 @@
     phase 1.  Integrality flags are ignored here — this is the relaxation;
     see {!Branch_bound} for ILP/MILP solving. *)
 
-module Make (F : Numeric.Field.S) : sig
+module type S = sig
+  type elt
+  (** Field element: [float], or an exact rational. *)
+
   type outcome =
-    | Optimal of { objective : F.t; solution : F.t array }
+    | Optimal of { objective : elt; solution : elt array }
         (** [solution] is indexed by frozen variable (extended variable
             when the delta carries appends), fixed variables included at
             their fixed value. *)
@@ -29,7 +37,7 @@ module Make (F : Numeric.Field.S) : sig
         (** Costs are non-negative and variables bounded below, so a
             feasible program always has an optimum. *)
 
-  val integral_on : F.t array -> Model.var list -> bool
+  val integral_on : elt array -> Model.var list -> bool
   (** Are all listed coordinates integral (within the field tolerance)? *)
 
   (** {1 Frozen sessions}
@@ -87,3 +95,5 @@ module Make (F : Numeric.Field.S) : sig
   val solve_frozen : ?delta:Frozen.Delta.t -> ?kernel:Basis.choice -> Frozen.t -> outcome
   (** One-shot convenience: [session_solve (create_session fz) delta]. *)
 end
+
+module Make (F : Numeric.Field.S) : S with type elt = F.t

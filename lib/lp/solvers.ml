@@ -1,13 +1,17 @@
 (** Pre-instantiated solver stacks.
 
-    {!Float_simplex}/{!Float_bb} are the production solvers; the exact
-    variants run the identical algorithms over arbitrary-precision rationals
-    and serve as correctness oracles in the test suite and for certifying
-    LP-integrality claims on small instances. *)
+    {!Float_simplex}/{!Float_bb} are the production solvers: the bodies of
+    {!Simplex.Make} and {!Branch_bound.Make} compiled as monomorphic float
+    units (see lib/lp/dune), bit for bit the functor instances at
+    {!Numeric.Field.Float_field}, without a boxed float or an indirect call
+    per field operation.  The exact variants run the identical algorithms
+    over arbitrary-precision rationals and serve as correctness oracles in
+    the test suite and for certifying LP-integrality claims on small
+    instances. *)
 
-module Float_simplex = Simplex.Make (Numeric.Field.Float_field)
+module Float_simplex = Float_simplex
 module Exact_simplex = Simplex.Make (Numeric.Field.Rat_field)
-module Float_bb = Branch_bound.Make (Numeric.Field.Float_field)
+module Float_bb = Float_bb
 module Exact_bb = Branch_bound.Make (Numeric.Field.Rat_field)
 
 (** A branch-and-bound session over one frozen program, packed with its

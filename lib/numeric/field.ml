@@ -42,9 +42,13 @@ module type S = sig
 
   (** {2 Bulk kernels}
 
-      The simplex inner loops run through these so that the float instance
-      executes raw unboxed-float-array loops ([t array] is a flat float
-      array when [t = float]) instead of one closure call per element. *)
+      Whole-vector loops for code that runs through the functor: one call
+      per vector instead of one per element, and on the float instance a
+      raw loop over a flat float array.  The dense reference kernel and the
+      simplex's dense-pattern fallbacks use them.  The production float
+      solver does not depend on them for speed: its units are compiled
+      with these operations defined in the unit itself (see float_ops.ml),
+      so every scalar operation there is inlined and unboxed. *)
 
   val axpy : t -> t array -> t array -> unit
   (** [axpy a x y] adds [a * x] into [y] elementwise; no-op when [a] = 0. *)
@@ -60,48 +64,9 @@ module type S = sig
       elementwise {!to_float} otherwise. *)
 end
 
-module Float_field : S with type t = float = struct
-  type t = float
-
-  let eps = 1e-7
-  let zero = 0.0
-  let one = 1.0
-  let of_int = float_of_int
-  let of_ratio a b = float_of_int a /. float_of_int b
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg x = -.x
-  let abs = Float.abs
-  let sign x = if x > eps then 1 else if x < -.eps then -1 else 0
-  let pivot_tol = 1e-6
-  let compare x y = sign (x -. y)
-  let round x = int_of_float (Float.round x)
-  let is_integral x = Float.abs (x -. Float.round x) <= 1e-6
-  let to_float x = x
-  let to_string = string_of_float
-
-  let axpy a x y =
-    if a <> 0.0 then
-      for i = 0 to Array.length x - 1 do
-        y.(i) <- y.(i) +. (a *. x.(i))
-      done
-
-  let div_inplace x a =
-    for i = 0 to Array.length x - 1 do
-      x.(i) <- x.(i) /. a
-    done
-
-  let dot x y =
-    let acc = ref 0.0 in
-    for i = 0 to Array.length x - 1 do
-      acc := !acc +. (x.(i) *. y.(i))
-    done;
-    !acc
-
-  let to_floats x = x
-end
+module Float_field : S with type t = float = Float_ops
+(* Defined in float_ops.ml so that the solver's float units can splice the
+   same text in and inline it (see that file). *)
 
 module Rat_field : S with type t = Rat.t = struct
   type t = Rat.t

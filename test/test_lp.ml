@@ -423,6 +423,116 @@ let test_warm_appends () =
       d2;
     ]
 
+(* --- Float units vs the functor ---------------------------------------------- *)
+
+(* [Solvers.Float_simplex]/[Float_bb] are the functor bodies compiled as
+   float units with the field operations inlined; the functor instances at
+   [Float_field] run the same body through a call per field operation.
+   IEEE arithmetic gives the same result boxed or unboxed, so on every
+   generated LP and ILP, replayed as a warm delta chain on both kernels,
+   answers must agree bit for bit and the pivot, refactorisation and node
+   counts exactly.  This keeps the functor body itself honest now that
+   only the exact field and tests instantiate it. *)
+module GS = Lp.Simplex.Make (Numeric.Field.Float_field)
+module GB = Lp.Branch_bound.Make (Numeric.Field.Float_field)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_point a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_opt eq a b =
+  match (a, b) with Some a, Some b -> eq a b | None, None -> true | Some _, None | None, Some _ -> false
+
+let bb_status_name = function
+  | FB.Optimal -> "optimal"
+  | FB.Feasible -> "feasible"
+  | FB.Infeasible -> "infeasible"
+  | FB.Unbounded -> "unbounded"
+  | FB.Limit_no_solution -> "limit"
+
+let gb_status_name = function
+  | GB.Optimal -> "optimal"
+  | GB.Feasible -> "feasible"
+  | GB.Infeasible -> "infeasible"
+  | GB.Unbounded -> "unbounded"
+  | GB.Limit_no_solution -> "limit"
+
+(* At most this many deltas of a case are replayed: the drift profile's
+   hundreds of steps add time, not coverage of the comparison. *)
+let max_steps = 40
+
+let float_units_match_functor ~case ~kernel ({ frozen; deltas } : Check.Gen.lp_case) =
+  let deltas = List.filteri (fun i _ -> i < max_steps) deltas in
+  let gs = GS.create_session ~kernel frozen and fs = FS.create_session ~kernel frozen in
+  let gb = GB.create_session ~kernel frozen and fb = FB.create_session ~kernel frozen in
+  List.iteri
+    (fun i delta ->
+      let lp_ok =
+        match (GS.session_solve gs delta, FS.session_solve fs delta) with
+        | GS.Optimal g, FS.Optimal f ->
+          same_bits g.objective f.objective && same_point g.solution f.solution
+        | GS.Infeasible, FS.Infeasible -> true
+        | GS.Optimal _, FS.Infeasible | GS.Infeasible, FS.Optimal _ -> false
+      in
+      if not lp_ok then Alcotest.failf "%s step %d: LP answers differ" case i;
+      if GS.session_pivots gs <> FS.session_pivots fs
+         || GS.session_refactors gs <> FS.session_refactors fs
+      then Alcotest.failf "%s step %d: LP pivots/refactors differ" case i;
+      let g = GB.solve_session ~delta gb and f = FB.solve_session ~delta fb in
+      if
+        not
+          (gb_status_name g.GB.status = bb_status_name f.FB.status
+          && same_opt same_bits g.GB.objective f.FB.objective
+          && same_opt same_point g.GB.solution f.FB.solution
+          && same_opt same_bits g.GB.root_objective f.FB.root_objective
+          && g.GB.root_integral = f.FB.root_integral
+          && g.GB.nodes = f.FB.nodes
+          && g.GB.pivots = f.FB.pivots
+          && g.GB.refactors = f.FB.refactors)
+      then Alcotest.failf "%s step %d: branch-and-bound results differ" case i)
+    deltas
+
+let test_float_units_match_functor () =
+  let cases =
+    List.filter_map
+      (fun c ->
+        match c.Check.Gen.shape with
+        | Check.Gen.Lp lp -> Some (c.Check.Gen.seed, lp)
+        | Check.Gen.Db _ -> None)
+      (Check.Gen.stream ~seed:1919 800)
+  in
+  Alcotest.(check bool) "enough generated programs" true (List.length cases >= 60);
+  List.iter
+    (fun (seed, lp) ->
+      List.iter
+        (fun (kernel, name) ->
+          let case = Printf.sprintf "case %d, %s kernel," seed name in
+          float_units_match_functor ~case ~kernel lp)
+        [ (`Sparse, "sparse"); (`Dense, "dense") ])
+    cases
+
+(* --- Allocation ------------------------------------------------------------ *)
+
+(* Minor-heap words per pivot of one float session solve on a fixed
+   covering program of 200 rows over 60 binary columns (the shape of the
+   batch workload's self-join solves); session creation is outside the
+   measurement.  The float units run their field operations inlined and
+   unboxed and reuse the kernel's result buffers, so a pivot allocates
+   little beyond its eta: about 180 words here.  The functor instance at
+   [Float_field] boxes every intermediate float and reads about 3,000. *)
+let test_pivot_allocation () =
+  let rng = Random.State.make [| 1919 |] in
+  let fz, _ = Harness.random_covering_frozen rng ~nvars:60 ~nrows:200 in
+  let sess = FS.create_session fz in
+  let piv0 = FS.session_pivots sess in
+  let w0 = Gc.minor_words () in
+  ignore (FS.session_solve sess no_fix);
+  let words = Gc.minor_words () -. w0 in
+  let pivots = FS.session_pivots sess - piv0 in
+  Alcotest.(check bool) "the solve pivots" true (pivots >= 50);
+  let per_pivot = words /. float_of_int pivots in
+  if per_pivot > 600. then
+    Alcotest.failf "%.0f minor words per pivot (%d pivots), bound 600" per_pivot pivots
+
 let () =
   let q = Harness.qtest in
   Alcotest.run "lp"
@@ -464,4 +574,8 @@ let () =
           Alcotest.test_case "two deltas alternated 50 times" `Quick test_warm_alternation;
           Alcotest.test_case "appends after warm solves" `Quick test_warm_appends;
         ] );
+      ( "float units",
+        [ Alcotest.test_case "match the functor bit for bit" `Quick
+            test_float_units_match_functor ] );
+      ("allocation", [ Alcotest.test_case "minor words per pivot" `Quick test_pivot_allocation ]);
     ]
