@@ -20,9 +20,9 @@ let bag = Problem.Bag
 (* ---- small measurement toolkit ------------------------------------------- *)
 
 let time f =
-  let t0 = Lp.Clock.now () in
+  let t0 = Obs.Clock.now () in
   let r = f () in
-  (r, Lp.Clock.elapsed t0)
+  (r, Obs.Clock.elapsed t0)
 
 let fmt_time t = if t < 0.0005 then "<1ms" else Printf.sprintf "%.3fs" t
 
@@ -775,13 +775,13 @@ let run_serve ?(jobs = 1) scale json =
             (List.map (fun info -> Database_io.print_tuple db info.Database.id)
                (Database.tuples db))
         in
-        let request j = Serve.Engine.handle_line engine (Serve.Json.to_string j) in
+        let request j = Serve.Engine.handle_line engine (Obs.Json.to_string j) in
         let ask =
-          Serve.Json.Obj [ ("op", Serve.Json.Str "resilience"); ("query", Serve.Json.Str qtext) ]
+          Obs.Json.Obj [ ("op", Obs.Json.Str "resilience"); ("query", Obs.Json.Str qtext) ]
         in
         ignore
           (request
-             (Serve.Json.Obj [ ("op", Serve.Json.Str "load"); ("data", Serve.Json.Str data) ]));
+             (Obs.Json.Obj [ ("op", Obs.Json.Str "load"); ("data", Obs.Json.Str data) ]));
         ignore (request ask) (* warm the session: join + encode + first solve *);
         let serve =
           List.init 40 (fun _ ->
@@ -794,8 +794,8 @@ let run_serve ?(jobs = 1) scale json =
               let tuple = Printf.sprintf "R(%d, %d)" (100000 + i) (200000 + i) in
               ignore
                 (request
-                   (Serve.Json.Obj
-                      [ ("op", Serve.Json.Str "insert"); ("tuple", Serve.Json.Str tuple) ]));
+                   (Obs.Json.Obj
+                      [ ("op", Obs.Json.Str "insert"); ("tuple", Obs.Json.Str tuple) ]));
               let _, t = time (fun () -> ignore (request ask)) in
               t *. 1000.0)
         in
@@ -804,11 +804,11 @@ let run_serve ?(jobs = 1) scale json =
           time (fun () ->
               ignore
                 (request
-                   (Serve.Json.Obj
+                   (Obs.Json.Obj
                       [
-                        ("op", Serve.Json.Str "rank");
-                        ("query", Serve.Json.Str qtext);
-                        ("jobs", Serve.Json.Int jobs);
+                        ("op", Obs.Json.Str "rank");
+                        ("query", Obs.Json.Str qtext);
+                        ("jobs", Obs.Json.Int jobs);
                       ])))
         in
         let cold_h = hist_of cold and serve_h = hist_of serve and mutate_h = hist_of mutate in

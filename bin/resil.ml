@@ -11,6 +11,7 @@
 open Cmdliner
 open Relalg
 open Resilience
+module Json = Obs.Json
 
 let semantics_of_bag bag = if bag then Problem.Bag else Problem.Set
 
@@ -25,45 +26,68 @@ let parse_query db s =
 let pp_tuples db tids =
   List.iter (fun tid -> Printf.printf "  %s\n" (Database_io.print_tuple db tid)) tids
 
+let print_json j = print_endline (Json.to_string j)
+
+let json_opt f = function Some v -> f v | None -> Json.Null
+
 (* ----- lint helpers ------------------------------------------------------ *)
 
-let diag_json (d : Lp.Lint.diag) =
-  Printf.sprintf {|{"code":"%s","severity":"%s","message":"%s"}|} d.Lp.Lint.code
-    (Lp.Lint.severity_name d.Lp.Lint.severity)
-    (Obs.Json_string.escape d.Lp.Lint.message)
-
-let diags_json ds = "[" ^ String.concat "," (List.map diag_json ds) ^ "]"
+let diags_json ds =
+  Json.List
+    (List.map
+       (fun (d : Lp.Lint.diag) ->
+         Json.(
+           Obj
+             [
+               ("code", Str d.Lp.Lint.code);
+               ("severity", Str (Lp.Lint.severity_name d.Lp.Lint.severity));
+               ("message", Str d.Lp.Lint.message);
+             ]))
+       ds)
 
 let stats_json (s : Lp.Lint.stats) =
-  Printf.sprintf
-    {|{"vars":%d,"constraints":%d,"nonzeros":%d,"integer":%d,"bounded":%d,"min_abs_coeff":%d,"max_abs_coeff":%d,"unit_covering":%b}|}
-    s.Lp.Lint.nvars s.Lp.Lint.nconstrs s.Lp.Lint.nnz s.Lp.Lint.integer_count
-    s.Lp.Lint.bounded_count s.Lp.Lint.min_abs_coeff s.Lp.Lint.max_abs_coeff
-    s.Lp.Lint.unit_covering
+  Json.(
+    Obj
+      [
+        ("vars", Int s.Lp.Lint.nvars);
+        ("constraints", Int s.Lp.Lint.nconstrs);
+        ("nonzeros", Int s.Lp.Lint.nnz);
+        ("integer", Int s.Lp.Lint.integer_count);
+        ("bounded", Int s.Lp.Lint.bounded_count);
+        ("min_abs_coeff", Int s.Lp.Lint.min_abs_coeff);
+        ("max_abs_coeff", Int s.Lp.Lint.max_abs_coeff);
+        ("unit_covering", Bool s.Lp.Lint.unit_covering);
+      ])
 
 let presolve_json (s : Lp.Presolve.summary) =
-  Printf.sprintf {|{"rows_removed":%d,"vars_fixed":%d,"bounds_stripped":%d,"passes":%d}|}
-    s.Lp.Presolve.rows_removed s.Lp.Presolve.vars_fixed s.Lp.Presolve.bounds_stripped
-    s.Lp.Presolve.passes
-
-let features_json (f : Lp.Struct.features) =
-  Printf.sprintf
-    {|{"rows":%d,"cols":%d,"nnz":%d,"unit_coeffs":%b,"zero_one":%b,"neg_entries":%d,"max_col_nnz":%d,"max_row_nnz":%d,"avg_col_nnz":%g,"geq_rows":%d,"leq_rows":%d,"eq_rows":%d,"root_lp":%s,"root_fractional":%s}|}
-    f.Lp.Struct.rows f.Lp.Struct.cols f.Lp.Struct.nnz f.Lp.Struct.unit_coeffs
-    f.Lp.Struct.zero_one f.Lp.Struct.neg_entries f.Lp.Struct.max_col_nnz
-    f.Lp.Struct.max_row_nnz f.Lp.Struct.avg_col_nnz f.Lp.Struct.geq_rows
-    f.Lp.Struct.leq_rows f.Lp.Struct.eq_rows
-    (match f.Lp.Struct.root_lp with Some v -> Printf.sprintf "%g" v | None -> "null")
-    (match f.Lp.Struct.root_fractional with Some n -> string_of_int n | None -> "null")
+  Json.(
+    Obj
+      [
+        ("rows_removed", Int s.Lp.Presolve.rows_removed);
+        ("vars_fixed", Int s.Lp.Presolve.vars_fixed);
+        ("bounds_stripped", Int s.Lp.Presolve.bounds_stripped);
+        ("passes", Int s.Lp.Presolve.passes);
+      ])
 
 let cert_json (c : Lp.Struct.t) =
-  Printf.sprintf {|{"verdict":"%s","witness":%s,"structural":%b,"features":%s}|}
-    (Lp.Struct.verdict_name c)
-    (match c.Lp.Struct.verdict with
-    | Lp.Struct.Integral w -> "\"" ^ Obs.Json_string.escape (Lp.Struct.witness_name w) ^ "\""
-    | Lp.Struct.Fractional _ | Lp.Struct.Unknown -> "null")
-    (Lp.Struct.structural c)
-    (features_json c.Lp.Struct.features)
+  let f = c.Lp.Struct.features in
+  Json.(
+    Obj
+      [
+        ("verdict", Str (Lp.Struct.verdict_name c));
+        ( "witness",
+          match c.Lp.Struct.verdict with
+          | Lp.Struct.Integral w -> Str (Lp.Struct.witness_name w)
+          | Lp.Struct.Fractional _ | Lp.Struct.Unknown -> Null );
+        ("structural", Bool (Lp.Struct.structural c));
+        ( "features",
+          Obj
+            (Lp.Struct.feature_fields f
+            @ [
+                ("root_lp", json_opt (fun v -> Float v) f.Lp.Struct.root_lp);
+                ("root_fractional", json_opt (fun n -> Int n) f.Lp.Struct.root_fractional);
+              ]) );
+      ])
 
 let pp_diags header ds =
   Printf.printf "%s:\n" header;
@@ -250,17 +274,23 @@ let lint_cmd =
             Some (Lp.Lint.lint m, Lp.Lint.stats m, summary)
       in
       if json then
-        print_endline
-          (Printf.sprintf
-             {|{"query":"%s","semantics":"%s","diagnostics":{"query":%s,"instance":%s,"model":%s},"model_stats":%s,"presolve":%s}|}
-             (Obs.Json_string.escape (Cq.to_string q))
-             (if bag then "bag" else "set")
-             (diags_json query_diags) (diags_json instance_diags)
-             (match model_part with Some (md, _, _) -> diags_json md | None -> "[]")
-             (match model_part with Some (_, st, _) -> stats_json st | None -> "null")
-             (match model_part with
-             | Some (_, _, Some ps) -> presolve_json ps
-             | Some (_, _, None) | None -> "null"))
+        print_json
+          Json.(
+            Obj
+              [
+                ("query", Str (Cq.to_string q));
+                ("semantics", Str (if bag then "bag" else "set"));
+                ( "diagnostics",
+                  Obj
+                    [
+                      ("query", diags_json query_diags);
+                      ("instance", diags_json instance_diags);
+                      ("model", diags_json (match model_part with Some (md, _, _) -> md | None -> []));
+                    ] );
+                ("model_stats", json_opt (fun (_, st, _) -> stats_json st) model_part);
+                ( "presolve",
+                  json_opt presolve_json (Option.bind model_part (fun (_, _, ps) -> ps)) );
+              ])
       else begin
         Printf.printf "query: %s\n" (Cq.to_string q);
         pp_diags "query diagnostics" query_diags;
@@ -342,16 +372,18 @@ let analyze_cmd =
       (* One merged report in the shared (severity, code, message) order. *)
       let all = Lp.Lint.sort_diags (query_diags @ instance_diags @ model_diags @ vdiags) in
       if json then
-        print_endline
-          (Printf.sprintf
-             {|{"query":"%s","semantics":"%s","complexity":"%s","dichotomy":"%s","certificate":%s,"model_stats":%s,"diagnostics":%s}|}
-             (Obs.Json_string.escape (Cq.to_string q))
-             (if bag then "bag" else "set")
-             (complexity_name complexity)
-             (Obs.Json_string.escape (Analysis.describe sem q))
-             (match cert with Some c -> cert_json c | None -> "null")
-             (match model_part with Some (_, st) -> stats_json st | None -> "null")
-             (diags_json all))
+        print_json
+          Json.(
+            Obj
+              [
+                ("query", Str (Cq.to_string q));
+                ("semantics", Str (if bag then "bag" else "set"));
+                ("complexity", Str (complexity_name complexity));
+                ("dichotomy", Str (Analysis.describe sem q));
+                ("certificate", json_opt cert_json cert);
+                ("model_stats", json_opt (fun (_, st) -> stats_json st) model_part);
+                ("diagnostics", diags_json all);
+              ])
       else begin
         Printf.printf "query: %s\n" (Cq.to_string q);
         Printf.printf "dichotomy: %s\n" (Analysis.describe sem q);
@@ -431,43 +463,14 @@ let jobs_arg =
           "Domains to spread the solves over (0 = all recommended domains). The output is \
            identical for every N.")
 
-let crit_row_json db (c : Enumerate.criticality) =
-  Printf.sprintf {|{"tuple":"%s","count":%d,"total":%d,"criticality":%g,"exact":"%s"}|}
-    (Obs.Json_string.escape (Database_io.print_tuple db c.Enumerate.crit_tuple))
-    c.Enumerate.crit_count c.Enumerate.crit_total c.Enumerate.crit_float
-    (Numeric.Rat.to_string c.Enumerate.crit_exact)
-
-let enum_stats_json (s : Enumerate.stats) =
-  Printf.sprintf
-    {|{"cuts":%d,"solves":%d,"nodes":%d,"first_pivots":%d,"cut_pivots":%d,"refactors":%d,"solve_ms":%g}|}
-    s.Enumerate.cuts s.Enumerate.solves s.Enumerate.nodes s.Enumerate.first_pivots
-    s.Enumerate.cut_pivots s.Enumerate.refactors
-    (s.Enumerate.time *. 1000.)
-
 (* The sets actually shown: optionally diversity-reordered, then the [-n]
    prefix.  The count always reports the full family. *)
 let family_shown ~nsets ~diverse (fam : Enumerate.family) =
   let sets = if diverse then Enumerate.diverse fam.Enumerate.sets else fam.Enumerate.sets in
   match nsets with Some n -> Enumerate.take n sets | None -> sets
 
-let print_family_json db ~nsets ~diverse (fam : Enumerate.family) =
-  let set_json s =
-    "["
-    ^ String.concat ","
-        (List.map
-           (fun tid -> "\"" ^ Obs.Json_string.escape (Database_io.print_tuple db tid) ^ "\"")
-           s)
-    ^ "]"
-  in
-  print_endline
-    (Printf.sprintf
-       {|{"status":"solved","value":%d,"count":%d,"exhausted":%b,"sets":[%s],"criticality":[%s],"stats":%s}|}
-       fam.Enumerate.opt
-       (List.length fam.Enumerate.sets)
-       fam.Enumerate.exhausted
-       (String.concat "," (List.map set_json (family_shown ~nsets ~diverse fam)))
-       (String.concat "," (List.map (crit_row_json db) (Enumerate.criticality fam)))
-       (enum_stats_json fam.Enumerate.fstats))
+let family_json db ~nsets ~diverse fam =
+  Answer.family db ~shown:(family_shown ~nsets ~diverse fam) fam
 
 let print_family_text db ~nsets ~diverse label (fam : Enumerate.family) =
   let total = List.length fam.Enumerate.sets in
@@ -498,80 +501,91 @@ let print_family_text db ~nsets ~diverse label (fam : Enumerate.family) =
           (Numeric.Rat.to_string c.Enumerate.crit_exact))
       crits)
 
+(* One answer outcome, printed as its {!Answer} JSON or as text ([text]
+   for a solved answer, a fixed line otherwise); returns the exit code.  A
+   false query is a success for resilience (its value is 0) and a failure
+   for responsibility (there is nothing to explain). *)
+let report ~json question answer_json text outcome =
+  let res = question = Answer.Res in
+  if json then print_json (Answer.outcome question answer_json outcome)
+  else begin
+    match outcome with
+    | Solve.Solved a -> text a
+    | Solve.Query_false ->
+      print_endline
+        (if res then "query is false on this instance (resilience 0)"
+         else "query is false on this instance")
+    | Solve.No_contingency ->
+      print_endline
+        (if res then "no contingency set exists (exogenous tuples block every option)"
+         else "tuple cannot be made counterfactual")
+    | Solve.Budget_exhausted _ -> print_endline "budget exhausted"
+  end;
+  match outcome with
+  | Solve.Solved _ -> 0
+  | Solve.Query_false -> if res then 0 else 1
+  | Solve.No_contingency | Solve.Budget_exhausted _ -> 1
+
+let json_answer_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Print the answer as JSON: the object $(b,resil serve) returns as the question's \
+           result (with $(b,--all-solutions), the enumerated family)")
+
 let resilience_cmd =
   let run data bag exact lp lint all nsets diverse json jobs trace stats metrics runlog query =
-    with_telemetry ~metrics ~runlog ~trace ~stats "resil.resilience" @@ fun () ->
-    let db = load_db data in
-    match parse_query db query with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok q ->
-      let sem = semantics_of_bag bag in
-      if lint then lint_to_stderr sem q db;
-      if all || nsets <> None then begin
-        match Solve.enumerate_resilience ~exact ~jobs sem q db with
-        | Solve.Solved fam ->
-          if json then print_family_json db ~nsets ~diverse fam
-          else print_family_text db ~nsets ~diverse "RES*" fam;
-          0
-        | Solve.Query_false ->
-          if json then print_endline {|{"status":"query_false","value":0}|}
-          else print_endline "query is false on this instance (resilience 0)";
-          0
-        | Solve.No_contingency ->
-          if json then print_endline {|{"status":"no_contingency"}|}
-          else print_endline "no contingency set exists (exogenous tuples block every option)";
-          1
-        | Solve.Budget_exhausted _ ->
-          if json then print_endline {|{"status":"budget_exhausted"}|}
-          else print_endline "budget exhausted";
-          1
-      end
-      else if lp then begin
-        match Solve.resilience_lp ~exact sem q db with
-        | Some v ->
-          Printf.printf "LP[RES*] = %g\n" v;
-          0
-        | None ->
-          print_endline "LP[RES*]: no program (query false or no contingency)";
-          1
-      end
-      else begin
-        match Solve.resilience ~exact sem q db with
-        | Solve.Solved a ->
-          Printf.printf "RES* = %d  (root LP %g, %s, %d nodes%s)\n" a.Solve.res_value
-            a.Solve.res_stats.Solve.root_lp
-            (if a.Solve.res_stats.Solve.root_integral then "integral" else "fractional")
-            a.Solve.res_stats.Solve.nodes
-            (if a.Solve.res_stats.Solve.certified then ", certified" else "");
-          print_endline "contingency set:";
-          pp_tuples db a.Solve.contingency;
-          0
-        | Solve.Query_false ->
-          print_endline "query is false on this instance (resilience 0)";
-          0
-        | Solve.No_contingency ->
-          print_endline "no contingency set exists (exogenous tuples block every option)";
-          1
-        | Solve.Budget_exhausted _ ->
-          print_endline "budget exhausted";
-          1
-      end
+    if lp && json then `Error (true, "--json cannot be combined with --lp")
+    else
+      `Ok
+        ( with_telemetry ~metrics ~runlog ~trace ~stats "resil.resilience" @@ fun () ->
+          let db = load_db data in
+          match parse_query db query with
+          | Error msg ->
+            prerr_endline msg;
+            1
+          | Ok q ->
+            let sem = semantics_of_bag bag in
+            if lint then lint_to_stderr sem q db;
+            if all || nsets <> None then
+              report ~json Answer.Res (family_json db ~nsets ~diverse)
+                (print_family_text db ~nsets ~diverse "RES*")
+                (Solve.enumerate_resilience ~exact ~jobs sem q db)
+            else if lp then begin
+              match Solve.resilience_lp ~exact sem q db with
+              | Some v ->
+                Printf.printf "LP[RES*] = %g\n" v;
+                0
+              | None ->
+                print_endline "LP[RES*]: no program (query false or no contingency)";
+                1
+            end
+            else
+              report ~json Answer.Res (Answer.res db)
+                (fun a ->
+                  Printf.printf "RES* = %d  (root LP %g, %s, %d nodes%s)\n" a.Solve.res_value
+                    a.Solve.res_stats.Solve.root_lp
+                    (if a.Solve.res_stats.Solve.root_integral then "integral" else "fractional")
+                    a.Solve.res_stats.Solve.nodes
+                    (if a.Solve.res_stats.Solve.certified then ", certified" else "");
+                  print_endline "contingency set:";
+                  pp_tuples db a.Solve.contingency)
+                (Solve.resilience ~exact sem q db) )
   in
-  let lp = Arg.(value & flag & info [ "lp" ] ~doc:"Solve the LP relaxation only") in
-  let json =
+  let lp =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Machine-readable JSON output (with $(b,--all-solutions))")
+      & info [ "lp" ] ~doc:"Solve the LP relaxation only (text output: not with $(b,--json))")
   in
   let query = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in
   Cmd.v
     (Cmd.info "resilience" ~doc:"Minimum tuple deletions falsifying the query (ILP[RES*])")
     Term.(
-      const run $ data_arg $ bag_arg $ exact_arg $ lp $ lint_arg $ all_arg $ nsets_arg
-      $ diverse_arg $ json $ jobs_arg $ trace_arg $ stats_arg $ metrics_arg $ runlog_arg
-      $ query)
+      ret
+        (const run $ data_arg $ bag_arg $ exact_arg $ lp $ lint_arg $ all_arg $ nsets_arg
+        $ diverse_arg $ json_answer_arg $ jobs_arg $ trace_arg $ stats_arg $ metrics_arg
+        $ runlog_arg $ query))
 
 (* ----- responsibility --------------------------------------------------- *)
 
@@ -599,45 +613,21 @@ let responsibility_cmd =
       | None ->
         prerr_endline "responsibility tuple not found in the instance";
         1
-      | Some tid when all || nsets <> None -> (
+      | Some tid ->
         let sem = semantics_of_bag bag in
         if lint then lint_to_stderr sem q db;
-        match Solve.enumerate_responsibility ~exact ~jobs sem q db tid with
-        | Solve.Solved fam ->
-          if json then print_family_json db ~nsets ~diverse fam
-          else print_family_text db ~nsets ~diverse "RSP*" fam;
-          0
-        | Solve.Query_false ->
-          if json then print_endline {|{"status":"query_false"}|}
-          else print_endline "query is false on this instance";
-          1
-        | Solve.No_contingency ->
-          if json then print_endline {|{"status":"no_contingency"}|}
-          else print_endline "tuple cannot be made counterfactual";
-          1
-        | Solve.Budget_exhausted _ ->
-          if json then print_endline {|{"status":"budget_exhausted"}|}
-          else print_endline "budget exhausted";
-          1)
-      | Some tid -> (
-        let sem = semantics_of_bag bag in
-        if lint then lint_to_stderr sem q db;
-        match Solve.responsibility ~exact sem q db tid with
-        | Solve.Solved a ->
-          Printf.printf "RSP* = %d  (responsibility %g)\n" a.Solve.rsp_value
-            (1.0 /. (1.0 +. float_of_int a.Solve.rsp_value));
-          print_endline "contingency set:";
-          pp_tuples db a.Solve.responsibility_set;
-          0
-        | Solve.Query_false ->
-          print_endline "query is false on this instance";
-          1
-        | Solve.No_contingency ->
-          print_endline "tuple cannot be made counterfactual";
-          1
-        | Solve.Budget_exhausted _ ->
-          print_endline "budget exhausted";
-          1))
+        if all || nsets <> None then
+          report ~json Answer.Rsp (family_json db ~nsets ~diverse)
+            (print_family_text db ~nsets ~diverse "RSP*")
+            (Solve.enumerate_responsibility ~exact ~jobs sem q db tid)
+        else
+          report ~json Answer.Rsp (Answer.rsp db)
+            (fun a ->
+              Printf.printf "RSP* = %d  (responsibility %g)\n" a.Solve.rsp_value
+                (1.0 /. (1.0 +. float_of_int a.Solve.rsp_value));
+              print_endline "contingency set:";
+              pp_tuples db a.Solve.responsibility_set)
+            (Solve.responsibility ~exact sem q db tid))
   in
   let tuple =
     Arg.(
@@ -646,18 +636,13 @@ let responsibility_cmd =
       & info [ "tuple"; "t" ] ~docv:"TUPLE" ~doc:"Responsibility tuple, e.g. \"S(1,1)\"")
   in
   let query = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Machine-readable JSON output (with $(b,--all-solutions))")
-  in
   Cmd.v
     (Cmd.info "responsibility"
        ~doc:"Minimum contingency set making a tuple counterfactual (ILP[RSP*])")
     Term.(
       const run $ data_arg $ bag_arg $ exact_arg $ lint_arg $ all_arg $ nsets_arg
-      $ diverse_arg $ json $ jobs_arg $ trace_arg $ stats_arg $ metrics_arg $ runlog_arg
-      $ tuple $ query)
+      $ diverse_arg $ json_answer_arg $ jobs_arg $ trace_arg $ stats_arg $ metrics_arg
+      $ runlog_arg $ tuple $ query)
 
 (* ----- rank -------------------------------------------------------------- *)
 
@@ -699,18 +684,11 @@ let rank_cmd =
         end
       in
       if json then begin
-        let row (tid, k, rho) =
-          match crit_of tid with
-          | Some c ->
-            Printf.sprintf {|{"tuple":"%s","k":%d,"responsibility":%g,"criticality":%g}|}
-              (Obs.Json_string.escape (Database_io.print_tuple db tid))
-              k rho c
-          | None ->
-            Printf.sprintf {|{"tuple":"%s","k":%d,"responsibility":%g}|}
-              (Obs.Json_string.escape (Database_io.print_tuple db tid))
-              k rho
-        in
-        print_endline ("[" ^ String.concat "," (List.map row ranked) ^ "]");
+        print_json
+          (Json.List
+             (List.map
+                (fun ((tid, _, _) as r) -> Answer.rank_row db ?criticality:(crit_of tid) r)
+                ranked));
         0
       end
       else begin
@@ -816,14 +794,15 @@ let certificate_cmd =
 (* ----- fuzz -------------------------------------------------------------- *)
 
 let fuzz_disc_json (d : Check.Fuzz.discrepancy) =
-  Printf.sprintf {|{"oracle":"%s","profile":"%s","case_seed":%d,"message":"%s","saved":%s}|}
-    (Obs.Json_string.escape d.Check.Fuzz.oracle)
-    (Obs.Json_string.escape d.Check.Fuzz.case.Check.Gen.profile)
-    d.Check.Fuzz.case.Check.Gen.seed
-    (Obs.Json_string.escape d.Check.Fuzz.message)
-    (match d.Check.Fuzz.saved with
-    | Some p -> "\"" ^ Obs.Json_string.escape p ^ "\""
-    | None -> "null")
+  Json.(
+    Obj
+      [
+        ("oracle", Str d.Check.Fuzz.oracle);
+        ("profile", Str d.Check.Fuzz.case.Check.Gen.profile);
+        ("case_seed", Int d.Check.Fuzz.case.Check.Gen.seed);
+        ("message", Str d.Check.Fuzz.message);
+        ("saved", json_opt (fun p -> Str p) d.Check.Fuzz.saved);
+      ])
 
 let fuzz_cmd =
   let run seconds instances seed oracle_names json corpus no_shrink replay trace stats metrics =
@@ -846,18 +825,31 @@ let fuzz_cmd =
       in
       if json then begin
         let row (r : Check.Fuzz.replay_result) =
-          Printf.sprintf {|{"file":"%s","oracle":"%s","status":"%s","message":%s}|}
-            (Obs.Json_string.escape r.Check.Fuzz.path)
-            (Obs.Json_string.escape r.Check.Fuzz.entry.Check.Corpus.oracle)
-            (match r.Check.Fuzz.verdict with Check.Oracle.Pass -> "pass" | Check.Oracle.Fail _ -> "fail")
-            (match r.Check.Fuzz.verdict with
-            | Check.Oracle.Pass -> "null"
-            | Check.Oracle.Fail m -> "\"" ^ Obs.Json_string.escape m ^ "\"")
+          Json.(
+            Obj
+              [
+                ("file", Str r.Check.Fuzz.path);
+                ("oracle", Str r.Check.Fuzz.entry.Check.Corpus.oracle);
+                ( "status",
+                  Str
+                    (match r.Check.Fuzz.verdict with
+                    | Check.Oracle.Pass -> "pass"
+                    | Check.Oracle.Fail _ -> "fail") );
+                ( "message",
+                  match r.Check.Fuzz.verdict with
+                  | Check.Oracle.Pass -> Null
+                  | Check.Oracle.Fail m -> Str m );
+              ])
         in
-        print_endline
-          (Printf.sprintf {|{"corpus":"%s","files":%d,"failing":%d,"results":[%s]}|}
-             (Obs.Json_string.escape dir) (List.length results) (List.length failing)
-             (String.concat "," (List.map row results)))
+        print_json
+          Json.(
+            Obj
+              [
+                ("corpus", Str dir);
+                ("files", Int (List.length results));
+                ("failing", Int (List.length failing));
+                ("results", List (List.map row results));
+              ])
       end
       else begin
         List.iter
@@ -883,12 +875,17 @@ let fuzz_cmd =
         in
         let ndisc = List.length report.Check.Fuzz.discrepancies in
         if json then
-          print_endline
-            (Printf.sprintf
-               {|{"seed":%d,"instances":%d,"checks":%d,"discrepancies":%d,"elapsed":%.3f,"failures":[%s]}|}
-               seed report.Check.Fuzz.instances report.Check.Fuzz.checks ndisc
-               report.Check.Fuzz.elapsed
-               (String.concat "," (List.map fuzz_disc_json report.Check.Fuzz.discrepancies)))
+          print_json
+            Json.(
+              Obj
+                [
+                  ("seed", Int seed);
+                  ("instances", Int report.Check.Fuzz.instances);
+                  ("checks", Int report.Check.Fuzz.checks);
+                  ("discrepancies", Int ndisc);
+                  ("elapsed", Float report.Check.Fuzz.elapsed);
+                  ("failures", List (List.map fuzz_disc_json report.Check.Fuzz.discrepancies));
+                ])
         else begin
           List.iter
             (fun (d : Check.Fuzz.discrepancy) ->
@@ -1121,12 +1118,10 @@ let serve_cmd =
         close_in ic;
         let resp =
           Serve.Engine.handle_line engine
-            (Serve.Json.to_string
-               (Serve.Json.Obj
-                  [ ("op", Serve.Json.Str "load"); ("data", Serve.Json.Str contents) ]))
+            (Json.to_string (Json.Obj [ ("op", Json.Str "load"); ("data", Json.Str contents) ]))
         in
-        match Serve.Json.(member "ok" (of_string resp)) with
-        | Some (Serve.Json.Bool true) -> false
+        match Json.(member "ok" (of_string resp)) with
+        | Some (Json.Bool true) -> false
         | _ ->
           Printf.eprintf "serve: preload failed: %s\n" resp;
           true)

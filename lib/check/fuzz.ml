@@ -14,7 +14,7 @@ type report = {
 }
 
 let run ?seconds ?instances ?(oracles = Oracle.all) ?corpus_dir ?(shrink = true) ~seed () =
-  let start = Lp.Clock.now () in
+  let start = Obs.Clock.now () in
   let deadline = Option.map (fun s -> start +. s) seconds in
   let limit =
     match (instances, seconds) with
@@ -28,7 +28,7 @@ let run ?seconds ?instances ?(oracles = Oracle.all) ?corpus_dir ?(shrink = true)
   let discrepancies = ref [] in
   let out_of_budget () =
     !generated >= limit
-    || match deadline with Some d -> Lp.Clock.now () > d | None -> false
+    || match deadline with Some d -> Obs.Clock.now () > d | None -> false
   in
   while not (out_of_budget ()) do
     (* The stream is a pure function of the run seed: one case seed is drawn
@@ -66,7 +66,7 @@ let run ?seconds ?instances ?(oracles = Oracle.all) ?corpus_dir ?(shrink = true)
     instances = !generated;
     checks = !checks;
     discrepancies = List.rev !discrepancies;
-    elapsed = Lp.Clock.elapsed start;
+    elapsed = Obs.Clock.elapsed start;
   }
 
 type replay_result = { path : string; entry : Corpus.entry; verdict : Oracle.verdict }

@@ -139,7 +139,7 @@ type ep_state = {
 let search_level config q all state ~k ~t0 ~candidates ~checked =
   let found = ref None in
   let out_of_budget () =
-    !candidates >= config.work_limit || Lp.Clock.elapsed t0 > config.time_limit
+    !candidates >= config.work_limit || Obs.Clock.elapsed t0 > config.time_limit
   in
   let consider gens =
     if !found = None && not (out_of_budget ()) then begin
@@ -167,7 +167,7 @@ let search_level config q all state ~k ~t0 ~candidates ~checked =
   !found
 
 let find_many ?(config = default_config) q endpoint_pairs =
-  let t0 = Lp.Clock.now () in
+  let t0 = Obs.Clock.now () in
   let all = valuations q config.domain in
   let states =
     List.map
@@ -183,7 +183,7 @@ let find_many ?(config = default_config) q endpoint_pairs =
   in
   let candidates = ref 0 and checked = ref 0 in
   let out_of_budget () =
-    !candidates >= config.work_limit || Lp.Clock.elapsed t0 > config.time_limit
+    !candidates >= config.work_limit || Obs.Clock.elapsed t0 > config.time_limit
   in
   let found = ref None in
   let k = ref 2 in
@@ -198,7 +198,7 @@ let find_many ?(config = default_config) q endpoint_pairs =
     incr k
   done;
   Option.map
-    (fun jp -> (jp, { candidates = !candidates; checked = !checked; elapsed = Lp.Clock.elapsed t0 }))
+    (fun jp -> (jp, { candidates = !candidates; checked = !checked; elapsed = Obs.Clock.elapsed t0 }))
     !found
 
 let find_with_endpoints ?config q ~s ~t = find_many ?config q [ (s, t) ]

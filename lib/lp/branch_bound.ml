@@ -167,9 +167,9 @@ module Make (F : Numeric.Field.S) = struct
     let base_delta = Frozen.Delta.clear_appends delta in
     let span0 = Obs.Trace.begin_ () in
     let piv0, ref0 = session_work sess in
-    let t0 = Clock.now () in
+    let t0 = Obs.Clock.now () in
     let timed_out () =
-      match time_limit with Some limit -> Clock.elapsed t0 > limit | None -> false
+      match time_limit with Some limit -> Obs.Clock.elapsed t0 > limit | None -> false
     in
     let nodes = ref 0 in
     let tick () =

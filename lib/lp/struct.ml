@@ -135,6 +135,23 @@ let features_of fz view =
 
 let features fz = features_of fz (view_of fz)
 
+let feature_fields f =
+  let open Obs.Json in
+  [
+    ("rows", Int f.rows);
+    ("cols", Int f.cols);
+    ("nnz", Int f.nnz);
+    ("unit_coeffs", Bool f.unit_coeffs);
+    ("zero_one", Bool f.zero_one);
+    ("neg_entries", Int f.neg_entries);
+    ("max_col_nnz", Int f.max_col_nnz);
+    ("max_row_nnz", Int f.max_row_nnz);
+    ("avg_col_nnz", Float f.avg_col_nnz);
+    ("geq_rows", Int f.geq_rows);
+    ("leq_rows", Int f.leq_rows);
+    ("eq_rows", Int f.eq_rows);
+  ]
+
 (* --- Heller-Tompkins bipartitions ------------------------------------------- *)
 
 (* 2-colour items under parity constraints: [edges] lists

@@ -109,6 +109,12 @@ val features : Frozen.t -> features
     over its rows and without running any recognizer — what the run-log
     records per solve. *)
 
+val feature_fields : features -> (string * Obs.Json.t) list
+(** The twelve structural fields, [rows] to [eq_rows] in declaration
+    order (the probed root-LP fields excluded): the one field list behind
+    both [resil analyze --json]'s [features] object and the run-log
+    record. *)
+
 val verify : ?delta:Frozen.Delta.t -> ?eps:float -> Frozen.t -> t -> bool
 (** Re-derive the certificate's claim from the witness and the matrix,
     independently of {!analyze}: partition/ordering/signing conditions for

@@ -1,7 +1,7 @@
 let args_json args =
   args
   |> List.map (fun (k, v) ->
-         Printf.sprintf "\"%s\":\"%s\"" (Json_string.escape k) (Json_string.escape v))
+         Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
   |> String.concat ","
 
 (* Chrome "X" (complete) events only: no begin/end pairing to get wrong, and
@@ -33,7 +33,7 @@ let write_chrome oc (spans : Trace.span list) =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"resil\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-           (Json_string.escape s.name) ts dur s.dom (args_json s.args)))
+           (Json.escape s.name) ts dur s.dom (args_json s.args)))
     spans;
   output_string oc "\n]}\n"
 
@@ -55,11 +55,11 @@ let stats_json (spans : Trace.span list) =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (name, (count, total)) ->
          Printf.sprintf "    \"%s\": {\"count\": %d, \"total_s\": %.6f}"
-           (Json_string.escape name) count total)
+           (Json.escape name) count total)
   in
   let counter_rows =
     Counter.snapshot ()
-    |> List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %d" (Json_string.escape name) v)
+    |> List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %d" (Json.escape name) v)
   in
   let wall =
     match spans with

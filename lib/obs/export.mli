@@ -6,7 +6,7 @@
     and CI trend lines (the registry's counters plus per-name span
     aggregates, every float printed with a fixed ["%.6f"] so
     digit-normalized goldens are stable).  Strings are escaped by
-    {!Json_string}. *)
+    {!Json.escape}. *)
 
 val write_chrome : out_channel -> Trace.span list -> unit
 (** Write a complete [{"traceEvents": [...]}] document: one thread-name

@@ -127,7 +127,7 @@ let prom_labels = function
     "{"
     ^ String.concat ","
         (List.map
-           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (Json_string.escape v))
+           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (Json.escape v))
            ls)
     ^ "}"
 
@@ -143,7 +143,7 @@ let prometheus_of series =
       if not (Hashtbl.mem headed n) then begin
         Hashtbl.add headed n ();
         if s.shelp <> "" then
-          Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" n (Json_string.escape s.shelp));
+          Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" n (Json.escape s.shelp));
         Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" n kind)
       end;
       let lbl = prom_labels s.slabels in
@@ -175,38 +175,27 @@ let series_key s =
   | ls -> "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) ls) ^ "}"
 
 let json_of series =
-  let b = Buffer.create 4096 in
-  let obj name f xs =
-    Buffer.add_string b (Printf.sprintf "\"%s\":{" name);
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        f x)
-      xs;
-    Buffer.add_char b '}'
-  in
-  let pick f = List.filter_map f series in
-  Buffer.add_char b '{';
-  obj "counters"
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Json_string.escape k) v))
-    (pick (fun s -> match s.svalue with Vcounter v -> Some (series_key s, v) | _ -> None));
-  Buffer.add_char b ',';
-  obj "gauges"
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%.6f" (Json_string.escape k) v))
-    (pick (fun s -> match s.svalue with Vgauge v -> Some (series_key s, v) | _ -> None));
-  Buffer.add_char b ',';
-  obj "histograms"
-    (fun (k, h) ->
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%.6f" (Json_string.escape k)
-           h.Histogram.total (Histogram.sum_of h));
-      List.iter
-        (fun (qn, p) ->
-          Buffer.add_string b (Printf.sprintf ",\"%s\":%.6f" qn (quantile_or_zero h p)))
-        quantiles;
-      Buffer.add_char b '}')
-    (pick (fun s -> match s.svalue with Vhist h -> Some (series_key s, h) | _ -> None));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let pick f = Json.Obj (List.filter_map f series) in
+  Json.Obj
+    [
+      ( "counters",
+        pick (fun s ->
+            match s.svalue with Vcounter v -> Some (series_key s, Json.Int v) | _ -> None) );
+      ( "gauges",
+        pick (fun s ->
+            match s.svalue with Vgauge v -> Some (series_key s, Json.Float v) | _ -> None) );
+      ( "histograms",
+        pick (fun s ->
+            match s.svalue with
+            | Vhist h ->
+              Some
+                ( series_key s,
+                  Json.Obj
+                    (("count", Json.Int h.Histogram.total)
+                    :: ("sum", Json.Float (Histogram.sum_of h))
+                    :: List.map (fun (qn, p) -> (qn, Json.Float (quantile_or_zero h p))) quantiles)
+                )
+            | _ -> None) );
+    ]
 
 let json () = json_of (snapshot ())

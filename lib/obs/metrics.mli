@@ -53,13 +53,12 @@ val prometheus : unit -> string
 
 val prometheus_of : series list -> string
 
-val json : unit -> string
+val json : unit -> Json.t
 (** Flat JSON: [{"counters": {...}, "gauges": {...}, "histograms":
     {name: {"count", "sum", "p50", "p90", "p99", "p999"}}}] with keys
-    sorted and every float printed ["%.6f"].  Quantiles of an empty
-    histogram read 0. *)
+    sorted.  Quantiles of an empty histogram read 0. *)
 
-val json_of : series list -> string
+val json_of : series list -> Json.t
 
 (**/**)
 

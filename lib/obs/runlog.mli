@@ -11,15 +11,15 @@
     Consumers must skip records from header versions they do not know.
     Version 2 dropped version 1's [verdict] and [structural] fields (the
     solve path no longer runs a structure analysis); the feature vector
-    is computed only while the log is enabled.
+    is computed only while the log is enabled.  Floats print with enough
+    digits to round-trip rather than the six decimals of earlier logs;
+    the field set is unchanged, so the version is still 2.
 
     While disabled, an instrumented site costs one atomic load and builds
     nothing ({!record} takes a thunk).  Writing is mutex-serialized and
     line-buffered, so records from parallel rankings interleave whole. *)
 
 val schema_version : int
-
-type field = I of int | F of float | B of bool | S of string
 
 val enable : string -> unit
 (** Open [path] for append (creating it if needed) and write the header
@@ -29,6 +29,7 @@ val disable : unit -> unit
 val enabled : unit -> bool
 val path : unit -> string option
 
-val record : (unit -> (string * field) list) -> unit
-(** Append one record; the thunk runs only when enabled.  Fields render
-    in the given order; floats as ["%.6f"] (non-finite as [null]). *)
+val record : (unit -> (string * Json.t) list) -> unit
+(** Append one record, an object of the given fields in their order,
+    printed by {!Json.to_string} (floats round-trip, non-finite ones read
+    [null]); the thunk runs only when enabled. *)

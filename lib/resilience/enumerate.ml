@@ -150,7 +150,7 @@ let collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen d =
   let pivots = ref 0 and refactors = ref 0 in
   let exhausted = ref false in
   let left () =
-    Option.map (fun tl -> tl -. Lp.Clock.elapsed t0) time_limit
+    Option.map (fun tl -> tl -. Obs.Clock.elapsed t0) time_limit
   in
   let capped () =
     match cap with
@@ -182,7 +182,7 @@ let collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen d =
   (!found, !exhausted, (!cuts, !solves, !nodes, !pivots, !refactors))
 
 let drive ?cap ?time_limit ~pin ~cut ~run base =
-  let t0 = Lp.Clock.now () in
+  let t0 = Obs.Clock.now () in
   match run time_limit base with
   | `Infeasible -> `Infeasible
   | `Budget -> `Budget
@@ -205,7 +205,7 @@ let drive ?cap ?time_limit ~pin ~cut ~run base =
               first_pivots = p0;
               cut_pivots = 0;
               refactors = r0;
-              time = Lp.Clock.elapsed t0;
+              time = Obs.Clock.elapsed t0;
             };
         }
     else begin
@@ -226,7 +226,7 @@ let drive ?cap ?time_limit ~pin ~cut ~run base =
               first_pivots = p0;
               cut_pivots = pivots;
               refactors = refactors + r0;
-              time = Lp.Clock.elapsed t0;
+              time = Obs.Clock.elapsed t0;
             };
         }
     end

@@ -123,14 +123,14 @@ type t = {
 let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
     ?witnesses semantics q db =
   let acc = fresh_acc () in
-  let tw0 = Lp.Clock.now () in
+  let tw0 = Obs.Clock.now () in
   let witnesses =
     match witnesses with
     | Some ws -> ws  (* caller-maintained (incremental service); skip the join *)
     | None -> Obs.Trace.with_span "session.witnesses" (fun () -> Eval.witnesses q db)
   in
-  acc.a_witnesses <- Lp.Clock.elapsed tw0;
-  let te0 = Lp.Clock.now () in
+  acc.a_witnesses <- Obs.Clock.elapsed tw0;
+  let te0 = Obs.Clock.now () in
   let sprog =
     Obs.Trace.with_span "session.encode" (fun () ->
         match Encode.shared_of_witnesses relaxation semantics q db witnesses with
@@ -145,16 +145,16 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
                    question actually forces the shared prep. *)
                 lazy
                   (Obs.Trace.with_span "session.prep" (fun () ->
-                       let t0 = Lp.Clock.now () in
+                       let t0 = Obs.Clock.now () in
                        let p = prep_of_frozen ~exact ~kernel:basis raw in
-                       acc.a_prep <- acc.a_prep +. Lp.Clock.elapsed t0;
+                       acc.a_prep <- acc.a_prep +. Obs.Clock.elapsed t0;
                        p));
               cdiags =
                 lazy
                   (Obs.Trace.with_span "session.lint" (fun () ->
-                       let t0 = Lp.Clock.now () in
+                       let t0 = Obs.Clock.now () in
                        let d = Lp.Lint.lint raw in
-                       acc.a_lint <- acc.a_lint +. Lp.Clock.elapsed t0;
+                       acc.a_lint <- acc.a_lint +. Obs.Clock.elapsed t0;
                        d));
               cinteger = (relaxation = Encode.Ilp, relaxation <> Encode.Lp);
               cvar_of_tuple = shared.Encode.svar_of_tuple;
@@ -171,7 +171,7 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
               cgrown = 0;
             })
   in
-  acc.a_encode <- Lp.Clock.elapsed te0;
+  acc.a_encode <- Obs.Clock.elapsed te0;
   let sblockers =
     if Option.is_some sprog then []
     else List.filter (List.for_all (Problem.tuple_exo q db)) (Eval.unique_tuple_sets witnesses)
@@ -325,10 +325,10 @@ let rsp_delta core t =
    whole question, probe included.  Values and points convert to float
    once, on the way out. *)
 let run_engine_raw ?node_limit ?time_limit ints (Lp.Solvers.Engine ((module B), s)) delta =
-  let t0 = Lp.Clock.now () in
+  let t0 = Obs.Clock.now () in
   let piv0, ref0 = B.session_work s in
   let finish ?(certified = false) nodes root_lp root_integral objective solution =
-    let solve_time = Lp.Clock.elapsed t0 in
+    let solve_time = Obs.Clock.elapsed t0 in
     let piv1, ref1 = B.session_work s in
     let pivots = piv1 - piv0 and refactors = ref1 - ref0 in
     if certified then Obs.Counter.incr c_certified;
@@ -358,33 +358,19 @@ let run_engine_raw ?node_limit ?time_limit ints (Lp.Solvers.Engine ((module B), 
    from inside the run-log's thunk, so the feature pass runs only while the
    run-log is enabled. *)
 let runlog_solve_fields ~op ~status ~path:dispatch ~fz ?stats:st ~wall () =
-  let f = Lp.Struct.features fz in
   let sti g = match st with Some s -> g s | None -> 0 in
-  let open Obs.Runlog in
-  [
-    ("op", S op);
-    ("status", S status);
-    ("path", S dispatch);
-    ("rows", I f.Lp.Struct.rows);
-    ("cols", I f.Lp.Struct.cols);
-    ("nnz", I f.Lp.Struct.nnz);
-    ("unit_coeffs", B f.Lp.Struct.unit_coeffs);
-    ("zero_one", B f.Lp.Struct.zero_one);
-    ("neg_entries", I f.Lp.Struct.neg_entries);
-    ("max_col_nnz", I f.Lp.Struct.max_col_nnz);
-    ("max_row_nnz", I f.Lp.Struct.max_row_nnz);
-    ("avg_col_nnz", F f.Lp.Struct.avg_col_nnz);
-    ("geq_rows", I f.Lp.Struct.geq_rows);
-    ("leq_rows", I f.Lp.Struct.leq_rows);
-    ("eq_rows", I f.Lp.Struct.eq_rows);
-    ("certified", B (match st with Some s -> s.certified | None -> false));
-    ("nodes", I (sti (fun s -> s.nodes)));
-    ("pivots", I (sti (fun s -> s.pivots)));
-    ("refactors", I (sti (fun s -> s.refactors)));
-    ("root_lp", F (match st with Some s -> s.root_lp | None -> nan));
-    ("solve_s", F (match st with Some s -> s.solve_time | None -> wall));
-    ("wall_s", F wall);
-  ]
+  let open Obs.Json in
+  [ ("op", Str op); ("status", Str status); ("path", Str dispatch) ]
+  @ Lp.Struct.feature_fields (Lp.Struct.features fz)
+  @ [
+      ("certified", Bool (match st with Some s -> s.certified | None -> false));
+      ("nodes", Int (sti (fun s -> s.nodes)));
+      ("pivots", Int (sti (fun s -> s.pivots)));
+      ("refactors", Int (sti (fun s -> s.refactors)));
+      ("root_lp", Float (match st with Some s -> s.root_lp | None -> nan));
+      ("solve_s", Float (match st with Some s -> s.solve_time | None -> wall));
+      ("wall_s", Float wall);
+    ]
 
 (* Instrumentation wrapper around every engine solve: one observation per
    metrics-plane distribution and one run-log record per solve — the
@@ -395,9 +381,9 @@ let run_engine ?node_limit ?time_limit ?(op = "solve") ~ints prep engine delta =
   if not (Obs.Sink.recording () || Obs.Runlog.enabled ()) then
     run_engine_raw ?node_limit ?time_limit ints engine delta
   else begin
-    let t0 = Lp.Clock.now () in
+    let t0 = Obs.Clock.now () in
     let r = run_engine_raw ?node_limit ?time_limit ints engine delta in
-    let wall = Lp.Clock.elapsed t0 in
+    let wall = Obs.Clock.elapsed t0 in
     (match r with
     | `Ok (_, _, st) ->
       Obs.Metrics.observe h_solve_seconds st.solve_time;
@@ -467,9 +453,9 @@ let rsp_shared ?node_limit ?time_limit core prep engine tid =
    deliberately not the session's shared program: one question never
    amortises the larger shared model. *)
 let cold_solve ?node_limit ?time_limit ~op ~exact ~answer (enc : Encode.encoding) =
-  let tp0 = Lp.Clock.now () in
+  let tp0 = Obs.Clock.now () in
   let prep = prep_of_frozen ~exact (Lp.Frozen.of_model enc.Encode.model) in
-  let prep_time = Lp.Clock.elapsed tp0 in
+  let prep_time = Obs.Clock.elapsed tp0 in
   let ints = Lp.Frozen.integer_vars prep.pfz in
   match run_engine ?node_limit ?time_limit ~op ~ints prep prep.pengine Lp.Frozen.Delta.empty with
   | `Infeasible -> No_contingency
@@ -606,7 +592,7 @@ let var_of_tuple core tid = Hashtbl.find_opt core.cvar_of_tuple tid
    shared frozen arrays; the merge is concatenation + canonical sort, so
    an exhausted enumeration is identical at every job count. *)
 let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
-  let t0 = Lp.Clock.now () in
+  let t0 = Obs.Clock.now () in
   match enum_run ?node_limit core prep prep.pengine time_limit base with
   | `Infeasible -> `Infeasible
   | `Budget -> `Budget
@@ -657,7 +643,7 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
               first_pivots = p0;
               cut_pivots = !cut_pivots;
               refactors = !refactors;
-              time = Lp.Clock.elapsed t0;
+              time = Obs.Clock.elapsed t0;
             };
         }
 

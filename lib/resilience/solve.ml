@@ -109,7 +109,7 @@ let flow_stats t0 =
     root_lp = nan;
     root_integral = true;
     certified = false;
-    solve_time = Lp.Clock.elapsed t0;
+    solve_time = Obs.Clock.elapsed t0;
     prep_time = 0.;
     pivots = 0;
     refactors = 0;
@@ -127,7 +127,7 @@ let resilience_flow semantics q db =
   match Netflow.Linearize.exact_orders q' with
   | [] -> None
   | order :: _ ->
-    let t0 = Lp.Clock.now () in
+    let t0 = Obs.Clock.now () in
     let witnesses = Eval.witnesses q' db in
     if witnesses = [] then Some Query_false
     else begin
@@ -145,7 +145,7 @@ let responsibility_flow semantics q db t =
   match Netflow.Linearize.exact_orders q' with
   | [] -> None
   | order :: _ ->
-    let t0 = Lp.Clock.now () in
+    let t0 = Obs.Clock.now () in
     let witnesses = Eval.witnesses q' db in
     if witnesses = [] then Some Query_false
     else begin

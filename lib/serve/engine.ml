@@ -228,21 +228,6 @@ let do_delete t line =
 
 (* --- questions ------------------------------------------------------------ *)
 
-let stats_json (s : Session.stats) =
-  Json.Obj
-    [
-      ("nodes", Json.Int s.Session.nodes);
-      ("root_lp", Json.Float s.Session.root_lp);
-      ("root_integral", Json.Bool s.Session.root_integral);
-      ("certified", Json.Bool s.Session.certified);
-      ("pivots", Json.Int s.Session.pivots);
-      ("refactors", Json.Int s.Session.refactors);
-      ("solve_ms", Json.Float (1000. *. s.Session.solve_time));
-    ]
-
-let tuples_json t tids =
-  Json.List (List.map (fun tid -> Json.Str (Database_io.print_tuple t.db tid)) tids)
-
 type reply = Result of Json.t | Err of Protocol.error_code * string * Json.t option
 
 let timeout_err incumbent =
@@ -256,86 +241,23 @@ let timeout_err incumbent =
                match incumbent with Some v -> Json.Int v | None -> Json.Null );
            ]) )
 
-let res_reply t = function
-  | Session.Solved a ->
-    Result
-      (Json.Obj
-         [
-           ("status", Json.Str "solved");
-           ("value", Json.Int a.Session.res_value);
-           ("contingency", tuples_json t a.Session.contingency);
-           ("stats", stats_json a.Session.res_stats);
-         ])
-  | Session.Query_false ->
-    Result (Json.Obj [ ("status", Json.Str "query_false"); ("value", Json.Int 0) ])
-  | Session.No_contingency -> Result (Json.Obj [ ("status", Json.Str "no_contingency") ])
+(* An answer outcome as a reply: an exhausted budget is serve's [timeout]
+   error with the incumbent, every other outcome the shared answer form. *)
+let answer_reply question answer = function
   | Session.Budget_exhausted incumbent -> timeout_err incumbent
-
-let rsp_reply t = function
-  | Session.Solved a ->
-    Result
-      (Json.Obj
-         [
-           ("status", Json.Str "solved");
-           ("value", Json.Int a.Session.rsp_value);
-           ( "responsibility",
-             Json.Float (1.0 /. (1.0 +. float_of_int a.Session.rsp_value)) );
-           ("contingency", tuples_json t a.Session.responsibility_set);
-           ("stats", stats_json a.Session.rsp_stats);
-         ])
-  | Session.Query_false ->
-    Result (Json.Obj [ ("status", Json.Str "query_false") ])
-  | Session.No_contingency -> Result (Json.Obj [ ("status", Json.Str "no_contingency") ])
-  | Session.Budget_exhausted incumbent -> timeout_err incumbent
-
-let enum_stats_json (s : Enumerate.stats) =
-  Json.Obj
-    [
-      ("cuts", Json.Int s.Enumerate.cuts);
-      ("solves", Json.Int s.Enumerate.solves);
-      ("nodes", Json.Int s.Enumerate.nodes);
-      ("first_pivots", Json.Int s.Enumerate.first_pivots);
-      ("cut_pivots", Json.Int s.Enumerate.cut_pivots);
-      ("refactors", Json.Int s.Enumerate.refactors);
-      ("solve_ms", Json.Float (1000. *. s.Enumerate.time));
-    ]
+  | o -> Result (Answer.outcome question answer o)
 
 (* The full family is enumerated and counted; [limit] only truncates the
    reported sets (canonical order), so a limited reply is a prefix of the
    unlimited one and ["count"] still reports the family size. *)
-let enum_reply t limit = function
-  | Session.Solved fam ->
-    let shown =
-      match limit with
-      | Some n -> Enumerate.take n fam.Enumerate.sets
-      | None -> fam.Enumerate.sets
-    in
-    let crit_row (c : Enumerate.criticality) =
-      Json.Obj
-        [
-          ("tuple", Json.Str (Database_io.print_tuple t.db c.Enumerate.crit_tuple));
-          ("count", Json.Int c.Enumerate.crit_count);
-          ("total", Json.Int c.Enumerate.crit_total);
-          ("criticality", Json.Float c.Enumerate.crit_float);
-          ("exact", Json.Str (Numeric.Rat.to_string c.Enumerate.crit_exact));
-        ]
-    in
-    Result
-      (Json.Obj
-         [
-           ("status", Json.Str "solved");
-           ("value", Json.Int fam.Enumerate.opt);
-           ("count", Json.Int (List.length fam.Enumerate.sets));
-           ("exhausted", Json.Bool fam.Enumerate.exhausted);
-           ("sets", Json.List (List.map (tuples_json t) shown));
-           ( "criticality",
-             Json.List (List.map crit_row (Enumerate.criticality fam)) );
-           ("stats", enum_stats_json fam.Enumerate.fstats);
-         ])
-  | Session.Query_false ->
-    Result (Json.Obj [ ("status", Json.Str "query_false"); ("value", Json.Int 0) ])
-  | Session.No_contingency -> Result (Json.Obj [ ("status", Json.Str "no_contingency") ])
-  | Session.Budget_exhausted incumbent -> timeout_err incumbent
+let enum_reply t question limit =
+  answer_reply question (fun (fam : Enumerate.family) ->
+      let shown =
+        match limit with
+        | Some n -> Enumerate.take n fam.Enumerate.sets
+        | None -> fam.Enumerate.sets
+      in
+      Answer.family t.db ~shown fam)
 
 let do_ask t (a : Protocol.ask) =
   match Cq_parser.parse_with t.db a.Protocol.query with
@@ -352,21 +274,22 @@ let do_ask t (a : Protocol.ask) =
       let key = (Cq.to_string q, a.Protocol.bag, a.Protocol.exact) in
       let ses = Incremental.session (session t ~key q) in
       match a.Protocol.question with
-      | Protocol.Resilience -> res_reply t (Session.resilience ?time_limit ses)
+      | Protocol.Resilience -> answer_reply Answer.Res (Answer.res t.db) (Session.resilience ?time_limit ses)
       | Protocol.Responsibility tuple -> (
         match parse_tuple t tuple with
         | Error msg -> Err (Protocol.Bad_request, msg, None)
         | Ok info -> (
           match Database.find t.db info.Database.rel info.Database.args with
           | None -> Err (Protocol.Not_found, "tuple not found", None)
-          | Some tid -> rsp_reply t (Session.responsibility ?time_limit ses tid)))
+          | Some tid ->
+            answer_reply Answer.Rsp (Answer.rsp t.db) (Session.responsibility ?time_limit ses tid)))
       | Protocol.Enumerate target -> (
         (* Enumeration rides the same maintained session the point questions
            use: the warm engine, witnesses and frozen program are all
            reused, the cut chain is per-request delta state. *)
         match target with
         | None ->
-          enum_reply t a.Protocol.limit
+          enum_reply t Answer.Res a.Protocol.limit
             (Session.enumerate_resilience ?time_limit ~jobs:a.Protocol.jobs ses)
         | Some tuple -> (
           match parse_tuple t tuple with
@@ -375,20 +298,14 @@ let do_ask t (a : Protocol.ask) =
             match Database.find t.db info.Database.rel info.Database.args with
             | None -> Err (Protocol.Not_found, "tuple not found", None)
             | Some tid ->
-              enum_reply t a.Protocol.limit
+              enum_reply t Answer.Rsp a.Protocol.limit
                 (Session.enumerate_responsibility ?time_limit ~jobs:a.Protocol.jobs ses
                    tid))))
       | Protocol.Rank ->
         let ranked = Session.ranking_par ?time_limit ~jobs:a.Protocol.jobs ses in
-        let row (tid, k, rho) =
-          Json.Obj
-            [
-              ("tuple", Json.Str (Database_io.print_tuple t.db tid));
-              ("k", Json.Int k);
-              ("responsibility", Json.Float rho);
-            ]
-        in
-        Result (Json.Obj [ ("ranking", Json.List (List.map row ranked)) ])))
+        Result
+          (Json.Obj
+             [ ("ranking", Json.List (List.map (fun r -> Answer.rank_row t.db r) ranked)) ])))
 
 (* --- ask instrumentation --------------------------------------------------- *)
 
@@ -476,7 +393,7 @@ let do_metrics fmt =
         ("format", Json.Str "prometheus");
         ("text", Json.Str (Obs.Metrics.prometheus ()));
       ]
-  | `Json -> Json.of_string (Obs.Metrics.json_of (Obs.Metrics.snapshot ()))
+  | `Json -> Obs.Metrics.json ()
 
 let do_stats t =
   Json.Obj

@@ -407,12 +407,12 @@ let test_metrics_exposition () =
       "test_metrics_lat_bucket{op=\"x\",le=\"+Inf\"} 4";
       "test_metrics_lat_count{op=\"x\"} 4";
     ];
-  let js = Obs.Metrics.json () in
+  let js = Obs.Json.to_string (Obs.Metrics.json ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "json has %S" needle) true (contains js needle))
     [
-      "\"counters\":{"; "\"test.metrics.count\":3"; "\"test.metrics.gauge\":2.500000";
+      "\"counters\":{"; "\"test.metrics.count\":3"; "\"test.metrics.gauge\":2.5";
       "\"test.metrics.lat{op=x}\":{\"count\":4"; "\"p50\":"; "\"p999\":";
     ];
   (* Quantiles of an empty histogram read 0.0, never NaN, so the JSON
@@ -442,7 +442,7 @@ let test_recorder_ring () =
     (List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.drain ()));
   let js = Serve.Engine.recorder_json () in
   Alcotest.(check bool) "json envelope" true (contains js "\"flight_recorder\":[");
-  (match Option.bind (Serve.Json.member "flight_recorder" (Serve.Json.of_string js)) Serve.Json.to_list_opt with
+  (match Option.bind (Obs.Json.member "flight_recorder" (Obs.Json.of_string js)) Obs.Json.to_list_opt with
   | Some l -> Alcotest.(check int) "every retained event rendered" 64 (List.length l)
   | None -> Alcotest.fail "no flight_recorder list");
   Obs.Sink.install ();
@@ -459,11 +459,11 @@ let test_runlog_records () =
   Alcotest.(check bool) "enabled" true (Obs.Runlog.enabled ());
   Obs.Runlog.record (fun () ->
       [
-        ("op", Obs.Runlog.S "test");
-        ("rows", Obs.Runlog.I 7);
-        ("wall_s", Obs.Runlog.F 0.25);
-        ("certified", Obs.Runlog.B true);
-        ("bad", Obs.Runlog.F Float.nan);
+        ("op", Obs.Json.Str "test");
+        ("rows", Obs.Json.Int 7);
+        ("wall_s", Obs.Json.Float 0.25);
+        ("certified", Obs.Json.Bool true);
+        ("bad", Obs.Json.Float Float.nan);
       ]);
   Obs.Runlog.disable ();
   Alcotest.(check bool) "disabled again" false (Obs.Runlog.enabled ());
@@ -475,7 +475,7 @@ let test_runlog_records () =
     (Printf.sprintf {|{"runlog":"resil-solve","version":%d}|} Obs.Runlog.schema_version)
     header;
   Alcotest.(check string) "record line"
-    {|{"op":"test","rows":7,"wall_s":0.250000,"certified":true,"bad":null}|} line
+    {|{"op":"test","rows":7,"wall_s":0.25,"certified":true,"bad":null}|} line
 
 let test_runlog_from_solve () =
   (* End to end: a solve through Resilience.Solve with the runlog enabled
@@ -587,7 +587,7 @@ let test_install_resets_everything () =
 (* --- The shared JSON string escaper ------------------------------------------- *)
 
 let parses_as_string s =
-  Serve.Json.of_string ("\"" ^ Obs.Json_string.escape s ^ "\"") = Serve.Json.Str s
+  Obs.Json.of_string ("\"" ^ Obs.Json.escape s ^ "\"") = Obs.Json.Str s
 
 let test_escaper_round_trip () =
   let pieces =
@@ -606,7 +606,32 @@ let test_escaper_round_trip () =
     in
     if not (parses_as_string s) then Alcotest.failf "no round trip for %S" s
   done;
-  Alcotest.(check string) "short forms" {|\"\\\n\r\t\u0001|} (Obs.Json_string.escape "\"\\\n\r\t\001")
+  Alcotest.(check string) "short forms" {|\"\\\n\r\t\u0001|} (Obs.Json.escape "\"\\\n\r\t\001")
+
+(* A non-finite float has no JSON literal: it prints as [null], so every
+   printed document parses, and every finite float reads back bit for
+   bit. *)
+let test_json_floats () =
+  let open Obs.Json in
+  List.iter
+    (fun f -> Alcotest.(check string) (Printf.sprintf "%h" f) "null" (to_string (Float f)))
+    [ Float.nan; infinity; neg_infinity ];
+  let rng = Random.State.make [| 20 |] in
+  let floats =
+    [ 0.; -0.; 0.1; 0.25; 1.; -3.; 1e15; 1e300; 5e-324; Float.max_float; Float.nan; infinity ]
+    @ List.init 2000 (fun _ -> Int64.float_of_bits (Random.State.bits64 rng))
+  in
+  List.iter
+    (fun f ->
+      let v = Obj [ ("x", List [ Float f; Int 1 ]) ] in
+      let back = if Float.is_finite f then Float f else Null in
+      match of_string (to_string v) with
+      | Obj [ ("x", List [ Float g; Int 1 ]) ] when back = Float g ->
+        if Int64.bits_of_float g <> Int64.bits_of_float f then
+          Alcotest.failf "%h read back as %h" f g
+      | Obj [ ("x", List [ Null; Int 1 ]) ] when back = Null -> ()
+      | _ -> Alcotest.failf "%h: %s does not parse back" f (to_string v))
+    floats
 
 let hostile = "test.hostile\"\\\n\t"
 
@@ -619,28 +644,29 @@ let test_hostile_names_stay_json () =
         Obs.Trace.drain ())
   in
   let member_of name doc =
-    match Serve.Json.member name (Serve.Json.of_string doc) with
+    match Obs.Json.member name (Obs.Json.of_string doc) with
     | Some v -> v
     | None -> Alcotest.failf "no %S member" name
   in
   let stats = Obs.Export.stats_json spans in
   Alcotest.(check bool) "stats_json counter" true
-    (Serve.Json.member hostile (member_of "counters" stats) = Some (Serve.Json.Int 1));
+    (Obs.Json.member hostile (member_of "counters" stats) = Some (Obs.Json.Int 1));
   Alcotest.(check bool) "stats_json span" true
-    (Serve.Json.member hostile (member_of "spans" stats) <> None);
+    (Obs.Json.member hostile (member_of "spans" stats) <> None);
   Alcotest.(check bool) "Metrics.json counter" true
-    (Serve.Json.member hostile (member_of "counters" (Obs.Metrics.json ())) <> None);
+    (Obs.Json.member hostile (member_of "counters" (Obs.Json.to_string (Obs.Metrics.json ())))
+     <> None);
   let path = Filename.temp_file "runlog" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Obs.Runlog.enable path;
-  Obs.Runlog.record (fun () -> [ (hostile, Obs.Runlog.S hostile) ]);
+  Obs.Runlog.record (fun () -> [ (hostile, Obs.Json.Str hostile) ]);
   Obs.Runlog.disable ();
   let ic = open_in path in
   let _header = input_line ic in
   let line = input_line ic in
   close_in ic;
   Alcotest.(check bool) "runlog line" true
-    (Serve.Json.member hostile (Serve.Json.of_string line) = Some (Serve.Json.Str hostile))
+    (Obs.Json.member hostile (Obs.Json.of_string line) = Some (Obs.Json.Str hostile))
 
 let () =
   let open Alcotest in
@@ -702,6 +728,7 @@ let () =
           test_case "chrome trace document" `Quick test_chrome_export;
           test_case "flat stats json" `Quick test_stats_json;
           test_case "escaper round-trips bytes and UTF-8" `Quick test_escaper_round_trip;
+          test_case "floats round-trip, non-finite ones print null" `Quick test_json_floats;
           test_case "hostile names stay valid JSON" `Quick test_hostile_names_stay_json;
         ] );
     ]

@@ -3,7 +3,7 @@
    [bin/resil serve] does minus the socket plumbing, so `dune runtest`
    needs no network. *)
 
-module J = Serve.Json
+module J = Obs.Json
 module E = Serve.Engine
 
 let feed engine line = J.of_string (E.handle_line engine line)
@@ -177,6 +177,28 @@ let test_responsibility_and_rank () =
   | Some rows -> Alcotest.(check bool) "ranking non-empty" true (rows <> [])
   | None -> Alcotest.fail "rank without ranking array"
 
+(* A false query's status object depends on the question alone: resilience
+   (also as a family) is 0, responsibility (also as a family) has no
+   value. *)
+let test_query_false_by_question () =
+  let e = loaded () in
+  ignore (feed e (ask_req "resilience"));
+  List.iter
+    (fun t ->
+      let req = J.to_string (J.Obj [ ("op", J.Str "delete"); ("tuple", J.Str t) ]) in
+      Alcotest.(check bool) ("delete " ^ t) true (ok_of (feed e req)))
+    [ "S(2, 3)"; "S(3, 4)" ];
+  let tuple = [ ("tuple", J.Str "R(1, 2)") ] in
+  List.iter
+    (fun (name, req, expected) ->
+      Alcotest.(check string) name expected (J.to_string (result_of (feed e req))))
+    [
+      ("resilience", ask_req "resilience", {|{"status":"query_false","value":0}|});
+      ("enumerate", ask_req "enumerate", {|{"status":"query_false","value":0}|});
+      ("responsibility", ask_req ~fields:tuple "responsibility", {|{"status":"query_false"}|});
+      ("enumerate a tuple", ask_req ~fields:tuple "enumerate", {|{"status":"query_false"}|});
+    ]
+
 (* --- the metrics plane -------------------------------------------------------- *)
 
 let test_metrics_op () =
@@ -339,6 +361,8 @@ let () =
         [
           Alcotest.test_case "insert/delete through live sessions" `Quick test_insert_delete;
           Alcotest.test_case "responsibility and rank" `Quick test_responsibility_and_rank;
+          Alcotest.test_case "false query answers by question" `Quick
+            test_query_false_by_question;
         ] );
       ( "shutdown",
         [
