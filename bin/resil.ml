@@ -825,20 +825,18 @@ let fuzz_cmd =
       in
       if json then begin
         let row (r : Check.Fuzz.replay_result) =
+          let status, message =
+            match r.Check.Fuzz.verdict with
+            | Check.Oracle.Pass -> ("pass", Json.Null)
+            | Check.Oracle.Fail m -> ("fail", Json.Str m)
+          in
           Json.(
             Obj
               [
                 ("file", Str r.Check.Fuzz.path);
                 ("oracle", Str r.Check.Fuzz.entry.Check.Corpus.oracle);
-                ( "status",
-                  Str
-                    (match r.Check.Fuzz.verdict with
-                    | Check.Oracle.Pass -> "pass"
-                    | Check.Oracle.Fail _ -> "fail") );
-                ( "message",
-                  match r.Check.Fuzz.verdict with
-                  | Check.Oracle.Pass -> Null
-                  | Check.Oracle.Fail m -> Str m );
+                ("status", Str status);
+                ("message", message);
               ])
         in
         print_json

@@ -261,8 +261,6 @@ let of_string s =
   if c.pos <> String.length s then fail "trailing garbage at offset %d" c.pos;
   v
 
-let of_string_opt s = match of_string s with v -> Some v | exception Parse_error _ -> None
-
 (* --- accessors ------------------------------------------------------------ *)
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

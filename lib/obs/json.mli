@@ -34,8 +34,6 @@ val escape : string -> string
 val of_string : string -> t
 (** @raise Parse_error on malformed input (including trailing garbage). *)
 
-val of_string_opt : string -> t option
-
 (** {1 Accessors} — shape-tolerant reads used by request decoding. *)
 
 val member : string -> t -> t option

@@ -8,7 +8,7 @@
 
 let schema_version = 2
 
-type log = { path : string; oc : out_channel; mu : Mutex.t }
+type log = { oc : out_channel; mu : Mutex.t }
 
 let current : log option Atomic.t = Atomic.make None
 
@@ -32,12 +32,10 @@ let disable () =
 let enable path =
   disable ();
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  let l = { path; oc; mu = Mutex.create () } in
+  let l = { oc; mu = Mutex.create () } in
   write_line l
     (Json.to_string (Json.Obj [ ("runlog", Json.Str "resil-solve"); ("version", Json.Int schema_version) ]));
   Atomic.set current (Some l)
-
-let path () = Option.map (fun l -> l.path) (Atomic.get current)
 
 let record fields =
   match Atomic.get current with

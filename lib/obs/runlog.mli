@@ -27,7 +27,6 @@ val enable : string -> unit
 
 val disable : unit -> unit
 val enabled : unit -> bool
-val path : unit -> string option
 
 val record : (unit -> (string * Json.t) list) -> unit
 (** Append one record, an object of the given fields in their order,

@@ -1,38 +1,29 @@
 open! Relalg
 
-(** The one JSON form of an answer: RES and RSP answers with their solve
-    statistics, enumerated families with the criticality table, rank rows,
-    and the status objects of the outcomes that carry no answer.  The CLI's
-    [--json] output and the serve replies both print through here, so the
-    two surfaces agree on every field name and value by construction.
-    Tuples print as {!Database_io.print_tuple} shows them. *)
+(** The one JSON form of an answer, printed by the CLI's [--json] output and
+    by the serve replies alike, so both agree on every field by
+    construction.  Tuples print as {!Database_io.print_tuple} shows them. *)
 
-type question =
-  | Res  (** Resilience: a false query has resilience 0. *)
-  | Rsp  (** Responsibility: a false query leaves nothing to explain. *)
+type question = Res | Rsp
 
 val res : Database.t -> Session.res_answer -> Obs.Json.t
 (** [{"status":"solved","value","contingency","stats"}]. *)
 
 val rsp : Database.t -> Session.rsp_answer -> Obs.Json.t
-(** [{"status":"solved","value","responsibility","contingency","stats"}],
-    with [responsibility = 1/(1+value)]. *)
+(** As {!res}, with ["responsibility"] [1/(1+value)] after the value. *)
 
 val family : Database.t -> shown:Database.tuple_id list list -> Enumerate.family -> Obs.Json.t
 (** [{"status":"solved","value","count","exhausted","sets","criticality",
-    "stats"}]: [sets] are the [shown] ones (a surface's truncation or
-    reordering), [count] and the criticality table cover the whole
-    family. *)
+    "stats"}]: [sets] lists the [shown] sets (a surface's truncation or
+    order), [count] and the criticality table cover the whole family. *)
 
 val outcome : question -> ('a -> Obs.Json.t) -> 'a Session.outcome -> Obs.Json.t
-(** [Solved a] prints as [a] does; [Query_false] as
-    [{"status":"query_false","value":0}] for {!Res} and
-    [{"status":"query_false"}] for {!Rsp}; [No_contingency] as
-    [{"status":"no_contingency"}]; [Budget_exhausted] as
-    [{"status":"budget_exhausted"}].  A surface that reports an exhausted
-    budget another way (serve's [timeout] error) matches it first. *)
+(** A solved answer as the given printer makes it, otherwise a status
+    object: a false query is [{"status":"query_false","value":0}] for
+    [Res] (resilience 0) and [{"status":"query_false"}] for [Rsp];
+    ["no_contingency"] and ["budget_exhausted"] carry no other field.
+    Serve matches an exhausted budget first: it replies [timeout]. *)
 
 val rank_row :
   Database.t -> ?criticality:float -> Database.tuple_id * int * float -> Obs.Json.t
-(** One ranking row [{"tuple","k","responsibility"}], plus
-    ["criticality"] when given. *)
+(** [{"tuple","k","responsibility"}], and ["criticality"] when given. *)

@@ -490,4 +490,4 @@ let handle_line ?received_at t line =
       (if asks = 0 then 0. else float_of_int t.hits /. float_of_int asks);
     Obs.Metrics.set g_db_tuples (float_of_int (Database.num_tuples t.db))
   end;
-  Protocol.render response
+  Json.to_string response

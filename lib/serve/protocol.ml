@@ -205,5 +205,3 @@ let error ?data ~id code message =
     @ match data with Some d -> [ ("data", d) ] | None -> []
   in
   Json.Obj [ ("id", id); ("ok", Json.Bool false); ("error", Json.Obj body) ]
-
-let render r = Json.to_string r

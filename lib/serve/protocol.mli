@@ -88,6 +88,3 @@ val ok : id:Json.t -> Json.t -> Json.t
 
 val error : ?data:Json.t -> id:Json.t -> error_code -> string -> Json.t
 (** [{"id":id,"ok":false,"error":{"code":...,"message":...[,"data":...]}}]. *)
-
-val render : Json.t -> string
-(** One response line (no trailing newline). *)
