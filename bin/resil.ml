@@ -273,6 +273,7 @@ let lint_cmd =
             in
             Some (Lp.Lint.lint m, Lp.Lint.stats m, summary)
       in
+      let model_diags = match model_part with Some (md, _, _) -> md | None -> [] in
       if json then
         print_json
           Json.(
@@ -285,7 +286,7 @@ let lint_cmd =
                     [
                       ("query", diags_json query_diags);
                       ("instance", diags_json instance_diags);
-                      ("model", diags_json (match model_part with Some (md, _, _) -> md | None -> []));
+                      ("model", diags_json model_diags);
                     ] );
                 ("model_stats", json_opt (fun (_, st, _) -> stats_json st) model_part);
                 ( "presolve",
@@ -298,7 +299,7 @@ let lint_cmd =
           pp_diags "instance diagnostics" instance_diags;
           match model_part with
           | None -> print_endline "ILP[RES*] model: none (query trivial or no contingency)"
-          | Some (model_diags, st, summary) ->
+          | Some (_, st, summary) ->
             Printf.printf "ILP[RES*] model: %d vars (%d integer), %d rows, %d nonzeros%s\n"
               st.Lp.Lint.nvars st.Lp.Lint.integer_count st.Lp.Lint.nconstrs st.Lp.Lint.nnz
               (if st.Lp.Lint.unit_covering then ", unit covering" else "");
@@ -312,11 +313,7 @@ let lint_cmd =
             | None -> print_endline "presolve: model decided without solving")
         end
       end;
-      let all =
-        query_diags @ instance_diags
-        @ match model_part with Some (md, _, _) -> md | None -> []
-      in
-      diag_exit ~strict all
+      diag_exit ~strict (query_diags @ instance_diags @ model_diags)
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output") in
   let query = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in

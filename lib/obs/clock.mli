@@ -4,9 +4,10 @@
     monotonize [Unix.gettimeofday]: a global high-water mark (stored as an
     atomic int64 of the float's bits) guarantees [now] never goes backwards,
     even across domains, if the wall clock is stepped by NTP.  All spans,
-    time limits and reported durations in the repo go through this module
-    (re-exported as [Lp.Clock]), so traces and stats are mutually
-    consistent. *)
+    time limits and reported durations in the repo call this module
+    directly, so traces and stats are mutually consistent.  Solver budgets
+    such as the paper's ILP(10) cutoff are wall-clock budgets, which the
+    processor time of [Sys.time] is not. *)
 
 val now : unit -> float
 (** Monotonically non-decreasing timestamp in seconds.  The origin is the

@@ -274,7 +274,8 @@ let do_ask t (a : Protocol.ask) =
       let key = (Cq.to_string q, a.Protocol.bag, a.Protocol.exact) in
       let ses = Incremental.session (session t ~key q) in
       match a.Protocol.question with
-      | Protocol.Resilience -> answer_reply Answer.Res (Answer.res t.db) (Session.resilience ?time_limit ses)
+      | Protocol.Resilience ->
+        answer_reply Answer.Res (Answer.res t.db) (Session.resilience ?time_limit ses)
       | Protocol.Responsibility tuple -> (
         match parse_tuple t tuple with
         | Error msg -> Err (Protocol.Bad_request, msg, None)
