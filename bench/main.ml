@@ -615,12 +615,15 @@ let basis_json snap0 snap1 =
     if ftran_len > 0 then float_of_int (delta "simplex.ftran_nnz") /. float_of_int ftran_len
     else 1.0
   in
-  Printf.sprintf
-    "{\"lu_factor_nnz\":%d,\"lu_fill_pct\":%d,\"eta_peak\":%d,\"refactors\":%d,\"ftran_nnz_frac\":%.4f}"
-    (get snap1 "simplex.lu_factor_nnz")
-    (get snap1 "simplex.lu_fill_pct")
-    (get snap1 "simplex.eta_peak")
-    (delta "simplex.refactors") ftran_frac
+  Obs.Json.(
+    Obj
+      [
+        ("lu_factor_nnz", Int (get snap1 "simplex.lu_factor_nnz"));
+        ("lu_fill_pct", Int (get snap1 "simplex.lu_fill_pct"));
+        ("eta_peak", Int (get snap1 "simplex.eta_peak"));
+        ("refactors", Int (delta "simplex.refactors"));
+        ("ftran_nnz_frac", Float ftran_frac);
+      ])
 
 let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = false) ?trace scale
     json =
@@ -687,15 +690,35 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
         (* Basis-kernel stats ride along on traced runs (the counters are
            live exactly then); untraced JSON keeps the schema of old runs. *)
         let basis =
-          if trace <> None then Printf.sprintf ",\"basis\":%s" (basis_json snap0 snap1) else ""
+          if trace <> None then [ ("basis", basis_json snap0 snap1) ] else []
         in
         entries :=
-          Printf.sprintf
-            "{\"tuples\":%d,\"witnesses\":%d,\"rows\":%d,\"ranked\":%d,\"jobs\":%d,\"cold_s\":%.6f,\"session_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.2f,\"par_speedup\":%.2f,\"identical\":%b,\"phases\":{\"witnesses_s\":%.6f,\"encode_s\":%.6f,\"lint_s\":%.6f,\"prep_s\":%.6f,\"solve_s\":%.6f,\"questions\":%d}%s}"
-            tuples witnesses rows (List.length ranked) jobs t_cold t_session t_par
-            speedup par_speedup identical prof.Session.witnesses_s prof.Session.encode_s
-            prof.Session.lint_s prof.Session.prep_s prof.Session.solve_s prof.Session.questions
-            basis
+          Obs.Json.(
+            Obj
+              ([
+                 ("tuples", Int tuples);
+                 ("witnesses", Int witnesses);
+                 ("rows", Int rows);
+                 ("ranked", Int (List.length ranked));
+                 ("jobs", Int jobs);
+                 ("cold_s", Float t_cold);
+                 ("session_s", Float t_session);
+                 ("par_s", Float t_par);
+                 ("speedup", Float speedup);
+                 ("par_speedup", Float par_speedup);
+                 ("identical", Bool identical);
+                 ( "phases",
+                   Obj
+                     [
+                       ("witnesses_s", Float prof.Session.witnesses_s);
+                       ("encode_s", Float prof.Session.encode_s);
+                       ("lint_s", Float prof.Session.lint_s);
+                       ("prep_s", Float prof.Session.prep_s);
+                       ("solve_s", Float prof.Session.solve_s);
+                       ("questions", Int prof.Session.questions);
+                     ] );
+               ]
+              @ basis))
           :: !entries;
         if not json then
           row
@@ -713,7 +736,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
             ]
       end)
     [ 100; 200; 400 ];
-  if json then Printf.printf "[%s]\n" (String.concat "," (List.rev !entries));
+  if json then print_endline (Obs.Json.to_string (Obs.Json.List (List.rev !entries)));
   if metrics then Obs.Sink.disarm_metrics ();
   match trace with
   | None -> ()
@@ -819,10 +842,21 @@ let run_serve ?(jobs = 1) scale json =
         let speedup = if serve_p50 > 0.0 then cold_p50 /. serve_p50 else nan in
         let tuples = List.length (Database.tuples db) in
         entries :=
-          Printf.sprintf
-            "{\"tuples\":%d,\"witnesses\":%d,\"jobs\":%d,\"cold_p50_ms\":%.4f,\"cold_p99_ms\":%.4f,\"serve_p50_ms\":%.4f,\"serve_p99_ms\":%.4f,\"serve_p999_ms\":%.4f,\"mutate_p50_ms\":%.4f,\"rank_ms\":%.4f,\"speedup_p50\":%.1f}"
-            tuples witnesses jobs cold_p50 cold_p99 serve_p50 serve_p99 serve_p999 mutate_p50
-            (rank_t *. 1000.0) speedup
+          Obs.Json.(
+            Obj
+              [
+                ("tuples", Int tuples);
+                ("witnesses", Int witnesses);
+                ("jobs", Int jobs);
+                ("cold_p50_ms", Float cold_p50);
+                ("cold_p99_ms", Float cold_p99);
+                ("serve_p50_ms", Float serve_p50);
+                ("serve_p99_ms", Float serve_p99);
+                ("serve_p999_ms", Float serve_p999);
+                ("mutate_p50_ms", Float mutate_p50);
+                ("rank_ms", Float (rank_t *. 1000.0));
+                ("speedup_p50", Float speedup);
+              ])
           :: !entries;
         if not json then
           row
@@ -840,7 +874,7 @@ let run_serve ?(jobs = 1) scale json =
             ]
       end)
     [ 100; 200; 400 ];
-  if json then Printf.printf "[%s]\n" (String.concat "," (List.rev !entries))
+  if json then print_endline (Obs.Json.to_string (Obs.Json.List (List.rev !entries)))
 
 (* ---- enumerate: warm no-good cut chain vs cold re-solves ------------------------ *)
 
@@ -899,13 +933,25 @@ let run_enumerate ?(jobs = 1) scale json =
           in
           let tuples = List.length (Database.tuples db) in
           entries :=
-            Printf.sprintf
-              "{\"tuples\":%d,\"witnesses\":%d,\"jobs\":%d,\"opt\":%d,\"sets\":%d,\"exhausted\":%b,\"cuts\":%d,\"warm_s\":%.6f,\"cold_s\":%.6f,\"cuts_per_s\":%.1f,\"warm_cut_pivots\":%d,\"cold_cut_pivots\":%d,\"warm_pivots_per_cut\":%.2f,\"cold_pivots_per_cut\":%.2f,\"identical\":%b}"
-              tuples witnesses jobs wf.Enumerate.opt
-              (List.length wf.Enumerate.sets)
-              wf.Enumerate.exhausted ws.Enumerate.cuts t_warm t_cold cuts_per_s
-              ws.Enumerate.cut_pivots cs.Enumerate.cut_pivots warm_per_cut cold_per_cut
-              identical
+            Obs.Json.(
+              Obj
+                [
+                  ("tuples", Int tuples);
+                  ("witnesses", Int witnesses);
+                  ("jobs", Int jobs);
+                  ("opt", Int wf.Enumerate.opt);
+                  ("sets", Int (List.length wf.Enumerate.sets));
+                  ("exhausted", Bool wf.Enumerate.exhausted);
+                  ("cuts", Int ws.Enumerate.cuts);
+                  ("warm_s", Float t_warm);
+                  ("cold_s", Float t_cold);
+                  ("cuts_per_s", Float cuts_per_s);
+                  ("warm_cut_pivots", Int ws.Enumerate.cut_pivots);
+                  ("cold_cut_pivots", Int cs.Enumerate.cut_pivots);
+                  ("warm_pivots_per_cut", Float warm_per_cut);
+                  ("cold_pivots_per_cut", Float cold_per_cut);
+                  ("identical", Bool identical);
+                ])
             :: !entries;
           if not json then
             row
@@ -933,10 +979,23 @@ let run_enumerate ?(jobs = 1) scale json =
   in
   let ratio = if cold_per_cut > 0.0 then warm_per_cut /. cold_per_cut else nan in
   if json then
-    Printf.printf
-      "{\"rows\":[%s],\"aggregate\":{\"warm_cut_pivots\":%d,\"cold_cut_pivots\":%d,\"warm_pivots_per_cut\":%.3f,\"cold_pivots_per_cut\":%.3f,\"warm_vs_cold_ratio\":%.4f,\"identical\":%b}}\n"
-      (String.concat "," (List.rev !entries))
-      !warm_pivots !cold_pivots warm_per_cut cold_per_cut ratio !all_identical
+    print_endline
+      (Obs.Json.to_string
+         Obs.Json.(
+           Obj
+             [
+               ("rows", List (List.rev !entries));
+               ( "aggregate",
+                 Obj
+                   [
+                     ("warm_cut_pivots", Int !warm_pivots);
+                     ("cold_cut_pivots", Int !cold_pivots);
+                     ("warm_pivots_per_cut", Float warm_per_cut);
+                     ("cold_pivots_per_cut", Float cold_per_cut);
+                     ("warm_vs_cold_ratio", Float ratio);
+                     ("identical", Bool !all_identical);
+                   ] );
+             ]))
   else
     Printf.printf "aggregate: warm %.2f pivots/cut vs cold %.2f pivots/cut (ratio %.3f), identical %b\n"
       warm_per_cut cold_per_cut ratio !all_identical

@@ -1204,7 +1204,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-lived resilience service speaking line-oriented JSON over stdio, a Unix \
-          socket, or loopback TCP. Sessions are cached per (query, database fingerprint) \
+          socket, or loopback TCP. Sessions are cached per query over one shared database \
           and maintained incrementally under tuple inserts/deletes; SIGINT/SIGTERM or the \
           shutdown op drain in-flight requests before exit. Try: echo \
           '{\"op\":\"ping\"}' | resil serve --stdio")

@@ -538,13 +538,16 @@ let serve_incremental_db seed ({ sem; q; db } : Gen.db_case) =
     in
     let ops = ops_seq [] 0 in
     let replay exact =
+      (* The instance borrows its database: each replay writes its own copy. *)
+      let db = Database.copy db in
       let inc = Incremental.create ~exact sem q db in
       let rec go step = function
         | [] -> Pass
         | op :: rest -> (
           (match op with
-          | `Ins (rel, args, mult, exo) -> ignore (Incremental.insert ~mult ~exo inc rel args)
-          | `Del id -> Incremental.delete inc id);
+          | `Ins (rel, args, mult, exo) ->
+            ignore (Incremental.insert ~mult ~exo db [ inc ] rel args)
+          | `Del id -> Incremental.delete db [ inc ] id);
           match serve_incremental_step ~step ~exact sem q inc with
           | Pass -> go (step + 1) rest
           | Fail m -> Fail (Printf.sprintf "exact=%b %s" exact m))

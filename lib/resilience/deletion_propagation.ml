@@ -149,22 +149,12 @@ let view_side_effects ?(exact = false) ?node_limit ?time_limit _semantics q ~hea
               Lp.Model.Geq
               (1 - k))
           rows;
-        match Lp.Solvers.engine ~exact (Lp.Frozen.of_model model) with
-        | Lp.Solvers.Engine ((module B), s) -> (
-          match B.solve_session ?node_limit ?time_limit s with
-          | { B.status = B.Infeasible | B.Unbounded; _ } -> Solve.No_contingency
-          | { B.status = B.Feasible | B.Limit_no_solution; _ } -> Solve.Budget_exhausted None
-          | { B.status = B.Optimal; solution; _ } ->
-            let sol = B.to_floats (Option.get solution) in
-            let gamma =
-              Hashtbl.fold
-                (fun tid v acc -> if sol.(v) > 0.5 then tid :: acc else acc)
-                var_of_tuple []
-            in
-            let lost =
-              lost_rows q ~head db gamma |> List.filter (fun row -> row <> output)
-            in
-            Solve.Solved { deleted_inputs = List.sort compare gamma; lost_outputs = lost })
+        let tuple_of_var = Hashtbl.fold (fun tid v acc -> (v, tid) :: acc) var_of_tuple [] in
+        let enc = { Encode.model; tuple_of_var; var_of_tuple; witness_vars = [] } in
+        Session.cold_solve ?node_limit ?time_limit ~op:"view_side_effects" ~exact enc
+          ~answer:(fun _ gamma _ ->
+            let lost = lost_rows q ~head db gamma |> List.filter (fun row -> row <> output) in
+            { deleted_inputs = List.sort compare gamma; lost_outputs = lost })
       end
     end
   end

@@ -50,7 +50,9 @@ val view_side_effects :
   answer Solve.outcome
 (** Input deletion removing [output] while losing as few other view rows as
     possible (side effects reported in [lost_outputs]).  View rows are
-    counted set-wise, so set and bag semantics coincide here. *)
+    counted set-wise, so set and bag semantics coincide here.  Solved like
+    every cold question, by {!Session.cold_solve}: an exhausted budget
+    carries the incumbent count of lost rows. *)
 
 val specialize : Cq.t -> head:string list -> output:int array -> Cq.t
 (** The Boolean specialisation: head variables replaced by the output row's

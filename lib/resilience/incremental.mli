@@ -1,9 +1,10 @@
 open! Relalg
 
 (** A maintained resilience instance: one (query, database) pair kept alive
-    across tuple inserts and deletes.  It owns a {!Database.copy}, the
-    witness list, kept by delta-joins ({!Eval.delta_insert}), and one
-    {!Session.t}; every question is a {!Session} call on {!session}.
+    across tuple inserts and deletes.  It borrows the caller's database,
+    which any number of instances may share, and keeps the witness list,
+    by delta-joins ({!Eval.delta_insert}), and one {!Session.t}; every
+    question is a {!Session} call on {!session}.
 
     Writes are overlays on the session's program ({!Session.add_witnesses},
     {!Session.drop_tuple}: the live set, the counterfactual refresh and the
@@ -20,26 +21,31 @@ open! Relalg
 type t
 
 val create : ?exact:bool -> Problem.semantics -> Cq.t -> Database.t -> t
-(** Copies the database (the caller's copy is never mutated) and enumerates
-    the initial witnesses; the session is built on the first question. *)
+(** Borrows the database (no copy) and enumerates the initial witnesses;
+    the session is built on the first question. *)
 
 val db : t -> Database.t
-(** The instance's own database, reflecting all mutations so far.  Callers
-    must not mutate it directly — use {!insert}/{!delete}. *)
+(** The borrowed database, physically the one given to {!create}.  Mutate
+    it only through {!insert}/{!delete}. *)
 
 val witnesses : t -> Eval.witness list
 (** The maintained witness list.  Always equal to
     [Eval.witnesses (query t) (db t)] as a set of valuations (order
     differs: incrementally discovered witnesses are appended). *)
 
-val insert : ?mult:int -> ?exo:bool -> t -> string -> int array -> Database.tuple_id
-(** Inserts a tuple ({!Database.add} semantics: re-inserting an existing
-    tuple bumps multiplicity and ORs [exo], with a stable id) and maintains
-    the witnesses and the session. *)
+val insert :
+  ?mult:int -> ?exo:bool -> Database.t -> t list -> string -> int array -> Database.tuple_id
+(** Inserts a tuple into the database once ({!Database.add} semantics:
+    re-inserting an existing tuple bumps multiplicity and ORs [exo], with a
+    stable id), then maintains every listed instance; list every instance
+    over the database, or the unlisted ones go stale.
+    @raise Invalid_argument as {!Database.add} (nothing is mutated then),
+    or if a listed instance borrows another database. *)
 
-val delete : t -> Database.tuple_id -> unit
-(** Removes the tuple ({!Database.remove}), drops every witness using it
-    and maintains the session.  No-op on an id that is not live. *)
+val delete : Database.t -> t list -> Database.tuple_id -> unit
+(** Removes the tuple once ({!Database.remove}), then maintains every
+    listed instance, dropping the witnesses that used it.  No-op on an id
+    that is not live.  @raise Invalid_argument as {!insert}. *)
 
 val session : t -> Session.t
 (** The session for the current database state, the one program every

@@ -2,14 +2,13 @@ open Relalg
 open Resilience
 
 (* The serve state machine: one mutable database plus a small cache of
-   maintained {!Resilience.Incremental} instances, driven line-by-line by
-   {!handle_line}.  The engine is transport-agnostic and never raises, so
-   the whole protocol is testable in-process over a string loopback —
-   [bin/resil] only adds the socket/stdio plumbing. *)
+   maintained {!Resilience.Incremental} instances borrowing it, driven
+   line-by-line by {!handle_line}.  The engine is transport-agnostic and
+   never raises, so the whole protocol is testable in-process over a string
+   loopback — [bin/resil] only adds the socket/stdio plumbing. *)
 
 type entry = {
   ekey : string * bool * bool;  (* canonical query text, bag, exact *)
-  mutable efp : int64;  (* base-db fingerprint the instance is in sync with *)
   einc : Incremental.t;
   mutable elast : int;  (* LRU clock *)
 }
@@ -75,6 +74,7 @@ let op_name = function
 
 type t = {
   mutable db : Database.t;
+  mutable fp : int64 option;  (* [db]'s fingerprint, for display; reset by every write *)
   mutable entries : entry list;
   max_sessions : int;
   max_line : int;
@@ -99,6 +99,7 @@ let create ?(metrics = true) ?(max_sessions = 8) ?(max_line = 1 lsl 20) () =
   end;
   {
     db = Database.create ();
+    fp = None;
     entries = [];
     max_sessions = max 1 max_sessions;
     max_line;
@@ -120,22 +121,23 @@ let max_line t = t.max_line
 let drop_entry t e =
   t.entries <- List.filter (fun e' -> e' != e) t.entries
 
+(* The fingerprint is shown by [stats] and the recorder, never compared:
+   computed at most once per database state. *)
+let fingerprint t =
+  let fp = match t.fp with Some fp -> fp | None -> Database.fingerprint t.db in
+  t.fp <- Some fp;
+  fp
+
 let session t ~key q =
-  let fp = Database.fingerprint t.db in
   t.tick <- t.tick + 1;
   match List.find_opt (fun e -> e.ekey = key) t.entries with
-  | Some e when e.efp = fp ->
+  | Some e ->
+    (* [load] drops every entry, so a cached instance borrows [t.db]. *)
+    assert (Incremental.db e.einc == t.db);
     t.hits <- t.hits + 1;
     e.elast <- t.tick;
     e.einc
-  | found ->
-    (match found with
-    | Some stale ->
-      (* The base moved under the cached instance (e.g. a [load]): the
-         maintained witnesses no longer describe this database. *)
-      drop_entry t stale;
-      t.invalidations <- t.invalidations + 1
-    | None -> ());
+  | None ->
     t.misses <- t.misses + 1;
     if List.length t.entries >= t.max_sessions then begin
       let lru =
@@ -149,11 +151,10 @@ let session t ~key q =
         t.evictions <- t.evictions + 1
       | None -> ()
     end;
-    let _, _, exact = key in
-    let _, bag, _ = key in
+    let _, bag, exact = key in
     let sem = if bag then Problem.Bag else Problem.Set in
     let inc = Incremental.create ~exact sem q t.db in
-    t.entries <- { ekey = key; efp = fp; einc = inc; elast = t.tick } :: t.entries;
+    t.entries <- { ekey = key; einc = inc; elast = t.tick } :: t.entries;
     inc
 
 (* --- mutations ------------------------------------------------------------ *)
@@ -167,31 +168,14 @@ let parse_tuple t line =
   | None -> Error "blank tuple line"
   | exception Invalid_argument msg -> Error msg
 
-(* After a mutation every cached instance must mirror the base exactly —
-   same tuples, same ids.  Ids stay in lockstep because [Database.copy]
-   preserves the id counter and every mutation goes through here; the
-   fingerprint re-check is the safety net that turns any drift into a cache
-   miss instead of a wrong answer. *)
-let resync t =
-  let fp = Database.fingerprint t.db in
-  t.entries <-
-    List.filter
-      (fun e ->
-        if Database.fingerprint (Incremental.db e.einc) = fp then begin
-          e.efp <- fp;
-          true
-        end
-        else begin
-          t.invalidations <- t.invalidations + 1;
-          false
-        end)
-      t.entries
+let instances t = List.map (fun e -> e.einc) t.entries
 
 let do_load t data =
   match Database_io.parse_string data with
   | exception Invalid_argument msg -> Error msg
   | db ->
     t.db <- db;
+    t.fp <- None;
     t.invalidations <- t.invalidations + List.length t.entries;
     t.entries <- [];
     Ok (Json.Obj [ ("tuples", Json.Int (Database.num_tuples db)) ])
@@ -200,19 +184,13 @@ let do_insert t line =
   match parse_tuple t line with
   | Error msg -> Error msg
   | Ok info -> (
-    match Database.add ~mult:info.Database.mult ~exo:info.Database.exo t.db info.Database.rel
-            info.Database.args
+    t.fp <- None;
+    match
+      Incremental.insert ~mult:info.Database.mult ~exo:info.Database.exo t.db (instances t)
+        info.Database.rel info.Database.args
     with
     | exception Invalid_argument msg -> Error msg
-    | id ->
-      List.iter
-        (fun e ->
-          ignore
-            (Incremental.insert ~mult:info.Database.mult ~exo:info.Database.exo e.einc
-               info.Database.rel info.Database.args))
-        t.entries;
-      resync t;
-      Ok (Json.Obj [ ("tuple_id", Json.Int id) ]))
+    | id -> Ok (Json.Obj [ ("tuple_id", Json.Int id) ]))
 
 let do_delete t line =
   match parse_tuple t line with
@@ -221,9 +199,8 @@ let do_delete t line =
     match Database.find t.db info.Database.rel info.Database.args with
     | None -> Error "tuple not found"
     | Some id ->
-      Database.remove t.db id;
-      List.iter (fun e -> Incremental.delete e.einc id) t.entries;
-      resync t;
+      t.fp <- None;
+      Incremental.delete t.db (instances t) id;
       Ok (Json.Obj [ ("tuple_id", Json.Int id) ]))
 
 (* --- questions ------------------------------------------------------------ *)
@@ -373,7 +350,7 @@ let timed_ask t (a : Protocol.ask) =
     Obs.Recorder.note
       ~fields:
         [
-          ("fingerprint", Printf.sprintf "%Lu" (Database.fingerprint t.db));
+          ("fingerprint", Printf.sprintf "%Lu" (fingerprint t));
           ("solve_ms", Printf.sprintf "%.3f" (1000. *. dt));
           ("pivots", string_of_int (Obs.Counter.value cnt_pivots - p0));
           ("nodes", string_of_int (Obs.Counter.value cnt_nodes - n0));
@@ -409,7 +386,7 @@ let do_stats t =
         Json.Obj
           [
             ("tuples", Json.Int (Database.num_tuples t.db));
-            ("fingerprint", Json.Str (Printf.sprintf "%016Lx" (Database.fingerprint t.db)));
+            ("fingerprint", Json.Str (Printf.sprintf "%016Lx" (fingerprint t)));
           ] );
     ]
 

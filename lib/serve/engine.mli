@@ -8,13 +8,13 @@
     [bin/resil] only adds socket/stdio plumbing.
 
     {b Session cache.}  Questions are answered by incremental instances
-    keyed by (canonical query text, semantics, exact), each pinned to the
-    base database fingerprint it is in sync with.  [insert]/[delete]
-    mutate the base {e and} every cached instance (the delta-maintenance
-    fast path); [load] replaces the base and drops the cache.  A
-    fingerprint mismatch — the safety net for any drift — invalidates the
-    entry instead of serving a stale answer.  The cache holds at most
-    [max_sessions] instances, evicting least-recently-used.
+    keyed by (canonical query text, semantics, exact), all borrowing the
+    engine's one database.  [insert]/[delete] mutate it once and maintain
+    every cached instance (the delta-maintenance fast path); [load]
+    replaces it and drops the cache, counted in [invalidations].  The
+    cache holds at most [max_sessions] instances, evicting
+    least-recently-used.  The database fingerprint [stats] shows is
+    computed at most once per database state.
 
     {b Shutdown.}  {!request_stop} only flips an atomic, so it is safe
     from a signal handler.  Once stopping, new requests are refused with

@@ -165,6 +165,49 @@ let test_insert_delete () =
   (* the cached session survived all three mutations: one miss total *)
   Alcotest.(check int) "one miss across mutations" 1 (int_field "misses" (stats_of e))
 
+(* Two cached queries over the shared relation R, under bag semantics: each
+   write must reach both instances exactly once.  A re-insert bumps R(1, 2)'s
+   multiplicity (applied twice, the bag weight would read 3, not 2) and
+   forces both to rebuild; the delete removes a tuple in both queries'
+   witnesses.  After every write each answer must equal a cold solve on a
+   shadow database given the same writes. *)
+let test_write_reaches_every_query () =
+  let open Relalg in
+  let e = loaded () in
+  let shadow = Database_io.parse_string data in
+  let queries = [ query; "Q :- R(x, y)" ] in
+  let ask q =
+    J.to_string
+      (J.Obj [ ("op", J.Str "resilience"); ("query", J.Str q); ("bag", J.Bool true) ])
+  in
+  let check step =
+    List.iter
+      (fun q ->
+        let want =
+          match
+            Resilience.Solve.resilience Resilience.Problem.Bag (Cq_parser.parse_with shadow q)
+              shadow
+          with
+          | Resilience.Solve.Solved a -> a.Resilience.Solve.res_value
+          | _ -> Alcotest.fail "shadow RES* must be solved"
+        in
+        Alcotest.(check int) (Printf.sprintf "%s: %s" step q) want (res_value (feed e (ask q))))
+      queries;
+    let db = Option.get (J.member "db" (stats_of e)) in
+    Alcotest.(check int) (step ^ ": tuples") (Database.num_tuples shadow) (int_field "tuples" db)
+  in
+  check "before";
+  Alcotest.(check bool) "re-insert ok" true
+    (ok_of (feed e {|{"op":"insert","tuple":"R(1, 2)"}|}));
+  ignore (Database.add shadow "R" [| 1; 2 |]);
+  check "after re-insert";
+  Alcotest.(check bool) "delete ok" true (ok_of (feed e {|{"op":"delete","tuple":"R(1, 2)"}|}));
+  Database.remove shadow (Option.get (Database.find shadow "R" [| 1; 2 |]));
+  check "after delete";
+  let s = stats_of e in
+  Alcotest.(check int) "both queries stay cached" 2 (int_field "sessions" s);
+  Alcotest.(check int) "one miss per query" 2 (int_field "misses" s)
+
 let test_responsibility_and_rank () =
   let e = loaded () in
   let r = feed e (ask_req ~fields:[ ("tuple", J.Str "S(2, 3)") ] "responsibility") in
@@ -360,6 +403,8 @@ let () =
       ( "mutations",
         [
           Alcotest.test_case "insert/delete through live sessions" `Quick test_insert_delete;
+          Alcotest.test_case "one write reaches every cached query" `Quick
+            test_write_reaches_every_query;
           Alcotest.test_case "responsibility and rank" `Quick test_responsibility_and_rank;
           Alcotest.test_case "false query answers by question" `Quick
             test_query_false_by_question;

@@ -371,11 +371,12 @@ let check_family what got want =
    overlay fixes to 0 (their database rows are gone). *)
 let test_enumeration_after_delete () =
   let sem = Problem.Set and q = Queries.q2_chain () in
-  let inc = Incremental.create sem q (mid_db ()) in
+  let db = mid_db () in
+  let inc = Incremental.create sem q db in
   ignore (Session.resilience (Incremental.session inc));
   Obs.Sink.install ();
   Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
-  Incremental.delete inc (List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))));
+  Incremental.delete db [ inc ] (List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))));
   check_family "after delete"
     (Session.enumerate_resilience (Incremental.session inc))
     (Solve.enumerate_resilience sem q (Incremental.db inc));
@@ -389,7 +390,8 @@ let test_enumeration_after_delete () =
    rebuilds; rankings must match the per-tuple reference throughout. *)
 let test_write_stream () =
   let sem = Problem.Set and q = Queries.q2_chain () in
-  let inc = Incremental.create sem q (chain_db ~seed:11 ~count:40 ~domain:10) in
+  let db = chain_db ~seed:11 ~count:40 ~domain:10 in
+  let inc = Incremental.create sem q db in
   let ses () = Incremental.session inc in
   ignore (Session.resilience (ses ()));
   Obs.Sink.install ();
@@ -412,8 +414,8 @@ let test_write_stream () =
   in
   let victim () = List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))) in
   let write = function
-    | `Ins (rel, args) -> ignore (Incremental.insert inc rel args)
-    | `Del -> Incremental.delete inc (victim ())
+    | `Ins (rel, args) -> ignore (Incremental.insert db [ inc ] rel args)
+    | `Del -> Incremental.delete db [ inc ] (victim ())
   in
   let writes base =
     [ `Ins ("R", [| base; 1 |]); `Del; `Ins ("S", [| 1; base |]); `Del; `Ins ("R", [| base + 1; 2 |]); `Del ]
