@@ -578,6 +578,410 @@ let test_lp_format_export () =
       [ "Minimize"; "Subject To"; "Bounds"; "Generals"; "End"; ">= 1" ]
   | _ -> Alcotest.fail "encode failed"
 
+(* --- Encoding golden ---------------------------------------------------------- *)
+
+(* The exact programs the encoders write on the paper's Examples 1–4: column
+   order, names, bounds and integrality, row order, and the tuple and witness
+   bookkeeping the solvers read answers back through. *)
+let vars_text vs = String.concat " " (List.map string_of_int vs)
+
+let tuples_text tv =
+  String.concat " " (List.map (fun (v, tid) -> Printf.sprintf "%d:%d" v tid) tv)
+
+let encoding_text = function
+  | Encode.Trivial k -> Printf.sprintf "trivial %d\n" k
+  | Encode.Impossible -> "impossible\n"
+  | Encode.Encoded enc ->
+    Lp.Model.to_lp_format enc.Encode.model
+    ^ Printf.sprintf "tuples %s | witnesses %s\n"
+        (tuples_text enc.Encode.tuple_of_var)
+        (vars_text enc.Encode.witness_vars)
+
+let shared_text = function
+  | Encode.Shared_trivial -> "trivial\n"
+  | Encode.Shared_impossible -> "impossible\n"
+  | Encode.Shared s ->
+    let fz = s.Encode.sfz in
+    let b = Buffer.create 512 in
+    for v = 0 to Lp.Frozen.num_vars fz - 1 do
+      Printf.bprintf b "col %d %s obj %d upper %s%s\n" v (Lp.Frozen.var_name fz v)
+        (Lp.Frozen.objective fz v)
+        (match Lp.Frozen.upper fz v with Some u -> string_of_int u | None -> "inf")
+        (if Lp.Frozen.is_integer fz v then " integer" else "")
+    done;
+    for i = 0 to Lp.Frozen.num_rows fz - 1 do
+      Printf.bprintf b "row %d:%s %s %d\n" i
+        (String.concat ""
+           (List.map (fun (v, c) -> Printf.sprintf " %+d*%s" c (Lp.Frozen.var_name fz v))
+              (Lp.Frozen.row_expr fz i)))
+        (match Lp.Frozen.row_sense fz i with
+        | Lp.Model.Geq -> ">="
+        | Lp.Model.Leq -> "<="
+        | Lp.Model.Eq -> "=")
+        (Lp.Frozen.row_rhs fz i)
+    done;
+    Printf.bprintf b "tuples %s | witnesses %s | z %d\n"
+      (tuples_text s.Encode.stuple_of_var)
+      (String.concat " "
+         (List.map
+            (fun (w, set) -> Printf.sprintf "%d:[%s]" w (vars_text set))
+            s.Encode.switnesses))
+      s.Encode.sz;
+    Buffer.contents b
+
+let encoding_golden_text () =
+  let b = Buffer.create 4096 in
+  let ex2_db () =
+    let db = Database.create () in
+    ignore (Database.add db "R" [| 1; 1 |]);
+    ignore (Database.add ~mult:2 db "R" [| 2; 3 |]);
+    ignore (Database.add db "R" [| 3; 4 |]);
+    db
+  in
+  let ex3_db () = fst (example3_db ()) in
+  let ex3_exo_db () =
+    let db = Database.create () in
+    ignore (Database.add db "R" [| 1; 1 |]);
+    ignore (Database.add db "S" [| 1; 1 |]);
+    ignore (Database.add ~exo:true db "S" [| 1; 2 |]);
+    ignore (Database.add db "S" [| 1; 3 |]);
+    db
+  in
+  (* (label, semantics, query, instance, responsibility tuple) *)
+  let examples =
+    [
+      ("Example 1", set, Queries.q2_chain_sj (), example1_db (), 1);
+      ("Example 2", bag, Queries.q2_chain_sj (), ex2_db (), 1);
+      ("Example 3", set, Queries.q2_chain (), ex3_db (), 1);
+      ("Example 4", set, Queries.q2_chain (), ex3_db (), 2);
+      ("Example 3, S(1,2) exogenous", set, Queries.q2_chain (), ex3_exo_db (), 1);
+    ]
+  in
+  List.iter
+    (fun (label, sem, q, db, t) ->
+      Printf.bprintf b "== %s: ILP[RES*]\n%s" label (encoding_text (Encode.res Encode.Ilp sem q db));
+      List.iter
+        (fun (name, relax) ->
+          Printf.bprintf b "== %s: %s[RSP*] of tuple %d\n%s" label name t
+            (encoding_text (Encode.rsp relax sem q db t)))
+        [ ("ILP", Encode.Ilp); ("MILP", Encode.Milp) ])
+    examples;
+  List.iter
+    (fun (label, sem, q, db) ->
+      Printf.bprintf b "== %s: shared\n%s" label
+        (shared_text (Encode.shared_of_witnesses Encode.Ilp sem q db (Eval.witnesses q db))))
+    [ ("Example 1", set, Queries.q2_chain_sj (), example1_db ());
+      ("Example 3", set, Queries.q2_chain (), ex3_db ());
+      ("Example 3, S(1,2) exogenous", set, Queries.q2_chain (), ex3_exo_db ()) ];
+  Buffer.contents b
+
+let encoding_golden =
+  {|== Example 1: ILP[RES*]
+Minimize
+ obj: X_R_1 + X_R_2 + X_R_0
+Subject To
+ c0: X_R_1 + X_R_2 >= 1
+ c1: X_R_0 >= 1
+Bounds
+ 0 <= X_R_1 <= 1
+ 0 <= X_R_2 <= 1
+ 0 <= X_R_0 <= 1
+Generals
+ X_R_1
+ X_R_2
+ X_R_0
+End
+tuples 0:1 1:2 2:0 | witnesses 
+== Example 1: ILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0
+Subject To
+ c0: X_R_0 >= 1
+ c1: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= W_0 <= 1
+Generals
+ X_R_0
+ W_0
+End
+tuples 0:0 | witnesses 1
+== Example 1: MILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0
+Subject To
+ c0: X_R_0 >= 1
+ c1: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= W_0 <= 1
+Generals
+ W_0
+End
+tuples 0:0 | witnesses 1
+== Example 2: ILP[RES*]
+Minimize
+ obj: 2 X_R_1 + X_R_2 + X_R_0
+Subject To
+ c0: X_R_1 + X_R_2 >= 1
+ c1: X_R_0 >= 1
+Bounds
+ 0 <= X_R_1 <= 1
+ 0 <= X_R_2 <= 1
+ 0 <= X_R_0 <= 1
+Generals
+ X_R_1
+ X_R_2
+ X_R_0
+End
+tuples 0:1 1:2 2:0 | witnesses 
+== Example 2: ILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0
+Subject To
+ c0: X_R_0 >= 1
+ c1: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= W_0 <= 1
+Generals
+ X_R_0
+ W_0
+End
+tuples 0:0 | witnesses 1
+== Example 2: MILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0
+Subject To
+ c0: X_R_0 >= 1
+ c1: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= W_0 <= 1
+Generals
+ W_0
+End
+tuples 0:0 | witnesses 1
+== Example 3: ILP[RES*]
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_2 + X_S_1
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 + X_S_2 >= 1
+ c2: X_R_0 + X_S_1 >= 1
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_2 <= 1
+ 0 <= X_S_1 <= 1
+Generals
+ X_R_0
+ X_S_3
+ X_S_2
+ X_S_1
+End
+tuples 0:0 1:3 2:2 3:1 | witnesses 
+== Example 3: ILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_2
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 + X_S_2 >= 1
+ c2: - X_R_0 + W_0 >= 0
+ c3: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_2 <= 1
+ 0 <= W_0 <= 1
+Generals
+ X_R_0
+ X_S_3
+ X_S_2
+ W_0
+End
+tuples 0:0 1:3 2:2 | witnesses 3
+== Example 3: MILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_2
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 + X_S_2 >= 1
+ c2: - X_R_0 + W_0 >= 0
+ c3: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_2 <= 1
+ 0 <= W_0 <= 1
+Generals
+ W_0
+End
+tuples 0:0 1:3 2:2 | witnesses 3
+== Example 4: ILP[RES*]
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_2 + X_S_1
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 + X_S_2 >= 1
+ c2: X_R_0 + X_S_1 >= 1
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_2 <= 1
+ 0 <= X_S_1 <= 1
+Generals
+ X_R_0
+ X_S_3
+ X_S_2
+ X_S_1
+End
+tuples 0:0 1:3 2:2 3:1 | witnesses 
+== Example 4: ILP[RSP*] of tuple 2
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_1
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 + X_S_1 >= 1
+ c2: - X_R_0 + W_0 >= 0
+ c3: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_1 <= 1
+ 0 <= W_0 <= 1
+Generals
+ X_R_0
+ X_S_3
+ X_S_1
+ W_0
+End
+tuples 0:0 1:3 2:1 | witnesses 3
+== Example 4: MILP[RSP*] of tuple 2
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_1
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 + X_S_1 >= 1
+ c2: - X_R_0 + W_0 >= 0
+ c3: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_1 <= 1
+ 0 <= W_0 <= 1
+Generals
+ W_0
+End
+tuples 0:0 1:3 2:1 | witnesses 3
+== Example 3, S(1,2) exogenous: ILP[RES*]
+Minimize
+ obj: X_R_0 + X_S_3 + X_S_1
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 >= 1
+ c2: X_R_0 + X_S_1 >= 1
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= X_S_1 <= 1
+Generals
+ X_R_0
+ X_S_3
+ X_S_1
+End
+tuples 0:0 1:3 2:1 | witnesses 
+== Example 3, S(1,2) exogenous: ILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0 + X_S_3
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 >= 1
+ c2: - X_R_0 + W_0 >= 0
+ c3: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= W_0 <= 1
+Generals
+ X_R_0
+ X_S_3
+ W_0
+End
+tuples 0:0 1:3 | witnesses 2
+== Example 3, S(1,2) exogenous: MILP[RSP*] of tuple 1
+Minimize
+ obj: X_R_0 + X_S_3
+Subject To
+ c0: X_R_0 + X_S_3 >= 1
+ c1: X_R_0 >= 1
+ c2: - X_R_0 + W_0 >= 0
+ c3: W_0 <= 0
+Bounds
+ 0 <= X_R_0 <= 1
+ 0 <= X_S_3 <= 1
+ 0 <= W_0 <= 1
+Generals
+ W_0
+End
+tuples 0:0 1:3 | witnesses 2
+== Example 1: shared
+col 0 W_0 obj 0 upper 1 integer
+col 1 X_R_1 obj 1 upper 1 integer
+col 2 X_R_2 obj 1 upper 1 integer
+col 3 W_1 obj 0 upper 1 integer
+col 4 X_R_0 obj 1 upper 1 integer
+col 5 Z obj 0 upper 1
+row 0: +1*W_0 -1*X_R_1 >= 0
+row 1: +1*W_0 -1*X_R_2 >= 0
+row 2: -1*W_0 +1*X_R_1 +1*X_R_2 >= 0
+row 3: +1*W_1 -1*X_R_0 >= 0
+row 4: -1*W_1 +1*X_R_0 >= 0
+row 5: +1*W_0 +1*W_1 -1*Z <= 1
+tuples 1:1 2:2 4:0 | witnesses 0:[1 2] 3:[0] | z 5
+== Example 3: shared
+col 0 W_0 obj 0 upper 1 integer
+col 1 X_R_0 obj 1 upper 1 integer
+col 2 X_S_3 obj 1 upper 1 integer
+col 3 W_1 obj 0 upper 1 integer
+col 4 X_S_2 obj 1 upper 1 integer
+col 5 W_2 obj 0 upper 1 integer
+col 6 X_S_1 obj 1 upper 1 integer
+col 7 Z obj 0 upper 1
+row 0: +1*W_0 -1*X_R_0 >= 0
+row 1: +1*W_0 -1*X_S_3 >= 0
+row 2: -1*W_0 +1*X_R_0 +1*X_S_3 >= 0
+row 3: -1*X_R_0 +1*W_1 >= 0
+row 4: +1*W_1 -1*X_S_2 >= 0
+row 5: +1*X_R_0 -1*W_1 +1*X_S_2 >= 0
+row 6: -1*X_R_0 +1*W_2 >= 0
+row 7: +1*W_2 -1*X_S_1 >= 0
+row 8: +1*X_R_0 -1*W_2 +1*X_S_1 >= 0
+row 9: +1*W_0 +1*W_1 +1*W_2 -1*Z <= 2
+tuples 1:0 2:3 4:2 6:1 | witnesses 0:[0 3] 3:[0 2] 5:[0 1] | z 7
+== Example 3, S(1,2) exogenous: shared
+col 0 W_0 obj 0 upper 1 integer
+col 1 X_R_0 obj 1 upper 1 integer
+col 2 X_S_3 obj 1 upper 1 integer
+col 3 W_1 obj 0 upper 1 integer
+col 4 W_2 obj 0 upper 1 integer
+col 5 X_S_1 obj 1 upper 1 integer
+col 6 Z obj 0 upper 1
+row 0: +1*W_0 -1*X_R_0 >= 0
+row 1: +1*W_0 -1*X_S_3 >= 0
+row 2: -1*W_0 +1*X_R_0 +1*X_S_3 >= 0
+row 3: -1*X_R_0 +1*W_1 >= 0
+row 4: +1*X_R_0 -1*W_1 >= 0
+row 5: -1*X_R_0 +1*W_2 >= 0
+row 6: +1*W_2 -1*X_S_1 >= 0
+row 7: +1*X_R_0 -1*W_2 +1*X_S_1 >= 0
+row 8: +1*W_0 +1*W_1 +1*W_2 -1*Z <= 2
+tuples 1:0 2:3 5:1 | witnesses 0:[0 3] 3:[0 2] 4:[0 1] | z 6
+|}
+
+let test_encoding_golden () =
+  Alcotest.(check string) "programs as written" encoding_golden (encoding_golden_text ())
+
 (* --- Deletion propagation ------------------------------------------------------ *)
 
 let dp_view () =
@@ -853,6 +1257,7 @@ let () =
           q prop_res_to_rsp_reduction;
           q prop_lp_equals_ilp_more_easy_queries;
           Alcotest.test_case "LP file format export" `Quick test_lp_format_export;
+          Alcotest.test_case "encoding golden (Examples 1-4)" `Quick test_encoding_golden;
         ] );
       ( "deletion_propagation",
         [
