@@ -904,8 +904,10 @@ let run_enumerate ?(jobs = 1) scale json =
   let all_identical = ref true in
   List.iter
     (fun (count, domain) ->
+      (* The domain grows as the square root of the tuple count, so join
+         density (count / domain^2) stays put at every scale. *)
       let count = max 8 (int_of_float (float_of_int count *. scale)) in
-      let domain = max 4 (int_of_float (float_of_int domain *. scale)) in
+      let domain = max 4 (int_of_float (float_of_int domain *. sqrt scale)) in
       let specs = Datagen.Random_inst.specs_of_query q ~count in
       let db = Datagen.Random_inst.db rng ~domain specs in
       let witnesses = Eval.count q db in

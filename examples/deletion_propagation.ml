@@ -61,4 +61,4 @@ let () =
 
   (* Objective (b): fewest other view rows lost. *)
   show "view side effects (fewest collateral view rows)"
-    (Deletion_propagation.view_side_effects Problem.Set q ~head db ~output:[| bob |])
+    (Deletion_propagation.view_side_effects q ~head db ~output:[| bob |])

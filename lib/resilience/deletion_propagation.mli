@@ -12,10 +12,10 @@ open! Relalg
       constants for the head variables — the reduction is implemented here.
     - {!view_side_effects} minimises the number of {e other output rows}
       lost instead (Buneman et al.'s second objective; the paper lists it as
-      an open direction its encoding extends to).  We encode it as an ILP in
-      the same style as ILP[RSP*]: tuple variables, per-witness destruction
-      indicators, an output-row-lost indicator wired to them, and hard
-      covering constraints for the target row. *)
+      an open direction its encoding extends to).  {!Encode} writes its
+      program like every other: the target row's witnesses are deleted, and
+      each other view row's are preserved under a counterfactual row whose
+      slack, at cost 1, marks the row lost. *)
 
 type answer = {
   deleted_inputs : Database.tuple_id list;
@@ -42,7 +42,6 @@ val view_side_effects :
   ?exact:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
-  Problem.semantics ->
   Cq.t ->
   head:string list ->
   Database.t ->
@@ -50,7 +49,8 @@ val view_side_effects :
   answer Solve.outcome
 (** Input deletion removing [output] while losing as few other view rows as
     possible (side effects reported in [lost_outputs]).  View rows are
-    counted set-wise, so set and bag semantics coincide here.  Solved like
+    counted set-wise, so the objective does not depend on bag
+    multiplicities and the function takes no semantics.  Solved like
     every cold question, by {!Session.cold_solve}: an exhausted budget
     carries the incumbent count of lost rows. *)
 

@@ -11,123 +11,131 @@ type encoding = {
 
 type outcome = Encoded of encoding | Trivial of int | Impossible
 
-(* Declare a tuple decision variable on demand. *)
-let tuple_var model semantics db integer var_of_tuple tuple_of_var tid =
-  match Hashtbl.find_opt var_of_tuple tid with
-  | Some v -> v
+(* --- The program format ---------------------------------------------------- *)
+
+type columns = {
+  col_of_tuple : (Database.tuple_id, Lp.Model.var) Hashtbl.t;
+  mutable tuple_cols : (Lp.Model.var * Database.tuple_id) list;
+}
+
+type writer = {
+  col : name:string -> integer:bool -> obj:int -> Lp.Model.var;
+  row : Lp.Model.sense -> int -> Lp.Model.linexpr -> unit;
+  integral : bool * bool;
+  weight : Database.tuple_info -> int;
+  db : Database.t;
+  cols : columns;
+}
+
+let integrality = function Ilp -> (true, true) | Milp -> (false, true) | Lp -> (false, false)
+
+(* The binary bound is declared honestly (Model rejects unbounded integer
+   variables).  It costs the solver no row: [Lp.Simplex] keeps finite upper
+   bounds natively as per-column bounds. *)
+let model_writer integral weight db =
+  let model = Lp.Model.create () in
+  ( model,
+    {
+      col = (fun ~name ~integer ~obj -> Lp.Model.add_var ~name ~integer ~upper:1 ~obj model);
+      row = (fun sense rhs expr -> Lp.Model.add_constr model expr sense rhs);
+      integral;
+      weight;
+      db;
+      cols = { col_of_tuple = Hashtbl.create 64; tuple_cols = [] };
+    } )
+
+let endogenous q db set = List.filter (fun tid -> not (Problem.tuple_exo q db tid)) set
+
+let tuple_col p tid =
+  match Hashtbl.find_opt p.cols.col_of_tuple tid with
+  | Some x -> x
   | None ->
-    let info = Database.tuple db tid in
+    let info = Database.tuple p.db tid in
     let name = Printf.sprintf "X_%s_%d" info.Database.rel tid in
-    (* The binary bound is declared honestly (Model rejects unbounded
-       integer variables).  It costs the solver no row: [Lp.Simplex] keeps
-       finite upper bounds natively as per-column bounds, so the dual
-       simplex still sees exactly one row per witness. *)
-    let v =
-      Lp.Model.add_var ~name ~integer ~upper:1 ~obj:(Problem.weight semantics info) model
-    in
-    Hashtbl.add var_of_tuple tid v;
-    tuple_of_var := (v, tid) :: !tuple_of_var;
-    v
+    let x = p.col ~name ~integer:(fst p.integral) ~obj:(p.weight info) in
+    Hashtbl.add p.cols.col_of_tuple tid x;
+    p.cols.tuple_cols <- (x, tid) :: p.cols.tuple_cols;
+    x
+
+let tuple_terms p endo = List.map (fun tid -> (tuple_col p tid, 1)) endo
+
+let witness_col p i = p.col ~name:(Printf.sprintf "W_%d" i) ~integer:(snd p.integral) ~obj:0
+
+let tracking p w terms = List.iter (fun (x, _) -> p.row Lp.Model.Geq 0 [ (x, -1); (w, 1) ]) terms
+
+(* [sum X >= W]; without [w], W is the constant 1: the covering row. *)
+let destruction p ?w terms =
+  match w with
+  | None -> p.row Lp.Model.Geq 1 terms
+  | Some w -> p.row Lp.Model.Geq 0 (terms @ [ (w, -1) ])
+
+let witness_block p w terms =
+  tracking p w terms;
+  destruction p ~w terms
+
+(* Preserve: an indicator tracking the members of [set] that already have a
+   column (the candidates for deletion). *)
+let preserve p i set =
+  let w = witness_col p i in
+  tracking p w
+    (List.filter_map
+       (fun tid -> Option.map (fun x -> (x, 1)) (Hashtbl.find_opt p.cols.col_of_tuple tid))
+       set);
+  w
+
+(* [sum W - Z <= |W| - 1]: some witness of [ws] survives unless the slack
+   [z] is raised; without [z], unconditionally. *)
+let counterfactual_row p ?z ws =
+  let terms = List.map (fun w -> (w, 1)) ws in
+  p.row Lp.Model.Leq
+    (List.length ws - 1)
+    (match z with Some z -> terms @ [ (z, -1) ] | None -> terms)
+
+let counterfactual p ws =
+  let z = p.col ~name:"Z" ~integer:false ~obj:0 in
+  counterfactual_row p ~z ws;
+  z
+
+(* --- Role assignments ------------------------------------------------------ *)
+
+let encoded model p witness_vars =
+  let tuple_of_var = List.rev p.cols.tuple_cols in
+  Encoded { model; tuple_of_var; var_of_tuple = p.cols.col_of_tuple; witness_vars }
 
 let res_of_witnesses relax semantics q db witnesses =
   if witnesses = [] then Trivial 0
-  else begin
-    let integer = match relax with Ilp -> true | Milp | Lp -> false in
-    let model = Lp.Model.create () in
-    let var_of_tuple = Hashtbl.create 64 in
-    let tuple_of_var = ref [] in
-    let impossible = ref false in
-    let sets = Eval.unique_tuple_sets witnesses in
-    List.iter
-      (fun tuple_set ->
-        let endo = List.filter (fun tid -> not (Problem.tuple_exo q db tid)) tuple_set in
-        if endo = [] then impossible := true
-        else begin
-          let expr =
-            List.map
-              (fun tid -> (tuple_var model semantics db integer var_of_tuple tuple_of_var tid, 1))
-              endo
-          in
-          Lp.Model.add_constr model expr Lp.Model.Geq 1
-        end)
-      sets;
-    if !impossible then Impossible
-    else Encoded { model; tuple_of_var = List.rev !tuple_of_var; var_of_tuple; witness_vars = [] }
-  end
+  else
+    let sets = List.map (endogenous q db) (Eval.unique_tuple_sets witnesses) in
+    if List.mem [] sets then Impossible
+    else begin
+      let model, p = model_writer (integrality relax) (Problem.weight semantics) db in
+      List.iter (fun endo -> destruction p (tuple_terms p endo)) sets;
+      encoded model p []
+    end
 
 let res relax semantics q db = res_of_witnesses relax semantics q db (Eval.witnesses q db)
 
 let rsp_of_witnesses relax semantics q db witnesses t =
-  let with_t, without_t =
-    List.partition (fun w -> List.mem t (Eval.tuple_set w)) witnesses
-  in
+  let with_t, without_t = List.partition (fun w -> List.mem t (Eval.tuple_set w)) witnesses in
   if with_t = [] then Impossible
-  else begin
-    let tuple_integer = match relax with Ilp -> true | Milp | Lp -> false in
-    let witness_integer = match relax with Ilp | Milp -> true | Lp -> false in
-    let model = Lp.Model.create () in
-    let var_of_tuple = Hashtbl.create 64 in
-    let tuple_of_var = ref [] in
-    let impossible = ref false in
-    (* Resilience constraints over the witnesses not containing t.  Only the
-       tuples of these witnesses are candidates for deletion; t itself never
-       is (it must survive to be counterfactual). *)
-    let tracked = Hashtbl.create 64 in
-    let without_sets = Eval.unique_tuple_sets without_t in
-    List.iter
-      (fun tuple_set ->
-        let endo =
-          List.filter (fun tid -> tid <> t && not (Problem.tuple_exo q db tid)) tuple_set
-        in
-        if endo = [] then impossible := true
-        else begin
-          let expr =
-            List.map
-              (fun tid ->
-                Hashtbl.replace tracked tid ();
-                (tuple_var model semantics db tuple_integer var_of_tuple tuple_of_var tid, 1))
-              endo
-          in
-          Lp.Model.add_constr model expr Lp.Model.Geq 1
-        end)
-      without_sets;
-    if !impossible then Impossible
+  else
+    (* Delete every witness avoiding t: only their tuples are candidates
+       for deletion, so t, which must survive to be counterfactual, never
+       is.  Preserve one of the witnesses containing t. *)
+    let sets = List.map (endogenous q db) (Eval.unique_tuple_sets without_t) in
+    if List.mem [] sets then Impossible
     else begin
-      (* Witness indicators for the (distinct) witnesses containing t, with
-         tracking constraints X[w] >= X[t'] for the tracked tuples they
-         use. *)
-      let with_sets = Eval.unique_tuple_sets with_t in
-      let witness_vars =
-        List.mapi
-          (fun i tuple_set ->
-            let wv =
-              Lp.Model.add_var
-                ~name:(Printf.sprintf "W_%d" i)
-                ~integer:witness_integer ~upper:1 model
-            in
-            List.iter
-              (fun tid ->
-                if tid <> t && Hashtbl.mem tracked tid then begin
-                  let tv = Hashtbl.find var_of_tuple tid in
-                  (* X[w] - X[t'] >= 0 *)
-                  Lp.Model.add_constr model [ (wv, 1); (tv, -1) ] Lp.Model.Geq 0
-                end)
-              tuple_set;
-            wv)
-          with_sets
-      in
-      (* Counterfactual: at least one witness containing t survives. *)
-      Lp.Model.add_constr model
-        (List.map (fun wv -> (wv, 1)) witness_vars)
-        Lp.Model.Leq
-        (List.length witness_vars - 1);
-      Encoded { model; tuple_of_var = List.rev !tuple_of_var; var_of_tuple; witness_vars }
+      let model, p = model_writer (integrality relax) (Problem.weight semantics) db in
+      List.iter (fun endo -> destruction p (tuple_terms p endo)) sets;
+      let ws = List.mapi (preserve p) (Eval.unique_tuple_sets with_t) in
+      counterfactual_row p ws;
+      encoded model p ws
     end
-  end
 
 let rsp relax semantics q db t = rsp_of_witnesses relax semantics q db (Eval.witnesses q db) t
 
-(* --- Shared super-model --------------------------------------------------- *)
+let contingency enc x =
+  List.filter_map (fun (v, tid) -> if x.(v) > 0.5 then Some tid else None) enc.tuple_of_var
 
 type shared = {
   sfz : Lp.Frozen.t;
@@ -143,70 +151,47 @@ let shared_of_witnesses relax semantics q db witnesses =
   if witnesses = [] then Shared_trivial
   else begin
     let sets = Eval.unique_tuple_sets witnesses in
-    let endo_of =
-      List.map (fun set -> List.filter (fun tid -> not (Problem.tuple_exo q db tid)) set) sets
-    in
-    if List.exists (fun endo -> endo = []) endo_of then Shared_impossible
+    let endo_of = List.map (endogenous q db) sets in
+    if List.mem [] endo_of then Shared_impossible
     else begin
-      let tuple_integer = match relax with Ilp -> true | Milp | Lp -> false in
-      let witness_integer = match relax with Ilp | Milp -> true | Lp -> false in
-      let model = Lp.Model.create () in
-      let var_of_tuple = Hashtbl.create 64 in
-      let tuple_of_var = ref [] in
-      (* One indicator per distinct witness tuple set, tied to its endogenous
-         tuples from both sides:
-         - tracking    W[w] - X[t'] >= 0   (deleting t' destroys w);
-         - destruction sum X[t'] - W[w] >= 0  (w only counts as destroyed if
-           some tuple of it was actually deleted).
-         Fixing every W to 1 collapses the rows to the plain covering program
-         ILP[RES*]; fixing Z to 0 and the W of every witness avoiding t to 1
-         yields ILP[RSP*](t) — so one frozen matrix serves the whole batch as
-         bound overlays ({!Lp.Frozen.Delta}). *)
-      let next_w = ref 0 in
-      let witness_vars =
-        List.map2
-          (fun tuple_set endo ->
-            let i = !next_w in
-            incr next_w;
-            let wv =
-              Lp.Model.add_var
-                ~name:(Printf.sprintf "W_%d" i)
-                ~integer:witness_integer ~upper:1 model
-            in
-            let expr =
-              List.map
-                (fun tid ->
-                  let tv =
-                    tuple_var model semantics db tuple_integer var_of_tuple tuple_of_var tid
-                  in
-                  Lp.Model.add_constr model [ (wv, 1); (tv, -1) ] Lp.Model.Geq 0;
-                  (tv, 1))
-                endo
-            in
-            Lp.Model.add_constr model ((wv, -1) :: expr) Lp.Model.Geq 0;
-            (wv, tuple_set))
-          sets endo_of
+      let model, p = model_writer (integrality relax) (Problem.weight semantics) db in
+      (* Indicate every witness: its indicator, then its tuples' columns. *)
+      let ws =
+        List.mapi
+          (fun i endo ->
+            let w = witness_col p i in
+            witness_block p w (tuple_terms p endo);
+            w)
+          endo_of
       in
-      (* Counterfactual with an escape hatch: sum W - Z <= |W| - 1.  With
-         Z = 1 the row is vacuous (resilience); with Z = 0 it demands a
-         surviving witness (responsibility). *)
-      let z = Lp.Model.add_var ~name:"Z" ~upper:1 model in
-      Lp.Model.add_constr model
-        ((z, -1) :: List.map (fun (wv, _) -> (wv, 1)) witness_vars)
-        Lp.Model.Leq
-        (List.length witness_vars - 1);
+      let z = counterfactual p ws in
       Shared
         {
           sfz = Lp.Frozen.of_model model;
-          stuple_of_var = List.rev !tuple_of_var;
-          svar_of_tuple = var_of_tuple;
-          switnesses = witness_vars;
+          stuple_of_var = List.rev p.cols.tuple_cols;
+          svar_of_tuple = p.cols.col_of_tuple;
+          switnesses = List.combine ws sets;
           sz = z;
         }
     end
   end
 
-let contingency enc x =
-  List.filter_map
-    (fun (v, tid) -> if x.(v) > 0.5 then Some tid else None)
-    enc.tuple_of_var
+let view_side_effects q db ~delete ~lost =
+  let sets = List.map (endogenous q db) delete in
+  if List.mem [] sets then Impossible
+  else begin
+    let model, p = model_writer (true, false) (fun _ -> 0) db in
+    List.iter (fun endo -> destruction p (tuple_terms p endo)) sets;
+    let next_w = ref 0 in
+    List.iter
+      (fun (row, group) ->
+        (* Raising Y_row, at cost 1, is what lets every witness of the row
+           be destroyed. *)
+        let y =
+          p.col ~name:("Y_" ^ String.concat "_" (List.map string_of_int row)) ~integer:true ~obj:1
+        in
+        let ws = List.map (fun set -> incr next_w; preserve p !next_w set) group in
+        counterfactual_row p ~z:y ws)
+      lost;
+    encoded model p []
+  end

@@ -1,23 +1,23 @@
 open! Relalg
 
 (** The paper's unified ILP formulations (Sections 4 and 5) and their
-    relaxations (Section 6), built from a query, a database and — for
-    responsibility — a tuple.
+    relaxations (Section 6), and the one writer of their program format.
 
-    The encodings follow the paper exactly:
-    - one binary decision variable [X\[t\]] per distinct {e endogenous}
-      tuple appearing in some witness;
-    - one covering constraint per distinct witness {e tuple set};
-    - under bag semantics the only change is the objective weights
-      (multiplicities) — the constraint matrix is untouched;
-    - for responsibility, witness-indicator variables [X\[w\]] for the
-      witnesses containing the responsibility tuple, tracking constraints
-      [X\[w\] >= X\[t'\]], and one counterfactual constraint
-      [sum X\[w\] <= |W_t| - 1].
+    Every program the system solves — per question, shared, appended by a
+    write ({!Session}) or built for {!Deletion_propagation} — has one
+    binary column [X_<rel>_<id>] per endogenous witness tuple, weighted by
+    {!Problem.weight} (bag semantics change only these weights), and gives
+    each distinct witness {e tuple set} one of three roles:
+    - {e delete}: the covering row [sum X >= 1] (resilience);
+    - {e preserve}: an indicator [W_<i>] with tracking rows
+      [W >= X\[t'\]], under one counterfactual row
+      [sum W - Z <= |W| - 1] (responsibility: some witness of [t] survives);
+    - {e indicate}: an indicator with tracking rows and the destruction row
+      [sum X >= W] (the shared program).
 
-    Upper bounds [X\[t\] <= 1] are provably redundant in these covering
-    programs and omitted; witness indicators do carry an upper bound of 1
-    (the branch-and-bound fixes them to 0/1). *)
+    Every column is declared with the upper bound [1]: the simplex keeps it
+    as a column bound, not a row, and branch-and-bound fixes integer
+    columns to 0/1. *)
 
 type relaxation =
   | Ilp  (** Every decision variable integral. *)
@@ -44,7 +44,7 @@ type outcome =
 
 val res : relaxation -> Problem.semantics -> Cq.t -> Database.t -> outcome
 (** ILP[RES*] / LP[RES*] (Section 4; Example 1 and 2 reproduced in the test
-    suite). *)
+    suite): every witness deleted. *)
 
 val res_of_witnesses :
   relaxation -> Problem.semantics -> Cq.t -> Database.t -> Eval.witness list -> outcome
@@ -52,7 +52,8 @@ val res_of_witnesses :
 
 val rsp :
   relaxation -> Problem.semantics -> Cq.t -> Database.t -> Database.tuple_id -> outcome
-(** ILP[RSP*] / MILP[RSP*] / LP[RSP*] (Sections 5 and 6; Examples 3 and 4). *)
+(** ILP[RSP*] / MILP[RSP*] / LP[RSP*] (Sections 5 and 6; Examples 3 and 4):
+    the witnesses avoiding [t] deleted, those containing it preserved. *)
 
 val rsp_of_witnesses :
   relaxation ->
@@ -68,16 +69,10 @@ val contingency : encoding -> float array -> Database.tuple_id list
 
 (** {1 Shared super-model}
 
-    One tuple-independent program from which resilience {e and} the
-    responsibility of every tuple are reachable by bound fixes alone
-    ({!Lp.Frozen.Delta}), so a batch of solves shares a single frozen
-    matrix and a warm-started solver session ({!Session}).
-
-    Variables: one [X\[t'\]] per endogenous witness tuple (weighted as
-    usual), one indicator [W\[w\]] per distinct witness tuple set, and a
-    slack [Z].  Rows: tracking [W\[w\] >= X\[t'\]] and destruction
-    soundness [sum X\[t'\] >= W\[w\]] per witness, plus one counterfactual
-    row [sum W - Z <= |W| - 1].
+    One tuple-independent program, every witness indicated, from which
+    resilience {e and} the responsibility of every tuple are reachable by
+    bound fixes alone ({!Lp.Frozen.Delta}), so a batch of solves shares a
+    single frozen matrix and a warm-started solver session ({!Session}).
 
     - {e resilience}: fix every [W\[w\] = 1] and [Z = 1] — the destruction
       rows become the covering program ILP[RES*], everything else is
@@ -115,3 +110,50 @@ type shared_outcome =
 
 val shared_of_witnesses :
   relaxation -> Problem.semantics -> Cq.t -> Database.t -> Eval.witness list -> shared_outcome
+
+val view_side_effects :
+  Cq.t ->
+  Database.t ->
+  delete:Database.tuple_id list list ->
+  lost:(int list * Database.tuple_id list list) list ->
+  outcome
+(** The program of {!Deletion_propagation.view_side_effects}: the tuple
+    sets of [delete] deleted; each [(row, sets)] of [lost] preserved under
+    a counterfactual row whose slack [Y_<row>] (binary, weight 1) pays for
+    losing that view row.  Tuple columns are binary and weightless.
+    [Impossible] when a deleted set has no endogenous tuple. *)
+
+(** {1 The writer}
+
+    What {!Session} calls to append to its overlay in the same format. *)
+
+type columns = {
+  col_of_tuple : (Database.tuple_id, Lp.Model.var) Hashtbl.t;
+  mutable tuple_cols : (Lp.Model.var * Database.tuple_id) list;  (** Newest first. *)
+}
+
+type writer = {
+  col : name:string -> integer:bool -> obj:int -> Lp.Model.var;
+  row : Lp.Model.sense -> int -> Lp.Model.linexpr -> unit;  (** [row sense rhs expr]. *)
+  integral : bool * bool;  (** Are tuple columns, indicators integral? *)
+  weight : Database.tuple_info -> int;
+  db : Database.t;
+  cols : columns;
+}
+(** Rows list their columns in creation order: a caller that declares an
+    indicator after the tuple columns it tracks gets rows in normal form. *)
+
+val integrality : relaxation -> bool * bool
+
+val endogenous : Cq.t -> Database.t -> Database.tuple_id list -> Database.tuple_id list
+(** The members of a witness tuple set that may be deleted. *)
+
+val tuple_terms : writer -> Database.tuple_id list -> Lp.Model.linexpr
+(** [sum X] over the tuples, declaring each missing column. *)
+
+val witness_col : writer -> int -> Lp.Model.var
+val witness_block : writer -> Lp.Model.var -> Lp.Model.linexpr -> unit
+(** An indicated witness's tracking rows, then its destruction row. *)
+
+val counterfactual : writer -> Lp.Model.var list -> Lp.Model.var
+(** A fresh slack [Z] and its counterfactual row over the indicators. *)

@@ -95,8 +95,7 @@ type core = {
          for lint or analysis never forces this *)
   cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the frozen program *)
   cinteger : bool * bool;  (* are tuple columns, witness indicators integral? *)
-  cvar_of_tuple : (Database.tuple_id, Lp.Model.var) Hashtbl.t;
-  mutable ctuple_of_var : (Lp.Model.var * Database.tuple_id) list;  (* creation order *)
+  ccols : Encode.columns;  (* tuple columns, base + appended *)
   mutable clive : (Lp.Model.var * Database.tuple_id list) list;
       (* live witness indicators, newest first, with their full tuple sets *)
   mutable cz : Lp.Model.var;  (* slack of the current counterfactual row *)
@@ -156,9 +155,12 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
                        let d = Lp.Lint.lint raw in
                        acc.a_lint <- acc.a_lint +. Obs.Clock.elapsed t0;
                        d));
-              cinteger = (relaxation = Encode.Ilp, relaxation <> Encode.Lp);
-              cvar_of_tuple = shared.Encode.svar_of_tuple;
-              ctuple_of_var = shared.Encode.stuple_of_var;
+              cinteger = Encode.integrality relaxation;
+              ccols =
+                {
+                  Encode.col_of_tuple = shared.Encode.svar_of_tuple;
+                  tuple_cols = List.rev shared.Encode.stuple_of_var;
+                };
               clive = List.rev shared.Encode.switnesses;
               cz = shared.Encode.sz;
               cstale = false;
@@ -194,7 +196,7 @@ let c_appends = Obs.Counter.create "incremental.appends"
 (* The compaction rule: appended nonzeros past a quarter of the base's. *)
 let compaction_due core = 4 * core.cgrown > Lp.Frozen.nnz core.cfz
 
-let append_col core ~integer ~name ~obj =
+let append_col core ~name ~integer ~obj =
   let v = core.cnvars in
   core.cnvars <- v + 1;
   if integer then core.cints <- v :: core.cints;
@@ -205,31 +207,25 @@ let append_row core sense rhs expr =
   core.cgrown <- core.cgrown + List.length expr;
   core.coverlay <- Lp.Frozen.Delta.append_row sense rhs expr core.coverlay
 
-(* One new live witness, encoded as [Encode.shared_of_witnesses] does; [W]
-   is the newest column, so every row below is in normal form. *)
+(* The program format, written as appends to the overlay. *)
+let writer t core =
+  {
+    Encode.col = append_col core;
+    row = append_row core;
+    integral = core.cinteger;
+    weight = Problem.weight t.ssem;
+    db = t.sdb;
+    cols = core.ccols;
+  }
+
+(* One new live witness: its missing tuple columns, then its indicator, so
+   that [W] is the newest column and every row of its witness block is in
+   normal form. *)
 let append_witness t core set endo =
-  let xint, wint = core.cinteger in
-  let xs =
-    List.map
-      (fun tid ->
-        match Hashtbl.find_opt core.cvar_of_tuple tid with
-        | Some v -> v
-        | None ->
-          let info = Database.tuple t.sdb tid in
-          let v =
-            append_col core ~integer:xint
-              ~name:(Printf.sprintf "X_%s_%d" info.Database.rel tid)
-              ~obj:(Problem.weight t.ssem info)
-          in
-          Hashtbl.add core.cvar_of_tuple tid v;
-          core.ctuple_of_var <- core.ctuple_of_var @ [ (v, tid) ];
-          v)
-      endo
-    |> List.sort compare
-  in
-  let w = append_col core ~integer:wint ~name:(Printf.sprintf "W_%d" core.cnvars) ~obj:0 in
-  List.iter (fun x -> append_row core Lp.Model.Geq 0 [ (x, -1); (w, 1) ]) xs;
-  append_row core Lp.Model.Geq 0 (List.map (fun x -> (x, 1)) xs @ [ (w, -1) ]);
+  let p = writer t core in
+  let terms = List.sort compare (Encode.tuple_terms p endo) in
+  let w = Encode.witness_col p core.cnvars in
+  Encode.witness_block p w terms;
   core.clive <- (w, set) :: core.clive;
   core.coverlay <- Lp.Frozen.Delta.force_one w core.coverlay;
   core.cstale <- true;
@@ -238,7 +234,7 @@ let append_witness t core set endo =
 let add_witnesses t fresh =
   List.iter
     (fun set ->
-      match (List.filter (fun tid -> not (Problem.tuple_exo t.sq t.sdb tid)) set, t.sprog) with
+      match (Encode.endogenous t.sq t.sdb set, t.sprog) with
       | [], _ -> t.sblockers <- set :: t.sblockers
       | endo, Some core -> append_witness t core set endo
       | _ :: _, None -> ())
@@ -255,7 +251,7 @@ let drop_tuple t tid =
   | Some core ->
     Option.iter
       (fun v -> core.coverlay <- Lp.Frozen.Delta.fix_zero v core.coverlay)
-      (Hashtbl.find_opt core.cvar_of_tuple tid);
+      (Hashtbl.find_opt core.ccols.Encode.col_of_tuple tid);
     let dead, live = List.partition (fun (_, set) -> List.mem tid set) core.clive in
     if dead <> [] then begin
       core.clive <- live;
@@ -268,14 +264,10 @@ let drop_tuple t tid =
 (* The counterfactual refresh: a fresh row [sum W - Z' <= |live| - 1] over
    the live indicators, the old slack fixed to 1 (its row goes vacuous).
    Runs on the submitting domain, before any pool starts. *)
-let refresh_counterfactual core =
+let refresh_counterfactual t core =
   if core.cstale then begin
     core.coverlay <- Lp.Frozen.Delta.force_one core.cz core.coverlay;
-    let z = append_col core ~integer:false ~name:"Z" ~obj:0 in
-    append_row core Lp.Model.Leq
-      (List.length core.clive - 1)
-      (List.rev_map (fun (wv, _) -> (wv, 1)) core.clive @ [ (z, -1) ]);
-    core.cz <- z;
+    core.cz <- Encode.counterfactual (writer t core) (List.rev_map fst core.clive);
     core.cstale <- false
   end
 
@@ -298,7 +290,7 @@ let rsp_delta core t =
   | with_t ->
     let d = Lp.Frozen.Delta.fix_zero core.cz core.coverlay in
     let d =
-      match Hashtbl.find_opt core.cvar_of_tuple t with
+      match Hashtbl.find_opt core.ccols.Encode.col_of_tuple t with
       | Some v -> Lp.Frozen.Delta.fix_zero v d
       | None -> d (* exogenous tuple: it never had a decision variable *)
     in
@@ -401,10 +393,12 @@ let run_engine ?node_limit ?time_limit ?(op = "solve") ~ints prep engine delta =
     r
   end
 
+(* The tuples a 0/1 point deletes, in column order (the column list is
+   newest first). *)
 let read_tuples core sol =
-  List.filter_map
-    (fun (v, tid) -> if sol.(v) > 0.5 then Some tid else None)
-    core.ctuple_of_var
+  List.fold_left
+    (fun acc (v, tid) -> if sol.(v) > 0.5 then tid :: acc else acc)
+    [] core.ccols.Encode.tuple_cols
 
 let round_value x = int_of_float (Float.round x)
 
@@ -475,7 +469,7 @@ let responsibility ?node_limit ?time_limit t tid =
   match active t with
   | Error outcome -> outcome
   | Ok core ->
-    refresh_counterfactual core;
+    refresh_counterfactual t core;
     let prep = Lazy.force core.cprep in
     let outcome = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
     (match outcome with
@@ -491,7 +485,7 @@ let candidates core db =
   Database.tuples db
   |> List.filter_map (fun info ->
          let tid = info.Database.id in
-         if Hashtbl.mem core.cvar_of_tuple tid then Some tid else None)
+         if Hashtbl.mem core.ccols.Encode.col_of_tuple tid then Some tid else None)
 
 (* Ranking accounting: each candidate counts as one question; solved
    answers contribute their solve/prep time.  Runs on the submitter. *)
@@ -519,7 +513,7 @@ let ranking ?node_limit ?time_limit t =
   match active t with
   | Error _ -> []
   | Ok core ->
-    refresh_counterfactual core;
+    refresh_counterfactual t core;
     let prep = Lazy.force core.cprep in
     let solve_one tid = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
     merge_ranking
@@ -531,7 +525,7 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
   match active t with
   | Error _ -> []
   | Ok core ->
-    refresh_counterfactual core;
+    refresh_counterfactual t core;
     let cands = Array.of_list (candidates core t.sdb) in
     let tasks = Array.length cands in
     if tasks = 0 then []
@@ -565,7 +559,7 @@ let enum_pin_expr t core =
          if Database.mem t.sdb tid then
            Some (v, Problem.weight t.ssem (Database.tuple t.sdb tid))
          else None)
-       core.ctuple_of_var)
+       core.ccols.Encode.tuple_cols)
 
 (* One warm ILP solve under the delta, shaped for [Enumerate.drive]: the
    cut chain grows monotonically on one engine, so each re-solve absorbs
@@ -580,7 +574,7 @@ let enum_run ?node_limit core prep engine time_left delta =
   | `Ok (obj, sol, st) ->
     `Ok (round_value obj, read_tuples core sol, (st.nodes, st.pivots, st.refactors))
 
-let var_of_tuple core tid = Hashtbl.find_opt core.cvar_of_tuple tid
+let var_of_tuple core tid = Hashtbl.find_opt core.ccols.Encode.col_of_tuple tid
 
 (* Parallel enumeration by disjoint seed-split on the first optimum
    S0 = {s_1 < ... < s_k} (Lawler/Murty partition): subspace i keeps
@@ -684,7 +678,7 @@ let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
   match active t with
   | Error outcome -> outcome
   | Ok core -> (
-    refresh_counterfactual core;
+    refresh_counterfactual t core;
     match rsp_delta core tid with
     | None -> No_contingency
     | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core base)
@@ -692,7 +686,7 @@ let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
 (* --- Relaxation views ----------------------------------------------------- *)
 
 let read_values core sol =
-  List.map (fun (v, tid) -> (tid, sol.(v))) core.ctuple_of_var
+  List.fold_left (fun acc (v, tid) -> (tid, sol.(v)) :: acc) [] core.ccols.Encode.tuple_cols
 
 let resilience_solution t =
   match active t with
@@ -706,7 +700,7 @@ let responsibility_solution t tid =
   match active t with
   | Error _ -> None
   | Ok core -> (
-    refresh_counterfactual core;
+    refresh_counterfactual t core;
     let prep = Lazy.force core.cprep in
     match rsp_delta core tid with
     | None -> None

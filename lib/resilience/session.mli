@@ -29,9 +29,10 @@ open! Relalg
 
     {b Writes} ({!add_witnesses}, {!drop_tuple}) are overlays on the same
     program, kept in a delta every later question starts from; the warm
-    engines absorb it without dropping their basis.
+    engines absorb it without dropping their basis.  Appends go through
+    the {!Encode} writer that built the program, so they are in its format.
     - An insert appends, per new witness tuple set, [X] columns for its
-      endogenous tuples that have none and an indicator [W] with its
+      endogenous tuples that have none, then an indicator [W] with its
       tracking and destruction rows.  A set with no endogenous tuple is a
       {e blocker} instead: while one is live, no contingency set exists.
     - A delete fixes [X\[t\] = 0] and drops the witnesses [t] was in from

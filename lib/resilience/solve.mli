@@ -13,7 +13,7 @@ open! Relalg
     The relax-first dispatch settles most questions at the root LP (the
     covering programs of the PTIME query classes have integral
     relaxations), where a presolve pass would only add preparation cost.
-    {!Lp.Presolve} remains a library for [resil analyze]'s summary and its
+    {!Lp.Presolve} remains a library for [resil lint]'s summary and its
     own differential tests. *)
 
 type stats = Session.stats = {

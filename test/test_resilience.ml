@@ -1027,26 +1027,128 @@ let test_dp_source_side_effects () =
     Alcotest.(check bool) "row 2 removed" false (List.exists (fun r -> r.(0) = 2) rows)
   | _ -> Alcotest.fail "expected solved"
 
-(* Oracle: the minimum number of *other* view rows lost over every input
-   deletion that removes the target row. *)
+(* The view rows other than [output] that deleting [gamma] loses. *)
+let dp_lost q head db output gamma =
+  let db' = Database.restrict db (fun info -> not (List.mem info.Database.id gamma)) in
+  let after = Deletion_propagation.output_rows q ~head db' in
+  ( List.mem output after,
+    List.filter
+      (fun r -> r <> output && not (List.mem r after))
+      (Deletion_propagation.output_rows q ~head db) )
+
+(* Oracle: the minimum number of *other* view rows lost over every deletion
+   of endogenous input tuples that removes the target row; [None] when no
+   deletion does. *)
 let dp_view_oracle q head db output =
-  let tuples = List.map (fun info -> info.Database.id) (Database.tuples db) in
-  let n = List.length tuples in
-  let arr = Array.of_list tuples in
+  let tuples = Array.of_list (Problem.endogenous_tuples q db) in
   let best = ref None in
-  for mask = 0 to (1 lsl n) - 1 do
-    let gamma = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list arr) in
-    let db' = Database.restrict db (fun info -> not (List.mem info.Database.id gamma)) in
-    let rows = Deletion_propagation.output_rows q ~head db' in
-    if not (List.exists (fun r -> r = output) rows) then begin
-      let before = Deletion_propagation.output_rows q ~head db in
-      let lost =
-        List.length (List.filter (fun r -> r <> output && not (List.mem r rows)) before)
-      in
-      match !best with Some b when b <= lost -> () | _ -> best := Some lost
-    end
+  for mask = 0 to (1 lsl Array.length tuples) - 1 do
+    let gamma = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list tuples) in
+    match dp_lost q head db output gamma with
+    | false, lost -> (
+      let lost = List.length lost in
+      match !best with Some b when b <= lost -> () | _ -> best := Some lost)
+    | true, _ -> ()
   done;
   !best
+
+(* One view-side-effect answer against brute force: the deletion removes
+   the target row, the reported lost rows are the rows it loses, and their
+   number is the minimum. *)
+let dp_view_answer_ok q head db output =
+  let answer = Deletion_propagation.view_side_effects q ~head db ~output in
+  match (answer, dp_view_oracle q head db output) with
+  | Solve.Solved a, Some best ->
+    let survives, lost = dp_lost q head db output a.Deletion_propagation.deleted_inputs in
+    (not survives)
+    && List.sort compare lost = List.sort compare a.Deletion_propagation.lost_outputs
+    && List.length lost = best
+  | Solve.No_contingency, None -> true
+  | Solve.Query_false, _ -> not (List.mem output (Deletion_propagation.output_rows q ~head db))
+  | _ -> false
+
+(* Up to [nmax + 1] draws per relation, each exogenous with probability
+   [exo]%; callers keep it to at most 12 distinct tuples for the brute
+   force. *)
+let dp_random_db rng rels nmax dom ~max_bag ~exo =
+  let db = Database.create () in
+  List.iter
+    (fun (rel, arity) ->
+      for _ = 1 to 1 + Random.State.int rng nmax do
+        ignore
+          (Database.add
+             ~mult:(1 + Random.State.int rng max_bag)
+             ~exo:(Random.State.int rng 100 < exo)
+             db rel
+             (Array.init arity (fun _ -> Random.State.int rng dom)))
+      done)
+    rels;
+  db
+
+(* The same instance with every multiplicity 1 (ids are kept: tuples are
+   re-added in id order). *)
+let dp_set_copy db =
+  let copy = Database.create () in
+  List.iter
+    (fun info ->
+      ignore (Database.add ~exo:info.Database.exo copy info.Database.rel info.Database.args))
+    (Database.tuples db);
+  copy
+
+let prop_dp_view_side_effects_brute_force =
+  QCheck.Test.make ~name:"view side effects = brute force (2- and 3-atom views, exo, bags)"
+    ~count:150 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun (qs, head, rels, nmax, dom) ->
+          let q = Cq_parser.parse qs in
+          let db = dp_random_db rng rels nmax dom ~max_bag:3 ~exo:20 in
+          let set_db = dp_set_copy db in
+          List.for_all
+            (fun output ->
+              dp_view_answer_ok q head db output
+              && Deletion_propagation.view_side_effects q ~head db ~output
+                 = Deletion_propagation.view_side_effects q ~head set_db ~output)
+            (Array.make (List.length head) 9 :: Deletion_propagation.output_rows q ~head db))
+        [
+          ("R(x,y), S(y,z)", [ "x" ], [ ("R", 2); ("S", 2) ], 5, 3);
+          ("R(x,y), S(y,z), T(z,w)", [ "x"; "z" ], [ ("R", 2); ("S", 2); ("T", 2) ], 3, 2);
+        ])
+
+let test_dp_fewest_lost_rows () =
+  (* V(x,z) :- R(x,y), S(y,z), T(z,w).  Row (0,0) has the one witness
+     {R(0,1), S(1,0), T(0,1)}, R(0,1) exogenous.  Deleting T(0,1) also
+     loses row (1,0); deleting S(1,0) loses nothing. *)
+  let db = Database.create () in
+  ignore (Database.add db "R" [| 1; 1 |]);
+  ignore (Database.add ~exo:true db "R" [| 0; 1 |]);
+  ignore (Database.add db "R" [| 1; 0 |]);
+  ignore (Database.add ~exo:true db "S" [| 0; 0 |]);
+  ignore (Database.add db "S" [| 1; 0 |]);
+  ignore (Database.add db "T" [| 1; 1 |]);
+  ignore (Database.add db "T" [| 0; 1 |]);
+  let q = Cq_parser.parse "R(x,y), S(y,z), T(z,w)" in
+  let head = [ "x"; "z" ] in
+  Alcotest.(check bool) "brute force" true (dp_view_answer_ok q head db [| 0; 0 |]);
+  match Deletion_propagation.view_side_effects q ~head db ~output:[| 0; 0 |] with
+  | Solve.Solved a ->
+    Alcotest.(check int) "no row lost" 0 (List.length a.Deletion_propagation.lost_outputs)
+  | _ -> Alcotest.fail "expected solved"
+
+let test_dp_exogenous_target () =
+  (* Row 2 of the view has the witness {R(1,2), S(2,5)}; with both tuples
+     exogenous nothing can remove it. *)
+  let db = Database.create () in
+  ignore (Database.add ~exo:true db "R" [| 1; 2 |]);
+  ignore (Database.add db "R" [| 1; 3 |]);
+  ignore (Database.add ~exo:true db "S" [| 2; 5 |]);
+  ignore (Database.add db "S" [| 2; 6 |]);
+  ignore (Database.add db "S" [| 3; 5 |]);
+  let q = Cq_parser.parse "R(x,y), S(y,z)" in
+  (match Deletion_propagation.view_side_effects q ~head:[ "y" ] db ~output:[| 2 |] with
+  | Solve.No_contingency -> ()
+  | _ -> Alcotest.fail "expected No_contingency");
+  Alcotest.(check bool) "row 3 can still go" true (dp_view_answer_ok q [ "y" ] db [| 3 |])
 
 let prop_dp_view_side_effects_optimal =
   QCheck.Test.make ~name:"view-side-effect ILP matches exhaustive oracle" ~count:60
@@ -1058,7 +1160,7 @@ let prop_dp_view_side_effects_optimal =
       match rows with
       | [] -> true
       | output :: _ -> (
-        match Deletion_propagation.view_side_effects set q ~head:[ "y" ] db ~output with
+        match Deletion_propagation.view_side_effects q ~head:[ "y" ] db ~output with
         | Solve.Solved a ->
           dp_view_oracle q [ "y" ] db output
           = Some (List.length a.Deletion_propagation.lost_outputs)
@@ -1265,6 +1367,9 @@ let () =
           Alcotest.test_case "specialisation" `Quick test_dp_specialize;
           Alcotest.test_case "source side effects" `Quick test_dp_source_side_effects;
           q prop_dp_view_side_effects_optimal;
+          q prop_dp_view_side_effects_brute_force;
+          Alcotest.test_case "fewest lost rows (3-atom view)" `Quick test_dp_fewest_lost_rows;
+          Alcotest.test_case "exogenous target witness" `Quick test_dp_exogenous_target;
           q prop_dp_source_matches_specialized_resilience;
         ] );
       ( "instance_tractability",
