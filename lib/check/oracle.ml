@@ -146,12 +146,7 @@ let presolve_on_off ({ sem; q; db } : Gen.db_case) =
     | r, Ok p when kind r <> kind p -> failf "%s verdict: raw %s <> presolved %s" what (kind r) (kind p)
     | _ -> Pass
   in
-  (* Like [Solve.responsibility], a false query is [Query_false] before any
-     encoding. *)
   let ws = Eval.witnesses q db in
-  let rsp_encoding tid =
-    if ws = [] then Encode.Trivial 0 else Encode.rsp_of_witnesses Encode.Ilp sem q db ws tid
-  in
   all_of
     (agree "RES*" (Solve.resilience sem q db)
        (fun a -> a.Solve.res_value)
@@ -161,7 +156,7 @@ let presolve_on_off ({ sem; q; db } : Gen.db_case) =
            agree (Printf.sprintf "RSP*(t%d)" tid)
              (Solve.responsibility sem q db tid)
              (fun a -> a.Solve.rsp_value)
-             (rsp_encoding tid))
+             (Encode.rsp_of_witnesses Encode.Ilp sem q db ws tid))
          (Problem.endogenous_tuples q db))
 
 (* The unified ILP vs exhaustive search (small instances only). *)

@@ -117,7 +117,8 @@ let res relax semantics q db = res_of_witnesses relax semantics q db (Eval.witne
 
 let rsp_of_witnesses relax semantics q db witnesses t =
   let with_t, without_t = List.partition (fun w -> List.mem t (Eval.tuple_set w)) witnesses in
-  if with_t = [] then Impossible
+  if witnesses = [] then Trivial 0
+  else if with_t = [] then Impossible
   else
     (* Delete every witness avoiding t: only their tuples are candidates
        for deletion, so t, which must survive to be counterfactual, never

@@ -36,7 +36,7 @@ type encoding = {
 type outcome =
   | Encoded of encoding
   | Trivial of int  (** The optimum is immediate: 0 when the query is already
-                        false (resilience) — no program needed. *)
+                        false — no program needed. *)
   | Impossible
       (** No contingency set exists: some witness consists purely of
           exogenous tuples (resilience), or the responsibility tuple is in no

@@ -30,16 +30,12 @@ type rsp_answer = Session.rsp_answer = {
 }
 
 let resilience ?(exact = false) ?node_limit ?time_limit semantics q db =
-  let witnesses = Eval.witnesses q db in
-  if witnesses = [] then Query_false
-  else begin
-    match Encode.res_of_witnesses Encode.Ilp semantics q db witnesses with
-    | Encode.Trivial _ -> Query_false
-    | Encode.Impossible -> No_contingency
-    | Encode.Encoded enc ->
-      Session.cold_solve ?node_limit ?time_limit ~op:"resilience" ~exact enc
-        ~answer:(fun res_value contingency res_stats -> { res_value; contingency; res_stats })
-  end
+  match Encode.res Encode.Ilp semantics q db with
+  | Encode.Trivial _ -> Query_false
+  | Encode.Impossible -> No_contingency
+  | Encode.Encoded enc ->
+    Session.cold_solve ?node_limit ?time_limit ~op:"resilience" ~exact enc
+      ~answer:(fun res_value contingency res_stats -> { res_value; contingency; res_stats })
 
 let resilience_lp_solution ?(exact = false) semantics q db =
   match Encode.res Encode.Lp semantics q db with
@@ -54,17 +50,13 @@ let resilience_lp ?exact semantics q db =
 
 let responsibility ?(exact = false) ?node_limit ?time_limit
     ?(relaxation = Encode.Ilp) semantics q db t =
-  let witnesses = Eval.witnesses q db in
-  if witnesses = [] then Query_false
-  else begin
-    match Encode.rsp_of_witnesses relaxation semantics q db witnesses t with
-    | Encode.Trivial _ -> Query_false
-    | Encode.Impossible -> No_contingency
-    | Encode.Encoded enc ->
-      Session.cold_solve ?node_limit ?time_limit ~op:"responsibility" ~exact enc
-        ~answer:(fun rsp_value responsibility_set rsp_stats ->
-          { rsp_value; responsibility_set; rsp_stats })
-  end
+  match Encode.rsp relaxation semantics q db t with
+  | Encode.Trivial _ -> Query_false
+  | Encode.Impossible -> No_contingency
+  | Encode.Encoded enc ->
+    Session.cold_solve ?node_limit ?time_limit ~op:"responsibility" ~exact enc
+      ~answer:(fun rsp_value responsibility_set rsp_stats ->
+        { rsp_value; responsibility_set; rsp_stats })
 
 let responsibility_lp ?(exact = false) semantics q db t =
   match Encode.rsp Encode.Lp semantics q db t with

@@ -95,11 +95,18 @@ let test_footnote_5 () =
 
 let test_query_false () =
   let db = Database.create () in
-  ignore (Database.add db "R" [| 1; 2 |]);
+  let r12 = Database.add db "R" [| 1; 2 |] in
   let q = Queries.q2_chain () in
-  match Solve.resilience set q db with
+  (match Solve.resilience set q db with
   | Solve.Query_false -> ()
-  | _ -> Alcotest.fail "expected Query_false"
+  | _ -> Alcotest.fail "expected Query_false");
+  (* Every responsibility path agrees, the cold enumeration included. *)
+  (match Solve.responsibility set q db r12 with
+  | Solve.Query_false -> ()
+  | _ -> Alcotest.fail "expected Query_false (responsibility)");
+  match Enumerate.responsibility_cold set q db r12 with
+  | Enumerate.Query_false -> ()
+  | _ -> Alcotest.fail "expected Query_false (cold enumeration)"
 
 let test_exogenous_blocks () =
   let db = Database.create () in
