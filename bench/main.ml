@@ -660,7 +660,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
         (* Row count of the raw shared super-model — the axis the dense
            regime is phrased in. *)
         let rows =
-          match Encode.shared_of_witnesses Encode.Ilp set q db (Eval.witnesses q db) with
+          match Encode.shared_of_witnesses set q db (Eval.witnesses q db) with
           | Encode.Shared s -> Lp.Frozen.num_rows s.Encode.sfz
           | Encode.Shared_trivial | Encode.Shared_impossible -> 0
         in
@@ -672,7 +672,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
         let par, t_par =
           if jobs > 1 then begin
             let par_session = Session.create ~basis set q db in
-            let par, t = time (fun () -> Session.ranking_par ~jobs par_session) in
+            let par, t = time (fun () -> Session.ranking ~jobs par_session) in
             (Some par, t)
           end
           else (None, t_session)
@@ -1081,7 +1081,7 @@ let jobs_arg =
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Also time Session.ranking_par over N domains (0 = all recommended domains) and \
+          "Also time Session.ranking over N domains (0 = all recommended domains) and \
            report its speedup over the sequential session")
 
 let dense_arg =

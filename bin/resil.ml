@@ -661,7 +661,7 @@ let rank_cmd =
       (* Always the pool path — at [jobs = 1] it degenerates to the
          sequential loop but emits the same telemetry shape, so --stats
          output is schema-identical for every N. *)
-      let ranked = Session.ranking_par ~jobs session in
+      let ranked = Session.ranking ~jobs session in
       (* [--all-solutions]: also enumerate the resilience family on the same
          session and grade each ranked tuple by criticality — the fraction
          of minimum contingency sets it appears in. *)

@@ -195,17 +195,21 @@ let vs_hitting_set ({ sem; q; db } : Gen.db_case) =
     failf "RES*: ILP says none, hitting set found %d" v
   | _ -> Pass
 
-(* ranking_par must be bit-identical to ranking at every job count. *)
+(* The ranking must be bit-identical at every job count, and rank what
+   cold per-tuple solves rank. *)
 let par_vs_seq ({ sem; q; db } : Gen.db_case) =
-  let sequential = Session.ranking (Session.create sem q db) in
+  let ranking jobs = Session.ranking ~jobs (Session.create sem q db) in
+  let sequential = ranking 1 in
   let rec go = function
     | [] -> Pass
     | jobs :: rest ->
-      if Session.ranking_par ~jobs (Session.create sem q db) <> sequential then
-        failf "ranking_par with %d jobs differs from the sequential ranking" jobs
+      if ranking jobs <> sequential then
+        failf "ranking with %d jobs differs from the sequential ranking" jobs
       else go rest
   in
-  go [ 1; 2; 4 ]
+  if List.map (fun (tid, k, _) -> (tid, k)) sequential <> cold_ranking ~exact:false sem q db
+  then Fail "sequential ranking differs from cold per-tuple solves"
+  else go [ 2; 4 ]
 
 (* The paper's sandwich: LP[RES*] <= RES* <= every approximation's value,
    and each approximation's deletion set really falsifies the query. *)
@@ -356,7 +360,7 @@ let basis_lp ({ frozen; deltas } : Gen.lp_case) =
    (k values are integers and scores are derived from them, so equality is
    exact, not approximate). *)
 let basis_db ({ sem; q; db } : Gen.db_case) =
-  let ranking basis jobs = Session.ranking_par ~jobs (Session.create ~basis sem q db) in
+  let ranking basis jobs = Session.ranking ~jobs (Session.create ~basis sem q db) in
   let dense = ranking `Dense 1 in
   let rec go = function
     | [] -> Pass
@@ -431,25 +435,23 @@ let struct_soundness case =
 (* ----- incremental service -------------------------------------------------- *)
 
 (* The delta-maintenance core behind [resil serve]: a random insert/delete
-   stream applied to an [Incremental.t] must leave it agreeing with
-   from-scratch enumeration + encode + solve after every mutation — the
-   witness set (as valuations), the RES* value and verdict, a sampled
-   tuple's RSP*, the full ranking and the minimum-contingency family; any
-   returned contingency must falsify the query.  Every question runs on
-   the instance's one maintained session, so this covers the write
-   overlays, the counterfactual refresh and compaction.  The same stream
-   is replayed at float and at exact-rational fields. *)
+   stream applied through [Session.insert]/[delete] must leave the session
+   agreeing with from-scratch enumeration + encode + solve after every
+   mutation — the witness set (as valuations), the RES* value and verdict,
+   a sampled tuple's RSP*, the full ranking and the minimum-contingency
+   family; any returned contingency must falsify the query.  This covers
+   the write overlays, the counterfactual refresh and the rebuilds.  The
+   same stream is replayed at float and at exact-rational fields. *)
 
 let sorted_valuations ws = List.sort compare (List.map (fun w -> w.Eval.valuation) ws)
 
-let serve_incremental_step ~step ~exact sem q inc =
-  let db = Incremental.db inc in
-  let ses = Incremental.session inc in
+let serve_incremental_step ~step ~exact sem q ses =
+  let db = Session.db ses in
   all_of
     [
       (fun () ->
         let want = sorted_valuations (Eval.witnesses q db) in
-        let got = sorted_valuations (Incremental.witnesses inc) in
+        let got = sorted_valuations (Session.witnesses ses) in
         if got <> want then
           failf "step %d: maintained witnesses diverge (%d vs %d)" step (List.length got)
             (List.length want)
@@ -533,17 +535,17 @@ let serve_incremental_db seed ({ sem; q; db } : Gen.db_case) =
     in
     let ops = ops_seq [] 0 in
     let replay exact =
-      (* The instance borrows its database: each replay writes its own copy. *)
+      (* The session borrows its database: each replay writes its own copy. *)
       let db = Database.copy db in
-      let inc = Incremental.create ~exact sem q db in
+      let ses = Session.create ~exact sem q db in
       let rec go step = function
         | [] -> Pass
         | op :: rest -> (
           (match op with
           | `Ins (rel, args, mult, exo) ->
-            ignore (Incremental.insert ~mult ~exo db [ inc ] rel args)
-          | `Del id -> Incremental.delete db [ inc ] id);
-          match serve_incremental_step ~step ~exact sem q inc with
+            ignore (Session.insert ~mult ~exo db [ ses ] rel args)
+          | `Del id -> Session.delete db [ ses ] id);
+          match serve_incremental_step ~step ~exact sem q ses with
           | Pass -> go (step + 1) rest
           | Fail m -> Fail (Printf.sprintf "exact=%b %s" exact m))
       in
@@ -710,7 +712,7 @@ let all =
     };
     {
       name = "par_vs_seq";
-      descr = "ranking_par at jobs 1/2/4 is bit-identical to the sequential ranking";
+      descr = "ranking at jobs 1/2/4 is bit-identical and equals cold per-tuple solves";
       applies = db_only true;
       check = on_db par_vs_seq;
     };

@@ -5,26 +5,34 @@ type result = { value : int; tuples : Database.tuple_id list }
 let weight_sum semantics db tids =
   List.fold_left (fun acc tid -> acc + Problem.weight semantics (Database.tuple db tid)) 0 tids
 
-(* Round every tuple variable at threshold 1/m (Theorem 9.1).  The values
-   come out of a {!Session} relaxation solve as (tuple, value) pairs. *)
-let round_tuples semantics db values m =
-  let threshold = (1.0 /. float_of_int m) -. 1e-9 in
-  let tids = List.filter_map (fun (tid, x) -> if x >= threshold then Some tid else None) values in
+(* Round every tuple variable of a relaxation's optimal point [x] at
+   threshold 1/m (Theorem 9.1, which holds for any optimal point). *)
+let round_point semantics q db (enc : Encode.encoding) x =
+  let threshold = (1.0 /. float_of_int (Array.length q.Cq.atoms)) -. 1e-9 in
+  let tids =
+    List.filter_map
+      (fun (v, tid) -> if x.(v) >= threshold then Some tid else None)
+      enc.Encode.tuple_of_var
+  in
   { value = weight_sum semantics db tids; tuples = tids }
 
 let lp_rounding_res semantics q db =
-  let m = Array.length q.Cq.atoms in
-  let session = Session.create ~relaxation:Encode.Lp semantics q db in
-  match Session.resilience_solution session with
-  | Some (_, values) -> Some (round_tuples semantics db values m)
-  | None -> None
+  Option.map
+    (fun (_, enc, x) -> round_point semantics q db enc x)
+    (Solve.resilience_lp_solution semantics q db)
 
+(* MILP[RSP*]: the witness indicators integral, the tuple variables
+   rounded. *)
 let lp_rounding_rsp semantics q db t =
-  let m = Array.length q.Cq.atoms in
-  let session = Session.create ~relaxation:Encode.Milp semantics q db in
-  match Session.responsibility_solution session t with
-  | Some (_, values) -> Some (round_tuples semantics db values m)
-  | None -> None
+  match Encode.rsp Encode.Milp semantics q db t with
+  | Encode.Trivial _ | Encode.Impossible -> None
+  | Encode.Encoded enc -> (
+    match
+      Session.cold_solve ~op:"lp_rounding" ~exact:false enc ~answer:(fun _ x _ ->
+          round_point semantics q db enc x)
+    with
+    | Session.Solved r -> Some r
+    | Session.Query_false | Session.No_contingency | Session.Budget_exhausted _ -> None)
 
 (* Sweep all m!/2 orderings with the given key mode and keep the cheapest
    finite cut. *)

@@ -91,9 +91,17 @@ let view_side_effects ?(exact = false) ?node_limit ?time_limit q ~head db ~outpu
     match Encode.view_side_effects q db ~delete:(Eval.unique_tuple_sets target_ws) ~lost with
     | Encode.Trivial _ -> Solve.Query_false
     | Encode.Impossible -> Solve.No_contingency
-    | Encode.Encoded enc ->
-      Session.cold_solve ?node_limit ?time_limit ~op:"view_side_effects" ~exact enc
-        ~answer:(fun _ gamma _ ->
-          let lost_outputs = lost_rows q ~head db ~output gamma in
-          { deleted_inputs = List.sort compare gamma; lost_outputs })
+    | Encode.Encoded enc -> (
+      match
+        Session.cold_solve ?node_limit ?time_limit ~op:"view_side_effects" ~exact enc
+          ~answer:(fun _ x _ ->
+            let gamma = Encode.contingency enc x in
+            let lost_outputs = lost_rows q ~head db ~output gamma in
+            { deleted_inputs = List.sort compare gamma; lost_outputs })
+      with
+      | Solve.Budget_exhausted incumbent ->
+        (* A lost row weighs one more than every tuple column together. *)
+        let row_cost = List.length enc.Encode.tuple_of_var + 1 in
+        Solve.Budget_exhausted (Option.map (fun v -> v / row_cost) incumbent)
+      | outcome -> outcome)
   end

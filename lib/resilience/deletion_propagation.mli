@@ -15,7 +15,8 @@ open! Relalg
       an open direction its encoding extends to).  {!Encode} writes its
       program like every other: the target row's witnesses are deleted, and
       each other view row's are preserved under a counterfactual row whose
-      slack, at cost 1, marks the row lost. *)
+      slack marks the row lost.  A lost row outweighs every deletion, so
+      among the fewest lost rows the fewest input tuples are deleted. *)
 
 type answer = {
   deleted_inputs : Database.tuple_id list;
@@ -48,7 +49,8 @@ val view_side_effects :
   output:int array ->
   answer Solve.outcome
 (** Input deletion removing [output] while losing as few other view rows as
-    possible (side effects reported in [lost_outputs]).  View rows are
+    possible (side effects reported in [lost_outputs]), and deleting as few
+    input tuples as possible among those deletions.  View rows are
     counted set-wise, so the objective does not depend on bag
     multiplicities and the function takes no semantics.  Solved like
     every cold question, by {!Session.cold_solve}: an exhausted budget

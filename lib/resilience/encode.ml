@@ -148,14 +148,14 @@ type shared = {
 
 type shared_outcome = Shared of shared | Shared_trivial | Shared_impossible
 
-let shared_of_witnesses relax semantics q db witnesses =
+let shared_of_witnesses semantics q db witnesses =
   if witnesses = [] then Shared_trivial
   else begin
     let sets = Eval.unique_tuple_sets witnesses in
     let endo_of = List.map (endogenous q db) sets in
     if List.mem [] endo_of then Shared_impossible
     else begin
-      let model, p = model_writer (integrality relax) (Problem.weight semantics) db in
+      let model, p = model_writer (integrality Ilp) (Problem.weight semantics) db in
       (* Indicate every witness: its indicator, then its tuples' columns. *)
       let ws =
         List.mapi
@@ -181,15 +181,19 @@ let view_side_effects q db ~delete ~lost =
   let sets = List.map (endogenous q db) delete in
   if List.mem [] sets then Impossible
   else begin
-    let model, p = model_writer (true, false) (fun _ -> 0) db in
+    let model, p = model_writer (true, false) (fun _ -> 1) db in
     List.iter (fun endo -> destruction p (tuple_terms p endo)) sets;
+    (* Lexicographic: one lost row outweighs deleting every candidate. *)
+    let row_cost = Hashtbl.length p.cols.col_of_tuple + 1 in
     let next_w = ref 0 in
     List.iter
       (fun (row, group) ->
-        (* Raising Y_row, at cost 1, is what lets every witness of the row
-           be destroyed. *)
+        (* Raising Y_row is what lets every witness of the row be
+           destroyed. *)
         let y =
-          p.col ~name:("Y_" ^ String.concat "_" (List.map string_of_int row)) ~integer:true ~obj:1
+          p.col
+            ~name:("Y_" ^ String.concat "_" (List.map string_of_int row))
+            ~integer:true ~obj:row_cost
         in
         let ws = List.map (fun set -> incr next_w; preserve p !next_w set) group in
         counterfactual_row p ~z:y ws)

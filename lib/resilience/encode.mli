@@ -82,10 +82,8 @@ val contingency : encoding -> float array -> Database.tuple_id list
       destruction-soundness rows, which no 0/1 optimum violates (a witness
       with no deleted tuple need never be flagged destroyed).
 
-    Under {!Ilp} the optima coincide with {!res}/{!rsp}; under {!Milp}/{!Lp}
-    the relaxation is weakly tighter (never below the per-tuple relaxation,
-    never above the integral optimum), and the rounding guarantees of
-    Theorem 9.1 carry over unchanged. *)
+    Tuple columns and witness indicators are integral, so the optima
+    coincide with {!res}/{!rsp} under {!Ilp}. *)
 
 type shared = {
   sfz : Lp.Frozen.t;
@@ -109,7 +107,7 @@ type shared_outcome =
           responsibility of any tuple. *)
 
 val shared_of_witnesses :
-  relaxation -> Problem.semantics -> Cq.t -> Database.t -> Eval.witness list -> shared_outcome
+  Problem.semantics -> Cq.t -> Database.t -> Eval.witness list -> shared_outcome
 
 val view_side_effects :
   Cq.t ->
@@ -119,8 +117,10 @@ val view_side_effects :
   outcome
 (** The program of {!Deletion_propagation.view_side_effects}: the tuple
     sets of [delete] deleted; each [(row, sets)] of [lost] preserved under
-    a counterfactual row whose slack [Y_<row>] (binary, weight 1) pays for
-    losing that view row.  Tuple columns are binary and weightless.
+    a counterfactual row whose binary slack [Y_<row>] pays for losing that
+    view row.  The objective is lexicographic: tuple columns are binary at
+    weight 1, and each [Y] weighs one more than all of them together, so
+    the fewest lost rows come first and the fewest deleted tuples next.
     [Impossible] when a deleted set has no endogenous tuple. *)
 
 (** {1 The writer}
@@ -142,8 +142,6 @@ type writer = {
 }
 (** Rows list their columns in creation order: a caller that declares an
     indicator after the tuple columns it tracks gets rows in normal form. *)
-
-val integrality : relaxation -> bool * bool
 
 val endogenous : Cq.t -> Database.t -> Database.tuple_id list -> Database.tuple_id list
 (** The members of a witness tuple set that may be deleted. *)

@@ -181,55 +181,49 @@ let collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen d =
   loop d;
   (!found, !exhausted, (!cuts, !solves, !nodes, !pivots, !refactors))
 
+(* The family from the first optimum [s0], found with [first] = (nodes,
+   pivots, refactors), and the [collect] results of the chains that
+   searched past it; [s0_cuts] counts the cuts appended for [s0] itself. *)
+let family ~t0 ~opt ~s0 ~first:(n0, p0, r0) ~s0_cuts chains =
+  let sets, exhausted, (cuts, solves, nodes, pivots, refactors) =
+    List.fold_left
+      (fun (sets, ex, (c, s, n, p, r)) (ss, ex', (c', s', n', p', r')) ->
+        (ss @ sets, ex && ex', (c + c', s + s', n + n', p + p', r + r')))
+      ([ s0 ], true, (s0_cuts, 1, n0, 0, r0))
+      chains
+  in
+  {
+    opt;
+    sets = canonical sets;
+    exhausted;
+    fstats =
+      {
+        cuts;
+        solves;
+        nodes;
+        first_pivots = p0;
+        cut_pivots = pivots;
+        refactors;
+        time = Obs.Clock.elapsed t0;
+      };
+  }
+
 let drive ?cap ?time_limit ~pin ~cut ~run base =
   let t0 = Obs.Clock.now () in
   match run time_limit base with
   | `Infeasible -> `Infeasible
   | `Budget -> `Budget
-  | `Ok (opt, s0, (n0, p0, r0)) ->
+  | `Ok (opt, s0, first) ->
     let s0 = List.sort compare s0 in
-    if s0 = [] then
-      (* OPT = 0: with all weights >= 1 the empty set is the unique optimal
-         contingency set, and its no-good cut would be the empty row
-         [0 <= -1] — terminate immediately instead. *)
-      `Family
-        {
-          opt;
-          sets = [ [] ];
-          exhausted = true;
-          fstats =
-            {
-              cuts = 0;
-              solves = 1;
-              nodes = n0;
-              first_pivots = p0;
-              cut_pivots = 0;
-              refactors = r0;
-              time = Obs.Clock.elapsed t0;
-            };
-        }
-    else begin
-      let d = cut s0 (pin opt base) in
-      let sets, exhausted, (cuts, solves, nodes, pivots, refactors) =
-        collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen:[ s0 ] d
-      in
-      `Family
-        {
-          opt;
-          sets = canonical (s0 :: sets);
-          exhausted;
-          fstats =
-            {
-              cuts = cuts + 1;
-              solves = solves + 1;
-              nodes = nodes + n0;
-              first_pivots = p0;
-              cut_pivots = pivots;
-              refactors = refactors + r0;
-              time = Obs.Clock.elapsed t0;
-            };
-        }
-    end
+    `Family
+      (if s0 = [] then
+         (* OPT = 0: with all weights >= 1 the empty set is the unique
+            optimal contingency set, and its no-good cut would be the empty
+            row [0 <= -1] — terminate immediately instead. *)
+         family ~t0 ~opt ~s0 ~first ~s0_cuts:0 []
+       else
+         let chain = collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen:[ s0 ] (cut s0 (pin opt base)) in
+         family ~t0 ~opt ~s0 ~first ~s0_cuts:1 [ chain ])
 
 (* --- Cold reference ------------------------------------------------------ *)
 

@@ -123,6 +123,20 @@ val collect :
     [(cuts, solves, nodes, pivots, refactors)].  The parallel seed-split
     path drives one [collect] per subspace. *)
 
+val family :
+  t0:float ->
+  opt:int ->
+  s0:Database.tuple_id list ->
+  first:int * int * int ->
+  s0_cuts:int ->
+  (Database.tuple_id list list * bool * (int * int * int * int * int)) list ->
+  family
+(** The family from the first optimum [s0] (its solve's [(nodes, pivots,
+    refactors)] in [first]) and the {!collect} results of the chains that
+    searched past it, in canonical order; exhausted when every chain is.
+    [s0_cuts] counts the cut rows appended for [s0] itself, and [time]
+    runs from [t0]. *)
+
 val drive :
   ?cap:int ->
   ?time_limit:float ->

@@ -94,12 +94,11 @@ type core = {
       (* engine build, paid by the first question — a session opened only
          for lint or analysis never forces this *)
   cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the frozen program *)
-  cinteger : bool * bool;  (* are tuple columns, witness indicators integral? *)
   ccols : Encode.columns;  (* tuple columns, base + appended *)
   mutable clive : (Lp.Model.var * Database.tuple_id list) list;
       (* live witness indicators, newest first, with their full tuple sets *)
   mutable cz : Lp.Model.var;  (* slack of the current counterfactual row *)
-  mutable cstale : bool;  (* [clive] moved since that row was written *)
+  mutable cmoved : bool;  (* [clive] moved since that row was written *)
   mutable coverlay : Lp.Frozen.Delta.t;
   mutable cnvars : int;  (* base + appended *)
   mutable cints : Lp.Model.var list;  (* integer variables, base + appended *)
@@ -107,32 +106,31 @@ type core = {
 }
 
 type t = {
-  sdb : Database.t;
+  sdb : Database.t;  (* borrowed; mutated only through [insert]/[delete] *)
   sq : Cq.t;
   ssem : Problem.semantics;
   sexact : bool;
   sbasis : Lp.Basis.choice;
-  sprog : core option;  (* [None]: no witness, or a blocker, at build *)
+  mutable switnesses : Eval.witness list;
+      (* maintained by delta-joins; the next rebuild encodes it *)
+  mutable sprog : core option;  (* [None]: no witness, or a blocker, at build *)
   mutable sblockers : Database.tuple_id list list;
       (* live witness tuple sets without an endogenous tuple: nothing can
          destroy them, so no contingency set exists *)
+  mutable sstale : bool;
+      (* a write the overlay could not take: the next question re-encodes
+         the program from [switnesses] *)
   sacc : acc;
 }
 
-let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
-    ?witnesses semantics q db =
-  let acc = fresh_acc () in
-  let tw0 = Obs.Clock.now () in
-  let witnesses =
-    match witnesses with
-    | Some ws -> ws  (* caller-maintained (incremental service); skip the join *)
-    | None -> Obs.Trace.with_span "session.witnesses" (fun () -> Eval.witnesses q db)
-  in
-  acc.a_witnesses <- Obs.Clock.elapsed tw0;
+(* Encode and freeze the shared program over the witness list: what
+   [create] runs once and a stale program's rebuild runs again. *)
+let encode t =
+  let acc = t.sacc in
   let te0 = Obs.Clock.now () in
   let sprog =
     Obs.Trace.with_span "session.encode" (fun () ->
-        match Encode.shared_of_witnesses relaxation semantics q db witnesses with
+        match Encode.shared_of_witnesses t.ssem t.sq t.sdb t.switnesses with
         | Encode.Shared_trivial | Encode.Shared_impossible -> None
         | Encode.Shared shared ->
           let raw = shared.Encode.sfz in
@@ -145,7 +143,7 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
                 lazy
                   (Obs.Trace.with_span "session.prep" (fun () ->
                        let t0 = Obs.Clock.now () in
-                       let p = prep_of_frozen ~exact ~kernel:basis raw in
+                       let p = prep_of_frozen ~exact:t.sexact ~kernel:t.sbasis raw in
                        acc.a_prep <- acc.a_prep +. Obs.Clock.elapsed t0;
                        p));
               cdiags =
@@ -155,7 +153,6 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
                        let d = Lp.Lint.lint raw in
                        acc.a_lint <- acc.a_lint +. Obs.Clock.elapsed t0;
                        d));
-              cinteger = Encode.integrality relaxation;
               ccols =
                 {
                   Encode.col_of_tuple = shared.Encode.svar_of_tuple;
@@ -163,7 +160,7 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
                 };
               clive = List.rev shared.Encode.switnesses;
               cz = shared.Encode.sz;
-              cstale = false;
+              cmoved = false;
               coverlay =
                 List.fold_left
                   (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d)
@@ -173,17 +170,58 @@ let create ?(exact = false) ?(relaxation = Encode.Ilp) ?(basis = `Sparse)
               cgrown = 0;
             })
   in
-  acc.a_encode <- Obs.Clock.elapsed te0;
-  let sblockers =
-    if Option.is_some sprog then []
-    else List.filter (List.for_all (Problem.tuple_exo q db)) (Eval.unique_tuple_sets witnesses)
+  acc.a_encode <- acc.a_encode +. Obs.Clock.elapsed te0;
+  t.sprog <- sprog;
+  t.sblockers <-
+    (if Option.is_some sprog then []
+     else
+       List.filter
+         (List.for_all (Problem.tuple_exo t.sq t.sdb))
+         (Eval.unique_tuple_sets t.switnesses))
+
+let create ?(exact = false) ?(basis = `Sparse) semantics q db =
+  let acc = fresh_acc () in
+  let tw0 = Obs.Clock.now () in
+  let witnesses = Obs.Trace.with_span "session.witnesses" (fun () -> Eval.witnesses q db) in
+  acc.a_witnesses <- Obs.Clock.elapsed tw0;
+  let t =
+    {
+      sdb = db;
+      sq = q;
+      ssem = semantics;
+      sexact = exact;
+      sbasis = basis;
+      switnesses = witnesses;
+      sprog = None;
+      sblockers = [];
+      sstale = false;
+      sacc = acc;
+    }
   in
-  { sdb = db; sq = q; ssem = semantics; sexact = exact; sbasis = basis; sprog; sblockers; sacc = acc }
+  encode t;
+  t
+
+let db t = t.sdb
+let witnesses t = t.switnesses
+
+(* Re-encodes from the witness list after a write the overlay could not
+   take (the first build is not counted); dropped unless a trace sink is
+   installed. *)
+let c_rebuilds = Obs.Counter.create "incremental.rebuilds"
+
+(* The current program: a stale one is rebuilt first, without a re-join. *)
+let program t =
+  if t.sstale then begin
+    Obs.Counter.incr c_rebuilds;
+    t.sstale <- false;
+    encode t
+  end;
+  t.sprog
 
 (* The program a question runs on, or the outcome that needs none: no
    contingency while a blocker is live, a false query when no witness is. *)
 let active t =
-  match t.sprog with
+  match program t with
   | _ when t.sblockers <> [] -> Error No_contingency
   | Some core when core.clive <> [] -> Ok core
   | Some _ | None -> Error Query_false
@@ -212,7 +250,7 @@ let writer t core =
   {
     Encode.col = append_col core;
     row = append_row core;
-    integral = core.cinteger;
+    integral = (true, true);  (* the shared program is an ILP *)
     weight = Problem.weight t.ssem;
     db = t.sdb;
     cols = core.ccols;
@@ -228,9 +266,12 @@ let append_witness t core set endo =
   Encode.witness_block p w terms;
   core.clive <- (w, set) :: core.clive;
   core.coverlay <- Lp.Frozen.Delta.force_one w core.coverlay;
-  core.cstale <- true;
+  core.cmoved <- true;
   Obs.Counter.incr c_appends
 
+(* The witnesses a fresh-tuple insert created, appended to the overlay.
+   The program goes stale on compaction, or when it has none and a new
+   witness needs one. *)
 let add_witnesses t fresh =
   List.iter
     (fun set ->
@@ -239,45 +280,81 @@ let add_witnesses t fresh =
       | endo, Some core -> append_witness t core set endo
       | _ :: _, None -> ())
     (Eval.unique_tuple_sets fresh);
-  match t.sprog with
-  | Some core -> not (compaction_due core)
-  | None -> fresh = [] || t.sblockers <> []
+  let fits =
+    match t.sprog with Some core -> not (compaction_due core) | None -> t.sblockers <> []
+  in
+  if not fits then t.sstale <- true
 
+(* A tuple delete.  The program goes stale on compaction, or when it has
+   none and the last blocking witness is gone. *)
 let drop_tuple t tid =
   let blocked = t.sblockers <> [] in
   t.sblockers <- List.filter (fun set -> not (List.mem tid set)) t.sblockers;
-  match t.sprog with
-  | None -> t.sblockers <> [] || not blocked
-  | Some core ->
-    Option.iter
-      (fun v -> core.coverlay <- Lp.Frozen.Delta.fix_zero v core.coverlay)
-      (Hashtbl.find_opt core.ccols.Encode.col_of_tuple tid);
-    let dead, live = List.partition (fun (_, set) -> List.mem tid set) core.clive in
-    if dead <> [] then begin
-      core.clive <- live;
-      core.coverlay <-
-        List.fold_left (fun d (wv, _) -> Lp.Frozen.Delta.release wv d) core.coverlay dead;
-      core.cstale <- true
-    end;
-    not (compaction_due core)
+  let fits =
+    match t.sprog with
+    | None -> t.sblockers <> [] || not blocked
+    | Some core ->
+      Option.iter
+        (fun v -> core.coverlay <- Lp.Frozen.Delta.fix_zero v core.coverlay)
+        (Hashtbl.find_opt core.ccols.Encode.col_of_tuple tid);
+      let dead, live = List.partition (fun (_, set) -> List.mem tid set) core.clive in
+      if dead <> [] then begin
+        core.clive <- live;
+        core.coverlay <-
+          List.fold_left (fun d (wv, _) -> Lp.Frozen.Delta.release wv d) core.coverlay dead;
+        core.cmoved <- true
+      end;
+      not (compaction_due core)
+  in
+  if not fits then t.sstale <- true
+
+let check_borrowers db ts =
+  if List.exists (fun t -> t.sdb != db) ts then invalid_arg "Session: another database"
+
+(* A stale program takes no overlay: the rebuild reads the witness list. *)
+let insert ?mult ?exo db ts rel args =
+  check_borrowers db ts;
+  let existing = Database.find db rel args <> None in
+  let id = Database.add ?mult ?exo db rel args in
+  List.iter
+    (fun t ->
+      (* Multiplicity bump / exogeneity OR: the witnesses are unchanged but
+         objective weights (and possibly endogeneity) moved, which no
+         overlay expresses. *)
+      if existing then t.sstale <- true
+      else
+        let fresh = Eval.delta_insert t.sq db id in
+        if fresh <> [] then begin
+          t.switnesses <- t.switnesses @ fresh;
+          if not t.sstale then add_witnesses t fresh
+        end)
+    ts;
+  id
+
+(* A tuple in no witness leaves the witness list and the program as they are. *)
+let delete db ts id =
+  check_borrowers db ts;
+  let uses w = Array.exists (fun x -> x = id) w.Eval.tuples in
+  Database.remove db id;
+  List.iter
+    (fun t ->
+      if List.exists uses t.switnesses then begin
+        t.switnesses <- List.filter (fun w -> not (uses w)) t.switnesses;
+        if not t.sstale then drop_tuple t id
+      end)
+    ts
 
 (* The counterfactual refresh: a fresh row [sum W - Z' <= |live| - 1] over
    the live indicators, the old slack fixed to 1 (its row goes vacuous).
    Runs on the submitting domain, before any pool starts. *)
 let refresh_counterfactual t core =
-  if core.cstale then begin
+  if core.cmoved then begin
     core.coverlay <- Lp.Frozen.Delta.force_one core.cz core.coverlay;
     core.cz <- Encode.counterfactual (writer t core) (List.rev_map fst core.clive);
-    core.cstale <- false
+    core.cmoved <- false
   end
 
 (* --- Delta plumbing ------------------------------------------------------- *)
-
-(* The LP relaxation optimum under a delta, converted to float. *)
-let relax_point (Lp.Solvers.Engine ((module B), s)) delta =
-  match B.relax ~delta s with
-  | `Optimal (obj, x) -> Some (B.to_float obj, B.to_floats x)
-  | `Infeasible | `Unbounded -> None
 
 (* The overlay forces the live indicators; the counterfactual slack goes to 1. *)
 let res_delta core = Lp.Frozen.Delta.force_one core.cz core.coverlay
@@ -455,14 +532,17 @@ let cold_solve ?node_limit ?time_limit ~op ~exact ~answer (enc : Encode.encoding
   | `Infeasible -> No_contingency
   | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
   | `Ok (obj, sol, st) ->
-    Solved (answer (round_value obj) (Encode.contingency enc sol) { st with prep_time })
+    Solved (answer (round_value obj) sol { st with prep_time })
 
 (* The LP relaxation of a per-question encoding (integrality ignored):
    freeze, one solve on a fresh engine. *)
 let cold_lp ~exact (enc : Encode.encoding) =
-  relax_point
-    (Lp.Solvers.engine ~exact (Lp.Frozen.of_model enc.Encode.model))
-    Lp.Frozen.Delta.empty
+  let (Lp.Solvers.Engine ((module B), s)) =
+    Lp.Solvers.engine ~exact (Lp.Frozen.of_model enc.Encode.model)
+  in
+  match B.relax ~delta:Lp.Frozen.Delta.empty s with
+  | `Optimal (obj, x) -> Some (B.to_float obj, B.to_floats x)
+  | `Infeasible | `Unbounded -> None
 
 let responsibility ?node_limit ?time_limit t tid =
   note_question t;
@@ -487,39 +567,7 @@ let candidates core db =
          let tid = info.Database.id in
          if Hashtbl.mem core.ccols.Encode.col_of_tuple tid then Some tid else None)
 
-(* Ranking accounting: each candidate counts as one question; solved
-   answers contribute their solve/prep time.  Runs on the submitter. *)
-let record_rankings t outcomes =
-  List.iter
-    (fun (_, o) ->
-      note_question t;
-      match o with
-      | Solved a -> note_stats t a.rsp_stats
-      | Query_false | No_contingency | Budget_exhausted _ -> ())
-    outcomes;
-  outcomes
-
-let merge_ranking outcomes =
-  outcomes
-  |> List.filter_map (fun (tid, outcome) ->
-         match outcome with
-         | Solved a ->
-           let k = a.rsp_value in
-           Some (tid, k, 1.0 /. (1.0 +. float_of_int k))
-         | Query_false | No_contingency | Budget_exhausted _ -> None)
-  |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b)
-
-let ranking ?node_limit ?time_limit t =
-  match active t with
-  | Error _ -> []
-  | Ok core ->
-    refresh_counterfactual t core;
-    let prep = Lazy.force core.cprep in
-    let solve_one tid = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
-    merge_ranking
-      (record_rankings t (List.map (fun tid -> (tid, solve_one tid)) (candidates core t.sdb)))
-
-let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
+let ranking ?node_limit ?time_limit ?(jobs = 1) t =
   (* jobs = 1 still routes through the pool (its sequential fast path), so
      the telemetry a ranking emits has the same shape at every job count. *)
   match active t with
@@ -540,9 +588,17 @@ let ranking_par ?node_limit ?time_limit ?(jobs = 0) t =
               ~tasks
               (fun engine i -> rsp_shared ?node_limit ?time_limit core prep engine cands.(i)))
       in
-      merge_ranking
-        (record_rankings t
-           (List.mapi (fun i outcome -> (cands.(i), outcome)) (Array.to_list outcomes)))
+      (* Accounting on the submitter: each candidate counts as one
+         question, and a solved one adds its solve/prep time. *)
+      List.combine (Array.to_list cands) (Array.to_list outcomes)
+      |> List.filter_map (fun (tid, outcome) ->
+             note_question t;
+             match outcome with
+             | Solved a ->
+               note_stats t a.rsp_stats;
+               Some (tid, a.rsp_value, 1.0 /. (1.0 +. float_of_int a.rsp_value))
+             | Query_false | No_contingency | Budget_exhausted _ -> None)
+      |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b)
     end
 
 (* --- Solution enumeration -------------------------------------------------- *)
@@ -590,7 +646,7 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
   match enum_run ?node_limit core prep prep.pengine time_limit base with
   | `Infeasible -> `Infeasible
   | `Budget -> `Budget
-  | `Ok (opt, s0, (n0, p0, r0)) ->
+  | `Ok (opt, s0, first) ->
     let s0 = List.sort compare s0 in
     let seeds = Array.of_list s0 in
     let fix tid f d = match var_of_tuple core tid with Some v -> f v d | None -> d in
@@ -610,36 +666,7 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
                   ~run:(enum_run ?node_limit core prep engine)
                   ~seen:[] (pin opt !sub)))
     in
-    let sets = ref [ s0 ] and exhausted = ref true in
-    let cuts = ref 0 and solves = ref 1 and nodes = ref n0 in
-    let cut_pivots = ref 0 and refactors = ref r0 in
-    Array.iter
-      (fun (ss, ex, (c, s, n, p, r)) ->
-        sets := ss @ !sets;
-        exhausted := !exhausted && ex;
-        cuts := !cuts + c;
-        solves := !solves + s;
-        nodes := !nodes + n;
-        cut_pivots := !cut_pivots + p;
-        refactors := !refactors + r)
-      results;
-    `Family
-      Enumerate.
-        {
-          opt;
-          sets = canonical !sets;
-          exhausted = !exhausted;
-          fstats =
-            {
-              cuts = !cuts;
-              solves = !solves;
-              nodes = !nodes;
-              first_pivots = p0;
-              cut_pivots = !cut_pivots;
-              refactors = !refactors;
-              time = Obs.Clock.elapsed t0;
-            };
-        }
+    `Family (Enumerate.family ~t0 ~opt ~s0 ~first ~s0_cuts:0 (Array.to_list results))
 
 let enum_question ?node_limit ?time_limit ?cap ~jobs t core base =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
@@ -683,33 +710,7 @@ let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
     | None -> No_contingency
     | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core base)
 
-(* --- Relaxation views ----------------------------------------------------- *)
-
-let read_values core sol =
-  List.fold_left (fun acc (v, tid) -> (tid, sol.(v)) :: acc) [] core.ccols.Encode.tuple_cols
-
-let resilience_solution t =
-  match active t with
-  | Error _ -> None
-  | Ok core ->
-    Option.map
-      (fun (obj, sol) -> (obj, read_values core sol))
-      (relax_point (Lazy.force core.cprep).pengine (res_delta core))
-
-let responsibility_solution t tid =
-  match active t with
-  | Error _ -> None
-  | Ok core -> (
-    refresh_counterfactual t core;
-    let prep = Lazy.force core.cprep in
-    match rsp_delta core tid with
-    | None -> None
-    | Some delta -> (
-      match run_engine ~op:"solution" ~ints:core.cints prep prep.pengine delta with
-      | `Infeasible | `Budget _ -> None
-      | `Ok (obj, sol, _) -> Some (obj, read_values core sol)))
-
-let diagnostics t = match t.sprog with None -> [] | Some core -> Lazy.force core.cdiags
+let diagnostics t = match program t with None -> [] | Some core -> Lazy.force core.cdiags
 
 let profile t =
   {

@@ -1,8 +1,9 @@
 open! Relalg
 
-(** A solve session: pay for witness enumeration, encoding, freezing and
-    lint {e once}, then answer resilience and per-tuple responsibility
-    questions as cheap delta-solves against one frozen program.
+(** A solve session: one (query, database) pair kept alive across
+    questions and writes.  Witness enumeration, encoding, freezing and lint
+    are paid {e once}; resilience and per-tuple responsibility questions
+    are then cheap delta-solves against one frozen program.
 
     The session builds the shared super-model of {!Encode.shared_of_witnesses}
     (tuple variables, witness indicators, counterfactual slack, frozen as
@@ -27,10 +28,12 @@ open! Relalg
     session answers runs on the shared program.  The one-shot per-question
     encoding is {!cold_solve}, what {!Solve} runs for a single question.
 
-    {b Writes} ({!add_witnesses}, {!drop_tuple}) are overlays on the same
-    program, kept in a delta every later question starts from; the warm
-    engines absorb it without dropping their basis.  Appends go through
-    the {!Encode} writer that built the program, so they are in its format.
+    {b Writes} ({!insert}, {!delete}) go to the borrowed database once, then
+    to every listed session: its witness list follows by delta-joins
+    ({!Eval.delta_insert}), and its program by overlays, kept in a delta
+    every later question starts from; the warm engines absorb it without
+    dropping their basis.  Appends go through the {!Encode} writer that
+    built the program, so they are in its format.
     - An insert appends, per new witness tuple set, [X] columns for its
       endogenous tuples that have none, then an indicator [W] with its
       tracking and destruction rows.  A set with no endogenous tuple is a
@@ -44,8 +47,13 @@ open! Relalg
       set changes, the next responsibility question appends a fresh row
       over the live indicators with a fresh slack and fixes the old slack
       to 1.
-    - {e Compaction.}  Once the appended nonzeros pass a quarter of the
-      base program's, a write asks its caller to rebuild.
+    - {e Rebuild.}  A write the overlay cannot take marks the program
+      stale, and the next question re-encodes it from the witness list,
+      without a re-join (counted by [incremental.rebuilds]).  That happens
+      on compaction (the appended nonzeros pass a quarter of the base
+      program's), on re-insert of an existing tuple (its weight or
+      exogeneity moves), and when leaving a no-program state (the query
+      false, or a fully exogenous witness, at build).
 
     Answers agree with the one-shot {!Solve} functions; the differential
     test suite checks this per tuple on random instances, float and exact,
@@ -111,43 +119,38 @@ type profile = {
     phases report [0.] until something forces them; solve/prep sums grow
     with every answered question. *)
 
-val create :
-  ?exact:bool ->
-  ?relaxation:Encode.relaxation ->
-  ?basis:Lp.Basis.choice ->
-  ?witnesses:Eval.witness list ->
-  Problem.semantics ->
-  Cq.t ->
-  Database.t ->
-  t
-(** [witnesses], when given, must be exactly [Eval.witnesses q db] (any
-    order): the enumeration join is skipped and the caller's list is
-    encoded directly — how the incremental service reuses witnesses it
-    maintained under inserts/deletes instead of re-joining per question.
-    Enumerate witnesses, encode and freeze the shared program, and open
-    the solver session (the engine is built lazily, on the first solve).  [relaxation] (default {!Encode.Ilp}) fixes the integrality
-    discipline of the shared program for the session's lifetime:
-    {!Encode.Ilp} for exact answers, {!Encode.Milp}/{!Encode.Lp} for the
-    relaxations feeding {!Approx}.  [basis] (default [`Sparse] LU) selects
-    the simplex basis kernel for every engine the session opens — the
-    shared warm engine and each parallel domain engine; [`Dense] forces
-    the reference dense inverse (used by the [dense_vs_sparse_basis]
-    differential oracle). *)
+val create : ?exact:bool -> ?basis:Lp.Basis.choice -> Problem.semantics -> Cq.t -> Database.t -> t
+(** Enumerate witnesses, encode and freeze the shared program (the engine
+    is built lazily, on the first solve).  The session borrows [db], which
+    any number of sessions may share: mutate it only through {!insert} and
+    {!delete}.  [basis] (default [`Sparse] LU) selects the simplex basis
+    kernel for every engine the session opens — the shared warm engine and
+    each parallel domain engine; [`Dense] forces the reference dense
+    inverse (used by the [dense_vs_sparse_basis] differential oracle). *)
 
-(** {1 Writes}
+val db : t -> Database.t
+(** The borrowed database, physically the one given to {!create}. *)
 
-    Report a write after applying it to the session's [Database.t].
-    [false]: the session is now stale; rebuild it from the witness list. *)
+val witnesses : t -> Eval.witness list
+(** The maintained witness list.  Always equal to
+    [Eval.witnesses q (db t)] as a set of valuations (order differs:
+    witnesses found by writes are appended). *)
 
-val add_witnesses : t -> Eval.witness list -> bool
-(** The witnesses a fresh-tuple insert created ({!Eval.delta_insert}).
-    [false] when compaction is due, or when the session has no program and
-    a new witness needs one.  Re-inserting an existing tuple moves
-    objective weights, which no overlay expresses: rebuild instead. *)
+(** {1 Writes} *)
 
-val drop_tuple : t -> Database.tuple_id -> bool
-(** A tuple delete.  [false] when compaction is due, or when the session
-    has no program and the last blocking witness is gone. *)
+val insert :
+  ?mult:int -> ?exo:bool -> Database.t -> t list -> string -> int array -> Database.tuple_id
+(** Inserts a tuple into the database once ({!Database.add} semantics:
+    re-inserting an existing tuple bumps multiplicity and ORs [exo], with a
+    stable id), then maintains every listed session; list every session
+    over the database, or the unlisted ones go stale.
+    @raise Invalid_argument as {!Database.add} (nothing is mutated then),
+    or if a listed session borrows another database. *)
+
+val delete : Database.t -> t list -> Database.tuple_id -> unit
+(** Removes the tuple once ({!Database.remove}), then maintains every
+    listed session, dropping the witnesses that used it.  No-op on an id
+    that is not live.  @raise Invalid_argument as {!insert}. *)
 
 (** {1 Questions} *)
 
@@ -160,27 +163,23 @@ val responsibility :
     when [t] appears in no witness (removing it cannot change the answer). *)
 
 val ranking :
-  ?node_limit:int -> ?time_limit:float -> t -> (Database.tuple_id * int * float) list
-(** Rank every {e endogenous} witness tuple as an explanation of the query
-    answer: (tuple, minimal contingency size k, responsibility 1/(1+k)),
-    best first (stable in database order).  Exogenous tuples and tuples
-    outside every witness are skipped up front, without a solve; tuples
-    whose delta is infeasible or over budget are omitted. *)
-
-val ranking_par :
   ?node_limit:int ->
   ?time_limit:float ->
   ?jobs:int ->
   t ->
   (Database.tuple_id * int * float) list
-(** {!ranking} with the per-tuple solves drained by an {!Lp.Pool}: each
-    participating domain opens its own warm simplex engine against the
-    session's shared frozen arrays and runs a chunk of delta-solves.
-    Results are merged in task order, so the output is
-    {e bit-identical} to {!ranking} for every [jobs] (the ranking compares
-    optimal objective values, which are basis-independent).  [jobs = 0]
-    (the default) means {!Lp.Pool.default_jobs}; [jobs = 1] still routes
-    through the pool's sequential path, so the telemetry it emits has the
+(** Rank every {e endogenous} witness tuple as an explanation of the query
+    answer: (tuple, minimal contingency size k, responsibility 1/(1+k)),
+    best first (stable in database order).  Exogenous tuples and tuples
+    outside every witness are skipped up front, without a solve; tuples
+    whose delta is infeasible or over budget are omitted.  The per-tuple
+    solves are drained by an {!Lp.Pool}: each participating domain opens
+    its own warm simplex engine against the session's shared frozen arrays
+    and runs a chunk of delta-solves.  Results are merged in task order,
+    so the output is {e bit-identical} for every [jobs] (the ranking
+    compares optimal objective values, which are basis-independent).
+    [jobs = 0] means {!Lp.Pool.default_jobs}; the default [jobs = 1] runs
+    the pool's sequential path, so the telemetry a ranking emits has the
     same shape at every job count.  The session's database must not be
     mutated during the call. *)
 
@@ -221,18 +220,6 @@ val enumerate_responsibility :
     {!enumerate_resilience}.  The [OPT = 0] family is [{[[]]}] (the empty
     set is the unique zero-weight set). *)
 
-val resilience_solution : t -> (float * (Database.tuple_id * float) list) option
-(** The {e LP relaxation} optimum of the resilience delta (integrality
-    ignored), with the per-tuple fractional values — input to the rounding
-    approximation.  [None] when the query is false or no contingency
-    exists. *)
-
-val responsibility_solution :
-  t -> Database.tuple_id -> (float * (Database.tuple_id * float) list) option
-(** The session-relaxation optimum of the responsibility delta, solved with
-    branch-and-bound (so under {!Encode.Milp} this is MILP[RSP*](t)), with
-    per-tuple values.  [None] when no program exists or the solve fails. *)
-
 val diagnostics : t -> Lp.Lint.diag list
 (** {!Lp.Lint} over the frozen shared program, computed once per session and
     cached.  Empty when the session never built a program. *)
@@ -241,7 +228,7 @@ val profile : t -> profile
 (** The session's cumulative phase breakdown so far.  Cheap (reads an
     accumulator); call it again after more questions for updated sums.
     Accounting happens on the submitting domain only, so it is safe to call
-    between (not during) {!ranking_par} batches. *)
+    between (not during) {!ranking} batches. *)
 
 (** {1 Cold one-shot solves}
 
@@ -254,12 +241,13 @@ val cold_solve :
   ?time_limit:float ->
   op:string ->
   exact:bool ->
-  answer:(int -> Database.tuple_id list -> stats -> 'a) ->
+  answer:(int -> float array -> stats -> 'a) ->
   Encode.encoding ->
   'a outcome
 (** Freeze and solve the encoding cold — the root-vertex certificate
     first, branch-and-bound otherwise — and build the answer from
-    (optimum, tuple set read off the encoding, stats).  [stats.prep_time]
+    (optimum, primal point over the encoding's variables, stats); read the
+    tuple set with {!Encode.contingency}.  [stats.prep_time]
     covers freeze + engine build; [op] names the question in the run log.
     [No_contingency] when the solve proves the program infeasible. *)
 

@@ -35,7 +35,8 @@ let resilience ?(exact = false) ?node_limit ?time_limit semantics q db =
   | Encode.Impossible -> No_contingency
   | Encode.Encoded enc ->
     Session.cold_solve ?node_limit ?time_limit ~op:"resilience" ~exact enc
-      ~answer:(fun res_value contingency res_stats -> { res_value; contingency; res_stats })
+      ~answer:(fun res_value x res_stats ->
+        { res_value; contingency = Encode.contingency enc x; res_stats })
 
 let resilience_lp_solution ?(exact = false) semantics q db =
   match Encode.res Encode.Lp semantics q db with
@@ -55,8 +56,8 @@ let responsibility ?(exact = false) ?node_limit ?time_limit
   | Encode.Impossible -> No_contingency
   | Encode.Encoded enc ->
     Session.cold_solve ?node_limit ?time_limit ~op:"responsibility" ~exact enc
-      ~answer:(fun rsp_value responsibility_set rsp_stats ->
-        { rsp_value; responsibility_set; rsp_stats })
+      ~answer:(fun rsp_value x rsp_stats ->
+        { rsp_value; responsibility_set = Encode.contingency enc x; rsp_stats })
 
 let responsibility_lp ?(exact = false) semantics q db t =
   match Encode.rsp Encode.Lp semantics q db t with

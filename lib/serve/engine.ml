@@ -2,14 +2,14 @@ open Relalg
 open Resilience
 
 (* The serve state machine: one mutable database plus a small cache of
-   maintained {!Resilience.Incremental} instances borrowing it, driven
+   maintained {!Resilience.Session}s borrowing it, driven
    line-by-line by {!handle_line}.  The engine is transport-agnostic and
    never raises, so the whole protocol is testable in-process over a string
    loopback — [bin/resil] only adds the socket/stdio plumbing. *)
 
 type entry = {
   ekey : string * bool * bool;  (* canonical query text, bag, exact *)
-  einc : Incremental.t;
+  esession : Session.t;
   mutable elast : int;  (* LRU clock *)
 }
 
@@ -132,11 +132,11 @@ let session t ~key q =
   t.tick <- t.tick + 1;
   match List.find_opt (fun e -> e.ekey = key) t.entries with
   | Some e ->
-    (* [load] drops every entry, so a cached instance borrows [t.db]. *)
-    assert (Incremental.db e.einc == t.db);
+    (* [load] drops every entry, so a cached session borrows [t.db]. *)
+    assert (Session.db e.esession == t.db);
     t.hits <- t.hits + 1;
     e.elast <- t.tick;
-    e.einc
+    e.esession
   | None ->
     t.misses <- t.misses + 1;
     if List.length t.entries >= t.max_sessions then begin
@@ -153,9 +153,9 @@ let session t ~key q =
     end;
     let _, bag, exact = key in
     let sem = if bag then Problem.Bag else Problem.Set in
-    let inc = Incremental.create ~exact sem q t.db in
-    t.entries <- { ekey = key; einc = inc; elast = t.tick } :: t.entries;
-    inc
+    let ses = Session.create ~exact sem q t.db in
+    t.entries <- { ekey = key; esession = ses; elast = t.tick } :: t.entries;
+    ses
 
 (* --- mutations ------------------------------------------------------------ *)
 
@@ -168,7 +168,7 @@ let parse_tuple t line =
   | None -> Error "blank tuple line"
   | exception Invalid_argument msg -> Error msg
 
-let instances t = List.map (fun e -> e.einc) t.entries
+let sessions t = List.map (fun e -> e.esession) t.entries
 
 let do_load t data =
   match Database_io.parse_string data with
@@ -186,7 +186,7 @@ let do_insert t line =
   | Ok info -> (
     t.fp <- None;
     match
-      Incremental.insert ~mult:info.Database.mult ~exo:info.Database.exo t.db (instances t)
+      Session.insert ~mult:info.Database.mult ~exo:info.Database.exo t.db (sessions t)
         info.Database.rel info.Database.args
     with
     | exception Invalid_argument msg -> Error msg
@@ -200,7 +200,7 @@ let do_delete t line =
     | None -> Error "tuple not found"
     | Some id ->
       t.fp <- None;
-      Incremental.delete t.db (instances t) id;
+      Session.delete t.db (sessions t) id;
       Ok (Json.Obj [ ("tuple_id", Json.Int id) ]))
 
 (* --- questions ------------------------------------------------------------ *)
@@ -249,7 +249,7 @@ let do_ask t (a : Protocol.ask) =
     | Some budget when budget <= 0. -> timeout_err None
     | _ -> (
       let key = (Cq.to_string q, a.Protocol.bag, a.Protocol.exact) in
-      let ses = Incremental.session (session t ~key q) in
+      let ses = session t ~key q in
       match a.Protocol.question with
       | Protocol.Resilience ->
         answer_reply Answer.Res (Answer.res t.db) (Session.resilience ?time_limit ses)
@@ -280,7 +280,7 @@ let do_ask t (a : Protocol.ask) =
                 (Session.enumerate_responsibility ?time_limit ~jobs:a.Protocol.jobs ses
                    tid))))
       | Protocol.Rank ->
-        let ranked = Session.ranking_par ?time_limit ~jobs:a.Protocol.jobs ses in
+        let ranked = Session.ranking ?time_limit ~jobs:a.Protocol.jobs ses in
         Result
           (Json.Obj
              [ ("ranking", Json.List (List.map (fun r -> Answer.rank_row t.db r) ranked)) ])))

@@ -1,18 +1,17 @@
 (** The serve state machine: one mutable database plus a bounded cache of
-    maintained {!Resilience.Incremental} instances, driven one protocol
-    line at a time.
+    maintained {!Resilience.Session}s, driven one protocol line at a time.
 
     Transport-agnostic and exception-free: {!handle_line} maps any input
     line — malformed JSON included — to exactly one response line, so the
     whole protocol is exercised in-process by the test suite and
     [bin/resil] only adds socket/stdio plumbing.
 
-    {b Session cache.}  Questions are answered by incremental instances
-    keyed by (canonical query text, semantics, exact), all borrowing the
-    engine's one database.  [insert]/[delete] mutate it once and maintain
-    every cached instance (the delta-maintenance fast path); [load]
+    {b Session cache.}  Questions are answered by sessions keyed by
+    (canonical query text, semantics, exact), all borrowing the engine's
+    one database.  [insert]/[delete] mutate it once and maintain every
+    cached session ({!Resilience.Session.insert}/[delete]); [load]
     replaces it and drops the cache, counted in [invalidations].  The
-    cache holds at most [max_sessions] instances, evicting
+    cache holds at most [max_sessions] sessions, evicting
     least-recently-used.  The database fingerprint [stats] shows is
     computed at most once per database state.
 

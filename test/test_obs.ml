@@ -61,7 +61,7 @@ let test_disabled_same_answers () =
         ("S", [| 2 |]); ("S", [| 4 |]);
       ];
     let session = Resilience.Session.create Resilience.Problem.Set q db in
-    Resilience.Session.ranking_par ~jobs:2 session
+    Resilience.Session.ranking ~jobs:2 session
   in
   let plain = solve () in
   let traced = with_sink solve in

@@ -676,7 +676,7 @@ let encoding_golden_text () =
   List.iter
     (fun (label, sem, q, db) ->
       Printf.bprintf b "== %s: shared\n%s" label
-        (shared_text (Encode.shared_of_witnesses Encode.Ilp sem q db (Eval.witnesses q db))))
+        (shared_text (Encode.shared_of_witnesses sem q db (Eval.witnesses q db))))
     [ ("Example 1", set, Queries.q2_chain_sj (), example1_db ());
       ("Example 3", set, Queries.q2_chain (), ex3_db ());
       ("Example 3, S(1,2) exogenous", set, Queries.q2_chain (), ex3_exo_db ()) ];
@@ -1043,9 +1043,10 @@ let dp_lost q head db output gamma =
       (fun r -> r <> output && not (List.mem r after))
       (Deletion_propagation.output_rows q ~head db) )
 
-(* Oracle: the minimum number of *other* view rows lost over every deletion
-   of endogenous input tuples that removes the target row; [None] when no
-   deletion does. *)
+(* Oracle over every deletion of endogenous input tuples that removes the
+   target row: the fewest *other* view rows lost and, among the deletions
+   losing that few, the fewest tuples deleted; [None] when no deletion
+   does. *)
 let dp_view_oracle q head db output =
   let tuples = Array.of_list (Problem.endogenous_tuples q db) in
   let best = ref None in
@@ -1053,15 +1054,16 @@ let dp_view_oracle q head db output =
     let gamma = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list tuples) in
     match dp_lost q head db output gamma with
     | false, lost -> (
-      let lost = List.length lost in
-      match !best with Some b when b <= lost -> () | _ -> best := Some lost)
+      let cost = (List.length lost, List.length gamma) in
+      match !best with Some b when b <= cost -> () | _ -> best := Some cost)
     | true, _ -> ()
   done;
   !best
 
 (* One view-side-effect answer against brute force: the deletion removes
-   the target row, the reported lost rows are the rows it loses, and their
-   number is the minimum. *)
+   the target row, the reported lost rows are the rows it loses, their
+   number is the minimum, and so is the number of deleted tuples among
+   the deletions losing that few. *)
 let dp_view_answer_ok q head db output =
   let answer = Deletion_propagation.view_side_effects q ~head db ~output in
   match (answer, dp_view_oracle q head db output) with
@@ -1069,7 +1071,7 @@ let dp_view_answer_ok q head db output =
     let survives, lost = dp_lost q head db output a.Deletion_propagation.deleted_inputs in
     (not survives)
     && List.sort compare lost = List.sort compare a.Deletion_propagation.lost_outputs
-    && List.length lost = best
+    && (List.length lost, List.length a.Deletion_propagation.deleted_inputs) = best
   | Solve.No_contingency, None -> true
   | Solve.Query_false, _ -> not (List.mem output (Deletion_propagation.output_rows q ~head db))
   | _ -> false
@@ -1169,7 +1171,7 @@ let prop_dp_view_side_effects_optimal =
       | output :: _ -> (
         match Deletion_propagation.view_side_effects q ~head:[ "y" ] db ~output with
         | Solve.Solved a ->
-          dp_view_oracle q [ "y" ] db output
+          Option.map fst (dp_view_oracle q [ "y" ] db output)
           = Some (List.length a.Deletion_propagation.lost_outputs)
         | _ -> false))
 

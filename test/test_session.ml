@@ -56,25 +56,23 @@ let qcheck_cases =
 
 (* --- Parallel vs sequential ------------------------------------------------ *)
 
-(* ranking_par must be bit-identical to ranking — same tuples, same k, same
-   rho floats — for every job count.  The instance is solved sequentially
-   once and in parallel at jobs ∈ {1, 2, 4}. *)
-let ranking_par_agrees ~exact rng =
+(* The ranking must be bit-identical — same tuples, same k, same rho
+   floats — for every job count.  The instance is ranked on one domain
+   once and in parallel at jobs ∈ {2, 4}. *)
+let ranking_jobs_agree ~exact rng =
   let sem, q, db = Harness.random_case rng in
-  let session = Session.create ~exact sem q db in
-  let sequential = Session.ranking session in
-  List.for_all
-    (fun jobs -> Session.ranking_par ~jobs (Session.create ~exact sem q db) = sequential)
-    [ 1; 2; 4 ]
+  let ranking jobs = Session.ranking ~jobs (Session.create ~exact sem q db) in
+  let sequential = ranking 1 in
+  List.for_all (fun jobs -> ranking jobs = sequential) [ 2; 4 ]
 
 let par_qcheck_cases =
   [
-    (* 140 float + 70 exact = 210 random instances, each ranked at three job
+    (* 140 float + 70 exact = 210 random instances, each ranked at two job
        counts against the sequential ranking. *)
-    Harness.seeded_prop ~count:140 "Session.ranking_par = Session.ranking (float, jobs 1/2/4)"
-      (ranking_par_agrees ~exact:false);
-    Harness.seeded_prop ~count:70 "Session.ranking_par = Session.ranking (exact, jobs 1/2/4)"
-      (ranking_par_agrees ~exact:true);
+    Harness.seeded_prop ~count:140 "ranking: jobs 2/4 = jobs 1 (float)"
+      (ranking_jobs_agree ~exact:false);
+    Harness.seeded_prop ~count:70 "ranking: jobs 2/4 = jobs 1 (exact)"
+      (ranking_jobs_agree ~exact:true);
   ]
 
 (* --- Fixed fixtures: sparse, dense, mid-size ------------------------------ *)
@@ -89,7 +87,7 @@ let dense_db () =
   done;
   db
 
-let test_dense_ranking_par () =
+let test_dense_ranking_jobs () =
   (* The per-tuple reference is too slow on this fixture; the parallel
      ranking (per-domain engines over the shared arrays) is checked against
      the sequential one instead. *)
@@ -97,8 +95,8 @@ let test_dense_ranking_par () =
   let db = dense_db () in
   let sequential = Session.ranking (Session.create Problem.Set q db) in
   Alcotest.(check bool) "fixture ranks tuples" true (sequential <> []);
-  Alcotest.(check bool) "ranking_par = ranking" true
-    (Session.ranking_par ~jobs:2 (Session.create Problem.Set q db) = sequential)
+  Alcotest.(check bool) "2 jobs rank as 1" true
+    (Session.ranking ~jobs:2 (Session.create Problem.Set q db) = sequential)
 
 (* A 2-chain instance drawn by [Datagen.Random_inst] from a fixed seed. *)
 let chain_db ~seed ~count ~domain =
@@ -329,9 +327,6 @@ let test_certified_reports_pivots () =
       st.Session.pivots
   | _ -> Alcotest.fail "fixture: RES* must be solved"
 
-(* Every write below must be taken as an overlay, not a rebuild. *)
-let overlay_ok what ok = Alcotest.(check bool) (what ^ " taken as an overlay") true ok
-
 (* Appended integer columns enter the root-certificate integrality check.
    Twenty disjoint 2-paths give the base program an integral LP optimum;
    inserting a 3-cycle then appends its columns and rows only, and the
@@ -346,12 +341,14 @@ let test_appended_columns_checked () =
     ignore (Database.add db "R" [| (100 * i) + 2; (100 * i) + 3 |])
   done;
   let session = Session.create sem q db in
+  Obs.Sink.install ();
+  Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
   List.iter
-    (fun args ->
-      let id = Database.add db "R" args in
-      overlay_ok "insert" (Session.add_witnesses session (Eval.delta_insert q db id)))
+    (fun args -> ignore (Session.insert db [ session ] "R" args))
     [ [| 1; 2 |]; [| 2; 3 |]; [| 3; 1 |] ];
-  match (Session.resilience session, Solve.resilience sem q db) with
+  let answer = Session.resilience session in
+  Alcotest.(check int) "inserts taken as overlays" 0 (counter "incremental.rebuilds");
+  match (answer, Solve.resilience sem q db) with
   | Session.Solved a, Solve.Solved b ->
     Alcotest.(check bool) "fractional root not certified" false a.Session.res_stats.Session.certified;
     Alcotest.(check int) "RES* = cold" b.Solve.res_value a.Session.res_value;
@@ -372,17 +369,16 @@ let check_family what got want =
 let test_enumeration_after_delete () =
   let sem = Problem.Set and q = Queries.q2_chain () in
   let db = mid_db () in
-  let inc = Incremental.create sem q db in
-  ignore (Session.resilience (Incremental.session inc));
+  let ses = Session.create sem q db in
+  ignore (Session.resilience ses);
   Obs.Sink.install ();
   Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
-  Incremental.delete db [ inc ] (List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))));
-  check_family "after delete"
-    (Session.enumerate_resilience (Incremental.session inc))
-    (Solve.enumerate_resilience sem q (Incremental.db inc));
+  Session.delete db [ ses ] (List.hd (Eval.tuple_set (List.hd (Session.witnesses ses))));
+  check_family "after delete" (Session.enumerate_resilience ses)
+    (Solve.enumerate_resilience sem q db);
   Alcotest.(check int) "no rebuild" 0 (counter "incremental.rebuilds")
 
-(* A stream of fresh-tuple inserts and deletes on a maintained instance.
+(* A stream of fresh-tuple inserts and deletes on a maintained session.
    Asking only RES*, every write stays an overlay and each answer agrees
    with a cold solve.  Then the same kind of writes, each followed by a
    full ranking: every ranking refreshes the counterfactual row, so the
@@ -391,14 +387,12 @@ let test_enumeration_after_delete () =
 let test_write_stream () =
   let sem = Problem.Set and q = Queries.q2_chain () in
   let db = chain_db ~seed:11 ~count:40 ~domain:10 in
-  let inc = Incremental.create sem q db in
-  let ses () = Incremental.session inc in
-  ignore (Session.resilience (ses ()));
+  let ses = Session.create sem q db in
+  ignore (Session.resilience ses);
   Obs.Sink.install ();
   Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
   let check_res step =
-    let db = Incremental.db inc in
-    match (Session.resilience (ses ()), Solve.resilience sem q db) with
+    match (Session.resilience ses, Solve.resilience sem q db) with
     | Session.Solved a, Solve.Solved b ->
       Alcotest.(check int) (Printf.sprintf "step %d: RES* = cold" step) b.Solve.res_value
         a.Session.res_value;
@@ -409,13 +403,13 @@ let test_write_stream () =
   let check_ranking step =
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "step %d: ranking = per-tuple reference" step)
-      (Harness.reference_ranking ~exact:false sem q (Incremental.db inc))
-      (List.map (fun (t, k, _) -> (t, k)) (Session.ranking (ses ())))
+      (Harness.reference_ranking ~exact:false sem q db)
+      (List.map (fun (t, k, _) -> (t, k)) (Session.ranking ses))
   in
-  let victim () = List.hd (Eval.tuple_set (List.hd (Incremental.witnesses inc))) in
+  let victim () = List.hd (Eval.tuple_set (List.hd (Session.witnesses ses))) in
   let write = function
-    | `Ins (rel, args) -> ignore (Incremental.insert db [ inc ] rel args)
-    | `Del -> Incremental.delete db [ inc ] (victim ())
+    | `Ins (rel, args) -> ignore (Session.insert db [ ses ] rel args)
+    | `Del -> Session.delete db [ ses ] (victim ())
   in
   let writes base =
     [ `Ins ("R", [| base; 1 |]); `Del; `Ins ("S", [| 1; base |]); `Del; `Ins ("R", [| base + 1; 2 |]); `Del ]
@@ -425,8 +419,24 @@ let test_write_stream () =
   Alcotest.(check bool) "witnesses appended" true (counter "incremental.appends" > 0);
   List.iteri (fun step w -> write w; check_ranking step) (writes 200);
   Alcotest.(check bool) "compaction rebuilt" true (counter "incremental.rebuilds" > 0);
-  check_family "final" (Session.enumerate_resilience (ses ()))
-    (Solve.enumerate_resilience sem q (Incremental.db inc))
+  check_family "final" (Session.enumerate_resilience ses) (Solve.enumerate_resilience sem q db)
+
+(* A write names the database it mutates and every session over it.  A
+   session over another database is refused before anything is mutated. *)
+let test_writes_check_borrow () =
+  let sem = Problem.Set and q = Queries.q2_chain () in
+  let db = mid_db () and other = mid_db () in
+  let ses = Session.create sem q other in
+  let before = Database.fingerprint db in
+  let victim = (List.hd (Database.tuples db)).Database.id in
+  Alcotest.check_raises "insert" (Invalid_argument "Session: another database") (fun () ->
+      ignore (Session.insert db [ ses ] "R" [| 900; 901 |]));
+  Alcotest.check_raises "delete" (Invalid_argument "Session: another database") (fun () ->
+      Session.delete db [ ses ] victim);
+  Alcotest.(check bool) "database unmutated" true (Database.fingerprint db = before);
+  Alcotest.(check bool) "tuple still live" true (Database.mem db victim);
+  Alcotest.(check int) "session's witnesses unmoved" (List.length (Eval.witnesses q other))
+    (List.length (Session.witnesses ses))
 
 let () =
   let open Alcotest in
@@ -447,7 +457,7 @@ let () =
         [
           test_case "sparse fixture: ranking = per-tuple reference" `Quick
             test_sparse_ranking_matches_reference;
-          test_case "dense fixture: ranking_par = ranking" `Quick test_dense_ranking_par;
+          test_case "dense fixture: 2 jobs rank as 1" `Quick test_dense_ranking_jobs;
           test_case "ranking = per-tuple reference" `Quick test_ranking_matches_reference;
           test_case "dense basis kernel ranks identically" `Quick
             test_dense_basis_ranks_identically;
@@ -464,6 +474,7 @@ let () =
             test_appended_columns_checked;
           test_case "enumeration after a delete" `Quick test_enumeration_after_delete;
           test_case "insert/delete stream stays on overlays" `Quick test_write_stream;
+          test_case "writes check the borrowed database" `Quick test_writes_check_borrow;
         ] );
       ("differential", Harness.qtests qcheck_cases);
       ("parallel", Harness.qtests par_qcheck_cases);
