@@ -47,16 +47,16 @@ let add_var ?name ?(integer = false) ?upper ?(obj = 0) t =
 let relax_upper t v = t.vars.(v) <- { (t.vars.(v)) with upper = None }
 
 (* Sum duplicate variable occurrences so the simplex sees one coefficient
-   per column. *)
+   per column: sort by variable, then merge adjacent terms, dropping the
+   ones that cancel. *)
 let normalize_expr expr =
-  let tbl = Hashtbl.create (List.length expr) in
-  List.iter
-    (fun (v, c) ->
-      let cur = try Hashtbl.find tbl v with Not_found -> 0 in
-      Hashtbl.replace tbl v (cur + c))
-    expr;
-  Hashtbl.fold (fun v c acc -> if c = 0 then acc else (v, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let rec merge = function
+    | (v, c) :: (v', c') :: rest when v = v' -> merge ((v, c + c') :: rest)
+    | (_, 0) :: rest -> merge rest
+    | term :: rest -> term :: merge rest
+    | [] -> []
+  in
+  merge (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) expr)
 
 let add_constr t expr sense rhs =
   grow_constrs t;
