@@ -222,8 +222,9 @@ let drive ?cap ?time_limit ~pin ~cut ~run base =
             row [0 <= -1] — terminate immediately instead. *)
          family ~t0 ~opt ~s0 ~first ~s0_cuts:0 []
        else
-         let chain = collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen:[ s0 ] (cut s0 (pin opt base)) in
-         family ~t0 ~opt ~s0 ~first ~s0_cuts:1 [ chain ])
+         let d = cut s0 (pin opt base) in
+         family ~t0 ~opt ~s0 ~first ~s0_cuts:1
+           [ collect ?cap ?time_limit ~t0 ~opt ~cut ~run ~seen:[ s0 ] d ])
 
 (* --- Cold reference ------------------------------------------------------ *)
 

@@ -109,7 +109,7 @@ type rsp_answer = {
 
 type profile = {
   witnesses_s : float;  (** Witness enumeration (the relational join). *)
-  encode_s : float;  (** Shared-program encode + freeze, in {!create}. *)
+  encode_s : float;  (** Shared-program encode + freeze, in {!create} and rebuilds. *)
   lint_s : float;  (** {!Lp.Lint} over the frozen program (lazy). *)
   prep_s : float;  (** Engine build: the session's lazy shared prep. *)
   solve_s : float;  (** Pure branch-and-bound time summed over questions. *)
@@ -221,8 +221,8 @@ val enumerate_responsibility :
     set is the unique zero-weight set). *)
 
 val diagnostics : t -> Lp.Lint.diag list
-(** {!Lp.Lint} over the frozen shared program, computed once per session and
-    cached.  Empty when the session never built a program. *)
+(** {!Lp.Lint} over the frozen shared program, computed once per program and
+    cached.  Empty when the session has no program. *)
 
 val profile : t -> profile
 (** The session's cumulative phase breakdown so far.  Cheap (reads an
