@@ -68,10 +68,12 @@ let ranking_jobs_agree ~exact rng =
 let par_qcheck_cases =
   [
     (* 140 float + 70 exact = 210 random instances, each ranked at two job
-       counts against the sequential ranking. *)
-    Harness.seeded_prop ~count:140 "ranking: jobs 2/4 = jobs 1 (float)"
+       counts against the sequential ranking.  The test names keep their
+       ids from when the parallel ranking had its own entry point; it is
+       now Session.ranking ~jobs. *)
+    Harness.seeded_prop ~count:140 "Session.ranking_par = Session.ranking (float, jobs 1/2/4)"
       (ranking_jobs_agree ~exact:false);
-    Harness.seeded_prop ~count:70 "ranking: jobs 2/4 = jobs 1 (exact)"
+    Harness.seeded_prop ~count:70 "Session.ranking_par = Session.ranking (exact, jobs 1/2/4)"
       (ranking_jobs_agree ~exact:true);
   ]
 
@@ -457,7 +459,7 @@ let () =
         [
           test_case "sparse fixture: ranking = per-tuple reference" `Quick
             test_sparse_ranking_matches_reference;
-          test_case "dense fixture: 2 jobs rank as 1" `Quick test_dense_ranking_jobs;
+          test_case "dense fixture: ranking_par = ranking" `Quick test_dense_ranking_jobs;
           test_case "ranking = per-tuple reference" `Quick test_ranking_matches_reference;
           test_case "dense basis kernel ranks identically" `Quick
             test_dense_basis_ranks_identically;
