@@ -1,19 +1,17 @@
-(* Chunked self-scheduling over raw domains.
+(* Chunked self-scheduling over raw domains, spawned per batch.
 
-   A pool owns [jobs - 1] spawned domains; the submitter is the remaining
-   participant.  A batch is represented as one closure ([participate]) that
-   any domain can call: it repeatedly claims the next chunk of task indices
-   under the pool mutex, runs them, and writes each result into the slot of
-   its index.  Per-batch state (cursor, in-flight count, failure) lives in
-   refs captured by that closure, so the pool itself carries no knowledge of
-   the tasks' result type.
+   A batch spawns [jobs - 1] domains and the submitter is the last
+   participant.  Every participant runs the same loop: claim the next chunk
+   of task indices from one atomic cursor, run it, and write each result
+   into the slot of its index.  Joining the spawned domains is the
+   end-of-batch wait, so the pool keeps no workers, locks or conditions
+   between batches: it is a job count and two flags.
 
    Chunked self-scheduling rather than work stealing: tasks here are LP
-   solves (micro- to milliseconds), so a single shared cursor under a mutex
-   is contended a few thousand times per batch at most, and determinism is
-   trivial — results are indexed by task id, never by arrival order.  A
-   worker that drew a long chunk late cannot change any result slot, only
-   the wall-clock. *)
+   solves (micro- to milliseconds), so one shared cursor is bumped a few
+   thousand times per batch at most, and determinism is trivial — results
+   are indexed by task id, never by arrival order.  A participant that drew
+   a long chunk late cannot change any result slot, only the wall-clock. *)
 
 (* Batch/chunk accounting, dropped unless a trace sink is installed.  Per-
    domain busy time is read off the "pool.chunk" spans of each track in the
@@ -22,76 +20,31 @@ let c_batches = Obs.Counter.create "pool.batches"
 let c_chunks = Obs.Counter.create "pool.chunks"
 let c_tasks = Obs.Counter.create "pool.tasks"
 
-type batch = { participate : unit -> unit }
-
 type t = {
-  mutex : Mutex.t;
-  wake : Condition.t;  (* workers: a new batch (or shutdown) is available *)
-  finished : Condition.t;  (* submitter: the current batch may be complete *)
-  mutable current : batch option;
-  mutable generation : int;  (* bumped per submitted batch *)
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-  mutable active : bool;
   njobs : int;
+  closed : bool Atomic.t;  (* set by [shutdown]: later runs raise *)
   shutdown_req : bool Atomic.t;
-      (* Set by [request_shutdown] — the only pool operation safe from a
-         signal handler, where taking [mutex] could self-deadlock.  The
-         owner polls it from normal context and calls [shutdown]. *)
+      (* Set by [request_shutdown]; the owner polls it from normal context
+         and calls [shutdown]. *)
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
 
 let jobs t = t.njobs
 
-let worker_loop pool =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock pool.mutex;
-    while (not pool.stop) && pool.generation = !last_gen do
-      Condition.wait pool.wake pool.mutex
-    done;
-    if pool.stop then begin
-      Mutex.unlock pool.mutex;
-      running := false
-    end
-    else begin
-      last_gen := pool.generation;
-      let b = pool.current in
-      Mutex.unlock pool.mutex;
-      match b with Some b -> b.participate () | None -> ()
-    end
-  done
-
 let create ?(jobs = 0) () =
   if jobs < 0 then invalid_arg "Pool.create: negative jobs";
   let njobs = if jobs = 0 then default_jobs () else jobs in
-  let pool =
-    {
-      mutex = Mutex.create ();
-      wake = Condition.create ();
-      finished = Condition.create ();
-      current = None;
-      generation = 0;
-      stop = false;
-      workers = [];
-      active = true;
-      njobs;
-      shutdown_req = Atomic.make false;
-    }
-  in
-  pool.workers <- List.init (njobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
+  { njobs; closed = Atomic.make false; shutdown_req = Atomic.make false }
 
 let run_init ?chunk pool ~init ~tasks f =
   if tasks < 0 then invalid_arg "Pool.run: negative task count";
   if tasks = 0 then [||]
+  else if Atomic.get pool.closed then invalid_arg "Pool.run: pool is shut down"
   else if pool.njobs = 1 then begin
     (* The sequential path: no domains, no locks, index order.  The same
        batch/chunk spans and counters as the parallel path (one chunk of
        everything), so telemetry schemas do not depend on the job count. *)
-    if not pool.active then invalid_arg "Pool.run: pool is shut down";
     Obs.Counter.incr c_batches;
     Obs.Counter.incr c_chunks;
     Obs.Counter.add c_tasks tasks;
@@ -112,9 +65,9 @@ let run_init ?chunk pool ~init ~tasks f =
       | None -> max 1 (tasks / (pool.njobs * 4))
     in
     let results = Array.make tasks None in
-    let next = ref 0 in
-    let in_flight = ref 0 in
-    let failed = ref None in
+    let next = Atomic.make 0 in
+    let failed = Atomic.make None in
+    let fail e bt = ignore (Atomic.compare_and_set failed None (Some (e, bt))) in
     let participate () =
       (* Per-domain batch state: [init] runs at most once, lazily. *)
       let local = ref None in
@@ -126,19 +79,12 @@ let run_init ?chunk pool ~init ~tasks f =
           local := Some s;
           s
       in
-      let draining = ref true in
-      while !draining do
-        Mutex.lock pool.mutex;
-        if !next >= tasks || !failed <> None then begin
-          Mutex.unlock pool.mutex;
-          draining := false
-        end
-        else begin
-          let start = !next in
+      let rec claim () =
+        let start =
+          if Option.is_none (Atomic.get failed) then Atomic.fetch_and_add next chunk else tasks
+        in
+        if start < tasks then begin
           let stop = min tasks (start + chunk) in
-          next := stop;
-          incr in_flight;
-          Mutex.unlock pool.mutex;
           Obs.Counter.incr c_chunks;
           Obs.Counter.add c_tasks (stop - start);
           let span_c = Obs.Trace.begin_ () in
@@ -147,46 +93,30 @@ let run_init ?chunk pool ~init ~tasks f =
              for i = start to stop - 1 do
                results.(i) <- Some (f s i)
              done
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             Mutex.lock pool.mutex;
-             if !failed = None then failed := Some (e, bt);
-             Mutex.unlock pool.mutex);
+           with e -> fail e (Printexc.get_raw_backtrace ()));
           if not (Float.is_nan span_c) then
             Obs.Trace.end_ span_c ~args:[ ("tasks", string_of_int (stop - start)) ] "pool.chunk";
-          Mutex.lock pool.mutex;
-          decr in_flight;
-          if !in_flight = 0 && (!next >= tasks || !failed <> None) then
-            Condition.broadcast pool.finished;
-          Mutex.unlock pool.mutex
+          claim ()
         end
-      done
+      in
+      claim ()
     in
-    Mutex.lock pool.mutex;
-    if not pool.active then begin
-      Mutex.unlock pool.mutex;
-      invalid_arg "Pool.run: pool is shut down"
-    end;
-    if pool.current <> None then begin
-      Mutex.unlock pool.mutex;
-      invalid_arg "Pool.run: a batch is already running"
-    end;
     Obs.Counter.incr c_batches;
     let span_b = Obs.Trace.begin_ () in
-    pool.current <- Some { participate };
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.wake;
-    Mutex.unlock pool.mutex;
-    (* The submitter is a participant too. *)
+    (* No more domains than chunks: a surplus one could claim nothing. *)
+    let helpers = min (pool.njobs - 1) ((tasks - 1) / chunk) in
+    let spawned = ref [] in
+    (* A failed spawn fails the batch: the domains already started stop
+       claiming and are joined below, the exception re-raised. *)
+    (try
+       for _ = 1 to helpers do
+         spawned := Domain.spawn participate :: !spawned
+       done
+     with e -> fail e (Printexc.get_raw_backtrace ()));
     participate ();
-    Mutex.lock pool.mutex;
-    while not (!in_flight = 0 && (!next >= tasks || !failed <> None)) do
-      Condition.wait pool.finished pool.mutex
-    done;
-    pool.current <- None;
-    Mutex.unlock pool.mutex;
+    List.iter Domain.join !spawned;
     Obs.Trace.end_ span_b "pool.batch";
-    match !failed with
+    match Atomic.get failed with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None ->
       Array.map
@@ -203,19 +133,7 @@ let shutdown_requested pool = Atomic.get pool.shutdown_req
 
 let shutdown pool =
   Atomic.set pool.shutdown_req true;
-  Mutex.lock pool.mutex;
-  pool.stop <- true;
-  pool.active <- false;
-  (* Taking the worker list under the mutex makes repeated and concurrent
-     shutdowns safe: exactly one caller joins each worker, later calls see
-     an empty list and return after the (idempotent) flag writes. *)
-  let workers = pool.workers in
-  pool.workers <- [];
-  Condition.broadcast pool.wake;
-  Mutex.unlock pool.mutex;
-  (* Workers finish the batch in flight (participate ignores [stop]) before
-     observing the flag and exiting, so joining here is the graceful wait. *)
-  List.iter Domain.join workers
+  Atomic.set pool.closed true
 
 let with_pool ?jobs f =
   let pool = create ?jobs () in

@@ -6,18 +6,21 @@
     model core for free: the CSR/CSC arrays are shared read-only across
     domains and only per-domain solver state is mutable.
 
-    Design (see DESIGN.md §7): raw [Domain.spawn] workers around a
-    mutex/condition work queue; a batch of [tasks] indexed [0..tasks-1] is
+    Design (see DESIGN.md §7): each batch spawns its own [jobs - 1]
+    domains with [Domain.spawn] and joins them before returning, so no
+    domain outlives its batch.  A batch of [tasks] indexed [0..tasks-1] is
     drained by {e chunked self-scheduling} (each participant repeatedly
-    claims the next contiguous chunk of indices under the mutex), and every
-    task writes its result into the slot of its own index — so the output
-    is positionally deterministic no matter which domain ran what, when.
-    The submitting domain participates in the batch, a worker exception is
-    captured and re-raised in the submitter, and [jobs = 1] degrades to
-    plain sequential execution with zero behavioural difference (no domains,
-    no locks, tasks run in index order).
+    claims the next contiguous chunk of indices from one atomic cursor),
+    and every task writes its result into the slot of its own index — so
+    the output is positionally deterministic no matter which domain ran
+    what, when.  The submitting domain participates in the batch, a task's
+    exception is captured and re-raised in the submitter, and [jobs = 1]
+    degrades to plain sequential execution with zero behavioural
+    difference (no domains, no locks, tasks run in index order).
 
-    Runs are synchronous and serialised: one batch at a time per pool. *)
+    Runs are synchronous; a pool holds no per-batch state, so several
+    domains may run batches on one pool at the same time, each spawning
+    its own domains. *)
 
 type t
 
@@ -26,9 +29,10 @@ val default_jobs : unit -> int
     CLI's [--jobs 0] resolve to. *)
 
 val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs - 1] worker domains (the submitter is the
-    remaining participant).  [jobs = 0] (and omitting [jobs]) means
-    {!default_jobs}; negative values raise [Invalid_argument]. *)
+(** [create ~jobs ()] is a pool of [jobs] participants per batch: each
+    batch spawns [jobs - 1] domains (no more than it has chunks), and the
+    submitter is the last participant.  [jobs = 0] (and omitting [jobs])
+    means {!default_jobs}; negative values raise [Invalid_argument]. *)
 
 val jobs : t -> int
 (** Total participating domains, including the submitter; always >= 1. *)
@@ -40,7 +44,9 @@ val run : ?chunk:int -> t -> tasks:int -> (int -> 'a) -> 'a array
     identical to sequential evaluation for pure [f] regardless of [jobs] or
     [chunk].  If any task raises, remaining chunks are abandoned, in-flight
     tasks finish, and the first exception (in completion order) is re-raised
-    here with its backtrace.
+    here with its backtrace.  A [Domain.spawn] that fails (the runtime's
+    domain limit) fails the batch the same way: the domains already
+    started are joined, then its exception is re-raised.
     @raise Invalid_argument if the pool has been shut down. *)
 
 val run_init : ?chunk:int -> t -> init:(unit -> 's) -> tasks:int -> ('s -> int -> 'a) -> 'a array
@@ -51,18 +57,13 @@ val run_init : ?chunk:int -> t -> init:(unit -> 's) -> tasks:int -> ('s -> int -
     shared frozen program. *)
 
 val shutdown : t -> unit
-(** Graceful shutdown: workers finish the batch in flight (if any), then
-    exit and are joined.  Idempotent — repeated and concurrent calls are
-    safe, and exactly one caller joins each worker.  After shutdown,
-    {!run} raises.  Not async-signal-safe (it takes the pool mutex); from
-    a signal handler use {!request_shutdown} instead. *)
+(** Closes the pool: sets a flag, so later {!run}s raise.  A batch in
+    flight completes.  Idempotent, safe from any domain, and lock-free. *)
 
 val request_shutdown : t -> unit
-(** Records a shutdown request without taking any lock — the only pool
-    operation safe to call from a signal handler (where {!shutdown}'s
-    mutex acquisition could self-deadlock against the interrupted
-    thread).  The pool keeps running; the owner is expected to poll
-    {!shutdown_requested} from normal context and call {!shutdown}. *)
+(** Records a shutdown request without closing the pool: batches keep
+    running.  The owner is expected to poll {!shutdown_requested} from
+    normal context and call {!shutdown}. *)
 
 val shutdown_requested : t -> bool
 (** Has {!request_shutdown} (or {!shutdown}) been called? *)

@@ -164,6 +164,32 @@ let test_concurrent_shutdown () =
   List.iter Domain.join closers;
   Alcotest.(check (array int)) "in-flight batch completed" (Array.init 48 (fun i -> i * 2)) results
 
+(* --- Concurrent batches -------------------------------------------------------- *)
+
+let test_concurrent_batches () =
+  (* A batch spawns its own domains, so two submitters can share one pool.
+     Each batch's tasks wait (bounded) until the other batch has started, so
+     the two really overlap; each must get its own results. *)
+  Lp.Pool.with_pool ~jobs:2 (fun pool ->
+      let started = Array.init 2 (fun _ -> Atomic.make false) in
+      let deadline = Unix.gettimeofday () +. 5. in
+      let batch k () =
+        Lp.Pool.run ~chunk:1 pool ~tasks:30 (fun i ->
+            Atomic.set started.(k) true;
+            while (not (Atomic.get started.(1 - k))) && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            (k * 1000) + i)
+      in
+      let submitters = List.init 2 (fun k -> Domain.spawn (batch k)) in
+      List.iteri
+        (fun k d ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "batch %d" k)
+            (Array.init 30 (fun i -> (k * 1000) + i))
+            (Domain.join d))
+        submitters)
+
 (* --- Stress ------------------------------------------------------------------ *)
 
 let test_stress () =
@@ -215,6 +241,7 @@ let () =
           test_case "request_shutdown is signal-safe flag" `Quick test_request_shutdown;
           test_case "concurrent shutdown races" `Quick test_concurrent_shutdown;
         ] );
+      ("concurrency", [ test_case "two batches at once on one pool" `Quick test_concurrent_batches ]);
       ( "stress",
         [
           test_case "10k tasks, 2..8 domains" `Quick test_stress;
