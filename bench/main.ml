@@ -712,7 +712,6 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
                      [
                        ("witnesses_s", Float prof.Session.witnesses_s);
                        ("encode_s", Float prof.Session.encode_s);
-                       ("lint_s", Float prof.Session.lint_s);
                        ("prep_s", Float prof.Session.prep_s);
                        ("solve_s", Float prof.Session.solve_s);
                        ("questions", Int prof.Session.questions);

@@ -51,7 +51,6 @@ type rsp_answer = {
 type profile = {
   witnesses_s : float;
   encode_s : float;
-  lint_s : float;
   prep_s : float;
   solve_s : float;
   questions : int;
@@ -64,23 +63,13 @@ type profile = {
 type acc = {
   mutable a_witnesses : float;
   mutable a_encode : float;
-  mutable a_lint : float;
   mutable a_prep : float;
   mutable a_solve : float;
   mutable a_questions : int;
 }
 
 let fresh_acc () =
-  { a_witnesses = 0.; a_encode = 0.; a_lint = 0.; a_prep = 0.; a_solve = 0.; a_questions = 0 }
-
-(* Solver state over one frozen program: the program exactly as encoded
-   (what per-domain engines are created from) and the submitter's own warm
-   engine.  No reduction sits between the encoding and the solver, so
-   deltas, appended rows and solutions all speak the encoding's variable
-   numbering. *)
-type prep = { pfz : Lp.Frozen.t; pengine : Lp.Solvers.engine }
-
-let prep_of_frozen ?kernel ~exact fz = { pfz = fz; pengine = Lp.Solvers.engine ~exact ?kernel fz }
+  { a_witnesses = 0.; a_encode = 0.; a_prep = 0.; a_solve = 0.; a_questions = 0 }
 
 (* The maintained program: the shared encoding as frozen at build, plus an
    overlay that writes grow.  Every question's delta starts from
@@ -90,10 +79,11 @@ let prep_of_frozen ?kernel ~exact fz = { pfz = fz; pengine = Lp.Solvers.engine ~
    counterfactual slacks to 1. *)
 type core = {
   cfz : Lp.Frozen.t;
-  cprep : prep Lazy.t;
-      (* engine build, paid by the first question — a session opened only
-         for lint or analysis never forces this *)
-  cdiags : Lp.Lint.diag list Lazy.t;  (* lint of the frozen program *)
+      (* the program exactly as encoded, which every engine solves: deltas,
+         appended rows and solutions all speak its variable numbering *)
+  cengine : Lp.Solvers.engine Lazy.t;
+      (* the submitter's warm engine, built by the first question that
+         solves on it; a ranking opens its own engines instead *)
   ccols : Encode.columns;  (* tuple columns, base + appended *)
   mutable clive : (Lp.Model.var * Database.tuple_id list) list;
       (* live witness indicators, newest first, with their full tuple sets *)
@@ -137,22 +127,15 @@ let encode t =
           Some
             {
               cfz = raw;
-              cprep =
+              cengine =
                 (* Timed inside the thunk so the cost lands on whichever
-                   question actually forces the shared prep. *)
+                   question actually forces the warm engine. *)
                 lazy
                   (Obs.Trace.with_span "session.prep" (fun () ->
                        let t0 = Obs.Clock.now () in
-                       let p = prep_of_frozen ~exact:t.sexact ~kernel:t.sbasis raw in
+                       let e = Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis raw in
                        acc.a_prep <- acc.a_prep +. Obs.Clock.elapsed t0;
-                       p));
-              cdiags =
-                lazy
-                  (Obs.Trace.with_span "session.lint" (fun () ->
-                       let t0 = Obs.Clock.now () in
-                       let d = Lp.Lint.lint raw in
-                       acc.a_lint <- acc.a_lint +. Obs.Clock.elapsed t0;
-                       d));
+                       e));
               ccols =
                 {
                   Encode.col_of_tuple = shared.Encode.svar_of_tuple;
@@ -446,7 +429,7 @@ let runlog_solve_fields ~op ~status ~path:dispatch ~fz ?stats:st ~wall () =
    program's [Lp.Struct] feature vector alongside the dispatch path taken
    and the outcome, i.e. one line of the portfolio training corpus.  With
    nothing armed this is the raw solve plus two atomic loads. *)
-let run_engine ?node_limit ?time_limit ?(op = "solve") ~ints prep engine delta =
+let run_engine ?node_limit ?time_limit ?(op = "solve") ~ints ~fz engine delta =
   if not (Obs.Sink.recording () || Obs.Runlog.enabled ()) then
     run_engine_raw ?node_limit ?time_limit ints engine delta
   else begin
@@ -466,7 +449,7 @@ let run_engine ?node_limit ?time_limit ?(op = "solve") ~ints prep engine delta =
           | `Infeasible -> ("infeasible", "relax", None)
           | `Budget _ -> ("budget", "bb", None)
         in
-        runlog_solve_fields ~op ~status ~path ~fz:prep.pfz ?stats:st ~wall ());
+        runlog_solve_fields ~op ~status ~path ~fz ?stats:st ~wall ());
     r
   end
 
@@ -493,10 +476,9 @@ let resilience ?node_limit ?time_limit t =
   match active t with
   | Error outcome -> outcome
   | Ok core -> (
-    let prep = Lazy.force core.cprep in
     match
-      run_engine ?node_limit ?time_limit ~op:"resilience" ~ints:core.cints prep prep.pengine
-        (res_delta core)
+      run_engine ?node_limit ?time_limit ~op:"resilience" ~ints:core.cints ~fz:core.cfz
+        (Lazy.force core.cengine) (res_delta core)
     with
     | `Infeasible -> No_contingency
     | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
@@ -505,12 +487,13 @@ let resilience ?node_limit ?time_limit t =
       Solved { res_value = round_value obj; contingency = read_tuples core sol; res_stats = st })
 
 (* The shared-program responsibility delta-solve. *)
-let rsp_shared ?node_limit ?time_limit core prep engine tid =
+let rsp_shared ?node_limit ?time_limit core engine tid =
   match rsp_delta core tid with
   | None -> No_contingency
   | Some delta -> (
     match
-      run_engine ?node_limit ?time_limit ~op:"responsibility" ~ints:core.cints prep engine delta
+      run_engine ?node_limit ?time_limit ~op:"responsibility" ~ints:core.cints ~fz:core.cfz
+        engine delta
     with
     | `Infeasible -> No_contingency
     | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
@@ -525,10 +508,11 @@ let rsp_shared ?node_limit ?time_limit core prep engine tid =
    amortises the larger shared model. *)
 let cold_solve ?node_limit ?time_limit ~op ~exact ~answer (enc : Encode.encoding) =
   let tp0 = Obs.Clock.now () in
-  let prep = prep_of_frozen ~exact (Lp.Frozen.of_model enc.Encode.model) in
+  let fz = Lp.Frozen.of_model enc.Encode.model in
+  let engine = Lp.Solvers.engine ~exact fz in
   let prep_time = Obs.Clock.elapsed tp0 in
-  let ints = Lp.Frozen.integer_vars prep.pfz in
-  match run_engine ?node_limit ?time_limit ~op ~ints prep prep.pengine Lp.Frozen.Delta.empty with
+  let ints = Lp.Frozen.integer_vars fz in
+  match run_engine ?node_limit ?time_limit ~op ~ints ~fz engine Lp.Frozen.Delta.empty with
   | `Infeasible -> No_contingency
   | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
   | `Ok (obj, sol, st) ->
@@ -550,8 +534,7 @@ let responsibility ?node_limit ?time_limit t tid =
   | Error outcome -> outcome
   | Ok core ->
     refresh_counterfactual t core;
-    let prep = Lazy.force core.cprep in
-    let outcome = rsp_shared ?node_limit ?time_limit core prep prep.pengine tid in
+    let outcome = rsp_shared ?node_limit ?time_limit core (Lazy.force core.cengine) tid in
     (match outcome with
     | Solved a -> note_stats t a.rsp_stats
     | Query_false | No_contingency | Budget_exhausted _ -> ());
@@ -578,15 +561,15 @@ let ranking ?node_limit ?time_limit ?(jobs = 1) t =
     let tasks = Array.length cands in
     if tasks = 0 then []
     else begin
-      let prep = Lazy.force core.cprep in
       (* Each participating domain opens its own warm engine against the
-         shared frozen arrays and drains a chunk of per-tuple delta-solves. *)
+         shared frozen arrays and drains a chunk of per-tuple delta-solves;
+         the session's warm engine is not built. *)
       let outcomes =
         Lp.Pool.with_pool ~jobs (fun pool ->
             Lp.Pool.run_init pool
-              ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz)
+              ~init:(fun () -> Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis core.cfz)
               ~tasks
-              (fun engine i -> rsp_shared ?node_limit ?time_limit core prep engine cands.(i)))
+              (fun engine i -> rsp_shared ?node_limit ?time_limit core engine cands.(i)))
       in
       (* Accounting on the submitter: each candidate counts as one
          question, and a solved one adds its solve/prep time. *)
@@ -620,11 +603,13 @@ let enum_pin_expr t core =
 (* One warm ILP solve under the delta, shaped for [Enumerate.drive]: the
    cut chain grows monotonically on one engine, so each re-solve absorbs
    only the newest row and restarts from the previous optimal basis. *)
-let enum_run ?node_limit core prep engine time_left delta =
+let enum_run ?node_limit core engine time_left delta =
   let time_limit =
     match time_left with Some l -> Some (Float.max l 0.) | None -> None
   in
-  match run_engine ?node_limit ?time_limit ~op:"enumerate" ~ints:core.cints prep engine delta with
+  match
+    run_engine ?node_limit ?time_limit ~op:"enumerate" ~ints:core.cints ~fz:core.cfz engine delta
+  with
   | `Infeasible -> `Infeasible
   | `Budget _ -> `Budget
   | `Ok (obj, sol, st) ->
@@ -641,9 +626,9 @@ let var_of_tuple core tid = Hashtbl.find_opt core.ccols.Encode.col_of_tuple tid
    subspace runs its own pinned cut chain on a fresh warm engine over the
    shared frozen arrays; the merge is concatenation + canonical sort, so
    an exhausted enumeration is identical at every job count. *)
-let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
+let enum_par ?node_limit ?time_limit ?cap ~jobs t core ~pin ~cut base =
   let t0 = Obs.Clock.now () in
-  match enum_run ?node_limit core prep prep.pengine time_limit base with
+  match enum_run ?node_limit core (Lazy.force core.cengine) time_limit base with
   | `Infeasible -> `Infeasible
   | `Budget -> `Budget
   | `Ok (opt, s0, first) ->
@@ -656,21 +641,20 @@ let enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base =
       else
         Lp.Pool.with_pool ~jobs (fun pool ->
             Lp.Pool.run pool ~tasks:(Array.length seeds) (fun i ->
-                let engine = Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis prep.pfz in
+                let engine = Lp.Solvers.engine ~exact:t.sexact ~kernel:t.sbasis core.cfz in
                 let sub = ref base in
                 for j = 0 to i - 1 do
                   sub := fix seeds.(j) Lp.Frozen.Delta.force_one !sub
                 done;
                 sub := fix seeds.(i) Lp.Frozen.Delta.fix_zero !sub;
                 Enumerate.collect ?cap ?time_limit ~t0 ~opt ~cut
-                  ~run:(enum_run ?node_limit core prep engine)
+                  ~run:(enum_run ?node_limit core engine)
                   ~seen:[] (pin opt !sub)))
     in
     `Family (Enumerate.family ~t0 ~opt ~s0 ~first ~s0_cuts:0 (Array.to_list results))
 
 let enum_question ?node_limit ?time_limit ?cap ~jobs t core base =
   let jobs = if jobs = 0 then Lp.Pool.default_jobs () else jobs in
-  let prep = Lazy.force core.cprep in
   Obs.Trace.with_span "session.enumerate" (fun () ->
       let pin opt d =
         Lp.Frozen.Delta.append_row Lp.Model.Leq opt (enum_pin_expr t core) d
@@ -679,9 +663,9 @@ let enum_question ?node_limit ?time_limit ?cap ~jobs t core base =
       let result =
         if jobs <= 1 then
           Enumerate.drive ?cap ?time_limit ~pin ~cut
-            ~run:(enum_run ?node_limit core prep prep.pengine)
+            ~run:(enum_run ?node_limit core (Lazy.force core.cengine))
             base
-        else enum_par ?node_limit ?time_limit ?cap ~jobs t core prep ~pin ~cut base
+        else enum_par ?node_limit ?time_limit ?cap ~jobs t core ~pin ~cut base
       in
       match result with
       | `Infeasible -> No_contingency
@@ -710,13 +694,10 @@ let enumerate_responsibility ?node_limit ?time_limit ?(jobs = 1) ?cap t tid =
     | None -> No_contingency
     | Some base -> enum_question ?node_limit ?time_limit ?cap ~jobs t core base)
 
-let diagnostics t = match program t with None -> [] | Some core -> Lazy.force core.cdiags
-
 let profile t =
   {
     witnesses_s = t.sacc.a_witnesses;
     encode_s = t.sacc.a_encode;
-    lint_s = t.sacc.a_lint;
     prep_s = t.sacc.a_prep;
     solve_s = t.sacc.a_solve;
     questions = t.sacc.a_questions;

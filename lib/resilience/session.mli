@@ -1,7 +1,7 @@
 open! Relalg
 
 (** A solve session: one (query, database) pair kept alive across
-    questions and writes.  Witness enumeration, encoding, freezing and lint
+    questions and writes.  Witness enumeration, encoding and freezing
     are paid {e once}; resilience and per-tuple responsibility questions
     are then cheap delta-solves against one frozen program.
 
@@ -110,8 +110,7 @@ type rsp_answer = {
 type profile = {
   witnesses_s : float;  (** Witness enumeration (the relational join). *)
   encode_s : float;  (** Shared-program encode + freeze, in {!create} and rebuilds. *)
-  lint_s : float;  (** {!Lp.Lint} over the frozen program (lazy). *)
-  prep_s : float;  (** Engine build: the session's lazy shared prep. *)
+  prep_s : float;  (** Engine build: the session's lazy warm engine. *)
   solve_s : float;  (** Pure branch-and-bound time summed over questions. *)
   questions : int;  (** Questions asked (each ranking candidate counts). *)
 }
@@ -120,8 +119,9 @@ type profile = {
     with every answered question. *)
 
 val create : ?exact:bool -> ?basis:Lp.Basis.choice -> Problem.semantics -> Cq.t -> Database.t -> t
-(** Enumerate witnesses, encode and freeze the shared program (the engine
-    is built lazily, on the first solve).  The session borrows [db], which
+(** Enumerate witnesses, encode and freeze the shared program (the warm
+    engine is built lazily, by the first question that solves on it; a
+    {!ranking} opens only its per-domain engines).  The session borrows [db], which
     any number of sessions may share: mutate it only through {!insert} and
     {!delete}.  [basis] (default [`Sparse] LU) selects the simplex basis
     kernel for every engine the session opens — the shared warm engine and
@@ -175,7 +175,8 @@ val ranking :
     whose delta is infeasible or over budget are omitted.  The per-tuple
     solves are drained by an {!Lp.Pool}: each participating domain opens
     its own warm simplex engine against the session's shared frozen arrays
-    and runs a chunk of delta-solves.  Results are merged in task order,
+    and runs a chunk of delta-solves; the session's own warm engine is
+    not built.  Results are merged in task order,
     so the output is {e bit-identical} for every [jobs] (the ranking
     compares optimal objective values, which are basis-independent).
     [jobs = 0] means {!Lp.Pool.default_jobs}; the default [jobs = 1] runs
@@ -219,10 +220,6 @@ val enumerate_responsibility :
 (** All minimum contingency sets of RSP*(Q, D, t), same contract as
     {!enumerate_resilience}.  The [OPT = 0] family is [{[[]]}] (the empty
     set is the unique zero-weight set). *)
-
-val diagnostics : t -> Lp.Lint.diag list
-(** {!Lp.Lint} over the frozen shared program, computed once per program and
-    cached.  Empty when the session has no program. *)
 
 val profile : t -> profile
 (** The session's cumulative phase breakdown so far.  Cheap (reads an

@@ -241,8 +241,7 @@ let test_query_false_session () =
   (match Session.resilience session with
   | Session.Query_false -> ()
   | _ -> Alcotest.fail "expected Query_false");
-  Alcotest.(check int) "empty ranking" 0 (List.length (Session.ranking session));
-  Alcotest.(check int) "no diagnostics" 0 (List.length (Session.diagnostics session))
+  Alcotest.(check int) "empty ranking" 0 (List.length (Session.ranking session))
 
 let test_fully_exogenous_witness () =
   (* A witness of only exogenous tuples blocks everything. *)
@@ -309,6 +308,22 @@ let test_solve_paths_run_encoding_as_built () =
     Alcotest.(check int) "enumeration optimum" opt f.Enumerate.opt;
     Alcotest.(check (list (list int))) "enumerated family = brute force" sets f.Enumerate.sets
   | _ -> Alcotest.fail "fixture: the enumeration must be solved"
+
+(* A ranking solves every candidate on engines its pool opens, so it
+   builds no warm engine; the first question that solves on the session
+   builds it once. *)
+let test_ranking_builds_no_warm_engine () =
+  let session = Session.create Problem.Set (Queries.q2_chain ()) (mid_db ()) in
+  Obs.Sink.install ();
+  Fun.protect ~finally:Obs.Sink.uninstall @@ fun () ->
+  let preps () =
+    List.length (List.filter (fun s -> s.Obs.Trace.name = "session.prep") (Obs.Trace.drain ()))
+  in
+  Alcotest.(check bool) "ranked" true (Session.ranking session <> []);
+  Alcotest.(check int) "ranking: no session.prep" 0 (preps ());
+  ignore (Session.resilience session);
+  ignore (Session.resilience session);
+  Alcotest.(check int) "resilience afterwards: one session.prep" 1 (preps ())
 
 (* --- Writes as overlays -------------------------------------------------------- *)
 
@@ -468,6 +483,7 @@ let () =
         [
           test_case "no presolve or structure analysis on any solve path" `Quick
             test_solve_paths_run_encoding_as_built;
+          test_case "a ranking builds no warm engine" `Quick test_ranking_builds_no_warm_engine;
         ] );
       ( "overlays",
         [
