@@ -168,6 +168,16 @@ let parse_tuple t line =
   | None -> Error "blank tuple line"
   | exception Invalid_argument msg -> Error msg
 
+(* A tuple line resolved to the live tuple it names: [Bad_request] when the
+   line does not parse, [Not_found] when no such tuple is live. *)
+let resolve_tuple t line =
+  match parse_tuple t line with
+  | Error msg -> Error (Protocol.Bad_request, msg)
+  | Ok info -> (
+    match Database.find t.db info.Database.rel info.Database.args with
+    | None -> Error (Protocol.Not_found, "tuple not found")
+    | Some tid -> Ok tid)
+
 let sessions t = List.map (fun e -> e.esession) t.entries
 
 let do_load t data =
@@ -193,15 +203,12 @@ let do_insert t line =
     | id -> Ok (Json.Obj [ ("tuple_id", Json.Int id) ]))
 
 let do_delete t line =
-  match parse_tuple t line with
-  | Error msg -> Error msg
-  | Ok info -> (
-    match Database.find t.db info.Database.rel info.Database.args with
-    | None -> Error "tuple not found"
-    | Some id ->
-      t.fp <- None;
-      Session.delete t.db (sessions t) id;
-      Ok (Json.Obj [ ("tuple_id", Json.Int id) ]))
+  match resolve_tuple t line with
+  | Error e -> Error e
+  | Ok id ->
+    t.fp <- None;
+    Session.delete t.db (sessions t) id;
+    Ok (Json.Obj [ ("tuple_id", Json.Int id) ])
 
 (* --- questions ------------------------------------------------------------ *)
 
@@ -254,13 +261,10 @@ let do_ask t (a : Protocol.ask) =
       | Protocol.Resilience ->
         answer_reply Answer.Res (Answer.res t.db) (Session.resilience ?time_limit ses)
       | Protocol.Responsibility tuple -> (
-        match parse_tuple t tuple with
-        | Error msg -> Err (Protocol.Bad_request, msg, None)
-        | Ok info -> (
-          match Database.find t.db info.Database.rel info.Database.args with
-          | None -> Err (Protocol.Not_found, "tuple not found", None)
-          | Some tid ->
-            answer_reply Answer.Rsp (Answer.rsp t.db) (Session.responsibility ?time_limit ses tid)))
+        match resolve_tuple t tuple with
+        | Error (code, msg) -> Err (code, msg, None)
+        | Ok tid ->
+          answer_reply Answer.Rsp (Answer.rsp t.db) (Session.responsibility ?time_limit ses tid))
       | Protocol.Enumerate target -> (
         (* Enumeration rides the same maintained session the point questions
            use: the warm engine, witnesses and frozen program are all
@@ -270,15 +274,11 @@ let do_ask t (a : Protocol.ask) =
           enum_reply t Answer.Res a.Protocol.limit
             (Session.enumerate_resilience ?time_limit ~jobs:a.Protocol.jobs ses)
         | Some tuple -> (
-          match parse_tuple t tuple with
-          | Error msg -> Err (Protocol.Bad_request, msg, None)
-          | Ok info -> (
-            match Database.find t.db info.Database.rel info.Database.args with
-            | None -> Err (Protocol.Not_found, "tuple not found", None)
-            | Some tid ->
-              enum_reply t Answer.Rsp a.Protocol.limit
-                (Session.enumerate_responsibility ?time_limit ~jobs:a.Protocol.jobs ses
-                   tid))))
+          match resolve_tuple t tuple with
+          | Error (code, msg) -> Err (code, msg, None)
+          | Ok tid ->
+            enum_reply t Answer.Rsp a.Protocol.limit
+              (Session.enumerate_responsibility ?time_limit ~jobs:a.Protocol.jobs ses tid)))
       | Protocol.Rank ->
         let ranked = Session.ranking ?time_limit ~jobs:a.Protocol.jobs ses in
         Result
@@ -425,9 +425,7 @@ let rec respond t ~drain (env : Protocol.envelope) =
       finish ~id
         (match do_delete t line with
         | Ok r -> Result r
-        | Error msg ->
-          if msg = "tuple not found" then Err (Protocol.Not_found, msg, None)
-          else Err (Protocol.Bad_request, msg, None))
+        | Error (code, msg) -> Err (code, msg, None))
     | Protocol.Ask a -> finish ~id (timed_ask t a)
     | Protocol.Batch envs ->
       let replies = List.map (fun e -> respond t ~drain:true e) envs in
