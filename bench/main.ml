@@ -660,7 +660,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
         (* Row count of the raw shared super-model — the axis the dense
            regime is phrased in. *)
         let rows =
-          match Encode.shared_of_witnesses set q db (Eval.witnesses q db) with
+          match Encode.shared_of_sets set q db (Eval.unique_tuple_sets (Eval.witnesses q db)) with
           | Encode.Shared s -> Lp.Frozen.num_rows s.Encode.sfz
           | Encode.Shared_trivial | Encode.Shared_impossible -> 0
         in
@@ -712,7 +712,6 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Sparse) ?(metrics = fals
                      [
                        ("witnesses_s", Float prof.Session.witnesses_s);
                        ("encode_s", Float prof.Session.encode_s);
-                       ("prep_s", Float prof.Session.prep_s);
                        ("solve_s", Float prof.Session.solve_s);
                        ("questions", Int prof.Session.questions);
                      ] );

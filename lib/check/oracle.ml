@@ -437,23 +437,21 @@ let struct_soundness case =
 (* The delta-maintenance core behind [resil serve]: a random insert/delete
    stream applied through [Session.insert]/[delete] must leave the session
    agreeing with from-scratch enumeration + encode + solve after every
-   mutation — the witness set (as valuations), the RES* value and verdict,
+   mutation — the distinct witness tuple sets, the RES* value and verdict,
    a sampled tuple's RSP*, the full ranking and the minimum-contingency
    family; any returned contingency must falsify the query.  This covers
    the write overlays, the counterfactual refresh and the rebuilds.  The
    same stream is replayed at float and at exact-rational fields. *)
-
-let sorted_valuations ws = List.sort compare (List.map (fun w -> w.Eval.valuation) ws)
 
 let serve_incremental_step ~step ~exact sem q ses =
   let db = Session.db ses in
   all_of
     [
       (fun () ->
-        let want = sorted_valuations (Eval.witnesses q db) in
-        let got = sorted_valuations (Session.witnesses ses) in
+        let want = List.sort compare (Eval.unique_tuple_sets (Eval.witnesses q db)) in
+        let got = List.sort compare (Session.tuple_sets ses) in
         if got <> want then
-          failf "step %d: maintained witnesses diverge (%d vs %d)" step (List.length got)
+          failf "step %d: maintained tuple sets diverge (%d vs %d)" step (List.length got)
             (List.length want)
         else Pass);
       (fun () ->

@@ -41,9 +41,11 @@ let build q ~order ~weight ~db ~witnesses mode =
   let nw = List.length witnesses in
   let witness_tuples = Array.make nw [] in
   let weight_of tid = weight (Database.tuple db tid) in
+  let valuation = Eval.valuation q db in
   List.iteri
     (fun wi w ->
-      let value_of v = List.assoc v w.Eval.valuation in
+      let vals = valuation w in
+      let value_of v = List.assoc v vals in
       let key cut = List.map value_of keys.(cut) in
       for pos = 0 to m - 1 do
         let tid = w.Eval.tuples.(order.(pos)) in

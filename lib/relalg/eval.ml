@@ -1,4 +1,4 @@
-type witness = { valuation : (string * int) list; tuples : Database.tuple_id array }
+type witness = { tuples : Database.tuple_id array }
 
 (* Greedy join order: repeatedly pick the atom with the most already-bound
    variables, breaking ties toward smaller relations.  Returns the atom
@@ -41,8 +41,8 @@ let join_order q db =
   Array.of_list (List.rev !order)
 
 (* For each execution position, precompute which term positions are bound
-   (constants, repeated variables within the atom, or variables bound by
-   earlier atoms) and build a hash index of the relation on those columns. *)
+   (constants, or variables bound by earlier atoms) and build a hash index
+   of the relation on those columns. *)
 type plan_step = {
   atom_idx : int;
   terms : Cq.term array;
@@ -50,23 +50,22 @@ type plan_step = {
   index : (int list, Database.tuple_info list) Hashtbl.t;
 }
 
-let build_plan q db order =
+let build_plan q db =
   let bound_vars = Hashtbl.create 16 in
-  Array.to_list order
+  Array.to_list (join_order q db)
   |> List.map (fun atom_idx ->
          let a = q.Cq.atoms.(atom_idx) in
          (* Only constants and variables bound by earlier atoms can key the
             index; a variable repeated within this same atom is checked by
-            the per-tuple consistency scan instead (its value is unknown
-            until the tuple is picked). *)
-         let bound_cols = ref [] in
-         Array.iteri
-           (fun pos term ->
-             match term with
-             | Cq.Const _ -> bound_cols := pos :: !bound_cols
-             | Cq.Var v -> if Hashtbl.mem bound_vars v then bound_cols := pos :: !bound_cols)
-           a.Cq.terms;
-         let bound_cols = List.rev !bound_cols in
+            [bind] instead (its value is unknown until the tuple is
+            picked). *)
+         let bound_cols =
+           List.init (Array.length a.Cq.terms) Fun.id
+           |> List.filter (fun pos ->
+                  match a.Cq.terms.(pos) with
+                  | Cq.Const _ -> true
+                  | Cq.Var v -> Hashtbl.mem bound_vars v)
+         in
          let index = Hashtbl.create 64 in
          List.iter
            (fun info ->
@@ -77,20 +76,39 @@ let build_plan q db order =
          List.iter (fun v -> Hashtbl.replace bound_vars v ()) (Cq.vars_of_atom a);
          { atom_idx; terms = a.Cq.terms; bound_cols; index })
 
-let enumerate q db ~stop_after_first =
-  let order = join_order q db in
-  let plan = build_plan q db order in
-  let qvars = Cq.vars q in
+(* A step with no key columns: its candidates are [cands], in that order,
+   and [bind] checks every term. *)
+let scan_step q atom_idx cands =
+  let index = Hashtbl.create 1 in
+  Hashtbl.add index [] cands;
+  { atom_idx; terms = q.Cq.atoms.(atom_idx).Cq.terms; bound_cols = []; index }
+
+(* Bind a step's terms against a tuple; [false] on a clash.  The variables
+   it binds go on [newly], for the caller to undo on backtrack. *)
+let bind valuation step (info : Database.tuple_info) newly =
+  let ok = ref true in
+  Array.iteri
+    (fun pos term ->
+      if !ok then
+        match term with
+        | Cq.Const c -> ok := info.Database.args.(pos) = c
+        | Cq.Var v -> (
+          match Hashtbl.find_opt valuation v with
+          | Some value -> ok := info.Database.args.(pos) = value
+          | None ->
+            Hashtbl.add valuation v info.Database.args.(pos);
+            newly := v :: !newly))
+    step.terms;
+  !ok
+
+(* The backtracking join: runs [plan] and calls [emit] on the tuple row
+   (aligned with the query's atoms) of every match.  The row is reused
+   between calls: copy it to keep it. *)
+let run q plan emit =
   let valuation = Hashtbl.create 16 in
   let chosen = Array.make (Array.length q.Cq.atoms) (-1) in
-  let out = ref [] in
-  let exception Done in
-  let rec go steps =
-    match steps with
-    | [] ->
-      let v = List.map (fun x -> (x, Hashtbl.find valuation x)) qvars in
-      out := { valuation = v; tuples = Array.copy chosen } :: !out;
-      if stop_after_first then raise Done
+  let rec go = function
+    | [] -> emit chosen
     | step :: rest ->
       let key =
         List.map
@@ -100,34 +118,17 @@ let enumerate q db ~stop_after_first =
             | Cq.Var v -> Hashtbl.find valuation v)
           step.bound_cols
       in
-      let matches = try Hashtbl.find step.index key with Not_found -> [] in
       List.iter
         (fun info ->
-          (* Bind the free positions; check intra-tuple consistency for
-             repeated new variables. *)
           let newly = ref [] in
-          let ok = ref true in
-          Array.iteri
-            (fun pos term ->
-              if !ok then
-                match term with
-                | Cq.Const c -> if info.Database.args.(pos) <> c then ok := false
-                | Cq.Var v -> (
-                  match Hashtbl.find_opt valuation v with
-                  | Some value -> if info.Database.args.(pos) <> value then ok := false
-                  | None ->
-                    Hashtbl.add valuation v info.Database.args.(pos);
-                    newly := v :: !newly))
-            step.terms;
-          if !ok then begin
+          if bind valuation step info newly then begin
             chosen.(step.atom_idx) <- info.Database.id;
             go rest
           end;
           List.iter (Hashtbl.remove valuation) !newly)
-        matches
+        (try Hashtbl.find step.index key with Not_found -> [])
   in
-  (try go plan with Done -> ());
-  List.rev !out
+  go plan
 
 (* The witness join feeds every encoding, so its time and output size are
    first-class telemetry (dropped unless a trace sink is installed). *)
@@ -136,7 +137,9 @@ let c_witnesses = Obs.Counter.create "eval.witness_count"
 
 let witnesses q db =
   let span0 = Obs.Trace.begin_ () in
-  let ws = enumerate q db ~stop_after_first:false in
+  let out = ref [] in
+  run q (build_plan q db) (fun row -> out := { tuples = Array.copy row } :: !out);
+  let ws = List.rev !out in
   if Obs.Sink.active () then begin
     Obs.Counter.incr c_joins;
     Obs.Counter.add c_witnesses (List.length ws)
@@ -144,87 +147,57 @@ let witnesses q db =
   Obs.Trace.end_ span0 "eval.witnesses";
   ws
 
-let holds q db = enumerate q db ~stop_after_first:true <> []
+let holds q db =
+  let exception Found in
+  match run q (build_plan q db) (fun _ -> raise Found) with
+  | () -> false
+  | exception Found -> true
 
 (* Witnesses created by inserting tuple [id], without re-running the full
    join: union over "pivot" atoms — for every atom unifiable with the new
-   tuple, pin that atom to it and backtrack the remaining atoms against the
-   full (post-insert) database.  A self-join witness using the tuple at
-   several atoms is found once per usable pivot; the valuation dedup
-   collapses those (a valuation determines the tuple array, since tuple
-   identity is (rel, args) and every atom's args are fixed by the
-   valuation). *)
+   tuple, a plan that pins that atom to it, then scans the other atoms'
+   relations in query order.  A self-join witness using the tuple at
+   several atoms is found once per usable pivot; deduplicating on the
+   tuple row collapses those. *)
 let delta_insert q db id =
   match Database.tuple db id with
   | exception Not_found -> []
   | info ->
     let span0 = Obs.Trace.begin_ () in
-    let qvars = Cq.vars q in
-    let natoms = Array.length q.Cq.atoms in
+    let scans =
+      lazy
+        (List.init (Array.length q.Cq.atoms) (fun i ->
+             scan_step q i (Database.tuples_of db q.Cq.atoms.(i).Cq.rel)))
+    in
     let seen = Hashtbl.create 16 in
     let out = ref [] in
-    (* Bind one atom's terms against a tuple; returns [None] on a clash,
-       otherwise the variables newly bound (to undo on backtrack). *)
-    let bind (a : Cq.atom) (cand : Database.tuple_info) valuation =
-      let newly = ref [] in
-      let ok = ref true in
-      Array.iteri
-        (fun pos term ->
-          if !ok then
-            match term with
-            | Cq.Const c -> if cand.Database.args.(pos) <> c then ok := false
-            | Cq.Var v -> (
-              match Hashtbl.find_opt valuation v with
-              | Some value -> if cand.Database.args.(pos) <> value then ok := false
-              | None ->
-                Hashtbl.add valuation v cand.Database.args.(pos);
-                newly := v :: !newly))
-        a.Cq.terms;
-      if !ok then Some !newly
-      else begin
-        List.iter (Hashtbl.remove valuation) !newly;
-        None
-      end
-    in
-    for pivot = 0 to natoms - 1 do
-      let a0 = q.Cq.atoms.(pivot) in
-      if
-        a0.Cq.rel = info.Database.rel
-        && Array.length a0.Cq.terms = Array.length info.Database.args
-      then begin
-        let valuation = Hashtbl.create 16 in
-        let chosen = Array.make natoms (-1) in
-        match bind a0 info valuation with
-        | None -> ()
-        | Some _ ->
-          chosen.(pivot) <- id;
-          let rec go i =
-            if i = natoms then begin
-              let v = List.map (fun x -> (x, Hashtbl.find valuation x)) qvars in
-              if not (Hashtbl.mem seen v) then begin
-                Hashtbl.add seen v ();
-                out := { valuation = v; tuples = Array.copy chosen } :: !out
-              end
-            end
-            else if i = pivot then go (i + 1)
-            else begin
-              let a = q.Cq.atoms.(i) in
-              List.iter
-                (fun (cand : Database.tuple_info) ->
-                  match bind a cand valuation with
-                  | None -> ()
-                  | Some newly ->
-                    chosen.(i) <- cand.Database.id;
-                    go (i + 1);
-                    List.iter (Hashtbl.remove valuation) newly)
-                (Database.tuples_of db a.Cq.rel)
-            end
-          in
-          go 0
-      end
-    done;
+    Array.iteri
+      (fun pivot (a : Cq.atom) ->
+        if a.Cq.rel = info.Database.rel && Array.length a.Cq.terms = Array.length info.Database.args
+        then
+          let rest = List.filter (fun s -> s.atom_idx <> pivot) (Lazy.force scans) in
+          run q
+            (scan_step q pivot [ info ] :: rest)
+            (fun row ->
+              if not (Hashtbl.mem seen row) then begin
+                let row = Array.copy row in
+                Hashtbl.add seen row ();
+                out := { tuples = row } :: !out
+              end))
+      q.Cq.atoms;
     Obs.Trace.end_ span0 "eval.delta_insert";
     List.rev !out
+
+(* Each variable is read at its first occurrence: the atom's tuple in the
+   row and the position in that tuple. *)
+let valuation q db =
+  let slot v =
+    let i = Option.get (Array.find_index (fun a -> Array.mem (Cq.Var v) a.Cq.terms) q.Cq.atoms) in
+    (v, i, Option.get (Array.find_index (( = ) (Cq.Var v)) q.Cq.atoms.(i).Cq.terms))
+  in
+  let slots = List.map slot (Cq.vars q) in
+  fun w ->
+    List.map (fun (v, i, pos) -> (v, (Database.tuple db w.tuples.(i)).Database.args.(pos))) slots
 
 let tuple_set w = Array.to_list w.tuples |> List.sort_uniq compare
 
@@ -239,7 +212,5 @@ let unique_tuple_sets ws =
         Some ts
       end)
     ws
-
-let witnesses_with ws id = List.filter (fun w -> List.mem id (tuple_set w)) ws
 
 let count q db = List.length (witnesses q db)

@@ -37,14 +37,20 @@ let specialize q ~head ~output =
   in
   Cq.make ~name:(q.Cq.name ^ "_at_row") atoms
 
-let row_of w head = Array.of_list (List.map (fun v -> List.assoc v w.Eval.valuation) head)
+(* The view row of a witness: its head variables' values. *)
+let row_of q db head =
+  let valuation = Eval.valuation q db in
+  fun w ->
+    let vals = valuation w in
+    Array.of_list (List.map (fun v -> List.assoc v vals) head)
 
 let output_rows q ~head db =
   check_head q head;
   let seen = Hashtbl.create 64 in
+  let row_of = row_of q db head in
   Eval.witnesses q db
   |> List.filter_map (fun w ->
-         let row = row_of w head in
+         let row = row_of w in
          let key = Array.to_list row in
          if Hashtbl.mem seen key then None
          else begin
@@ -73,15 +79,16 @@ let source_side_effects ?exact semantics q ~head db ~output =
    tuple sets. *)
 let view_side_effects ?(exact = false) ?node_limit ?time_limit q ~head db ~output =
   check_head q head;
+  let row_of = row_of q db head in
   let target_ws, other_ws =
-    List.partition (fun w -> row_of w head = output) (Eval.witnesses q db)
+    List.partition (fun w -> row_of w = output) (Eval.witnesses q db)
   in
   if target_ws = [] then Solve.Query_false
   else begin
     let groups = Hashtbl.create 64 in
     List.iter
       (fun w ->
-        let key = Array.to_list (row_of w head) in
+        let key = Array.to_list (row_of w) in
         let cur = try Hashtbl.find groups key with Not_found -> [] in
         Hashtbl.replace groups key (Eval.tuple_set w :: cur))
       other_ws;

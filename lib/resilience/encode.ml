@@ -148,10 +148,9 @@ type shared = {
 
 type shared_outcome = Shared of shared | Shared_trivial | Shared_impossible
 
-let shared_of_witnesses semantics q db witnesses =
-  if witnesses = [] then Shared_trivial
+let shared_of_sets semantics q db sets =
+  if sets = [] then Shared_trivial
   else begin
-    let sets = Eval.unique_tuple_sets witnesses in
     let endo_of = List.map (endogenous q db) sets in
     if List.mem [] endo_of then Shared_impossible
     else begin

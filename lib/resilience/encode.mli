@@ -106,8 +106,9 @@ type shared_outcome =
           contingency set exists for resilience {e or} for the
           responsibility of any tuple. *)
 
-val shared_of_witnesses :
-  Problem.semantics -> Cq.t -> Database.t -> Eval.witness list -> shared_outcome
+val shared_of_sets :
+  Problem.semantics -> Cq.t -> Database.t -> Database.tuple_id list list -> shared_outcome
+(** One indicator per distinct witness tuple set, in order. *)
 
 val view_side_effects :
   Cq.t ->

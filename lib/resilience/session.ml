@@ -101,26 +101,27 @@ type t = {
   ssem : Problem.semantics;
   sexact : bool;
   sbasis : Lp.Basis.choice;
-  mutable switnesses : Eval.witness list;
-      (* maintained by delta-joins; the next rebuild encodes it *)
+  mutable ssets : Database.tuple_id list list;
+      (* the distinct live witness tuple sets, in encoding order: maintained
+         by delta-joins; the next rebuild encodes them *)
   mutable sprog : core option;  (* [None]: no witness, or a blocker, at build *)
   mutable sblockers : Database.tuple_id list list;
       (* live witness tuple sets without an endogenous tuple: nothing can
          destroy them, so no contingency set exists *)
   mutable sstale : bool;
       (* a write the overlay could not take: the next question re-encodes
-         the program from [switnesses] *)
+         the program from [ssets] *)
   sacc : acc;
 }
 
-(* Encode and freeze the shared program over the witness list: what
+(* Encode and freeze the shared program over the tuple sets: what
    [create] runs once and a stale program's rebuild runs again. *)
 let encode t =
   let acc = t.sacc in
   let te0 = Obs.Clock.now () in
   let sprog =
     Obs.Trace.with_span "session.encode" (fun () ->
-        match Encode.shared_of_witnesses t.ssem t.sq t.sdb t.switnesses with
+        match Encode.shared_of_sets t.ssem t.sq t.sdb t.ssets with
         | Encode.Shared_trivial | Encode.Shared_impossible -> None
         | Encode.Shared shared ->
           let raw = shared.Encode.sfz in
@@ -157,15 +158,15 @@ let encode t =
   t.sprog <- sprog;
   t.sblockers <-
     (if Option.is_some sprog then []
-     else
-       List.filter
-         (List.for_all (Problem.tuple_exo t.sq t.sdb))
-         (Eval.unique_tuple_sets t.switnesses))
+     else List.filter (List.for_all (Problem.tuple_exo t.sq t.sdb)) t.ssets)
 
 let create ?(exact = false) ?(basis = `Sparse) semantics q db =
   let acc = fresh_acc () in
   let tw0 = Obs.Clock.now () in
-  let witnesses = Obs.Trace.with_span "session.witnesses" (fun () -> Eval.witnesses q db) in
+  let sets =
+    Obs.Trace.with_span "session.witnesses" (fun () ->
+        Eval.unique_tuple_sets (Eval.witnesses q db))
+  in
   acc.a_witnesses <- Obs.Clock.elapsed tw0;
   let t =
     {
@@ -174,7 +175,7 @@ let create ?(exact = false) ?(basis = `Sparse) semantics q db =
       ssem = semantics;
       sexact = exact;
       sbasis = basis;
-      switnesses = witnesses;
+      ssets = sets;
       sprog = None;
       sblockers = [];
       sstale = false;
@@ -185,9 +186,9 @@ let create ?(exact = false) ?(basis = `Sparse) semantics q db =
   t
 
 let db t = t.sdb
-let witnesses t = t.switnesses
+let tuple_sets t = t.ssets
 
-(* Re-encodes from the witness list after a write the overlay could not
+(* Re-encodes from the tuple sets after a write the overlay could not
    take (the first build is not counted); dropped unless a trace sink is
    installed. *)
 let c_rebuilds = Obs.Counter.create "incremental.rebuilds"
@@ -252,17 +253,17 @@ let append_witness t core set endo =
   core.cmoved <- true;
   Obs.Counter.incr c_appends
 
-(* The witnesses a fresh-tuple insert created, appended to the overlay.
-   The program goes stale on compaction, or when it has none and a new
-   witness needs one. *)
-let add_witnesses t fresh =
+(* The witness tuple sets a fresh-tuple insert created, appended to the
+   overlay.  The program goes stale on compaction, or when it has none and
+   a new witness needs one. *)
+let add_sets t fresh =
   List.iter
     (fun set ->
       match (Encode.endogenous t.sq t.sdb set, t.sprog) with
       | [], _ -> t.sblockers <- set :: t.sblockers
       | endo, Some core -> append_witness t core set endo
       | _ :: _, None -> ())
-    (Eval.unique_tuple_sets fresh);
+    fresh;
   let fits =
     match t.sprog with Some core -> not (compaction_due core) | None -> t.sblockers <> []
   in
@@ -294,7 +295,7 @@ let drop_tuple t tid =
 let check_borrowers db ts =
   if List.exists (fun t -> t.sdb != db) ts then invalid_arg "Session: another database"
 
-(* A stale program takes no overlay: the rebuild reads the witness list. *)
+(* A stale program takes no overlay: the rebuild reads the tuple sets. *)
 let insert ?mult ?exo db ts rel args =
   check_borrowers db ts;
   let existing = Database.find db rel args <> None in
@@ -306,23 +307,22 @@ let insert ?mult ?exo db ts rel args =
          overlay expresses. *)
       if existing then t.sstale <- true
       else
-        let fresh = Eval.delta_insert t.sq db id in
+        let fresh = Eval.unique_tuple_sets (Eval.delta_insert t.sq db id) in
         if fresh <> [] then begin
-          t.switnesses <- t.switnesses @ fresh;
-          if not t.sstale then add_witnesses t fresh
+          t.ssets <- t.ssets @ fresh;
+          if not t.sstale then add_sets t fresh
         end)
     ts;
   id
 
-(* A tuple in no witness leaves the witness list and the program as they are. *)
+(* A tuple in no witness leaves the tuple sets and the program as they are. *)
 let delete db ts id =
   check_borrowers db ts;
-  let uses w = Array.exists (fun x -> x = id) w.Eval.tuples in
   Database.remove db id;
   List.iter
     (fun t ->
-      if List.exists uses t.switnesses then begin
-        t.switnesses <- List.filter (fun w -> not (uses w)) t.switnesses;
+      if List.exists (List.mem id) t.ssets then begin
+        t.ssets <- List.filter (fun set -> not (List.mem id set)) t.ssets;
         if not t.sstale then drop_tuple t id
       end)
     ts

@@ -5,7 +5,7 @@ open! Relalg
     are paid {e once}; resilience and per-tuple responsibility questions
     are then cheap delta-solves against one frozen program.
 
-    The session builds the shared super-model of {!Encode.shared_of_witnesses}
+    The session builds the shared super-model of {!Encode.shared_of_sets}
     (tuple variables, witness indicators, counterfactual slack, frozen as
     {!Lp.Frozen}), and opens one warm-started branch-and-bound session over
     the frozen form exactly as encoded ({!Lp.Branch_bound}) — no presolve
@@ -29,11 +29,12 @@ open! Relalg
     encoding is {!cold_solve}, what {!Solve} runs for a single question.
 
     {b Writes} ({!insert}, {!delete}) go to the borrowed database once, then
-    to every listed session: its witness list follows by delta-joins
-    ({!Eval.delta_insert}), and its program by overlays, kept in a delta
-    every later question starts from; the warm engines absorb it without
-    dropping their basis.  Appends go through the {!Encode} writer that
-    built the program, so they are in its format.
+    to every listed session: its distinct witness tuple sets follow (an
+    insert appends the sets of {!Eval.delta_insert}'s new witnesses, a
+    delete drops the sets holding the tuple), and its program by overlays,
+    kept in a delta every later question starts from; the warm engines
+    absorb it without dropping their basis.  Appends go through the
+    {!Encode} writer that built the program, so they are in its format.
     - An insert appends, per new witness tuple set, [X] columns for its
       endogenous tuples that have none, then an indicator [W] with its
       tracking and destruction rows.  A set with no endogenous tuple is a
@@ -48,7 +49,7 @@ open! Relalg
       over the live indicators with a fresh slack and fixes the old slack
       to 1.
     - {e Rebuild.}  A write the overlay cannot take marks the program
-      stale, and the next question re-encodes it from the witness list,
+      stale, and the next question re-encodes it from the tuple sets,
       without a re-join (counted by [incremental.rebuilds]).  That happens
       on compaction (the appended nonzeros pass a quarter of the base
       program's), on re-insert of an existing tuple (its weight or
@@ -131,10 +132,10 @@ val create : ?exact:bool -> ?basis:Lp.Basis.choice -> Problem.semantics -> Cq.t 
 val db : t -> Database.t
 (** The borrowed database, physically the one given to {!create}. *)
 
-val witnesses : t -> Eval.witness list
-(** The maintained witness list.  Always equal to
-    [Eval.witnesses q (db t)] as a set of valuations (order differs:
-    witnesses found by writes are appended). *)
+val tuple_sets : t -> Database.tuple_id list list
+(** The maintained distinct witness tuple sets, in encoding order.  Always
+    equal to [Eval.unique_tuple_sets (Eval.witnesses q (db t))] as a set
+    (order differs: sets found by writes are appended). *)
 
 (** {1 Writes} *)
 

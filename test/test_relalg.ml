@@ -166,7 +166,8 @@ let test_eval_chain () =
   Alcotest.(check int) "two witnesses" 2 (List.length ws);
   Alcotest.(check bool) "holds" true (Eval.holds q db);
   Alcotest.(check int) "unique tuple sets" 2 (List.length (Eval.unique_tuple_sets ws));
-  let vals = List.map (fun w -> List.assoc "z" w.Eval.valuation) ws |> List.sort compare in
+  let valuation = Eval.valuation q db in
+  let vals = List.map (fun w -> List.assoc "z" (valuation w)) ws |> List.sort compare in
   Alcotest.(check (list int)) "z values" [ 3; 4 ] vals
 
 let test_eval_self_join () =
@@ -181,7 +182,8 @@ let test_eval_self_join () =
   (* the (1,1,1) witness uses a single tuple *)
   let sizes = List.map (fun w -> List.length (Eval.tuple_set w)) ws |> List.sort compare in
   Alcotest.(check (list int)) "tuple set sizes" [ 1; 2 ] sizes;
-  Alcotest.(check int) "r11 in one witness" 1 (List.length (Eval.witnesses_with ws r11))
+  Alcotest.(check int) "r11 in one witness" 1
+    (List.length (List.filter (fun w -> List.mem r11 (Eval.tuple_set w)) ws))
 
 let test_eval_repeated_var () =
   let db = Database.create () in
@@ -264,6 +266,43 @@ let prop_eval_matches_naive =
           let q = Cq_parser.parse qs in
           Eval.count q db = naive_count q db)
         [ "R(x,y), S(y,z)"; "R(x,y), S(x,z)"; "R(x,y), R(y,z)"; "R(x,x)"; "R(x,y), S(y,x)" ])
+
+(* A fresh insert's delta join finds exactly the post-insert witnesses that
+   use the tuple, each once: the self-joins find some witnesses from several
+   pivots, and a skipped pivot loses those only it reaches. *)
+let prop_delta_insert_matches_witnesses =
+  let queries =
+    List.map Cq_parser.parse
+      [ "R(x,y), S(y,z)"; "R(x,y), S(y,z), T(z,x)"; "R(x,y), R(y,z)"; "R(x,y), R(y,z), R(z,x)";
+        "R(x,x), S(x,1)" ]
+  in
+  Harness.seeded_prop ~count:300 "delta_insert = post-insert witnesses with the tuple"
+    (fun rng ->
+      let db = Database.create () in
+      let rels = [| "R"; "S"; "T" |] in
+      let pick () = [| Random.State.int rng 4; Random.State.int rng 4 |] in
+      Array.iter
+        (fun rel ->
+          for _ = 1 to 1 + Random.State.int rng 8 do
+            ignore (Database.add db rel (pick ()))
+          done)
+        rels;
+      let rec fresh () =
+        let rel = rels.(Random.State.int rng 3) and args = pick () in
+        if Database.find db rel args = None then (rel, args) else fresh ()
+      in
+      let rel, args = fresh () in
+      let id = Database.add db rel args in
+      let rows ws = List.sort compare (List.map (fun w -> Array.to_list w.Eval.tuples) ws) in
+      let ok =
+        List.for_all
+          (fun q ->
+            rows (Eval.delta_insert q db id)
+            = rows (List.filter (fun w -> Array.mem id w.Eval.tuples) (Eval.witnesses q db)))
+          queries
+      in
+      Database.remove db id;
+      ok && List.for_all (fun q -> Eval.delta_insert q db id = []) queries)
 
 (* --- Homomorphism / minimization -------------------------------------------- *)
 
@@ -514,6 +553,7 @@ let () =
           Alcotest.test_case "empty relation" `Quick test_eval_empty;
           Alcotest.test_case "cartesian" `Quick test_eval_cartesian;
           q prop_eval_matches_naive;
+          q prop_delta_insert_matches_witnesses;
         ] );
       ( "homomorphism",
         [

@@ -676,7 +676,7 @@ let encoding_golden_text () =
   List.iter
     (fun (label, sem, q, db) ->
       Printf.bprintf b "== %s: shared\n%s" label
-        (shared_text (Encode.shared_of_witnesses sem q db (Eval.witnesses q db))))
+        (shared_text (Encode.shared_of_sets sem q db (Eval.unique_tuple_sets (Eval.witnesses q db)))))
     [ ("Example 1", set, Queries.q2_chain_sj (), example1_db ());
       ("Example 3", set, Queries.q2_chain (), ex3_db ());
       ("Example 3, S(1,2) exogenous", set, Queries.q2_chain (), ex3_exo_db ()) ];
