@@ -116,31 +116,36 @@ module Make (F : Numeric.Field.S) = struct
     | Lp.Optimal { objective; solution } -> `Optimal (objective, solution)
     | Lp.Infeasible -> `Infeasible
 
-  (* Per-frozen-program metadata shared by every session solve: binary
-     check, integer variables, objective purity. *)
-  let fz_meta fz =
-    let int_vars = Frozen.integer_vars fz in
-    List.iter
-      (fun v ->
-        match Frozen.upper fz v with
-        | Some 1 | None -> ()
-        | Some _ -> invalid_arg "Branch_bound.solve_session: integer variables must be binary")
-      int_vars;
-    let nvars = Frozen.num_vars fz in
+  (* Metadata of the program the session has absorbed, shared by every
+     node of a solve: binary check, integer variables, objective purity. *)
+  let session_meta sess =
+    let nvars = Lp.session_num_vars sess in
+    let int_vars = ref [] in
+    for v = nvars - 1 downto 0 do
+      if Lp.session_is_integer sess v then begin
+        (match Lp.session_upper sess v with
+        | None -> ()
+        | Some u ->
+          if F.compare u F.one <> 0 then
+            invalid_arg "Branch_bound.solve_session: integer variables must be binary");
+        int_vars := v :: !int_vars
+      end
+    done;
     let pure_int_obj =
       let ok = ref true in
       for v = 0 to nvars - 1 do
-        if Frozen.objective fz v <> 0 && not (Frozen.is_integer fz v) then ok := false
+        if F.sign (Lp.session_objective sess v) <> 0 && not (Lp.session_is_integer sess v) then
+          ok := false
       done;
-      !ok && int_vars <> []
+      !ok && !int_vars <> []
     in
-    (nvars, int_vars, pure_int_obj)
+    (nvars, !int_vars, pure_int_obj)
 
-  let frozen_objective_at fz nvars x =
+  let objective_at sess nvars x =
     let acc = ref F.zero in
     for v = 0 to nvars - 1 do
-      let c = Frozen.objective fz v in
-      if c <> 0 then acc := F.add !acc (F.mul (F.of_int c) x.(v))
+      let c = Lp.session_objective sess v in
+      if F.sign c <> 0 then acc := F.add !acc (F.mul c x.(v))
     done;
     !acc
 
@@ -159,12 +164,8 @@ module Make (F : Numeric.Field.S) = struct
      node offers a rounded point as a candidate incumbent.  The first solved
      node is the root. *)
   let solve_session ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) sess =
-    let fz = Lp.session_program sess delta in
-    let nvars, int_vars, pure_int_obj = fz_meta fz in
-    (* [fz] is already the extended program, so the rounding check gets the
-       delta with its appends stripped — passing them again would apply
-       them twice. *)
-    let base_delta = Frozen.Delta.clear_appends delta in
+    Lp.session_absorb sess delta;
+    let nvars, int_vars, pure_int_obj = session_meta sess in
     let span0 = Obs.Trace.begin_ () in
     let piv0, ref0 = session_work sess in
     let t0 = Obs.Clock.now () in
@@ -200,8 +201,8 @@ module Make (F : Numeric.Field.S) = struct
       List.iter
         (fun v -> x.(v) <- (if F.to_float solution.(v) > 1e-6 then F.one else F.zero))
         int_vars;
-      if Frozen.check_feasible ~delta:base_delta fz (Array.map F.to_float x) then
-        offer (frozen_objective_at fz nvars x) x
+      if Lp.session_feasible sess delta (Array.map F.to_float x) then
+        offer (objective_at sess nvars x) x
     in
     let hit_limit = ref false in
     let stack = ref [ (delta, 0) ] in

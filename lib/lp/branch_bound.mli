@@ -85,8 +85,10 @@ module type S = sig
       paper's ILP(10) cutoff).  @raise Invalid_argument if an integer
       variable has an upper bound other than 1.  A delta carrying
       row/column appends solves the extended program — the warm LP session
-      absorbs the appends (see {!Simplex.session_solve}) and [solution] is
-      indexed by extended variable; appended integer columns must be
+      absorbs the appends (see {!Simplex.session_absorb}), the integrality,
+      bounds and objective checks and the rounding heuristic read the
+      absorbed program from it, and [solution] is indexed by extended
+      variable; appended integer columns must be
       binary-compatible (upper bound 1 or none). *)
 
   val relax :

@@ -11,8 +11,8 @@ module Delta = struct
 
   (* Appends are kept as reversed cons-lists so that extending a delta is
      O(1) and monotone chains of deltas share tails physically — which is
-     what lets [extends] and [same_appends] short-circuit on [==] in the
-     common warm-session case. *)
+     what lets [same_appends] and [common_appends] short-circuit on [==] in
+     the common warm-session case. *)
   type t = {
     fixes : int M.t;
     rcols : col_spec list;  (* reversed *)
@@ -66,13 +66,31 @@ module Delta = struct
 
   let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
-  let extends ~prefix d =
-    d.ncols >= prefix.ncols && d.nrows >= prefix.nrows
-    && (let tc = drop (d.ncols - prefix.ncols) d.rcols in
-        tc == prefix.rcols || tc = prefix.rcols)
-    &&
-    let tr = drop (d.nrows - prefix.nrows) d.rrows in
-    tr == prefix.rrows || tr = prefix.rrows
+  (* The length of the longest common tail of two reversed append lists of
+     lengths [n1] and [n2]: their longest common prefix in append order.
+     Shared tails stop the walk at the first [==]. *)
+  let common_tail l1 n1 l2 n2 =
+    let n = min n1 n2 in
+    let rec go a b n =
+      if a == b then n
+      else
+        match (a, b) with
+        | x :: a', y :: b' ->
+          let t = go a' b' (n - 1) in
+          if t = n - 1 && x = y then n else t
+        | _ -> 0
+    in
+    go (drop (n1 - n) l1) (drop (n2 - n) l2) n
+
+  let common_appends d1 d2 =
+    (common_tail d1.rcols d1.ncols d2.rcols d2.ncols, common_tail d1.rrows d1.nrows d2.rrows d2.nrows)
+
+  (* The first [n] entries of a reversed list, in append order. *)
+  let rec rev_take n l acc =
+    if n <= 0 then acc else match l with [] -> acc | x :: tl -> rev_take (n - 1) tl (x :: acc)
+
+  let appended_cols_from d k = rev_take (d.ncols - k) d.rcols []
+  let appended_rows_from d k = rev_take (d.nrows - k) d.rrows []
 end
 
 type t = {
@@ -85,10 +103,6 @@ type t = {
   row_coef : int array;
   sense : Model.sense array;
   rhs : int array;
-  (* CSC *)
-  col_start : int array;  (* nvars + 1 *)
-  col_row : int array;
-  col_coef : int array;
   (* per-variable *)
   obj : int array;
   upper : int array;  (* -1 encodes "no upper bound" *)
@@ -124,33 +138,6 @@ let row_expr t i =
   done;
   !acc
 
-let col_size t v = t.col_start.(v + 1) - t.col_start.(v)
-
-let iter_col t v f =
-  for k = t.col_start.(v) to t.col_start.(v + 1) - 1 do
-    f t.col_row.(k) t.col_coef.(k)
-  done
-
-(* Build the CSC arrays from the finished CSR arrays by counting sort. *)
-let build_csc t =
-  let counts = Array.make (t.nvars + 1) 0 in
-  for k = 0 to t.nnz - 1 do
-    counts.(t.row_col.(k) + 1) <- counts.(t.row_col.(k) + 1) + 1
-  done;
-  for v = 1 to t.nvars do
-    counts.(v) <- counts.(v) + counts.(v - 1)
-  done;
-  Array.blit counts 0 t.col_start 0 (t.nvars + 1);
-  let cursor = Array.copy counts in
-  for i = 0 to t.nrows - 1 do
-    for k = t.row_start.(i) to t.row_start.(i + 1) - 1 do
-      let v = t.row_col.(k) in
-      t.col_row.(cursor.(v)) <- i;
-      t.col_coef.(cursor.(v)) <- t.row_coef.(k);
-      cursor.(v) <- cursor.(v) + 1
-    done
-  done
-
 let make ~names ~integer ~upper ~obj ~rows =
   let nvars = Array.length names in
   if Array.length integer <> nvars || Array.length upper <> nvars || Array.length obj <> nvars
@@ -168,9 +155,6 @@ let make ~names ~integer ~upper ~obj ~rows =
       row_coef = Array.make nnz 0;
       sense = Array.make nrows Model.Geq;
       rhs = Array.make nrows 0;
-      col_start = Array.make (nvars + 1) 0;
-      col_row = Array.make nnz 0;
-      col_coef = Array.make nnz 0;
       obj = Array.copy obj;
       upper =
         Array.map
@@ -202,7 +186,6 @@ let make ~names ~integer ~upper ~obj ~rows =
         expr)
     rows;
   t.row_start.(nrows) <- !k;
-  build_csc t;
   t
 
 let of_model m =

@@ -1,5 +1,5 @@
 (** Immutable compiled form of a {!Model}: the same program, frozen into
-    CSR row arrays and CSC column arrays over flat [int] arrays.
+    CSR row arrays over flat [int] arrays.
 
     {!Model.t} is the mutable builder the encoders write into; freezing it
     once produces the form every downstream stage — {!Lint}, {!Presolve},
@@ -27,11 +27,11 @@ module Delta : sig
       - {e appends}: extra columns and extra rows on top of the base
         program, in order.  The incremental resilience service grows its
         covering program this way when tuple inserts create new witnesses;
-        warm simplex sessions absorb appends without discarding the basis
-        (see {!Simplex.session_solve}).  Appended rows may reference both
-        base and appended variables (appended variable [k] has index
-        [num_vars base + k]); base rows are never altered, which is what
-        keeps the dual warm-start sound. *)
+        warm simplex sessions grow their compiled state by the new appends
+        and keep the basis (see {!Simplex.session_absorb}).  Appended rows
+        may reference both base and appended variables (appended variable
+        [k] has index [num_vars base + k]); base rows are never altered,
+        which is what keeps the dual warm-start sound. *)
 
   val empty : t
 
@@ -88,11 +88,18 @@ module Delta : sig
   (** Do the two deltas carry exactly the same appends (bound overrides
       ignored)?  Constant time when the deltas share structure. *)
 
-  val extends : prefix:t -> t -> bool
-  (** Is [prefix]'s append sequence a prefix of the delta's?  (True in
-      particular when {!same_appends}.)  Warm sessions use this to absorb
-      only the new suffix.  Constant time when the chains share structure,
-      which monotone growth through {!append_col}/{!append_row} ensures. *)
+  val common_appends : t -> t -> int * int
+  (** [(c, r)]: the lengths of the longest common prefixes of the two
+      deltas' appended columns and of their appended rows.  Warm sessions
+      use it to keep what they absorbed of an earlier chain: both deltas
+      share the first [c] appended columns and the first [r] appended rows.
+      It walks only the entries past the shared tail when the chains share
+      structure, which growth through {!append_col}/{!append_row}
+      ensures. *)
+
+  val appended_cols_from : t -> int -> (string * bool * int option * int) list
+  val appended_rows_from : t -> int -> (Model.sense * int * (Model.var * int) list) list
+  (** The appended columns (rows) past the first [k], in append order. *)
 end
 
 val of_model : Model.t -> t
@@ -146,13 +153,6 @@ val iter_row : t -> int -> (Model.var -> int -> unit) -> unit
 
 val row_expr : t -> int -> (Model.var * int) list
 (** The row as a normalised association list (allocates). *)
-
-(** {1 Columns (CSC)} *)
-
-val col_size : t -> Model.var -> int
-val iter_col : t -> Model.var -> (int -> int -> unit) -> unit
-(** [iter_col t v f] calls [f i c] for every row [i] containing [v], in
-    ascending row order. *)
 
 (** {1 Evaluation} *)
 

@@ -3,7 +3,7 @@
     The paper's batched workloads — responsibility of every tuple, ILP-vs-LP
     sweeps — are families of independent (I)LPs over one shared immutable
     {!Frozen} program, so domain-level parallelism composes with the frozen
-    model core for free: the CSR/CSC arrays are shared read-only across
+    model core for free: the CSR arrays are shared read-only across
     domains and only per-domain solver state is mutable.
 
     Design (see DESIGN.md §7): each batch spawns its own [jobs - 1]

@@ -25,7 +25,12 @@ module type S = sig
   val session_pivots : session -> int
   val session_refactors : session -> int
   val session_solve : session -> Frozen.Delta.t -> outcome
-  val session_program : session -> Frozen.Delta.t -> Frozen.t
+  val session_absorb : session -> Frozen.Delta.t -> unit
+  val session_num_vars : session -> int
+  val session_objective : session -> Model.var -> elt
+  val session_upper : session -> Model.var -> elt option
+  val session_is_integer : session -> Model.var -> bool
+  val session_feasible : session -> Frozen.Delta.t -> float array -> bool
   val solve_frozen : ?delta:Frozen.Delta.t -> ?kernel:Basis.choice -> Frozen.t -> outcome
 end
 
@@ -146,8 +151,9 @@ module Make (F : Numeric.Field.S) = struct
      dual-feasible reset point.
 
      [sstate] is the compiled state for ONE matrix shape; the public
-     [session] wraps it and swaps in a re-compiled state when a delta
-     carries row/column appends (see [session_absorb] below). *)
+     [session] wraps it and swaps in a rewound and grown state when a
+     delta carries other row/column appends (see [session_absorb]
+     below). *)
 
   type sstate = {
     snrows : int;
@@ -161,6 +167,7 @@ module Make (F : Numeric.Field.S) = struct
     mutable salpha_stamp_val : int;
     stouched : int array;  (* scratch: columns touched by the alpha pass *)
     scost : F.t array;
+    sinteger : bool array;  (* integrality flag per structural column *)
     sb : F.t array;
     base_lb : F.t array;
     base_ub : F.t option array;  (* None = +inf *)
@@ -200,10 +207,9 @@ module Make (F : Numeric.Field.S) = struct
     mutable srefactors : int;  (* lifetime refactorisation count *)
   }
 
-  (* Slack of row i carries coefficient [slack_sign i]: +1 for <= and =,
-     -1 for >= (so the slack itself lives in [0, +inf), or [0,0] for =). *)
-  let slack_sign fz i =
-    match Frozen.row_sense fz i with Model.Leq | Model.Eq -> F.one | Model.Geq -> F.neg F.one
+  (* The slack of a row carries coefficient +1 for <= and =, -1 for >= (so
+     the slack itself lives in [0, +inf), or [0,0] for =). *)
+  let slack_sign = function Model.Leq | Model.Eq -> F.one | Model.Geq -> F.neg F.one
 
   let session_fixed s j = match s.ub.(j) with Some u -> F.compare u s.lb.(j) <= 0 | None -> false
 
@@ -278,56 +284,125 @@ module Make (F : Numeric.Field.S) = struct
     k_refactor s.skern s.sbasis;
     session_compute_xb s
 
-  (* A fresh state: base bounds, an empty installed delta, the all-slack
-     basis. *)
-  let create_state ?(kernel = `Sparse) fz =
-    let nstruct = Frozen.num_vars fz in
-    let nrows = Frozen.num_rows fz in
+  (* Columns and rows to lay out after a state's kept ones, read through
+     accessors so that a frozen program and a delta's appends feed the same
+     code.  Column [k] and row [k] count from the block's start; row
+     entries name structural columns by their index in the grown state. *)
+  type block = {
+    b_ncols : int;
+    b_col : int -> bool * int option * int;  (* integer, upper, objective *)
+    b_nrows : int;
+    b_row : int -> Model.sense * int;  (* sense, rhs *)
+    b_row_size : int -> int;
+    b_iter_row : int -> (Model.var -> int -> unit) -> unit;
+  }
+
+  let frozen_block fz =
+    {
+      b_ncols = Frozen.num_vars fz;
+      b_col = (fun v -> (Frozen.is_integer fz v, Frozen.upper fz v, Frozen.objective fz v));
+      b_nrows = Frozen.num_rows fz;
+      b_row = (fun i -> (Frozen.row_sense fz i, Frozen.row_rhs fz i));
+      b_row_size = Frozen.row_size fz;
+      b_iter_row = Frozen.iter_row fz;
+    }
+
+  (* Appended columns and rows, as {!Frozen.Delta} lists them. *)
+  let delta_block cols rows =
+    let cols = Array.of_list cols and rows = Array.of_list rows in
+    {
+      b_ncols = Array.length cols;
+      b_col = (fun k -> match cols.(k) with _, integer, upper, obj -> (integer, upper, obj));
+      b_nrows = Array.length rows;
+      b_row = (fun k -> match rows.(k) with sense, rhs, _ -> (sense, rhs));
+      b_row_size = (fun k -> match rows.(k) with _, _, e -> List.length e);
+      b_iter_row = (fun k f -> match rows.(k) with _, _, e -> List.iter (fun (v, c) -> f v c) e);
+    }
+
+  (* The one layout of a compiled state: the first [ks] structural columns
+     and the first [kr] rows of [prev] (nothing without one), then the
+     block's columns and rows.  Structurals are [0 .. nstruct-1] and the
+     slack of row [i] is column [nstruct + i], so appending columns shifts
+     every slack id and nothing else.  What [prev] compiled is kept, not
+     re-derived: its column lists (trimmed of the rows dropped), its CSR
+     row arrays (slack id patched in place, so [prev] is spent), costs,
+     bounds and right-hand sides.  Kept rows never reference a dropped
+     column (the caller's duty), and the block's rows append to the column
+     lists in ascending row order, so the layout is the one a compile of
+     the whole program gives.  The result has base bounds, an empty
+     installed delta, a fresh kernel and no basis yet: the caller seeds one
+     or calls [session_reset].  The record and its flat per-column and
+     per-row arrays are new, so the solve loop keeps reading immutable
+     fields; the matrix is not rebuilt. *)
+  let layout_state ~kernel ?prev ~ks ~kr blk =
+    let nstruct = ks + blk.b_ncols in
+    let nrows = kr + blk.b_nrows in
     let ncols = nstruct + nrows in
     let scols = Array.make (max 1 ncols) [] in
-    for v = 0 to nstruct - 1 do
-      let acc = ref [] in
-      Frozen.iter_col fz v (fun i c -> acc := (i, F.of_int c) :: !acc);
-      scols.(v) <- List.rev !acc
-    done;
-    for i = 0 to nrows - 1 do
-      scols.(nstruct + i) <- [ (i, slack_sign fz i) ]
-    done;
-    (* The CSR transpose of [scols], for the dual pivot's row-wise alpha
-       pass.  Column ids come out ascending per row (j sweeps upward). *)
-    let row_counts = Array.make (max 1 nrows) 0 in
-    Array.iter (List.iter (fun (i, _) -> row_counts.(i) <- row_counts.(i) + 1)) scols;
-    let srow_j = Array.init (max 1 nrows) (fun i -> Array.make (max 1 row_counts.(i)) 0) in
-    let srow_v = Array.init (max 1 nrows) (fun i -> Array.make (max 1 row_counts.(i)) F.zero) in
-    let fill = Array.make (max 1 nrows) 0 in
-    Array.iteri
-      (fun j entries ->
-        List.iter
-          (fun (i, c) ->
-            srow_j.(i).(fill.(i)) <- j;
-            srow_v.(i).(fill.(i)) <- c;
-            fill.(i) <- fill.(i) + 1)
-          entries)
-      scols;
-    Array.iteri
-      (fun i filled ->
-        if filled < Array.length srow_j.(i) then begin
-          srow_j.(i) <- Array.sub srow_j.(i) 0 filled;
-          srow_v.(i) <- Array.sub srow_v.(i) 0 filled
-        end)
-      fill;
+    let srow_j = Array.make (max 1 nrows) [||] in
+    let srow_v = Array.make (max 1 nrows) [||] in
     let scost = Array.make (max 1 ncols) F.zero in
+    let base_ub = Array.make (max 1 ncols) None in
+    let sinteger = Array.make (max 1 nstruct) false in
+    let sb = Array.make (max 1 nrows) F.zero in
+    (match prev with
+    | None -> ()
+    | Some p ->
+      Array.blit p.scols 0 scols 0 ks;
+      Array.blit p.scols p.snstruct scols nstruct kr;
+      for i = kr to p.snrows - 1 do
+        let rj = p.srow_j.(i) in
+        for k = 0 to Array.length rj - 2 do
+          let j = rj.(k) in
+          if j < ks then scols.(j) <- List.filter (fun (r, _) -> r < kr) scols.(j)
+        done
+      done;
+      for i = 0 to kr - 1 do
+        let rj = p.srow_j.(i) in
+        rj.(Array.length rj - 1) <- nstruct + i;
+        srow_j.(i) <- rj;
+        srow_v.(i) <- p.srow_v.(i)
+      done;
+      Array.blit p.scost 0 scost 0 ks;
+      Array.blit p.base_ub 0 base_ub 0 ks;
+      Array.blit p.base_ub p.snstruct base_ub nstruct kr;
+      Array.blit p.sinteger 0 sinteger 0 ks;
+      Array.blit p.sb 0 sb 0 kr);
+    for k = 0 to blk.b_ncols - 1 do
+      let integer, upper, obj = blk.b_col k in
+      sinteger.(ks + k) <- integer;
+      base_ub.(ks + k) <- Option.map F.of_int upper;
+      scost.(ks + k) <- F.of_int obj
+    done;
+    (* The block's rows: CSR arrays (column ids ascending, the slack last)
+       and, reversed per column, the entries they add to the column
+       lists. *)
+    let adds = Array.make (max 1 nstruct) [] in
+    for k = 0 to blk.b_nrows - 1 do
+      let i = kr + k in
+      let sense, rhs = blk.b_row k in
+      let len = blk.b_row_size k + 1 in
+      let rj = Array.make len 0 and rv = Array.make len F.zero in
+      let fill = ref 0 in
+      blk.b_iter_row k (fun v c ->
+          let cf = F.of_int c in
+          rj.(!fill) <- v;
+          rv.(!fill) <- cf;
+          adds.(v) <- (i, cf) :: adds.(v);
+          incr fill);
+      let sign = slack_sign sense in
+      rj.(len - 1) <- nstruct + i;
+      rv.(len - 1) <- sign;
+      srow_j.(i) <- rj;
+      srow_v.(i) <- rv;
+      scols.(nstruct + i) <- [ (i, sign) ];
+      if sense = Model.Eq then base_ub.(nstruct + i) <- Some F.zero;
+      sb.(i) <- F.of_int rhs
+    done;
     for v = 0 to nstruct - 1 do
-      scost.(v) <- F.of_int (Frozen.objective fz v)
+      match adds.(v) with [] -> () | a -> scols.(v) <- scols.(v) @ List.rev a
     done;
     let base_lb = Array.make (max 1 ncols) F.zero in
-    let base_ub = Array.make (max 1 ncols) None in
-    for v = 0 to nstruct - 1 do
-      base_ub.(v) <- Option.map F.of_int (Frozen.upper fz v)
-    done;
-    for i = 0 to nrows - 1 do
-      if Frozen.row_sense fz i = Model.Eq then base_ub.(nstruct + i) <- Some F.zero
-    done;
     let s =
       {
         snrows = nrows;
@@ -341,7 +416,8 @@ module Make (F : Numeric.Field.S) = struct
         salpha_stamp_val = 0;
         stouched = Array.make (max 1 ncols) 0;
         scost;
-        sb = Array.init (max 1 nrows) (fun i -> if i < nrows then F.of_int (Frozen.row_rhs fz i) else F.zero);
+        sinteger;
+        sb;
         base_lb;
         base_ub;
         lb = Array.copy base_lb;
@@ -361,14 +437,13 @@ module Make (F : Numeric.Field.S) = struct
         sinst = [];
         schg = Array.make (max 1 ncols) 0;
         sold = Array.make (max 1 ncols) F.zero;
-        stotal_pivots = 0;
-        srefactors = 0;
+        stotal_pivots = (match prev with Some p -> p.stotal_pivots | None -> 0);
+        srefactors = (match prev with Some p -> p.srefactors | None -> 0);
       }
     in
     for j = 0 to ncols - 1 do
       s.sfixed.(j) <- session_fixed s j
     done;
-    session_reset s;
     s
 
   (* The reduced cost d_j = c_j - y a_j under the multipliers [sy]. *)
@@ -812,53 +887,73 @@ module Make (F : Numeric.Field.S) = struct
 
   (* ----- Public sessions: append absorption over the compiled state ----
      A [session] remembers the base frozen program and which appends its
-     current [sstate] was compiled for.  Solving under a delta whose
-     appends differ re-compiles the state against [Frozen.extend base
-     delta]; when the new appends extend the absorbed ones the previous
-     optimal basis is re-seeded (old structurals keep their index, old
-     slack [i] becomes column [nstruct' + i], new rows enter slack-basic).
+     current [sstate] was laid out for.  The base is compiled once, at
+     creation.  Solving under a delta whose appends differ absorbs them in
+     one step: rewind the state to the longest common prefix of the
+     absorbed appends and the new ones, then grow it by the rest
+     ([layout_state]).  When nothing was rewound the previous optimal basis
+     is re-seeded (old structurals keep their index, old slack [i] becomes
+     column [nstruct' + i], new rows enter slack-basic) and refactorised.
      That seed is always dual feasible: appended rows have zero duals
      (their slacks are basic with zero cost), so every old reduced cost is
      unchanged, and appended columns — which by construction of frozen
      rows cannot appear in base rows — price out at their own non-negative
      objective.  Base rows are immutable, which is the invariant making
-     this sound.  The re-compiled state has an empty installed delta: the
-     next solve installs its fixes by the usual diff. *)
+     this sound.  After a rewind the state restarts from the all-slack
+     basis.  Either way the absorbed state has base bounds and an empty
+     installed delta: the next solve installs its fixes by the usual
+     diff. *)
 
   type session = {
     ses_base : Frozen.t;
     ses_choice : Basis.choice;
     mutable ses_st : sstate;
-    mutable ses_abs : Frozen.Delta.t;  (* appends the state was compiled for *)
-    mutable ses_fz : Frozen.t;  (* [ses_base] with [ses_abs]'s appends materialised *)
+    mutable ses_abs : Frozen.Delta.t;  (* appends the state is laid out for *)
   }
 
   let create_session ?(kernel = `Sparse) fz =
-    {
-      ses_base = fz;
-      ses_choice = kernel;
-      ses_st = create_state ~kernel fz;
-      ses_abs = Frozen.Delta.empty;
-      ses_fz = fz;
-    }
+    let st = layout_state ~kernel ~ks:0 ~kr:0 (frozen_block fz) in
+    session_reset st;
+    { ses_base = fz; ses_choice = kernel; ses_st = st; ses_abs = Frozen.Delta.empty }
 
   (* Lifetime work totals, for per-solve deltas in branch-and-bound and the
      enriched public stats records.  Totals survive append absorption (the
-     re-compiled state inherits them), so before/after deltas stay
+     re-laid-out state inherits them), so before/after deltas stay
      monotone. *)
   let session_pivots s = s.ses_st.stotal_pivots
   let session_refactors s = s.ses_st.srefactors
 
-  let session_absorb sess delta =
+  let session_absorb_appends sess delta =
     let old = sess.ses_st in
-    let fz = Frozen.extend sess.ses_base delta in
-    let st = create_state ~kernel:sess.ses_choice fz in
-    st.stotal_pivots <- old.stotal_pivots;
-    st.srefactors <- old.srefactors;
-    if old.snrows > 0 && Frozen.Delta.extends ~prefix:sess.ses_abs delta then begin
-      (* Warm seed from the previous basis (see the block comment above).
-         With no old rows the all-slack start of [create_state] already is
-         the seed. *)
+    let nrows0 = Frozen.num_rows sess.ses_base in
+    let kc, kra = Frozen.Delta.common_appends sess.ses_abs delta in
+    let ks = Frozen.num_vars sess.ses_base + kc in
+    (* A kept row may not reference a dropped column: keep only the rows
+       before the first that does (its slack is last, so its largest
+       structural id is second to last). *)
+    let rec keep_rows i =
+      if i >= nrows0 + kra then i
+      else
+        let rj = old.srow_j.(i) in
+        let n = Array.length rj in
+        if n >= 2 && rj.(n - 2) >= ks then i else keep_rows (i + 1)
+    in
+    let kr = if ks < old.snstruct then keep_rows nrows0 else nrows0 + kra in
+    let cols = Frozen.Delta.appended_cols_from delta kc in
+    let rows = Frozen.Delta.appended_rows_from delta (kr - nrows0) in
+    let nstruct = ks + List.length cols in
+    (* Reject a bad row before the old state is spent. *)
+    List.iter
+      (fun (_, _, e) ->
+        List.iter
+          (fun (v, _) ->
+            if v >= nstruct then invalid_arg "Simplex.session_solve: appended row variable out of range")
+          e)
+      rows;
+    let warm = ks = old.snstruct && kr = old.snrows && old.snrows > 0 in
+    let st = layout_state ~kernel:sess.ses_choice ~prev:old ~ks ~kr (delta_block cols rows) in
+    if warm then begin
+      (* Warm seed from the previous basis (see the block comment above). *)
       for i = 0 to old.snrows - 1 do
         let jb = old.sbasis.(i) in
         st.sbasis.(i) <- (if jb < old.snstruct then jb else st.snstruct + (jb - old.snstruct))
@@ -866,7 +961,6 @@ module Make (F : Numeric.Field.S) = struct
       for i = old.snrows to st.snrows - 1 do
         st.sbasis.(i) <- st.snstruct + i
       done;
-      Array.fill st.sbpos 0 st.sncols (-1);
       for i = 0 to st.snrows - 1 do
         st.sbpos.(st.sbasis.(i)) <- i
       done;
@@ -876,18 +970,59 @@ module Make (F : Numeric.Field.S) = struct
       (* Reduced costs, nonbasic statuses and basic values all follow from
          the seeded basis, so none are copied. *)
       session_refactorize st
-    end;
+    end
+    else session_reset st;
     sess.ses_st <- st;
-    sess.ses_abs <- delta;
-    sess.ses_fz <- fz
+    sess.ses_abs <- delta
 
-  let session_program sess delta =
-    if not (Frozen.Delta.same_appends delta sess.ses_abs) then session_absorb sess delta;
-    sess.ses_fz
+  let session_absorb sess delta =
+    if not (Frozen.Delta.same_appends delta sess.ses_abs) then session_absorb_appends sess delta
 
   let session_solve sess delta =
-    ignore (session_program sess delta);
+    session_absorb sess delta;
     state_solve sess.ses_st delta
+
+  (* The absorbed program, read from the compiled state. *)
+  let session_num_vars sess = sess.ses_st.snstruct
+  let session_objective sess v = sess.ses_st.scost.(v)
+  let session_upper sess v = sess.ses_st.base_ub.(v)
+  let session_is_integer sess v = sess.ses_st.sinteger.(v)
+
+  (* [Frozen.check_feasible] on the absorbed program, with the same float
+     sums in the same order: row entries in ascending column order (the
+     slack, last, left out), then the delta's fixes and the base bounds. *)
+  let session_feasible sess delta x =
+    let s = sess.ses_st in
+    let eps = 1e-6 in
+    let ok = ref true in
+    for i = 0 to s.snrows - 1 do
+      let rj = s.srow_j.(i) and rv = s.srow_v.(i) in
+      let last = Array.length rj - 1 in
+      let lhs = ref 0.0 in
+      for k = 0 to last - 1 do
+        lhs := !lhs +. (F.to_float rv.(k) *. x.(rj.(k)))
+      done;
+      let frhs = F.to_float s.sb.(i) in
+      let sat =
+        (* The slack's sign and bounds tell the row's sense. *)
+        if F.sign rv.(last) < 0 then !lhs >= frhs -. eps
+        else
+          match s.base_ub.(rj.(last)) with
+          | None -> !lhs <= frhs +. eps
+          | Some _ -> Float.abs (!lhs -. frhs) <= eps
+      in
+      if not sat then ok := false
+    done;
+    List.iter
+      (fun (v, k) -> if Float.abs (x.(v) -. float_of_int k) > eps then ok := false)
+      (Frozen.Delta.bindings delta);
+    for v = 0 to s.snstruct - 1 do
+      if x.(v) < -.eps then ok := false;
+      match s.base_ub.(v) with
+      | Some u -> if x.(v) > F.to_float u +. eps then ok := false
+      | None -> ()
+    done;
+    !ok
 
   let solve_frozen ?(delta = Frozen.Delta.empty) ?kernel fz =
     session_solve (create_session ?kernel fz) delta

@@ -77,20 +77,38 @@ module type S = sig
       it was.
 
       When the delta carries row/column appends ({!Frozen.Delta.append_row},
-      {!Frozen.Delta.append_col}), the session absorbs them: the state is
-      re-compiled against [Frozen.extend base delta], and if the new
-      appends extend the previously absorbed ones the old optimal basis is
-      re-seeded with the new rows slack-basic — a dual-feasible warm start,
-      because base rows are immutable so appending never changes an
-      existing reduced cost.  Deltas should grow appends monotonically
-      (each derived from the last via [append_*]); a delta whose appends
-      are not an extension of the absorbed ones triggers a cold
-      re-compile. *)
+      {!Frozen.Delta.append_col}), the session absorbs them first
+      ({!session_absorb}). *)
 
-  val session_program : session -> Frozen.Delta.t -> Frozen.t
-  (** The base with the delta's appends materialised, which the session
-      absorbs here as {!session_solve} would: the one extended copy per
-      append epoch, shared with branch-and-bound's checks. *)
+  val session_absorb : session -> Frozen.Delta.t -> unit
+  (** Make the session's program the base with the delta's appends, as
+      {!session_solve} does before it solves.  The compiled state is rewound
+      to the longest common prefix of the appends it holds and the delta's
+      ({!Frozen.Delta.common_appends}), then grown by the rest: the base is
+      never re-compiled and no program is copied.  When nothing was rewound
+      the old optimal basis is kept, with the new rows slack-basic — a
+      dual-feasible warm start, because base rows are immutable so
+      appending never changes an existing reduced cost — and refactorised
+      once.  After a rewind the state restarts from the all-slack basis.
+      Either way the installed bound overrides are cleared.  A delta with
+      the absorbed appends costs nothing.
+      @raise Invalid_argument if an appended row names a variable past the
+      base and the appended columns (the session is left as it was). *)
+
+  (** {2 The absorbed program}
+
+      The program {!session_absorb} made, read from the compiled state:
+      base variables first, then appended ones by their extended index. *)
+
+  val session_num_vars : session -> int
+  val session_objective : session -> Model.var -> elt
+  val session_upper : session -> Model.var -> elt option
+  val session_is_integer : session -> Model.var -> bool
+
+  val session_feasible : session -> Frozen.Delta.t -> float array -> bool
+  (** {!Frozen.check_feasible} at its default tolerance on the absorbed
+      program: the same float sums in the same order.  The delta's bound overrides
+      are checked; its appends are taken to be the absorbed ones. *)
 
   val solve_frozen : ?delta:Frozen.Delta.t -> ?kernel:Basis.choice -> Frozen.t -> outcome
   (** One-shot convenience: [session_solve (create_session fz) delta]. *)

@@ -111,8 +111,10 @@ let rec decode depth j =
         match Json.member "jobs" j with
         | None -> Ok 1
         | Some v -> (
+          (* Answers do not depend on the fan-out, so a request may not
+             ask for more domains than the machine recommends. *)
           match Json.to_int_opt v with
-          | Some n when n >= 0 -> Ok n
+          | Some n when n >= 0 -> Ok (min n (Lp.Pool.default_jobs ()))
           | Some _ -> Error "negative \"jobs\" field"
           | None -> Error "non-integer \"jobs\" field")
       in

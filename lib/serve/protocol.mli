@@ -35,7 +35,9 @@ type ask = {
           rejected up front ([timeout]) without touching the solver.  For
           [enumerate] it bounds the whole cut chain: on expiry the partial
           family streamed so far is returned with [exhausted:false]. *)
-  jobs : int;  (** Pool fan-out for [rank] and [enumerate] (0 = all domains). *)
+  jobs : int;
+      (** Pool fan-out for [rank] and [enumerate] (0 = all domains),
+          clamped at decode to {!Lp.Pool.default_jobs}. *)
   limit : int option;
       (** [enumerate] only: report at most this many sets.  Truncation is
           presentation-level — the family is enumerated (and counted)

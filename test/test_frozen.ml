@@ -1,4 +1,4 @@
-(* Direct units for the frozen CSR/CSC program form and its Delta bound
+(* Direct units for the frozen CSR program form and its Delta bound
    overlays — the immutable substrate every solver stage consumes. *)
 
 open Lp
@@ -33,13 +33,6 @@ let row_entries fz =
     (List.init (Frozen.num_rows fz) (fun i ->
          List.map (fun (v, c) -> (i, v, c)) (Frozen.row_expr fz i)))
 
-let col_entries fz =
-  let acc = ref [] in
-  for v = 0 to Frozen.num_vars fz - 1 do
-    Frozen.iter_col fz v (fun i c -> acc := (i, v, c) :: !acc)
-  done;
-  List.rev !acc
-
 (* Structural equality of two frozen programs, field by field. *)
 let programs_equal a b =
   Frozen.num_vars a = Frozen.num_vars b
@@ -59,21 +52,15 @@ let programs_equal a b =
          && Frozen.row_expr a i = Frozen.row_expr b i)
        (List.init (Frozen.num_rows a) Fun.id)
 
-(* --- CSR / CSC ------------------------------------------------------------- *)
+(* --- CSR ------------------------------------------------------------------ *)
 
-let test_csr_csc_agree () =
+let test_csr_sizes () =
   let m, _ = mixed_model () in
   let fz = Frozen.of_model m in
   Alcotest.(check int) "nnz = row entries" (List.length (row_entries fz)) (Frozen.nnz fz);
-  Alcotest.(check (list (triple int int int))) "CSR entries = CSC entries"
-    (List.sort compare (row_entries fz))
-    (List.sort compare (col_entries fz));
   let row_sizes = List.init (Frozen.num_rows fz) (Frozen.row_size fz) in
-  let col_sizes = List.init (Frozen.num_vars fz) (Frozen.col_size fz) in
   Alcotest.(check int) "row sizes sum to nnz" (Frozen.nnz fz)
-    (List.fold_left ( + ) 0 row_sizes);
-  Alcotest.(check int) "col sizes sum to nnz" (Frozen.nnz fz)
-    (List.fold_left ( + ) 0 col_sizes)
+    (List.fold_left ( + ) 0 row_sizes)
 
 let test_per_variable_data () =
   let m, (x, y, z, w) = mixed_model () in
@@ -126,13 +113,6 @@ let test_make_validates () =
   expect_invalid "array length mismatch rejected" (fun () ->
       Frozen.make ~names:[| "a" |] ~integer:[| false; false |] ~upper:[| Some 1; Some 1 |]
         ~obj:[| 1; 1 |] ~rows:[||])
-
-let prop_csr_csc_random =
-  Harness.seeded_prop ~count:200 "CSR = CSC on random covers" (fun rng ->
-      let nvars = 2 + Random.State.int rng 8 in
-      let nrows = 1 + Random.State.int rng 8 in
-      let fz, _ = Harness.random_covering_frozen rng ~nvars ~nrows in
-      List.sort compare (row_entries fz) = List.sort compare (col_entries fz))
 
 (* --- Delta overlays ---------------------------------------------------------- *)
 
@@ -227,10 +207,6 @@ let test_extend_equals_rebuild () =
       ~rows:[| (Model.Geq, 1, [ (0, 1); (1, 1) ]); (Model.Geq, 1, [ (1, 1); (2, 1) ]) |]
   in
   Alcotest.(check bool) "extend = rebuild" true (programs_equal ext want);
-  (* CSR/CSC stay in lockstep on the extended program *)
-  Alcotest.(check (list (triple int int int))) "extended CSR = CSC"
-    (List.sort compare (row_entries ext))
-    (List.sort compare (col_entries ext));
   (* no appends: extend is the identity *)
   Alcotest.(check bool) "no-append extend is the same program" true
     (fz == Frozen.extend fz (Frozen.Delta.fix_zero x Frozen.Delta.empty))
@@ -253,9 +229,17 @@ let test_append_chain_sharing () =
   let d1 = Frozen.Delta.append_col ~name:"a" ~obj:1 Frozen.Delta.empty in
   let d2 = Frozen.Delta.append_row Model.Geq 1 [ (0, 1) ] d1 in
   Alcotest.(check bool) "has_appends" true (Frozen.Delta.has_appends d2);
-  Alcotest.(check bool) "chain extends its prefix" true (Frozen.Delta.extends ~prefix:d1 d2);
-  Alcotest.(check bool) "prefix does not extend the chain" false
-    (Frozen.Delta.extends ~prefix:d2 d1);
+  Alcotest.(check (pair int int)) "chain keeps its whole prefix" (1, 0)
+    (Frozen.Delta.common_appends d1 d2);
+  Alcotest.(check (pair int int)) "common prefix is symmetric" (1, 0)
+    (Frozen.Delta.common_appends d2 d1);
+  let fork = Frozen.Delta.append_row Model.Geq 2 [ (0, 1) ] d1 in
+  Alcotest.(check (pair int int)) "a fork shares only its stem" (1, 0)
+    (Frozen.Delta.common_appends d2 fork);
+  Alcotest.(check bool) "the rows past the stem" true
+    (Frozen.Delta.appended_rows_from fork 0 = [ (Model.Geq, 2, [ (0, 1) ]) ]
+    && Frozen.Delta.appended_rows_from fork 1 = []
+    && Frozen.Delta.appended_cols_from fork 0 = Frozen.Delta.appended_cols d1);
   Alcotest.(check bool) "same_appends ignores bindings" true
     (Frozen.Delta.same_appends d2 (Frozen.Delta.fix_zero 0 d2));
   let cleared = Frozen.Delta.clear_appends d2 in
@@ -358,15 +342,202 @@ let prop_append_warm_equals_refreeze =
           float_ok && exact_ok && bb_ok)
         chain)
 
+(* One random appended row over the first [total] variables: mostly a
+   covering row, sometimes a packing or an equality row, so every slack
+   kind is grown. *)
+let random_row rng total d =
+  let width = 1 + Random.State.int rng 3 in
+  let picked = List.sort_uniq compare (List.init width (fun _ -> Random.State.int rng total)) in
+  let expr = List.map (fun v -> (v, 1 + Random.State.int rng 2)) picked in
+  match Random.State.int rng 6 with
+  | 0 -> Frozen.Delta.append_row Model.Leq (1 + Random.State.int rng 2) expr d
+  | 1 -> Frozen.Delta.append_row Model.Eq 1 expr d
+  | _ -> Frozen.Delta.append_row Model.Geq 1 expr d
+
+(* A random append walk: column epochs and row epochs on one chain, and
+   now and then a step back to a shorter prefix of the branch, after which
+   the walk grows along another branch.  Each emitted delta is the walk's
+   position, sometimes with a bound fix on top. *)
+let random_append_walk rng fz nsteps =
+  let branch = ref [ Frozen.Delta.empty ] in
+  let out = ref [] in
+  for i = 0 to nsteps - 1 do
+    let cur = List.hd !branch in
+    let total = Frozen.num_vars fz + Frozen.Delta.num_appended_cols cur in
+    (match Random.State.int rng 4 with
+    | 0 when List.length !branch > 1 ->
+      let back = 1 + Random.State.int rng (List.length !branch - 1) in
+      branch := List.filteri (fun k _ -> k >= back) !branch
+    | 0 | 1 ->
+      let ncols = 1 + Random.State.int rng 2 in
+      let d = ref cur in
+      for k = 1 to ncols do
+        let integer = Random.State.bool rng in
+        let upper = if integer || Random.State.bool rng then Some 1 else None in
+        d :=
+          Frozen.Delta.append_col ~integer ?upper
+            ~name:(Printf.sprintf "c%d_%d" i k)
+            ~obj:(Random.State.int rng 4)
+            !d
+      done;
+      if Random.State.bool rng then d := random_row rng (total + ncols) !d;
+      branch := !d :: !branch
+    | _ ->
+      let d = ref cur in
+      for _ = 1 to 1 + Random.State.int rng 2 do
+        d := random_row rng total !d
+      done;
+      branch := !d :: !branch);
+    let d = List.hd !branch in
+    let total = Frozen.num_vars fz + Frozen.Delta.num_appended_cols d in
+    let d =
+      match Random.State.int rng 4 with
+      | 0 -> Frozen.Delta.fix_zero (Random.State.int rng total) d
+      | 1 -> Frozen.Delta.force_one (Random.State.int rng total) d
+      | _ -> d
+    in
+    out := d :: !out
+  done;
+  List.rev !out
+
+(* A relaxation and the pivots it took on the session. *)
+let relax_work (type s e) (module B : Branch_bound.S with type session = s and type elt = e)
+    (sess : s) delta =
+  let p0, _ = B.session_work sess in
+  let r = B.relax ~delta sess in
+  let p1, _ = B.session_work sess in
+  (r, p1 - p0)
+
+(* Growing and rewinding one warm session = compiling the extended program
+   afresh, at every step of a walk that rewinds.  The LP relaxation (float
+   objectives within 1e-7, exact ones equal) and branch-and-bound (same
+   status and objective) are solved in a random order on the one warm
+   session per field and on fresh sessions over [Frozen.extend].  A step
+   that rewinds restarts from the all-slack basis, so there the warm
+   relaxation is the fresh one exactly: same pivots, same point.  A warm
+   simplex session walked alongside answers the rounding check like
+   [Frozen.check_feasible] on random 0/1 points and on the B&B optimum. *)
+let prop_append_walk_equals_extend =
+  Harness.seeded_prop ~count:150 "grown and rewound session = fresh extended session"
+    (fun rng ->
+      let nvars = 2 + Random.State.int rng 5 in
+      let nrows = 1 + Random.State.int rng 5 in
+      let fz, _ = Harness.random_covering_frozen ~integer:true rng ~nvars ~nrows in
+      let walk = random_append_walk rng fz (3 + Random.State.int rng 8) in
+      let warm_f = FB.create_session fz in
+      let warm_e = EB.create_session fz in
+      let warm_s = FS.create_session fz in
+      let prev = ref Frozen.Delta.empty in
+      List.for_all
+        (fun delta ->
+          let ext = Frozen.extend fz delta in
+          let flat = Frozen.Delta.clear_appends delta in
+          let rewound =
+            Frozen.Delta.common_appends !prev delta
+            <> (Frozen.Delta.num_appended_cols !prev, Frozen.Delta.num_appended_rows !prev)
+          in
+          prev := delta;
+          let bb_first = (not rewound) && Random.State.bool rng in
+          let float_ok =
+            let relax () =
+              match
+                ( relax_work (module FB) warm_f delta,
+                  relax_work (module FB) (FB.create_session ext) flat )
+              with
+              | (`Optimal (w, x), wp), (`Optimal (c, y), cp) ->
+                if rewound then w = c && x = y && wp = cp else Float.abs (w -. c) < 1e-7
+              | (`Infeasible, wp), (`Infeasible, cp) -> (not rewound) || wp = cp
+              | _ -> false
+            in
+            let bb () =
+              let w = FB.solve_session ~delta warm_f in
+              let c = FB.solve_session ~delta:flat (FB.create_session ext) in
+              w.FB.status = c.FB.status
+              &&
+              match (w.FB.objective, c.FB.objective) with
+              | Some a, Some b -> Float.abs (a -. b) < 1e-6
+              | None, None -> true
+              | _ -> false
+            in
+            if bb_first then bb () && relax () else relax () && bb ()
+          in
+          let exact_ok =
+            let relax () =
+              match
+                ( relax_work (module EB) warm_e delta,
+                  relax_work (module EB) (EB.create_session ext) flat )
+              with
+              | (`Optimal (w, x), wp), (`Optimal (c, y), cp) ->
+                Numeric.Rat.equal w c
+                && ((not rewound) || (Array.for_all2 Numeric.Rat.equal x y && wp = cp))
+              | (`Infeasible, wp), (`Infeasible, cp) -> (not rewound) || wp = cp
+              | _ -> false
+            in
+            let bb () =
+              let w = EB.solve_session ~delta warm_e in
+              let c = EB.solve_session ~delta:flat (EB.create_session ext) in
+              w.EB.status = c.EB.status
+              &&
+              match (w.EB.objective, c.EB.objective) with
+              | Some a, Some b -> Numeric.Rat.equal a b
+              | None, None -> true
+              | _ -> false
+            in
+            if bb_first then bb () && relax () else relax () && bb ()
+          in
+          let feasible_ok =
+            FS.session_absorb warm_s delta;
+            let n = Frozen.num_vars ext in
+            let points =
+              List.init 4 (fun _ -> Array.init n (fun _ -> float_of_int (Random.State.int rng 2)))
+            in
+            let points =
+              match (FB.solve_session ~delta warm_f).FB.solution with
+              | Some x -> x :: points
+              | None -> points
+            in
+            List.for_all
+              (fun x -> FS.session_feasible warm_s delta x = Frozen.check_feasible ~delta fz x)
+              points
+          in
+          float_ok && exact_ok && feasible_ok)
+        walk)
+
+(* Two branches that share an appended row but not the column it names:
+   the row is kept by the common prefix of the appends, yet the column
+   under it is dropped, so the rewind drops the row too and re-grows it
+   over the new column. *)
+let test_rewind_past_shared_row () =
+  let m = Model.create () in
+  let x = Model.add_var ~name:"x" ~integer:true ~upper:1 ~obj:3 m in
+  Model.add_constr m [ (x, 1) ] Model.Geq 0;
+  let fz = Frozen.of_model m in
+  let row = Frozen.Delta.append_row Model.Geq 1 [ (x, 1); (1, 1) ] in
+  let a = Frozen.Delta.empty |> Frozen.Delta.append_col ~upper:1 ~name:"a" ~obj:5 |> row in
+  let b = Frozen.Delta.empty |> Frozen.Delta.append_col ~upper:1 ~name:"b" ~obj:1 |> row in
+  Alcotest.(check (pair int int)) "the row is shared, the column is not" (0, 1)
+    (Frozen.Delta.common_appends a b);
+  let objective sess delta =
+    match FS.session_solve sess delta with
+    | FS.Optimal { objective; _ } -> objective
+    | FS.Infeasible -> Alcotest.fail "expected a feasible program"
+  in
+  let warm = FS.create_session fz in
+  List.iter
+    (fun (d, want) ->
+      Alcotest.(check (float 1e-9)) "fresh on the extended program" want
+        (objective (FS.create_session (Frozen.extend fz d)) Frozen.Delta.empty);
+      Alcotest.(check (float 1e-9)) "warm session" want (objective warm d))
+    [ (a, 3.); (b, 1.); (a, 3.) ]
+
 let () =
   Alcotest.run "frozen"
     [
       ( "structure",
         [
-          Alcotest.test_case "CSR and CSC agree" `Quick test_csr_csc_agree;
+          Alcotest.test_case "CSR row sizes sum to nnz" `Quick test_csr_sizes;
           Alcotest.test_case "per-variable data" `Quick test_per_variable_data;
           Alcotest.test_case "row normal form" `Quick test_row_normal_form;
-          Harness.qtest prop_csr_csc_random;
         ] );
       ( "round-trip",
         [
@@ -386,5 +557,7 @@ let () =
           Alcotest.test_case "chain sharing" `Quick test_append_chain_sharing;
           Alcotest.test_case "check_feasible over appends" `Quick test_append_check_feasible;
           Harness.qtest prop_append_warm_equals_refreeze;
+          Alcotest.test_case "rewind past a shared row" `Quick test_rewind_past_shared_row;
+          Harness.qtest prop_append_walk_equals_extend;
         ] );
     ]

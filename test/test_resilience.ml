@@ -1164,16 +1164,20 @@ let prop_dp_view_side_effects_optimal =
     (QCheck.int_range 0 1_000_000) (fun seed ->
       let rng = Random.State.make [| seed |] in
       let q = Queries.q2_chain () in
-      let db = random_db rng [ ("R", 2); ("S", 2) ] 4 3 ~max_bag:1 in
-      let rows = Deletion_propagation.output_rows q ~head:[ "y" ] db in
-      match rows with
-      | [] -> true
-      | output :: _ -> (
-        match Deletion_propagation.view_side_effects q ~head:[ "y" ] db ~output with
-        | Solve.Solved a ->
-          Option.map fst (dp_view_oracle q [ "y" ] db output)
-          = Some (List.length a.Deletion_propagation.lost_outputs)
-        | _ -> false))
+      let db = random_db rng [ ("R", 2); ("S", 2) ] 6 3 ~max_bag:1 in
+      (* Head [x; z]: a row's witnesses share their R tuples with the rows
+         of the same x and their S tuples with the rows of the same z, so
+         every deletion that removes the target can cost other rows, and
+         which it costs is the whole question.  Every row is a target. *)
+      let head = [ "x"; "z" ] in
+      List.for_all
+        (fun output ->
+          match Deletion_propagation.view_side_effects q ~head db ~output with
+          | Solve.Solved a ->
+            Option.map fst (dp_view_oracle q head db output)
+            = Some (List.length a.Deletion_propagation.lost_outputs)
+          | _ -> false)
+        (Deletion_propagation.output_rows q ~head db))
 
 let prop_dp_source_matches_specialized_resilience =
   QCheck.Test.make ~name:"source-side effects = resilience of the specialisation" ~count:60

@@ -87,6 +87,15 @@ let test_unknown_and_bad () =
     (feed e (ask_req ~fields:[ ("bag", J.Int 1) ] "resilience"));
   check_err "negative jobs" "bad_request"
     (feed e (ask_req ~fields:[ ("jobs", J.Int (-2)) ] "rank"));
+  (* The fan-out is clamped at decode; nothing is spawned here. *)
+  let decoded_jobs n =
+    match Serve.Protocol.parse_request (ask_req ~fields:[ ("jobs", J.Int n) ] "rank") with
+    | Serve.Protocol.Request { req = Serve.Protocol.Ask a; _ } -> a.Serve.Protocol.jobs
+    | _ -> Alcotest.fail "a jobs field must decode"
+  in
+  Alcotest.(check int) "jobs clamped to the recommended domain count" (Lp.Pool.default_jobs ())
+    (decoded_jobs 1_000_000);
+  Alcotest.(check int) "jobs 0 keeps meaning the default" 0 (decoded_jobs 0);
   check_err "nested batch" "bad_request"
     (feed e
        {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|});
